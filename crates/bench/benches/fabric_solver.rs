@@ -131,7 +131,7 @@ fn bench_fabric_solver(c: &mut Criterion) {
         });
     }
     group.bench_function(BenchmarkId::new("packet_incast_drain", format!("{PACKET_FLOWS}flows_4to1")), |b| {
-        b.iter(|| drain_packet_fabric(&mut loaded_packet_fabric()))
+        b.iter(|| drain_packet_fabric(&mut loaded_packet_fabric()));
     });
     group.finish();
 }

@@ -4,7 +4,8 @@
 //! ring), the ring must price backend-insensitively, PFC must keep the
 //! fabric lossless, and the whole sweep must be bit-deterministic.
 
-use ec_bench::incast::{run_point, Collective, FabricKind, IncastConfig, IncastPoint};
+use ec_bench::incast::{fig18_engine, run_point, Collective, FabricKind, IncastConfig, IncastPoint};
+use ec_netsim::{ClusterSpec, CostModel, Engine, PacketConfig, ProgramBuilder, RunReport, Topology};
 
 const TAPER: f64 = 4.0;
 
@@ -103,4 +104,85 @@ fn sweep_points_are_deterministic() {
             kind.label()
         );
     }
+}
+
+/// `(fingerprint, makespan, packet events)` of one engine-level run.
+fn pin(report: &RunReport) -> (String, String, u64) {
+    (format!("{:016x}", report.fingerprint()), format!("{:.9}", report.makespan()), report.metrics.packet_events)
+}
+
+#[test]
+fn p128_cells_are_pinned() {
+    // The three cells the repo benchmark's `incast_packet` workload runs,
+    // recorded on the commit before the packet event core was rebuilt: a
+    // scheduler or hand-off change must not move one simulated bit.
+    let cfg = IncastConfig::new(128);
+    for (collective, kind, fingerprint, makespan, events) in [
+        (Collective::Alltoall, FabricKind::PacketPfc, "c9a084b2d7279416", "0.004848458", 1_170_944),
+        (Collective::Alltoall, FabricKind::PacketLossy, "7b23f85d7d2800b6", "0.006521431", 1_184_560),
+        (Collective::Ring, FabricKind::PacketPfc, "21cb5dcab175b4a2", "0.002044717", 430_784),
+    ] {
+        let report =
+            fig18_engine(&cfg, kind, TAPER).run(&cfg.program(collective)).expect("fig18 program must simulate");
+        assert_eq!(
+            pin(&report),
+            (fingerprint.to_owned(), makespan.to_owned(), events),
+            "{collective:?} on {} moved",
+            kind.label()
+        );
+    }
+}
+
+#[test]
+fn tie_heavy_run_is_pinned() {
+    // Every delay on both sides of the engine/fabric hand-off is a multiple
+    // of U = 2^-18 s (one 4 KiB MTU at 2^30 B/s; hop latency, alpha, send and
+    // notify overheads, compute ops) and ECN is off, so DCQCN stays at line
+    // rate, every sum is exact and *every* engine event lands on a
+    // packet-event time.  Ranks 2..8 keep a 6:1 incast of two-packet puts on
+    // rank 1, each launched by the completion of the one before, while rank 0
+    // launches a blocking single-packet put into the same queue at staggered
+    // phases.  A rank-0 `FlowLaunch` sorts ahead of an equal-time
+    // `FabricTick` (rank 0, later seq), so when it ties with a completion its
+    // flow enters the fabric before the completing rank's next one and wins
+    // the switch queue.  The in-place drain may therefore only run ahead
+    // while the fabric's next event is *strictly* earlier than the engine
+    // queue's head; draining through the tie (`<=`) moves this pin
+    // (fingerprint `f485539932ad8c97`, 0.003746033 s).  Recorded on the
+    // commit before the drain existed.
+    const U: f64 = 1.0 / (1u64 << 18) as f64;
+    const RANKS: usize = 8;
+    const ROUNDS: u32 = 30;
+    let cost = CostModel {
+        alpha_inter: U,
+        beta_inter: 1.0 / (1u64 << 30) as f64,
+        o_send: U,
+        notify_overhead: U,
+        ..CostModel::test_model()
+    };
+    let mut b = ProgramBuilder::new(RANKS);
+    for round in 0..ROUNDS {
+        for r in 2..RANKS {
+            b.put_notify(r, 1, 2 * 4096, round * 16 + r as u32);
+            b.put_notify(r, 1, 2 * 4096, round * 16 + 8 + r as u32);
+        }
+        b.compute(0, f64::from(20 + round % 5) * U);
+        b.put_notify(0, 1, 4096, round * 16);
+        b.wait_all_sends(0);
+    }
+    for round in 0..ROUNDS {
+        b.wait_notify(1, &[round * 16]);
+        b.compute(1, U);
+        let incast: Vec<u32> = (2..RANKS as u32).flat_map(|r| [round * 16 + r, round * 16 + 8 + r]).collect();
+        b.wait_notify(1, &incast);
+    }
+    let program = b.build();
+    let report = Engine::new(ClusterSpec::homogeneous(RANKS, 1), cost)
+        .with_packet_network(
+            Topology::single_switch(RANKS, (1u64 << 30) as f64),
+            PacketConfig { hop_latency: U, ecn_threshold: None, ..PacketConfig::default() },
+        )
+        .run(&program)
+        .expect("tie-heavy program must simulate");
+    assert_eq!(pin(&report), ("8872e880fed7eb5a".to_owned(), "0.003719330".to_owned(), 4890));
 }

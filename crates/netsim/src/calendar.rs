@@ -291,11 +291,13 @@ mod tests {
         }
     }
 
-    #[test]
-    fn agrees_with_a_binary_heap_on_pseudo_random_interleaved_ops() {
-        // Deterministic xorshift stream of interleaved pushes and pops; the
-        // calendar queue must produce the exact pop sequence of a heap.
-        let mut q = CalendarQueue::new(3.7e-4, 32);
+    /// Interleave 20 000 pushes and pops drawn from a deterministic xorshift
+    /// stream and assert the calendar queue pops exactly what a binary heap
+    /// pops.  `horizon` maps a random word to a new event's distance from
+    /// the clock (the time of the latest pop).  Returns how many pops had
+    /// the same timestamp as the pop before them.
+    fn assert_agrees_with_heap(width: f64, horizon: impl Fn(u64) -> f64) -> usize {
+        let mut q = CalendarQueue::new(width, 32);
         let mut reference: BinaryHeap<Reverse<Ev>> = BinaryHeap::new();
         let mut state = 0x9e3779b97f4a7c15u64;
         let mut next = move || {
@@ -304,23 +306,18 @@ mod tests {
             state ^= state << 17;
             state
         };
-        let mut clock = 0.0f64;
+        let (mut clock, mut ties) = (0.0f64, 0);
         for seq in 0..20_000u64 {
             let r = next();
             if r % 5 < 3 || reference.is_empty() {
-                // Mixture of near (same wave), mid (ring) and far horizons.
-                let horizon = match r % 7 {
-                    0 => 0.0,
-                    1..=4 => 1e-4 * ((r >> 8) % 100) as f64,
-                    _ => 1.0 * ((r >> 8) % 4) as f64,
-                };
-                let ev = Ev { time: clock + horizon, seq };
+                let ev = Ev { time: clock + horizon(r), seq };
                 q.push(ev);
                 reference.push(Reverse(ev));
             } else {
                 let expect = reference.pop().unwrap().0;
                 let got = q.pop().unwrap();
-                assert_eq!(got, expect, "divergence at step {seq}");
+                assert_eq!(got, expect, "divergence at step {seq} (width {width:e})");
+                ties += usize::from(expect.time == clock);
                 clock = clock.max(expect.time);
             }
             assert_eq!(q.len(), reference.len());
@@ -329,5 +326,36 @@ mod tests {
             assert_eq!(q.pop(), Some(expect));
         }
         assert!(q.pop().is_none());
+        ties
+    }
+
+    #[test]
+    fn agrees_with_a_binary_heap_on_pseudo_random_interleaved_ops() {
+        // Mixture of near (same wave), mid (ring) and far horizons.
+        assert_agrees_with_heap(3.7e-4, |r| match r % 7 {
+            0 => 0.0,
+            1..=4 => 1e-4 * ((r >> 8) % 100) as f64,
+            _ => 1.0 * ((r >> 8) % 4) as f64,
+        });
+    }
+
+    #[test]
+    fn agrees_with_a_binary_heap_on_packet_shaped_streams() {
+        // The packet fabric's event mix: a handful of fixed delays (re-poke
+        // now, one MTU's serialization, one or two hops' flight, the 1 ms
+        // retransmission timer), so most events tie exactly with others and
+        // only `seq` orders them.  Widths from far below to far above the
+        // ~0.3 us event spacing; under the 10 ns ring (a 10 us horizon) the
+        // timers live in the far tier until the cursor reaches them.
+        for width in [1e-8, 2e-8, 1e-7, 1e-6, 1e-5] {
+            let ties = assert_agrees_with_heap(width, |r| match r % 8 {
+                0 | 1 => 0.0,
+                2 | 3 => 327.68e-9,
+                4 | 5 => 500e-9,
+                6 => 1000e-9,
+                _ => 1e-3,
+            });
+            assert!(ties > 2000, "the stream must be tie-heavy, saw {ties} equal-time pops");
+        }
     }
 }

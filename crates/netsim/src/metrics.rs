@@ -15,6 +15,10 @@
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineMetrics {
     /// Events pushed into the strict loop's scheduler (heap or calendar).
+    /// Host-side bookkeeping, not a simulated quantity: on the packet fabric
+    /// it counts one `FabricTick` per completion or engine-event horizon, no
+    /// longer one per packet-event time, so it is several times smaller than
+    /// before that change for the same run (`packet_events` is unchanged).
     pub events_scheduled: u64,
     /// Current-bucket sorts the calendar queue performed (its analogue of a
     /// resize: the cost paid to keep the ring's head ordered).

@@ -33,9 +33,15 @@
 //!   lane (per-hop latency only, no queueing) — the usual simplification
 //!   for RDMA-style hardware ACKs.
 //!
-//! Determinism: events are totally ordered by `(time, insertion seq)`, and
+//! Determinism: events are totally ordered by `(time, insertion seq)` — the
+//! calendar queue holding them pops exactly what a binary heap would, its
+//! bucket width (derived from the configuration) only moves host time — and
 //! the only randomness is the explicitly seeded packet-loss injector, so a
-//! run fingerprints identically across repeats.
+//! run fingerprints identically across repeats.  A flying packet is not
+//! inside its `Arrive` event (which keeps events at 32 bytes): it waits in
+//! its link's in-flight FIFO, exact because a link serializes one packet at
+//! a time and every flight lasts `hop_latency`, so a link's arrivals happen
+//! in departure order and equal arrival times tie-break by `seq` the same way.
 //!
 //! ## Driving the fabric directly
 //!
@@ -59,10 +65,10 @@
 //! assert_eq!(fabric.totals().drops, 0, "PFC keeps a lone flow lossless");
 //! ```
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
+use crate::calendar::{CalendarQueue, Timed};
 use crate::cluster::NodeId;
 use crate::congcontrol::{CongAlg, CongControl, Dcqcn};
 use crate::fabric::{FlowId, LinkUsage};
@@ -244,14 +250,14 @@ struct Pkt {
 }
 
 /// Internal event kinds, ordered by `(time, insertion seq)`.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 enum PEventKind {
     /// Sender attempts to inject its next packet(s).
     TrySend { msg: u32 },
     /// The packet serializing on `link` finished.
     SerDone { link: u32 },
-    /// `pkt` lands at the downstream end of `link`.
-    Arrive { link: u32, pkt: Pkt },
+    /// The front of `link`'s in-flight FIFO lands at its downstream end.
+    Arrive { link: u32 },
     /// Cumulative ACK (or NACK) reaches the sender of `msg`.
     Ack { msg: u32, gen: u32, acked: u32, marked: bool, nack: bool },
     /// Retransmission timer for `msg` fires: rewind unless the cumulative
@@ -259,12 +265,16 @@ enum PEventKind {
     Rto { msg: u32, gen: u32 },
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 struct PEvent {
     time: f64,
     seq: u64,
     kind: PEventKind,
 }
+
+// Events are copied through the calendar's buckets on every push, sort and
+// pop; carrying the packet inside `Arrive` made them 48 bytes.
+const _: () = assert!(size_of::<PEvent>() == 32);
 
 impl PartialEq for PEvent {
     fn eq(&self, other: &Self) -> bool {
@@ -282,6 +292,11 @@ impl Ord for PEvent {
         self.time.total_cmp(&other.time).then(self.seq.cmp(&other.seq))
     }
 }
+impl Timed for PEvent {
+    fn time(&self) -> f64 {
+        self.time
+    }
+}
 
 /// One directed link: egress FIFO at the upstream device plus serialization
 /// state.
@@ -294,6 +309,10 @@ struct PLink {
     qbytes: u64,
     serving: Option<Pkt>,
     ser_start: f64,
+    /// Packets flying toward the downstream device, oldest first.  Each has
+    /// one `Arrive` event pending and they fire in this order: the link's
+    /// `SerDone`s are sequential and every flight lasts `hop_latency`.
+    inflight: VecDeque<Pkt>,
     /// Number of congested downstream egress queues currently pausing this
     /// link (PFC); the link is paused while this is non-zero.
     pause_refs: u32,
@@ -347,6 +366,9 @@ struct Msg {
 /// [`resolve`](Self::resolve) advances internal events, bumps the epoch and
 /// returns the next event time for a `FabricTick`, and
 /// [`take_completed`](Self::take_completed) drains finished messages.
+/// Between two of the engine's own events the engine additionally lets the
+/// fabric run through the event times at which nothing completes, so it
+/// ticks once per completion rather than once per packet event.
 #[derive(Debug)]
 pub struct PacketFabric {
     topology: Topology,
@@ -366,7 +388,7 @@ pub struct PacketFabric {
     free: Vec<u32>,
     pending_free: Vec<u32>,
     active: usize,
-    heap: BinaryHeap<Reverse<PEvent>>,
+    events: CalendarQueue<PEvent>,
     seq: u64,
     now: f64,
     epoch: u64,
@@ -400,6 +422,7 @@ impl PacketFabric {
                 qbytes: 0,
                 serving: None,
                 ser_start: 0.0,
+                inflight: VecDeque::new(),
                 pause_refs: 0,
                 pause_started: 0.0,
                 backlog_since: 0.0,
@@ -416,6 +439,7 @@ impl PacketFabric {
                 if src == dst {
                     continue;
                 }
+                path.clear();
                 routing.path_into(topology, src, dst, &mut path);
                 for pair in path.windows(2) {
                     let (a, b) = (pair[0] as u32, pair[1]);
@@ -425,7 +449,19 @@ impl PacketFabric {
                 }
             }
         }
+        // Calendar bucket width: 1/16 of the shortest delay the fabric
+        // schedules (one hop's flight, or one MTU on the fastest link); the
+        // 1 ms `Rto` timers sit in the queue's far tier.  On the repo
+        // benchmark's `incast_packet` pass (1.17 M events per alltoall cell)
+        // 1/4 to 1/64 measured alike and 1/2 and 1x 8-17 % slower, while a
+        // sparse drain (mostly empty buckets) takes 1.6x as long at 1/64.
+        let fastest = links.iter().map(|l| l.capacity).fold(0.0, f64::max);
+        let mut shortest = f64::from(config.mtu) / fastest;
+        if config.hop_latency > 0.0 {
+            shortest = shortest.min(config.hop_latency);
+        }
         Ok(Self {
+            events: CalendarQueue::new(shortest / 16.0, 4 * n),
             topology: topology.clone(),
             routing,
             mtu: u64::from(config.mtu),
@@ -437,7 +473,6 @@ impl PacketFabric {
             free: Vec::new(),
             pending_free: Vec::new(),
             active: 0,
-            heap: BinaryHeap::new(),
             seq: 0,
             now: 0.0,
             epoch: 0,
@@ -488,36 +523,11 @@ impl PacketFabric {
         self.advance_to(now);
         let wire_bytes = (bytes.ceil() as u64).max(1);
         let pkts = wire_bytes.div_ceil(self.mtu).min(u64::from(u32::MAX)) as u32;
-        let id = match self.free.pop() {
-            Some(id) => id,
-            None => {
-                self.msgs.push(Msg {
-                    gen: 0,
-                    path: Vec::new(),
-                    bytes: 0,
-                    pkts: 0,
-                    next_seq: 0,
-                    acked: 0,
-                    expected: 0,
-                    nack_armed: true,
-                    marked_pending: false,
-                    attempt: 0,
-                    cc: self.cfg.cc.new_flow(f64::INFINITY),
-                    next_allowed: 0.0,
-                    send_scheduled: false,
-                    stalled: false,
-                    rto_armed: false,
-                    rto_snapshot: 0,
-                    injected: 0.0,
-                    complete_time: 0.0,
-                    wire_ideal: 0.0,
-                    retransmits: 0,
-                    done: false,
-                });
-                (self.msgs.len() - 1) as u32
-            }
+        // A recycled slot keeps its generation and its path allocation.
+        let (id, gen, mut path) = match self.free.pop() {
+            Some(id) => (id, self.msgs[id as usize].gen, std::mem::take(&mut self.msgs[id as usize].path)),
+            None => (self.msgs.len() as u32, 0, Vec::new()),
         };
-        let mut path = std::mem::take(&mut self.msgs[id as usize].path);
         path.clear();
         self.routing.path_into(&self.topology, src, dst, &mut path);
         debug_assert!(!path.is_empty(), "inter-node paths traverse at least one link");
@@ -528,9 +538,7 @@ impl PacketFabric {
         for &l in &path {
             wire_ideal += first / self.links[l].capacity + self.cfg.hop_latency;
         }
-        let m = &mut self.msgs[id as usize];
-        let gen = m.gen;
-        *m = Msg {
+        let msg = Msg {
             gen,
             path,
             bytes: wire_bytes,
@@ -553,6 +561,10 @@ impl PacketFabric {
             retransmits: 0,
             done: false,
         };
+        match self.msgs.get_mut(id as usize) {
+            Some(slot) => *slot = msg,
+            None => self.msgs.push(msg),
+        }
         self.active += 1;
         self.push_event(now, PEventKind::TrySend { msg: id });
         id as FlowId
@@ -565,11 +577,8 @@ impl PacketFabric {
             "packet fabric time moved backwards: {} -> {now}",
             self.now
         );
-        while let Some(Reverse(ev)) = self.heap.peek() {
-            if ev.time > now {
-                break;
-            }
-            let Reverse(ev) = self.heap.pop().expect("peeked");
+        while self.events.peek().is_some_and(|ev| ev.time <= now) {
+            let ev = self.events.pop().expect("peeked");
             self.now = ev.time;
             self.totals.events += 1;
             match ev.kind {
@@ -578,9 +587,9 @@ impl PacketFabric {
                     self.try_send(msg, ev.time);
                 }
                 PEventKind::SerDone { link } => self.ser_done(link as usize, ev.time),
-                PEventKind::Arrive { link, pkt } => self.arrive(link as usize, pkt, ev.time),
+                PEventKind::Arrive { link } => self.arrive(link as usize, ev.time),
                 PEventKind::Ack { msg, gen, acked, marked, nack } => {
-                    self.on_ack(msg, gen, acked, marked, nack, ev.time)
+                    self.on_ack(msg, gen, acked, marked, nack, ev.time);
                 }
                 PEventKind::Rto { msg, gen } => self.on_rto(msg, gen, ev.time),
             }
@@ -588,6 +597,24 @@ impl PacketFabric {
         if now > self.now {
             self.now = now;
         }
+    }
+
+    /// Process internal events one timestamp at a time while the next one
+    /// is strictly earlier than `horizon` and no message has completed;
+    /// returns the time reached (the current time if nothing was due).  A
+    /// caller looping `resolve` / `take_completed` with nothing of its own
+    /// due before `horizon` would do exactly this, one round trip per time.
+    pub(crate) fn drain_before(&mut self, horizon: f64) -> f64 {
+        while self.completed.is_empty() {
+            match self.events.peek() {
+                Some(ev) if ev.time < horizon => {
+                    let t = ev.time;
+                    self.advance_to(t);
+                }
+                _ => break,
+            }
+        }
+        self.now
     }
 
     /// Drain messages that completed at or before `now` into `out`.
@@ -602,6 +629,9 @@ impl PacketFabric {
 
     /// Advance to `now`, bump the epoch, recycle completed slots and return
     /// the time of the next internal event (`None` when idle).
+    ///
+    /// The returned time is when the fabric next has *anything* to do, not
+    /// when a message next completes: most such times complete nothing.
     pub fn resolve(&mut self, now: f64) -> Option<f64> {
         self.advance_to(now);
         self.epoch += 1;
@@ -609,7 +639,7 @@ impl PacketFabric {
             self.msgs[id as usize].gen = self.msgs[id as usize].gen.wrapping_add(1);
             self.free.push(id);
         }
-        self.heap.peek().map(|Reverse(ev)| ev.time)
+        self.events.peek().map(|ev| ev.time)
     }
 
     /// `(queue, wire)` decomposition of a completed message's in-fabric
@@ -627,7 +657,7 @@ impl PacketFabric {
 
     fn push_event(&mut self, time: f64, kind: PEventKind) {
         self.seq += 1;
-        self.heap.push(Reverse(PEvent { time, seq: self.seq, kind }));
+        self.events.push(PEvent { time, seq: self.seq, kind });
     }
 
     fn pkt_bytes(&self, m: &Msg, seq_no: u32) -> u32 {
@@ -811,7 +841,8 @@ impl PacketFabric {
             _ => self.usage[l].intervals.push((start, end)),
         }
         self.pstats[l].packets += 1;
-        self.push_event(now + self.cfg.hop_latency, PEventKind::Arrive { link: l as u32, pkt });
+        self.links[l].inflight.push_back(pkt);
+        self.push_event(now + self.cfg.hop_latency, PEventKind::Arrive { link: l as u32 });
         self.kick(l, now);
         // The queue just shrank: release this queue's pause at xon, and
         // re-poke senders stalled on a first-hop queue.
@@ -835,17 +866,14 @@ impl PacketFabric {
         }
     }
 
-    fn arrive(&mut self, l: LinkId, pkt: Pkt, now: f64) {
-        {
-            let m = &self.msgs[pkt.msg as usize];
-            if m.gen != pkt.gen || m.done {
-                return; // trailing traffic of a finished message
-            }
+    fn arrive(&mut self, l: LinkId, now: f64) {
+        let mut pkt = self.links[l].inflight.pop_front().expect("Arrive without a packet in flight");
+        let m = &self.msgs[pkt.msg as usize];
+        if m.gen != pkt.gen || m.done {
+            return; // trailing traffic of a finished message
         }
-        let hops = self.msgs[pkt.msg as usize].path.len();
-        if usize::from(pkt.hop) + 1 < hops {
-            let next = self.msgs[pkt.msg as usize].path[usize::from(pkt.hop) + 1];
-            let mut pkt = pkt;
+        let hops = m.path.len();
+        if let Some(&next) = m.path.get(usize::from(pkt.hop) + 1) {
             pkt.hop += 1;
             self.enqueue(next, pkt, now);
             return;
@@ -884,9 +912,10 @@ impl PacketFabric {
                 m.nack_armed = true;
                 self.totals.delivered_packets += 1;
                 let (gen, acked, marked) = (m.gen, m.expected, std::mem::take(&mut m.marked_pending));
+                let last = acked == m.pkts;
                 self.totals.acks += 1;
                 self.push_event(now + ack_latency, PEventKind::Ack { msg: id, gen, acked, marked, nack: false });
-                if self.msgs[id as usize].expected == self.msgs[id as usize].pkts {
+                if last {
                     self.complete(id, now);
                 }
             }
@@ -997,20 +1026,84 @@ mod tests {
 
     #[test]
     fn incast_with_pfc_is_lossless() {
+        // `validate` allows `hop_latency == 0`; the calendar bucket width
+        // then comes from the MTU serialization time alone.
         let topo = Topology::single_switch(8, 1e9);
-        let mut f = PacketFabric::new(&topo, PacketConfig::default()).unwrap();
-        for src in 1..8 {
-            f.add_flow(0.0, src, 0, 1_000_000.0);
+        for hop_latency in [PacketConfig::default().hop_latency, 0.0] {
+            let run_once = || {
+                let mut f = PacketFabric::new(&topo, PacketConfig { hop_latency, ..PacketConfig::default() }).unwrap();
+                for src in 1..8 {
+                    f.add_flow(0.0, src, 0, 1_000_000.0);
+                }
+                let (t, done) = run(&mut f, 7);
+                (t.to_bits(), done, f)
+            };
+            let (t, done, f) = run_once();
+            assert_eq!(done.len(), 7);
+            assert_eq!(f.totals().drops, 0, "PFC must keep the incast lossless");
+            assert_eq!(f.totals().retransmits, 0);
+            assert!(f.totals().pfc_pauses > 0, "a 7:1 incast must trigger pauses");
+            let serial = 7.0 * 1_000_000.0 / 1e9;
+            assert!(f64::from_bits(t) >= serial, "seven megabytes through one downlink take at least {serial}");
+            let down = topo.links().iter().position(|l| l.to == 0).unwrap();
+            assert!(f.usage()[down].bytes >= 7.0 * 1_000_000.0);
+            let (t2, done2, f2) = run_once();
+            assert_eq!((t, done, f.totals()), (t2, done2, f2.totals()), "reruns must be bit-identical");
         }
-        let (t, done) = run(&mut f, 7);
-        assert_eq!(done.len(), 7);
-        assert_eq!(f.totals().drops, 0, "PFC must keep the incast lossless");
-        assert_eq!(f.totals().retransmits, 0);
-        assert!(f.totals().pfc_pauses > 0, "a 7:1 incast must trigger pauses");
-        let serial = 7.0 * 1_000_000.0 / 1e9;
-        assert!(t >= serial, "seven megabytes through one downlink take at least {serial}, got {t}");
-        let down = topo.links().iter().position(|l| l.to == 0).unwrap();
-        assert!(f.usage()[down].bytes >= 7.0 * 1_000_000.0);
+    }
+
+    #[test]
+    fn drain_before_matches_stepping_one_event_time_at_a_time() {
+        let load = || {
+            let mut f = PacketFabric::new(&Topology::fat_tree(8, 4, 2.0, 1e9), PacketConfig::lossy()).unwrap();
+            for src in 1..8 {
+                f.add_flow(0.0, src, 0, 300_000.0);
+            }
+            f
+        };
+        // Reference: the resolve / take_completed loop, recording each
+        // completion batch with its time.
+        let (mut stepped, mut f, mut now) = (Vec::new(), load(), 0.0);
+        while f.active_flows() > 0 {
+            now = f.resolve(now).expect("flows outstanding");
+            let mut done = Vec::new();
+            f.take_completed(now, &mut done);
+            if !done.is_empty() {
+                stepped.push((now.to_bits(), done));
+            }
+        }
+        // Same fabric, one `drain_before` per completion batch; a horizon in
+        // the middle of the run must stop it without skipping anything.
+        let (mut drained, mut g) = (Vec::new(), load());
+        let mid = f64::from_bits(stepped[stepped.len() / 2].0);
+        while g.active_flows() > 0 {
+            let next = g.resolve(g.now).expect("flows outstanding");
+            let horizon = if next < mid { mid } else { f64::INFINITY };
+            let t = g.drain_before(horizon);
+            assert!(t >= next && t < horizon, "a due event is processed, the horizon is not reached");
+            let mut done = Vec::new();
+            g.take_completed(t, &mut done);
+            if !done.is_empty() {
+                drained.push((t.to_bits(), done));
+            }
+        }
+        assert_eq!(drained, stepped);
+        assert_eq!(g.totals(), f.totals());
+        assert!(f.totals().retransmits > 0, "the lossy incast must exercise recovery");
+    }
+
+    #[test]
+    fn feeders_are_adjacent_links_only() {
+        // PFC pause from link `e`'s egress queue reaches exactly the links
+        // that end where `e` starts; routes must not leak into each other.
+        let topo = Topology::fat_tree(8, 4, 2.0, 1e9);
+        let f = PacketFabric::new(&topo, PacketConfig::default()).unwrap();
+        for (e, feeders) in f.feeds.iter().enumerate() {
+            for &m in feeders {
+                assert_eq!(topo.links()[m as usize].to, topo.links()[e].from, "link {m} cannot feed link {e}");
+            }
+        }
+        assert!(f.feeds.iter().any(|feeders| !feeders.is_empty()));
     }
 
     #[test]

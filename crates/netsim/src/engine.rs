@@ -512,7 +512,7 @@ impl Engine {
             }
             NetworkModel::Fabric(t) => {
                 check_nodes(t)?;
-                Some(NetSim::Flow(Fabric::new(t.clone()).map_err(SimError::BadTopology)?))
+                Some(NetSim::Flow(Box::new(Fabric::new(t.clone()).map_err(SimError::BadTopology)?)))
             }
             NetworkModel::Packet { topology: t, config } => {
                 check_nodes(t)?;
@@ -707,15 +707,16 @@ struct PendingRendezvous {
 /// same engine-facing contract (`add_flow` / `resolve` / `take_completed` /
 /// `epoch`), so the injection pipeline, the epoch-guarded tick events and
 /// the completion path are identical.
-// The packet fabric is boxed so that `Sim`, hot in every strict-loop run,
-// does not grow with it (unboxed, its inline calendar queue cost the
-// fabric-less 4096-worker SSP run 5-8 % wall); `Flow` stays as it was.
-#[allow(clippy::large_enum_variant)]
+// Both fabrics are boxed so that `Sim`, hot in every strict-loop run, does
+// not grow with them (unboxed, the packet fabric's inline calendar queue cost
+// the fabric-less 4096-worker SSP run 5-8 % wall).
 #[derive(Debug)]
 enum NetSim {
-    Flow(Fabric),
+    Flow(Box<Fabric>),
     Packet(Box<PacketFabric>),
 }
+
+const _: () = assert!(size_of::<NetSim>() == 16);
 
 impl NetSim {
     fn epoch(&self) -> u64 {

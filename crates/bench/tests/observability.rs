@@ -2,9 +2,12 @@
 //! the paper's collectives, Chrome Trace Event export validity, and trace
 //! equivalence across every way of feeding a program to the engine.
 
-use ec_collectives::schedule::{bcast_bst_schedule, ring_allreduce_schedule};
+use ec_bench::congestion::fig15_scenario;
+use ec_bench::ssp_scale::{ssp_scale_program, SspScaleConfig};
+use ec_collectives::schedule::{alltoall_direct_schedule, bcast_bst_schedule, ring_allreduce_schedule};
 use ec_netsim::{
-    validate_chrome_trace, write_chrome_trace, ClusterSpec, CostModel, Engine, Program, RunReport, Topology,
+    validate_chrome_trace, write_chrome_trace, BlockReason, ChromeTraceWriter, ClusterSpec, CostModel, Engine,
+    MsgLabel, Program, RunReport, SchedulerKind, Topology, TraceDetail, TraceFilter, TraceSink,
 };
 use proptest::prelude::*;
 
@@ -75,6 +78,53 @@ fn exported_chrome_trace_is_valid_and_fully_paired() {
     );
 }
 
+/// A `Write` that refuses the write that would take it past `fail_at` bytes
+/// — once, like a disk that was full for a moment — and counts what it took.
+struct FailsOnce {
+    written: usize,
+    fail_at: usize,
+    failed_at: Option<usize>,
+}
+
+impl std::io::Write for FailsOnce {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        if self.failed_at.is_none() && self.written + buf.len() > self.fail_at {
+            self.failed_at = Some(self.written);
+            return Err(std::io::Error::other("no space left on device"));
+        }
+        self.written += buf.len();
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn chrome_export_reports_a_failed_write() {
+    let engine = traced_engine(16);
+    let program = ring_allreduce_schedule(16, 1 << 20);
+    let report = engine.run(&program).expect("ring must simulate");
+    let mut complete = Vec::new();
+    write_chrome_trace(&mut complete, &report.trace, &report.links).expect("writing to memory succeeds");
+    let disk = || FailsOnce { written: 0, fail_at: complete.len() / 2, failed_at: None };
+
+    let mut out = disk();
+    let error = write_chrome_trace(&mut out, &report.trace, &report.links).expect_err("the export must fail");
+    assert_eq!(error.to_string(), "no space left on device");
+    assert_eq!(Some(out.written), out.failed_at, "nothing is written after the failure");
+
+    // The same through a sink, whose `record` cannot return the error: the
+    // first one is kept for `finish`, and the truncated file is not closed
+    // as if it were whole.
+    let sink = std::sync::Arc::new(std::sync::Mutex::new(ChromeTraceWriter::new(disk()).expect("opener fits")));
+    let streamed = engine.with_trace_sink(sink.clone()).run(&program).expect("ring must simulate");
+    assert_eq!(streamed.trace, report.trace, "a failing sink does not touch the run");
+    let error = sink.lock().expect("sink lock").finish().expect_err("finish must report the lost write");
+    assert_eq!(error.to_string(), "no space left on device");
+}
+
 /// Run `program` through one of the engine's three entry points.
 fn run_mode(engine: &Engine, program: &Program, mode: usize) -> RunReport {
     match mode {
@@ -127,4 +177,152 @@ proptest! {
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Golden pins of the trace pipeline: the canonical event sequence, the
+// exported bytes and the critical path of fixed runs.  Any change to how the
+// trace is stored, ordered, walked or written must leave all of them alone.
+// ---------------------------------------------------------------------------
+
+/// 64-bit FNV-1a.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn words(&mut self, words: &[u64]) {
+        for w in words {
+            self.bytes(&w.to_le_bytes());
+        }
+    }
+}
+
+fn label_words(label: MsgLabel) -> [u64; 2] {
+    match label {
+        MsgLabel::Notify(id) => [0, u64::from(id)],
+        MsgLabel::Tag(tag) => [1, u64::from(tag)],
+    }
+}
+
+/// Everything the pins cover, as one comparable line: event count and digest
+/// of the canonical `(time, rank, seq)` sequence (every field of every
+/// event), byte length and digest of the Chrome export (link counter tracks
+/// included), and the critical path's segment count and category bits.
+fn trace_pin(report: &RunReport) -> String {
+    let mut events = 0usize;
+    let mut h = Fnv::new();
+    for e in &report.trace {
+        events += 1;
+        h.words(&[e.time.to_bits(), e.rank as u64, e.kind as u64, e.op_index.map_or(u64::MAX, |i| i as u64), e.seq]);
+        match e.detail {
+            TraceDetail::None => h.words(&[0]),
+            TraceDetail::Op { op } => h.words(&[1, op as u64]),
+            TraceDetail::Block { reason } => match reason {
+                BlockReason::Recv { src, tag } => h.words(&[2, 0, src as u64, u64::from(tag)]),
+                BlockReason::Notify => h.words(&[2, 1]),
+                BlockReason::SendTxDone => h.words(&[2, 2]),
+                BlockReason::AllSends => h.words(&[2, 3]),
+                BlockReason::Barrier => h.words(&[2, 4]),
+            },
+            TraceDetail::Inject { dst, bytes, label, flow } => {
+                let [kind, id] = label_words(label);
+                h.words(&[3, dst as u64, bytes, kind, id, flow]);
+            }
+            TraceDetail::Arrival { src, bytes, label, flow, inject, queue, wire } => {
+                let [kind, id] = label_words(label);
+                h.words(&[4, src as u64, bytes, kind, id, flow, inject.to_bits(), queue.to_bits(), wire.to_bits()]);
+            }
+        }
+    }
+    assert_eq!(events as u64, report.metrics.trace_events, "the metric counts the kept events");
+    let mut out = Vec::new();
+    write_chrome_trace(&mut out, &report.trace, &report.links).expect("export must succeed");
+    let mut x = Fnv::new();
+    x.bytes(&out);
+    let cp = report.critical_path().expect("a traced run has a critical path");
+    let b = cp.breakdown;
+    let bits = [b.compute, b.alpha, b.wire, b.blocked, b.queueing].map(|v| format!("{:016x}", v.to_bits())).join(",");
+    format!("events {events} {:016x} | export {} {:016x} | path {} {bits}", h.0, out.len(), x.0, cp.segments.len())
+}
+
+/// Alpha-beta engine with the fig15 link jitter, traced.
+fn jittered_engine(ranks: usize) -> Engine {
+    traced_engine(ranks).with_scenario(fig15_scenario(7))
+}
+
+#[test]
+fn pinned_ring_trace_on_every_execution_path() {
+    const PIN: &str = concat!(
+        "events 15872 e3a5e499af6a100d",
+        " | export 1993823 4b63ee345c9dc23a",
+        " | path 155 3f2305440a2affe4,3f21d7df697bc8bb,3f3618f9d9ffa0e4,0000000000000000,0000000000000000"
+    );
+    let program = ring_allreduce_schedule(32, 1 << 20);
+    for shards in [1usize, 4] {
+        let report = jittered_engine(32).with_shards(shards).run(&program).expect("ring must simulate");
+        assert!(report.metrics.dataflow_burst_ops > 0, "the single-writer ring rides the dataflow path");
+        assert_eq!(trace_pin(&report), PIN, "dataflow path, {shards} shard(s)");
+    }
+    let strict = jittered_engine(32).with_scheduler(SchedulerKind::BinaryHeap).run(&program).expect("strict run");
+    assert_eq!(strict.metrics.dataflow_burst_ops, 0, "the binary heap pins the strict loop");
+    assert_eq!(trace_pin(&strict), PIN, "strict path");
+}
+
+#[test]
+fn pinned_multi_writer_trace_on_alpha_beta() {
+    // SSP hypercube: every rank has log2(p) writers, so arrivals at one rank
+    // are recorded out of time order by the strict loop.
+    let program = ssp_scale_program(&SspScaleConfig { iterations: 6, ..SspScaleConfig::new(16, 0) });
+    let report = jittered_engine(16).run(&program).expect("ssp must simulate");
+    assert_eq!(report.metrics.dataflow_burst_ops, 0, "multi-writer programs run the strict loop");
+    assert_eq!(
+        trace_pin(&report),
+        concat!(
+            "events 3388 04a4380eba1e2907",
+            " | export 384488 d6b48d4f9e001c0d",
+            " | path 47 3f7643e07da00108,3ef294eca258c86a,3f013149496af1ab,0000000000000000,3f11797da0c40540"
+        )
+    );
+}
+
+#[test]
+fn pinned_multi_writer_trace_on_the_flow_fabric() {
+    let program = alltoall_direct_schedule(16, 32 * 1024);
+    let engine = jittered_engine(16).with_topology(Topology::single_switch(16, 6.8e9));
+    let report = engine.run(&program).expect("alltoall must simulate");
+    assert!(report.links.iter().any(|l| !l.busy_intervals.is_empty()), "the export carries link counter tracks");
+    assert_eq!(
+        trace_pin(&report),
+        concat!(
+            "events 1008 f49f890afdc5eb0a",
+            " | export 157127 d5c68bf399671931",
+            " | path 16 0000000000000000,3edb2907ec9f24f0,3ed49695ebf8c290,0000000000000000,3f12be2600e841c6"
+        )
+    );
+}
+
+#[test]
+fn pinned_windowed_and_sampled_trace() {
+    const PIN: &str = concat!(
+        "events 3968 243a145883ae649c",
+        " | export 498839 9c6bd93a06ef8982",
+        " | path 2 0000000000000000,3ec02b5792b1c08a,3ed6c38dfce065bb,3f440517bc74aec7,0000000000000000"
+    );
+    let program = ring_allreduce_schedule(32, 1 << 20);
+    let filter = TraceFilter { first_rank: 5, last_rank: 20, sample: 2 };
+    for shards in [1usize, 4] {
+        let report = jittered_engine(32).with_trace_filter(filter).with_shards(shards).run(&program).expect("ring");
+        assert_eq!(trace_pin(&report), PIN, "dataflow path, {shards} shard(s)");
+    }
+    let strict = jittered_engine(32).with_trace_filter(filter).with_scheduler(SchedulerKind::BinaryHeap);
+    assert_eq!(trace_pin(&strict.run(&program).expect("strict run")), PIN, "strict path");
 }

@@ -14,11 +14,11 @@
 //! traces (rank windows, sampling) it degrades gracefully by attributing
 //! unresolvable intervals to blocked-waiting rather than failing.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 
 use crate::cluster::RankId;
 use crate::report::RunReport;
-use crate::trace::{BlockReason, OpClass, TraceDetail, TraceEvent, TraceKind};
+use crate::trace::{stream_order, BlockReason, OpClass, Trace, TraceDetail, TraceEvent, TraceKind};
 
 /// Attribution bucket of a span of critical-path time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -187,34 +187,58 @@ impl CriticalPath {
 /// model's smallest latency, well above accumulated f64 noise).
 const TOL: f64 = 1e-12;
 
-/// Per-rank view into the canonical trace: indices of the rank's events in
-/// ascending time order, plus the walk cursor (events at or beyond the
-/// cursor have been consumed by the path and cannot be revisited, which
-/// guarantees termination).
-struct Timeline {
-    idx: Vec<usize>,
+/// One rank's events in ascending `(time, seq)` order, plus the walk cursor
+/// (events at or beyond the cursor have been consumed by the path and cannot
+/// be revisited, which guarantees termination).
+struct Timeline<'a> {
+    ev: Vec<&'a TraceEvent>,
     cursor: usize,
+}
+
+impl<'a> Timeline<'a> {
+    /// Two-way merge of a rank's own and arrival streams.
+    fn merge(own: &'a [TraceEvent], arrivals: &'a [TraceEvent]) -> Self {
+        let mut ev = Vec::with_capacity(own.len() + arrivals.len());
+        let mut next = 0;
+        for e in own {
+            while next < arrivals.len() && stream_order(&arrivals[next], e).is_lt() {
+                ev.push(&arrivals[next]);
+                next += 1;
+            }
+            ev.push(e);
+        }
+        ev.extend(&arrivals[next..]);
+        Self { cursor: ev.len(), ev }
+    }
+}
+
+/// The timeline of `rank`, built when the walk first visits the rank; `None`
+/// for a rank without events (filtered out).
+fn timeline<'t, 'a>(
+    timelines: &'t mut HashMap<RankId, Timeline<'a>>,
+    trace: &'a Trace,
+    rank: RankId,
+) -> Option<&'t mut Timeline<'a>> {
+    match timelines.entry(rank) {
+        Entry::Occupied(slot) => Some(slot.into_mut()),
+        Entry::Vacant(slot) => {
+            let (own, arrivals) = trace.rank(rank);
+            (!own.is_empty() || !arrivals.is_empty()).then(|| slot.insert(Timeline::merge(own, arrivals)))
+        }
+    }
 }
 
 /// Run the analysis (public entry: [`RunReport::critical_path`]).
 pub(crate) fn analyze(report: &RunReport) -> Option<CriticalPath> {
     let trace = &report.trace;
-    if trace.is_empty() {
-        return None;
-    }
     let mut timelines: HashMap<RankId, Timeline> = HashMap::new();
-    for (i, e) in trace.iter().enumerate() {
-        timelines.entry(e.rank).or_insert_with(|| Timeline { idx: Vec::new(), cursor: 0 }).idx.push(i);
-    }
-    for tl in timelines.values_mut() {
-        tl.cursor = tl.idx.len();
-    }
     // Start from the latest boundary (OpEnd/BlockEnd) event: a rank's final
-    // op completion.  Arrival events may land later (deliveries nobody
-    // waits on) and are not program completions.
+    // op completion, the last boundary of its own stream.  Arrival events
+    // may land later (deliveries nobody waits on) and are not program
+    // completions.
     let (mut rank, mut t) = trace
-        .iter()
-        .filter(|e| matches!(e.kind, TraceKind::OpEnd | TraceKind::BlockEnd))
+        .per_rank()
+        .filter_map(|(_, own, _)| own.iter().rev().find(|e| matches!(e.kind, TraceKind::OpEnd | TraceKind::BlockEnd)))
         .map(|e| (e.rank, e.time))
         .max_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)))?;
     let mut segments: Vec<PathSegment> = Vec::new();
@@ -236,16 +260,16 @@ pub(crate) fn analyze(report: &RunReport) -> Option<CriticalPath> {
         if guard == 0 {
             break;
         }
-        let Some(tl) = timelines.get_mut(&rank) else {
+        let Some(tl) = timeline(&mut timelines, trace, rank) else {
             break;
         };
         // Find the latest boundary event at or before `t` that the walk has
         // not consumed yet.
         let mut found: Option<usize> = None;
-        let mut i = tl.cursor.min(tl.idx.len());
+        let mut i = tl.cursor.min(tl.ev.len());
         while i > 0 {
             i -= 1;
-            let e = &trace[tl.idx[i]];
+            let e = tl.ev[i];
             if e.time > t + TOL {
                 continue;
             }
@@ -268,7 +292,7 @@ pub(crate) fn analyze(report: &RunReport) -> Option<CriticalPath> {
             t = 0.0;
             break;
         };
-        let end_ev = &trace[tl.idx[i_end]];
+        let end_ev = tl.ev[i_end];
         // Idle gap between the boundary and the current path position.
         if t - end_ev.time > TOL {
             let mut bd = CategoryBreakdown::default();
@@ -294,7 +318,7 @@ pub(crate) fn analyze(report: &RunReport) -> Option<CriticalPath> {
         let mut j = i_end;
         while j > 0 {
             j -= 1;
-            let s = &trace[tl.idx[j]];
+            let s = tl.ev[j];
             if s.kind == want_kind && s.op_index == end_ev.op_index {
                 start_idx = Some(j);
                 break;
@@ -307,7 +331,7 @@ pub(crate) fn analyze(report: &RunReport) -> Option<CriticalPath> {
             t = t_end;
             continue;
         };
-        let start_ev = &trace[tl.idx[j_start]];
+        let start_ev = tl.ev[j_start];
         let t_start = start_ev.time;
         tl.cursor = j_start;
         if end_ev.kind == TraceKind::OpEnd {
@@ -363,12 +387,13 @@ pub(crate) fn analyze(report: &RunReport) -> Option<CriticalPath> {
                 // Jump to the last arriver: the rank whose matching barrier
                 // BlockStart is latest.  All ranks share the release time.
                 let mut last: Option<(f64, RankId, usize)> = None;
-                for (&r, rtl) in timelines.iter() {
+                for (r, ..) in trace.per_rank() {
+                    let rtl = timeline(&mut timelines, trace, r).expect("a rank with events has a timeline");
                     // Find this rank's barrier block that releases at t_end.
-                    let mut k = rtl.idx.partition_point(|&ix| trace[ix].time <= t_end + TOL);
+                    let mut k = rtl.ev.partition_point(|e| e.time <= t_end + TOL);
                     while k > 0 {
                         k -= 1;
-                        let e = &trace[rtl.idx[k]];
+                        let e = rtl.ev[k];
                         if t_end - e.time > TOL {
                             break;
                         }
@@ -379,7 +404,7 @@ pub(crate) fn analyze(report: &RunReport) -> Option<CriticalPath> {
                             let mut m = k;
                             while m > 0 {
                                 m -= 1;
-                                let s = &trace[rtl.idx[m]];
+                                let s = rtl.ev[m];
                                 if s.kind == TraceKind::BlockStart && s.op_index == e.op_index {
                                     let better = match last {
                                         None => true,
@@ -411,7 +436,7 @@ pub(crate) fn analyze(report: &RunReport) -> Option<CriticalPath> {
                         breakdown: bd,
                     },
                 );
-                if let Some(atl) = timelines.get_mut(&arr_rank) {
+                if let Some(atl) = timeline(&mut timelines, trace, arr_rank) {
                     atl.cursor = atl.cursor.min(arr_idx);
                 }
                 rank = arr_rank;
@@ -421,12 +446,12 @@ pub(crate) fn analyze(report: &RunReport) -> Option<CriticalPath> {
                 // Supply edge: the latest arrival at this rank at or before
                 // the unblock time.
                 let arrival = {
-                    let tl = timelines.get(&rank).expect("current rank has a timeline");
-                    let mut k = tl.idx.partition_point(|&ix| trace[ix].time <= t_end + TOL);
+                    let tl = &timelines[&rank];
+                    let mut k = tl.ev.partition_point(|e| e.time <= t_end + TOL);
                     let mut hit: Option<&TraceEvent> = None;
                     while k > 0 {
                         k -= 1;
-                        let e = &trace[tl.idx[k]];
+                        let e = tl.ev[k];
                         if e.time < t_start - TOL {
                             break;
                         }
@@ -471,8 +496,8 @@ pub(crate) fn analyze(report: &RunReport) -> Option<CriticalPath> {
                         );
                         rank = src;
                         t = inject;
-                        if let Some(stl) = timelines.get_mut(&src) {
-                            let ub = stl.idx.partition_point(|&ix| trace[ix].time <= t + TOL);
+                        if let Some(stl) = timeline(&mut timelines, trace, src) {
+                            let ub = stl.ev.partition_point(|e| e.time <= t + TOL);
                             stl.cursor = stl.cursor.min(ub);
                         }
                     }
@@ -564,7 +589,7 @@ mod tests {
         let mut ranks = vec![crate::report::RankStats::default(); 2];
         ranks[0].finish_time = 3.0;
         ranks[1].finish_time = 6.0;
-        RunReport { ranks, trace, ..RunReport::default() }
+        RunReport { ranks, trace: Trace::from_events(trace), ..RunReport::default() }
     }
 
     #[test]

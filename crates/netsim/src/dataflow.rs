@@ -56,8 +56,9 @@
 //! decomposition, and `BlockStart`/`BlockEnd` pairs for waits that would
 //! have blocked the strict engine.  Sequence numbers use the same two
 //! channels (own events per rank, arrival events per destination minted by
-//! the single writer), so sorting the merged shard buffers by
-//! `(time, rank, seq)` reproduces the strict trace event-for-event.
+//! the single writer), and every per-rank stream is recorded in time order
+//! by exactly one shard, so handing the shards' streams to one [`Trace`]
+//! reproduces the strict trace event-for-event without sorting anything.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -71,7 +72,7 @@ use crate::metrics::EngineMetrics;
 use crate::program::{CommProfile, NotifyId};
 use crate::report::{RankStats, RunReport};
 use crate::scenario::ScenarioInstance;
-use crate::trace::{sort_trace, BlockReason, MsgLabel, TraceDetail, TraceEvent, TraceFilter, TraceKind, ARRIVAL_SEQ};
+use crate::trace::{BlockReason, MsgLabel, Trace, TraceDetail, TraceEvent, TraceFilter, TraceKind, ARRIVAL_SEQ};
 
 /// A notification arrival in flight between shards.
 #[derive(Debug, Clone, Copy)]
@@ -258,12 +259,11 @@ struct Shard<'a> {
     outbox: Vec<Vec<Arrival>>,
     /// Emit trace events mirroring the strict engine's stream.
     tracing: bool,
-    filter: TraceFilter,
     /// Events emitted by this shard: own-channel events of its local ranks
     /// plus arrival-channel events for the destinations its ranks write to
     /// (the single-writer rule makes those destination sets disjoint across
-    /// shards, so the post-merge sort is a deterministic total order).
-    trace: Vec<TraceEvent>,
+    /// shards, so every stream of the run is filled by one shard).
+    trace: Trace,
     /// Arrival-channel sequence counters keyed by destination rank; minted
     /// sender-side in the writer's program order, which is exactly the order
     /// the strict engine schedules the corresponding `NotifyVisible` events.
@@ -314,8 +314,7 @@ impl<'a> Shard<'a> {
             worklist: (0..hi - lo).collect(),
             outbox: vec![Vec::new(); num_shards],
             tracing,
-            filter,
-            trace: Vec::new(),
+            trace: if tracing { Trace::new(filter, program.num_ranks()) } else { Trace::default() },
             arrival_seq: HashMap::new(),
         }
     }
@@ -332,9 +331,7 @@ impl<'a> Shard<'a> {
         let r = &mut self.ranks[li];
         let seq = r.seq;
         r.seq += 1;
-        if self.filter.keeps(rank) {
-            self.trace.push(TraceEvent::new(time, rank, kind, op_index, seq, detail));
-        }
+        self.trace.record(TraceEvent::new(time, rank, kind, op_index, seq, detail));
     }
 
     /// Record a (future-dated) arrival-channel event for destination `dst`.
@@ -345,9 +342,7 @@ impl<'a> Shard<'a> {
         let c = self.arrival_seq.entry(dst).or_insert(0);
         let seq = ARRIVAL_SEQ | *c;
         *c += 1;
-        if self.filter.keeps(dst) {
-            self.trace.push(TraceEvent::new(time, dst, kind, None, seq, detail));
-        }
+        self.trace.record(TraceEvent::new(time, dst, kind, None, seq, detail));
     }
 
     /// Emit the strict-engine-equivalent events for a wait outcome and
@@ -597,7 +592,7 @@ pub(crate) fn run(
     let inboxes: Vec<Mutex<Vec<Arrival>>> = (0..shards).map(|_| Mutex::new(Vec::new())).collect();
     let active: Vec<AtomicBool> = (0..shards).map(|_| AtomicBool::new(false)).collect();
     let barrier = Barrier::new(shards);
-    let mut results: Vec<(usize, Vec<DfRank>, Vec<TraceEvent>)> = std::thread::scope(|scope| {
+    let mut results: Vec<(usize, Vec<DfRank>, Trace)> = std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for (s, &(lo, hi)) in bounds.iter().enumerate() {
             let (inboxes, active, barrier) = (&inboxes, &active, &barrier);
@@ -631,23 +626,22 @@ pub(crate) fn run(
     });
     results.sort_by_key(|&(lo, _, _)| lo);
     let mut ranks = Vec::new();
-    let mut trace = Vec::new();
+    let mut trace: Option<Trace> = None;
     for (_, rs, tr) in results {
         ranks.extend(rs);
-        trace.extend(tr);
+        match &mut trace {
+            Some(all) => all.absorb(tr),
+            None => trace = Some(tr),
+        }
     }
-    assemble(program, ranks, trace)
+    assemble(program, ranks, trace.unwrap_or_default())
 }
 
 /// Final bookkeeping: flush arrivals nobody waited for (the strict engine
 /// still counts their `NotifyVisible` events — the counter values themselves
 /// are dead after the run, only the received tally matters), detect
 /// deadlock, and build the report.
-fn assemble(
-    program: &CompiledProgram,
-    mut ranks: Vec<DfRank>,
-    mut trace: Vec<TraceEvent>,
-) -> Result<RunReport, SimError> {
+fn assemble(program: &CompiledProgram, mut ranks: Vec<DfRank>, mut trace: Trace) -> Result<RunReport, SimError> {
     let mut blocked = Vec::new();
     for (rank, r) in ranks.iter_mut().enumerate() {
         r.stats.notifications_received += r.fifo.len() as u64;
@@ -664,7 +658,7 @@ fn assemble(
     if !blocked.is_empty() {
         return Err(SimError::Deadlock { blocked });
     }
-    sort_trace(&mut trace);
+    trace.seal();
     let metrics = EngineMetrics {
         dataflow_burst_ops: ranks.iter().map(|r| r.pc as u64).sum(),
         trace_events: trace.len() as u64,

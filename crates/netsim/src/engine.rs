@@ -50,7 +50,7 @@ use crate::scenario::{Scenario, ScenarioInstance};
 use crate::source::ProgramSource;
 use crate::topology::{Topology, TopologyError};
 use crate::trace::{
-    sort_trace, BlockReason, MsgLabel, TraceDetail, TraceEvent, TraceFilter, TraceKind, TraceSink, ARRIVAL_SEQ,
+    BlockReason, MsgLabel, Trace, TraceDetail, TraceEvent, TraceFilter, TraceKind, TraceSink, ARRIVAL_SEQ,
 };
 use crate::validate::{validate_compiled, ValidationError};
 
@@ -530,10 +530,10 @@ impl Engine {
         // issue order and visible time, so rank op chains can burst-execute
         // without a global event queue — and shard across threads without
         // changing a single output bit.  Traced runs stay eligible: the
-        // burst path emits the same events as the strict loop, merged into
-        // the canonical `(time, rank, seq)` order post-run.  Anything else
-        // (fabric contention, two-sided matching, barriers, shared NICs,
-        // multiple writers) runs the strict event loop.
+        // burst path emits the same events as the strict loop into the same
+        // per-rank streams.  Anything else (fabric contention, two-sided
+        // matching, barriers, shared NICs, multiple writers) runs the strict
+        // event loop.
         let eligible = self.scheduler == SchedulerKind::CalendarQueue
             && fabric.is_none()
             && self.cluster.ranks_per_node == 1
@@ -879,9 +879,8 @@ struct Sim<'a> {
     /// (recycled across ticks).
     completed_buf: Vec<FlowId>,
     meta_buf: Vec<FlowMeta>,
-    trace: Vec<TraceEvent>,
-    /// Which ranks' events the trace keeps (`TraceFilter::all()` untraced).
-    filter: TraceFilter,
+    /// The kept events, per rank (no streams untraced).
+    trace: Trace,
     /// Per-rank sequence counters for a rank's own events (empty untraced).
     trace_seq: Vec<u64>,
     /// Per-destination counters for the arrival sequence channel
@@ -971,8 +970,7 @@ impl<'a> Sim<'a> {
             flow_meta: Vec::new(),
             completed_buf: Vec::new(),
             meta_buf: Vec::new(),
-            trace: Vec::new(),
-            filter,
+            trace: if tracing { Trace::new(filter, n) } else { Trace::default() },
             trace_seq: if tracing { vec![0; n] } else { Vec::new() },
             arrival_seq: if tracing { vec![0; n] } else { Vec::new() },
             flow_seq: if tracing { vec![0; n] } else { Vec::new() },
@@ -996,24 +994,20 @@ impl<'a> Sim<'a> {
         }
         let seq = self.trace_seq[rank];
         self.trace_seq[rank] += 1;
-        if self.filter.keeps(rank) {
-            self.trace.push(TraceEvent::new(time, rank, kind, op_index, seq, detail));
-        }
+        self.trace.record(TraceEvent::new(time, rank, kind, op_index, seq, detail));
     }
 
     /// Record a message arrival on the destination's arrival sequence
     /// channel.  Arrivals are emitted (future-dated) when their timing is
-    /// decided, not when the event fires; the post-run sort merges them
-    /// into canonical order.
+    /// decided, not when the event fires; with several writers a rank's
+    /// arrival stream is therefore put in time order when the run ends.
     fn trace_arrival(&mut self, time: f64, dst: RankId, kind: TraceKind, detail: TraceDetail) {
         if !self.tracing {
             return;
         }
         let seq = ARRIVAL_SEQ | self.arrival_seq[dst];
         self.arrival_seq[dst] += 1;
-        if self.filter.keeps(dst) {
-            self.trace.push(TraceEvent::new(time, dst, kind, None, seq, detail));
-        }
+        self.trace.record(TraceEvent::new(time, dst, kind, None, seq, detail));
     }
 
     /// Mint a flow id pairing an injection with its arrival (0 untraced).
@@ -1120,10 +1114,9 @@ impl<'a> Sim<'a> {
             None => Vec::new(),
         };
         let ranks = self.ranks.into_iter().map(|r| r.stats).collect();
-        let mut trace = self.trace;
-        sort_trace(&mut trace);
-        self.metrics.trace_events = trace.len() as u64;
-        Ok(RunReport { ranks, links, trace, summary: None, metrics: self.metrics })
+        self.trace.seal();
+        self.metrics.trace_events = self.trace.len() as u64;
+        Ok(RunReport { ranks, links, trace: self.trace, summary: None, metrics: self.metrics })
     }
 
     /// Resume a rank that was blocked, accounting the wait time.

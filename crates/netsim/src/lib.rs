@@ -94,6 +94,6 @@ pub use source::ProgramSource;
 pub use topology::{EndpointId, Link, LinkId, Topology, TopologyError, TopologyKind};
 pub use trace::{
     sort_trace, validate_chrome_trace, write_chrome_trace, BlockReason, ChromeTraceStats, ChromeTraceWriter,
-    MemorySink, MsgLabel, OpClass, TraceDetail, TraceEvent, TraceFilter, TraceKind, TraceSink,
+    MemorySink, MsgLabel, OpClass, Trace, TraceDetail, TraceEvent, TraceFilter, TraceIter, TraceKind, TraceSink,
 };
 pub use validate::{validate, validate_compiled, validate_source, ValidationError};

@@ -168,8 +168,9 @@ pub struct RunReport {
     /// Per-link statistics, indexed like the fabric topology's link list
     /// (empty unless the engine ran with a contended network fabric).
     pub links: Vec<LinkStats>,
-    /// Trace of simulation events (empty unless tracing was enabled).
-    pub trace: Vec<crate::trace::TraceEvent>,
+    /// Trace of simulation events (empty unless tracing was enabled);
+    /// iterate it for the canonical `(time, rank, seq)` order.
+    pub trace: crate::trace::Trace,
     /// Folded aggregates (`None` under [`ReportDetail::Full`]).
     pub summary: Option<ReportSummary>,
     /// Engine work counters for this run (see [`EngineMetrics`]).
@@ -515,14 +516,14 @@ mod tests {
 
         // The trace and the engine metrics are excluded by design.
         let mut g = a.clone();
-        g.trace.push(crate::trace::TraceEvent::new(
+        g.trace = crate::trace::Trace::from_events(vec![crate::trace::TraceEvent::new(
             0.0,
             0,
             crate::trace::TraceKind::OpStart,
             Some(0),
             0,
             crate::trace::TraceDetail::None,
-        ));
+        )]);
         g.metrics.events_scheduled = 999;
         assert_eq!(a.fingerprint(), g.fingerprint());
 

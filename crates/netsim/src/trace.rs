@@ -1,21 +1,35 @@
-//! Structured event tracing: typed trace events, pluggable sinks, a
-//! streaming Chrome Trace Event writer, and a validator for exported files.
+//! Structured event tracing: typed trace events, the per-rank [`Trace`]
+//! store, pluggable sinks, a streaming Chrome Trace Event writer, and a
+//! validator for exported files.
 //!
 //! Every execution path of the engine — the strict event loop, the dataflow
-//! burst path and the sharded workers — emits the same [`TraceEvent`] stream,
-//! merged deterministically by `(time, rank, seq)`.  Events carry a typed,
-//! copyable [`TraceDetail`] instead of a free-form string, so post-run
-//! analyses (the critical-path walk in [`crate::critpath`], the `xtask
-//! trace-stats` summarizer) never parse text.
+//! burst path and the sharded workers — emits the same [`TraceEvent`]s.
+//! Events carry a typed, copyable [`TraceDetail`] instead of a free-form
+//! string, so post-run analyses (the critical-path walk in
+//! [`crate::critpath`], the `xtask trace-stats` summarizer) never parse text.
 //!
-//! Sinks: the engine buffers events in memory (the back-compat
-//! [`RunReport::trace`](crate::RunReport) vector is a [`MemorySink`]); an
-//! optional external [`TraceSink`] — typically a [`ChromeTraceWriter`] — is
-//! fed the sorted stream after the run.  A [`TraceFilter`] applies at
-//! emission, so rank-windowed or sampled traces of million-rank runs stay
-//! within the fig17 RSS budget: dropped events are never materialized.
+//! What is stored: a [`Trace`] keeps the events as the recorders produce
+//! them — two streams per kept rank, the rank's own events in program order
+//! and the arrivals at it in [`ARRIVAL_SEQ`] order, each ascending in
+//! `(time, seq)`.  A stream is checked once when the run ends and sorted only
+//! if the check fails (several writers racing to one rank on the strict
+//! path); nothing is ever sorted globally and no second copy of the events
+//! exists at any point.  [`Trace::iter`] yields the canonical
+//! `(time, rank, seq)` order — identical no matter which execution path or
+//! shard count produced the events — by merging the stream heads on demand:
+//! `O(log streams)` when the smallest event moves to another stream, `O(1)`
+//! while it stays on the same one.  Per-rank consumers (the critical-path
+//! walk) read a rank's two streams directly through [`Trace::rank`].
+//!
+//! Sinks: an optional external [`TraceSink`] — typically a
+//! [`ChromeTraceWriter`] — is fed `Trace::iter()` after the run.  A
+//! [`TraceFilter`] applies at emission, so rank-windowed or sampled traces
+//! of million-rank runs stay within the fig17 RSS budget: dropped events are
+//! never materialized, and the stream table is sized by the filter's window,
+//! not by the rank count.
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::io::{self, Write};
 
 use crate::cluster::RankId;
@@ -347,6 +361,215 @@ impl TraceFilter {
 }
 
 // ---------------------------------------------------------------------------
+// the per-rank trace store
+// ---------------------------------------------------------------------------
+
+/// Position of an event inside its stream: ascending time, then sequence
+/// number (the rank is the same for the whole stream).
+pub(crate) fn stream_order(a: &TraceEvent, b: &TraceEvent) -> std::cmp::Ordering {
+    a.time.total_cmp(&b.time).then_with(|| a.seq.cmp(&b.seq))
+}
+
+/// The events of one run, stored per rank (see the module docs): iterate
+/// for the canonical `(time, rank, seq)` order, or read one rank's streams
+/// with [`Trace::rank`].  Two traces are equal when they hold the same
+/// events, however those were recorded.
+#[derive(Debug, Clone, Default)]
+pub struct Trace {
+    /// Which ranks have streams: kept rank `r` owns slot
+    /// `(r - first_rank) / sample`.
+    filter: TraceFilter,
+    /// `2 * slot` holds the rank's own events, `2 * slot + 1` the arrivals
+    /// at it; each ascending in `(time, seq)` once sealed.
+    streams: Vec<Vec<TraceEvent>>,
+    len: usize,
+}
+
+impl Trace {
+    /// An empty trace with streams for the ranks of `0..num_ranks` that
+    /// `filter` keeps.
+    pub(crate) fn new(filter: TraceFilter, num_ranks: usize) -> Self {
+        let mut trace = Self { filter, streams: Vec::new(), len: 0 };
+        let last = num_ranks.checked_sub(1).map(|last| last.min(filter.last_rank));
+        if let Some(last) = last.filter(|&last| last >= filter.first_rank) {
+            trace.streams.resize_with(trace.stream_of(last, 1) + 1, Vec::new);
+        }
+        trace
+    }
+
+    /// Build a trace from events in any order (hand-built traces, tests).
+    pub fn from_events(events: Vec<TraceEvent>) -> Self {
+        let first = events.iter().map(|e| e.rank).min().unwrap_or(0);
+        let ranks = events.iter().map(|e| e.rank).max().map_or(0, |last| last.saturating_add(1));
+        let mut trace = Self::new(TraceFilter::window(first, usize::MAX), ranks);
+        for e in events {
+            trace.record(e);
+        }
+        trace.seal();
+        trace
+    }
+
+    /// Index of `rank`'s own (`channel` 0) or arrival (`channel` 1) stream.
+    #[inline]
+    fn stream_of(&self, rank: RankId, channel: usize) -> usize {
+        2 * ((rank - self.filter.first_rank) / self.filter.sample.max(1)) + channel
+    }
+
+    /// Append `event` to its rank's stream, unless the filter drops the rank.
+    #[inline]
+    pub(crate) fn record(&mut self, event: TraceEvent) {
+        if self.filter.keeps(event.rank) {
+            let stream = self.stream_of(event.rank, usize::from(event.seq & ARRIVAL_SEQ != 0));
+            self.streams[stream].push(event);
+            self.len += 1;
+        }
+    }
+
+    /// Take over the events of `other`, a trace of the same run recorded by
+    /// another shard.  Streams move; none is copied unless both sides
+    /// recorded into it.
+    pub(crate) fn absorb(&mut self, other: Trace) {
+        debug_assert_eq!(self.streams.len(), other.streams.len(), "shards of one run share the stream table");
+        for (mine, mut theirs) in self.streams.iter_mut().zip(other.streams) {
+            if mine.is_empty() {
+                *mine = theirs;
+            } else {
+                mine.append(&mut theirs);
+            }
+        }
+        self.len += other.len;
+    }
+
+    /// End of recording: put every stream that is not already ascending in
+    /// `(time, seq)` in order.  Own streams and single-writer arrival
+    /// streams are recorded in order; only arrivals that several writers
+    /// future-dated into one rank need the sort.
+    pub(crate) fn seal(&mut self) {
+        for stream in &mut self.streams {
+            if !stream.is_sorted_by(|a, b| stream_order(a, b).is_le()) {
+                stream.sort_by(stream_order);
+            }
+        }
+    }
+
+    /// Number of events.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True if no event was recorded.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The events of `rank`, each slice ascending in `(time, seq)`: its own
+    /// events in program order and the arrivals at it.  Both are empty for a
+    /// rank the trace does not keep.
+    pub fn rank(&self, rank: RankId) -> (&[TraceEvent], &[TraceEvent]) {
+        if !self.filter.keeps(rank) {
+            return (&[], &[]);
+        }
+        let stream = |channel| self.streams.get(self.stream_of(rank, channel)).map_or(&[][..], Vec::as_slice);
+        (stream(0), stream(1))
+    }
+
+    /// Every rank with events, ascending: `(rank, own, arrivals)`.
+    pub(crate) fn per_rank(&self) -> impl Iterator<Item = (RankId, &[TraceEvent], &[TraceEvent])> {
+        self.streams.chunks_exact(2).filter_map(|pair| {
+            let rank = pair[0].first().or(pair[1].first())?.rank;
+            Some((rank, pair[0].as_slice(), pair[1].as_slice()))
+        })
+    }
+
+    /// Iterate in canonical `(time, rank, seq)` order.
+    pub fn iter(&self) -> TraceIter<'_> {
+        let rest: Vec<_> = self.streams.iter().filter(|s| !s.is_empty()).map(|s| s.iter()).collect();
+        let mut heap: BinaryHeap<_> =
+            rest.iter().enumerate().map(|(i, s)| Reverse(Head::of(&s.as_slice()[0], i))).collect();
+        let current = heap.pop().map(|Reverse(head)| head.stream);
+        TraceIter { rest, heap, current, remaining: self.len }
+    }
+}
+
+impl PartialEq for Trace {
+    fn eq(&self, other: &Self) -> bool {
+        // Sealed streams are a function of the event set, so equal sets mean
+        // equal streams rank by rank — whatever the two stream tables look
+        // like.  With the lengths equal, covering `self` covers `other`.
+        self.len == other.len && self.per_rank().all(|(rank, own, arrivals)| other.rank(rank) == (own, arrivals))
+    }
+}
+
+impl<'a> IntoIterator for &'a Trace {
+    type Item = &'a TraceEvent;
+    type IntoIter = TraceIter<'a>;
+
+    fn into_iter(self) -> TraceIter<'a> {
+        self.iter()
+    }
+}
+
+/// Merge key of a stream's next event, smallest first: the time's bits in
+/// `f64::total_cmp` order, then rank, then sequence number.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Head {
+    time: u64,
+    rank: RankId,
+    seq: u64,
+    stream: usize,
+}
+
+impl Head {
+    fn of(e: &TraceEvent, stream: usize) -> Self {
+        let bits = e.time.to_bits();
+        // Flip all bits of a negative, the sign bit of a non-negative.
+        let time = bits ^ ((((bits as i64) >> 63) as u64) | (1 << 63));
+        Self { time, rank: e.rank, seq: e.seq, stream }
+    }
+}
+
+/// Iterator over a [`Trace`] in canonical order: a k-way merge of the
+/// per-rank streams that stays on one stream while it holds the smallest
+/// event.
+#[derive(Debug, Clone)]
+pub struct TraceIter<'a> {
+    /// The unyielded tail of every non-empty stream.
+    rest: Vec<std::slice::Iter<'a, TraceEvent>>,
+    /// Heads of all streams but `current`.
+    heap: BinaryHeap<Reverse<Head>>,
+    /// The stream holding the smallest unyielded event.
+    current: Option<usize>,
+    remaining: usize,
+}
+
+impl<'a> Iterator for TraceIter<'a> {
+    type Item = &'a TraceEvent;
+
+    fn next(&mut self) -> Option<&'a TraceEvent> {
+        let stream = self.current?;
+        let event = self.rest[stream].next()?;
+        self.remaining -= 1;
+        match self.rest[stream].as_slice().first() {
+            Some(next) => {
+                let head = Head::of(next, stream);
+                if let Some(mut top) = self.heap.peek_mut().filter(|top| top.0 < head) {
+                    self.current = Some(top.0.stream);
+                    *top = Reverse(head);
+                }
+            }
+            None => self.current = self.heap.pop().map(|Reverse(head)| head.stream),
+        }
+        Some(event)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
+    }
+}
+
+impl ExactSizeIterator for TraceIter<'_> {}
+
+// ---------------------------------------------------------------------------
 // Chrome Trace Event writer
 // ---------------------------------------------------------------------------
 
@@ -360,89 +583,163 @@ impl TraceFilter {
 /// microseconds of virtual time.
 pub struct ChromeTraceWriter<W: Write + Send> {
     out: W,
+    /// Records formatted since the last write to `out`.
+    buf: Vec<u8>,
     first: bool,
-    named: std::collections::HashSet<RankId>,
+    /// `named[rank]`: the rank's track already has its name record.
+    named: Vec<bool>,
+    /// The timestamp text of the last record and the bits it renders; runs
+    /// of records at one instant format it once.
+    ts_bits: u64,
+    ts_text: Vec<u8>,
+    /// The first write error met while recording; `finish` returns it.
+    error: Option<io::Error>,
+}
+
+/// The writer hands `buf` to the output once it holds this many bytes.
+const CHROME_CHUNK: usize = 64 * 1024;
+
+/// Append `n` in decimal.
+fn push_int(buf: &mut Vec<u8>, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    buf.extend_from_slice(&digits[at..]);
 }
 
 impl<W: Write + Send> ChromeTraceWriter<W> {
     /// Start writing: emits the array opener.
     pub fn new(mut out: W) -> io::Result<Self> {
         out.write_all(b"[\n")?;
-        Ok(Self { out, first: true, named: std::collections::HashSet::new() })
+        Ok(Self {
+            out,
+            buf: Vec::with_capacity(CHROME_CHUNK + 512),
+            first: true,
+            named: Vec::new(),
+            ts_bits: 0,
+            ts_text: b"0".to_vec(),
+            error: None,
+        })
     }
 
-    fn sep(&mut self) -> io::Result<()> {
+    /// Start a record: the separator, then the given pieces verbatim.
+    fn begin(&mut self, pieces: &[&str]) {
         if self.first {
             self.first = false;
         } else {
-            self.out.write_all(b",\n")?;
+            self.buf.extend_from_slice(b",\n");
+        }
+        for piece in pieces {
+            self.buf.extend_from_slice(piece.as_bytes());
+        }
+    }
+
+    /// One record on a rank's track: `head`, the flow id if `head` ends in
+    /// `"id":`, then `,"ts":<ts>,"pid":0,"tid":<tid>` (`ts` in microseconds)
+    /// and `args`.
+    fn on_track(
+        &mut self,
+        head: &[&str],
+        id: Option<u64>,
+        (ts, tid): (f64, RankId),
+        args: &[(&str, i128)],
+    ) -> io::Result<()> {
+        self.begin(head);
+        if let Some(id) = id {
+            push_int(&mut self.buf, id);
+        }
+        if ts.to_bits() != self.ts_bits {
+            self.ts_bits = ts.to_bits();
+            self.ts_text.clear();
+            write!(self.ts_text, "{ts}").expect("writing to a Vec cannot fail");
+        }
+        self.buf.extend_from_slice(b",\"ts\":");
+        self.buf.extend_from_slice(&self.ts_text);
+        self.buf.extend_from_slice(b",\"pid\":0,\"tid\":");
+        push_int(&mut self.buf, tid as u64);
+        self.end(args)
+    }
+
+    /// Close a record with `,"args":{"<key>":<value>,...}}`, or `}` alone.
+    fn end(&mut self, args: &[(&str, i128)]) -> io::Result<()> {
+        for (i, (key, value)) in args.iter().enumerate() {
+            self.buf.extend_from_slice(if i == 0 { b",\"args\":{\"" } else { b",\"" });
+            self.buf.extend_from_slice(key.as_bytes());
+            self.buf.extend_from_slice(b"\":");
+            if *value < 0 {
+                self.buf.push(b'-');
+            }
+            push_int(&mut self.buf, value.unsigned_abs() as u64);
+        }
+        self.buf.extend_from_slice(if args.is_empty() { b"}" } else { b"}}" });
+        if self.buf.len() >= CHROME_CHUNK {
+            self.spill()?;
         }
         Ok(())
     }
 
-    fn raw(&mut self, json: &str) -> io::Result<()> {
-        self.sep()?;
-        self.out.write_all(json.as_bytes())
-    }
-
-    fn ensure_track(&mut self, rank: RankId) -> io::Result<()> {
-        if self.named.insert(rank) {
-            let meta = format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{rank},\"args\":{{\"name\":\"rank {rank}\"}}}}"
-            );
-            self.raw(&meta)?;
-        }
-        Ok(())
+    fn spill(&mut self) -> io::Result<()> {
+        let written = self.out.write_all(&self.buf);
+        self.buf.clear();
+        written
     }
 
     fn write_event(&mut self, e: &TraceEvent) -> io::Result<()> {
-        self.ensure_track(e.rank)?;
-        let ts = e.time * 1e6;
         let tid = e.rank;
-        let op = e.op_index.map_or(-1i64, |i| i as i64);
-        let json = match (e.kind, &e.detail) {
-            (TraceKind::OpStart, TraceDetail::Op { op: class }) => format!(
-                "{{\"name\":\"{}\",\"cat\":\"op\",\"ph\":\"B\",\"ts\":{ts},\"pid\":0,\"tid\":{tid},\"args\":{{\"op_index\":{op}}}}}",
-                class.name()
-            ),
-            (TraceKind::OpStart, _) => format!(
-                "{{\"name\":\"op\",\"cat\":\"op\",\"ph\":\"B\",\"ts\":{ts},\"pid\":0,\"tid\":{tid},\"args\":{{\"op_index\":{op}}}}}"
-            ),
-            (TraceKind::OpEnd, _) => {
-                format!("{{\"name\":\"op\",\"cat\":\"op\",\"ph\":\"E\",\"ts\":{ts},\"pid\":0,\"tid\":{tid}}}")
+        if tid >= self.named.len() {
+            self.named.resize(tid + 1, false);
+        }
+        if !std::mem::replace(&mut self.named[tid], true) {
+            self.begin(&["{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":"]);
+            push_int(&mut self.buf, tid as u64);
+            self.buf.extend_from_slice(b",\"args\":{\"name\":\"rank ");
+            push_int(&mut self.buf, tid as u64);
+            self.buf.extend_from_slice(b"\"}}");
+        }
+        let at = (e.time * 1e6, tid);
+        let op = [("op_index", e.op_index.map_or(-1, |i| i as i128))];
+        let op_end = ["{\"name\":\"op\",\"cat\":\"op\",\"ph\":\"E\""];
+        match (e.kind, &e.detail) {
+            (TraceKind::OpStart, detail) => {
+                let name = if let TraceDetail::Op { op } = detail { op.name() } else { "op" };
+                self.on_track(&["{\"name\":\"", name, "\",\"cat\":\"op\",\"ph\":\"B\""], None, at, &op)
             }
-            (TraceKind::BlockStart, TraceDetail::Block { reason }) => format!(
-                "{{\"name\":\"blocked:{}\",\"cat\":\"block\",\"ph\":\"B\",\"ts\":{ts},\"pid\":0,\"tid\":{tid},\"args\":{{\"op_index\":{op}}}}}",
-                reason.name()
-            ),
-            (TraceKind::BlockStart, _) => format!(
-                "{{\"name\":\"blocked\",\"cat\":\"block\",\"ph\":\"B\",\"ts\":{ts},\"pid\":0,\"tid\":{tid},\"args\":{{\"op_index\":{op}}}}}"
-            ),
+            (TraceKind::OpEnd, _) => self.on_track(&op_end, None, at, &[]),
+            (TraceKind::BlockStart, detail) => {
+                let (colon, reason) =
+                    if let TraceDetail::Block { reason } = detail { (":", reason.name()) } else { ("", "") };
+                let head = ["{\"name\":\"blocked", colon, reason, "\",\"cat\":\"block\",\"ph\":\"B\""];
+                self.on_track(&head, None, at, &op)
+            }
             (TraceKind::BlockEnd, _) => {
                 // A blocked op emits no `OpEnd` of its own — resolving the
                 // block ends both the block span and the op span around it.
-                self.raw(&format!(
-                    "{{\"name\":\"blocked\",\"cat\":\"block\",\"ph\":\"E\",\"ts\":{ts},\"pid\":0,\"tid\":{tid}}}"
-                ))?;
-                format!("{{\"name\":\"op\",\"cat\":\"op\",\"ph\":\"E\",\"ts\":{ts},\"pid\":0,\"tid\":{tid}}}")
+                self.on_track(&["{\"name\":\"blocked\",\"cat\":\"block\",\"ph\":\"E\""], None, at, &[])?;
+                self.on_track(&op_end, None, at, &[])
             }
-            (TraceKind::MsgInjected, TraceDetail::Inject { dst, bytes, flow, .. }) => format!(
-                "{{\"name\":\"msg\",\"cat\":\"msg\",\"ph\":\"s\",\"id\":{flow},\"ts\":{ts},\"pid\":0,\"tid\":{tid},\"args\":{{\"dst\":{dst},\"bytes\":{bytes}}}}}"
-            ),
+            (TraceKind::MsgInjected, TraceDetail::Inject { dst, bytes, flow, .. }) => {
+                let args = [("dst", *dst as i128), ("bytes", i128::from(*bytes))];
+                self.on_track(&["{\"name\":\"msg\",\"cat\":\"msg\",\"ph\":\"s\",\"id\":"], Some(*flow), at, &args)
+            }
             (TraceKind::NotifyVisible | TraceKind::MsgDelivered, TraceDetail::Arrival { src, bytes, flow, .. }) => {
                 let name = if e.kind == TraceKind::NotifyVisible { "notify_visible" } else { "delivered" };
-                self.raw(&format!(
-                    "{{\"name\":\"{name}\",\"cat\":\"msg\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts},\"pid\":0,\"tid\":{tid},\"args\":{{\"src\":{src},\"bytes\":{bytes}}}}}"
-                ))?;
-                format!(
-                    "{{\"name\":\"msg\",\"cat\":\"msg\",\"ph\":\"f\",\"bp\":\"e\",\"id\":{flow},\"ts\":{ts},\"pid\":0,\"tid\":{tid}}}"
-                )
+                let args = [("src", *src as i128), ("bytes", i128::from(*bytes))];
+                self.on_track(&["{\"name\":\"", name, "\",\"cat\":\"msg\",\"ph\":\"i\",\"s\":\"t\""], None, at, &args)?;
+                let finish = ["{\"name\":\"msg\",\"cat\":\"msg\",\"ph\":\"f\",\"bp\":\"e\",\"id\":"];
+                self.on_track(&finish, Some(*flow), at, &[])
             }
-            (kind, _) => format!(
-                "{{\"name\":\"{kind:?}\",\"cat\":\"misc\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts},\"pid\":0,\"tid\":{tid}}}"
-            ),
-        };
-        self.raw(&json)
+            (kind, _) => {
+                let name = format!("{kind:?}");
+                self.on_track(&["{\"name\":\"", &name, "\",\"cat\":\"misc\",\"ph\":\"i\",\"s\":\"t\""], None, at, &[])
+            }
+        }
     }
 
     /// Emit one `C` (counter) sample: `value` is 1 at the start of a busy
@@ -450,29 +747,39 @@ impl<W: Write + Send> ChromeTraceWriter<W> {
     /// utilization timeline as a square wave.
     pub fn write_link_sample(&mut self, link: &str, ts_seconds: f64, value: u32) -> io::Result<()> {
         let ts = ts_seconds * 1e6;
-        let json = format!(
-            "{{\"name\":\"link:{link}\",\"cat\":\"link\",\"ph\":\"C\",\"ts\":{ts},\"pid\":1,\"args\":{{\"busy\":{value}}}}}"
-        );
-        self.raw(&json)
+        self.begin(&["{\"name\":\"link:", link, "\",\"cat\":\"link\",\"ph\":\"C\",\"ts\":"]);
+        write!(self.buf, "{ts},\"pid\":1").expect("writing to a Vec cannot fail");
+        self.end(&[("busy", i128::from(value))])
     }
 }
 
 impl<W: Write + Send> TraceSink for ChromeTraceWriter<W> {
     fn record(&mut self, event: &TraceEvent) {
-        // I/O errors surface on `finish`; recording is infallible by trait.
-        let _ = self.write_event(event);
+        // Recording is infallible by trait: keep the first write error for
+        // `finish` and write nothing after it.
+        if self.error.is_none() {
+            self.error = self.write_event(event).err();
+        }
     }
 
     fn finish(&mut self) -> io::Result<()> {
-        self.out.write_all(b"\n]\n")?;
+        if let Some(error) = self.error.take() {
+            return Err(error);
+        }
+        self.buf.extend_from_slice(b"\n]\n");
+        self.spill()?;
         self.out.flush()
     }
 }
 
-/// Write a complete Chrome trace: every event of `events` (already in
-/// canonical order) plus one counter track per fabric link with recorded
-/// busy intervals.
-pub fn write_chrome_trace<W: Write + Send>(out: W, events: &[TraceEvent], links: &[LinkStats]) -> io::Result<()> {
+/// Write a complete Chrome trace: every event of `events` (a [`Trace`], or
+/// a slice already in canonical order) plus one counter track per fabric
+/// link with recorded busy intervals.
+pub fn write_chrome_trace<'a, W: Write + Send>(
+    out: W,
+    events: impl IntoIterator<Item = &'a TraceEvent>,
+    links: &[LinkStats],
+) -> io::Result<()> {
     let mut w = ChromeTraceWriter::new(out)?;
     for e in events {
         w.write_event(e)?;
@@ -522,23 +829,23 @@ pub struct ChromeTraceStats {
 /// rather than rejected.  Returns aggregate statistics on success and a
 /// description of the first violation on failure.
 pub fn validate_chrome_trace(json: &str) -> Result<ChromeTraceStats, String> {
-    let value = minijson::parse(json)?;
-    let minijson::Value::Array(events) = value else {
-        return Err("top-level JSON value is not an array".into());
-    };
-    let mut stats = ChromeTraceStats { events: events.len(), ..Default::default() };
+    let mut stats = ChromeTraceStats::default();
     // Per-track open-span stack: (name, ts).
     let mut open: BTreeMap<(i64, i64), Vec<(String, f64)>> = BTreeMap::new();
     let mut span_time: BTreeMap<String, (f64, usize)> = BTreeMap::new();
     let mut flows: BTreeMap<u64, (usize, usize)> = BTreeMap::new();
     // Per-counter last (ts, value) for busy-time integration.
     let mut counters: BTreeMap<String, (f64, f64, f64)> = BTreeMap::new();
-    for (i, ev) in events.iter().enumerate() {
+    // One event is parsed, checked and dropped at a time: the file is never
+    // held as a document tree.
+    minijson::for_each_element(json, |ev| {
+        let i = stats.events;
+        stats.events += 1;
         let obj = ev.as_object().ok_or_else(|| format!("event {i} is not an object"))?;
         let ph = obj.get_str("ph").ok_or_else(|| format!("event {i} lacks a \"ph\" field"))?;
         if ph == "M" {
             // Metadata events carry no timestamp.
-            continue;
+            return Ok(());
         }
         let ts = obj.get_num("ts").ok_or_else(|| format!("event {i} lacks a numeric \"ts\" field"))?;
         let pid = obj.get_num("pid").ok_or_else(|| format!("event {i} lacks a \"pid\" field"))? as i64;
@@ -585,7 +892,8 @@ pub fn validate_chrome_trace(json: &str) -> Result<ChromeTraceStats, String> {
             "M" | "i" => {}
             other => return Err(format!("event {i}: unknown phase {other:?}")),
         }
-    }
+        Ok(())
+    })?;
     for ((pid, tid), stack) in &open {
         if let Some((name, _)) = stack.last() {
             return Err(format!("span \"{name}\" on track {pid}/{tid} never ends"));
@@ -644,15 +952,27 @@ mod minijson {
         }
     }
 
-    pub(super) fn parse(input: &str) -> Result<Value, String> {
+    /// Parse `input` as one JSON array and hand its elements to `each` one
+    /// at a time, in order, dropping each afterwards.
+    pub(super) fn for_each_element(input: &str, each: impl FnMut(Value) -> Result<(), String>) -> Result<(), String> {
         let bytes = input.as_bytes();
         let mut pos = 0;
-        let v = parse_value(bytes, &mut pos)?;
+        skip_ws(bytes, &mut pos);
+        let is_array = bytes.get(pos) == Some(&b'[');
+        if is_array {
+            array_items(bytes, &mut pos, each)?;
+        } else {
+            parse_value(bytes, &mut pos)?;
+        }
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing garbage at byte {pos}"));
         }
-        Ok(v)
+        if is_array {
+            Ok(())
+        } else {
+            Err("top-level JSON value is not an array".into())
+        }
     }
 
     fn skip_ws(b: &[u8], pos: &mut usize) {
@@ -752,21 +1072,30 @@ mod minijson {
     }
 
     fn parse_array(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        *pos += 1; // '['
         let mut items = Vec::new();
+        array_items(b, pos, |item| {
+            items.push(item);
+            Ok(())
+        })?;
+        Ok(Value::Array(items))
+    }
+
+    /// Parse the array starting at `b[*pos]`, passing each element to `each`.
+    fn array_items(b: &[u8], pos: &mut usize, mut each: impl FnMut(Value) -> Result<(), String>) -> Result<(), String> {
+        *pos += 1; // '['
         skip_ws(b, pos);
         if b.get(*pos) == Some(&b']') {
             *pos += 1;
-            return Ok(Value::Array(items));
+            return Ok(());
         }
         loop {
-            items.push(parse_value(b, pos)?);
+            each(parse_value(b, pos)?)?;
             skip_ws(b, pos);
             match b.get(*pos) {
                 Some(b',') => *pos += 1,
                 Some(b']') => {
                     *pos += 1;
-                    return Ok(Value::Array(items));
+                    return Ok(());
                 }
                 _ => return Err(format!("expected ',' or ']' at byte {pos}", pos = *pos)),
             }
@@ -918,5 +1247,144 @@ mod tests {
         let orphan_flow = r#"[{"name":"msg","ph":"f","id":3,"ts":1.0,"pid":0,"tid":0}]"#;
         assert_eq!(validate_chrome_trace(orphan_flow).expect("orphan finish is dangling").dangling_flows, 1);
         assert!(validate_chrome_trace("not json").is_err());
+    }
+    /// Hand-built event: only the merge key and the channel matter here.
+    fn keyed(time: f64, rank: RankId, seq: u64) -> TraceEvent {
+        let kind = if seq & ARRIVAL_SEQ == 0 { TraceKind::OpStart } else { TraceKind::NotifyVisible };
+        TraceEvent::new(time, rank, kind, None, seq, TraceDetail::None)
+    }
+
+    #[test]
+    fn windowed_trace_is_the_subsequence_of_the_full_one() {
+        let filter = TraceFilter { first_rank: 3, last_rank: 12, sample: 3 };
+        let mut full = Trace::new(TraceFilter::all(), 16);
+        let mut windowed = Trace::new(filter, 16);
+        for step in 0..40u64 {
+            for rank in 0..16 {
+                let own = keyed((step / 4) as f64, rank, step);
+                let arrival = keyed((step / 3) as f64 + 0.5, rank, ARRIVAL_SEQ | step);
+                for e in [own, arrival] {
+                    full.record(e.clone());
+                    windowed.record(e);
+                }
+            }
+        }
+        full.seal();
+        windowed.seal();
+        // Ranks 3, 6, 9 and 12: the table covers the window, not all ranks.
+        assert_eq!(windowed.streams.len(), 8);
+        assert_eq!(windowed.len(), 4 * 80);
+        assert!(windowed.iter().eq(full.iter().filter(|e| filter.keeps(e.rank))));
+        assert_eq!(windowed.rank(6), full.rank(6));
+        assert_eq!(windowed.rank(7), (&[][..], &[][..]));
+        assert_ne!(windowed, full);
+    }
+
+    #[test]
+    fn stream_table_is_sized_by_the_filter_not_by_the_rank_count() {
+        let window = Trace::new(TraceFilter::window(1_000_000, 1_000_015), 1 << 20);
+        assert_eq!(window.streams.len(), 32, "two streams for each of sixteen ranks");
+        let sampled = Trace::new(TraceFilter { sample: 1 << 16, ..TraceFilter::all() }, 1 << 20);
+        assert_eq!(sampled.streams.len(), 32);
+        assert!(Trace::new(TraceFilter::window(8, 9), 4).streams.is_empty(), "window beyond the last rank");
+        assert!(Trace::new(TraceFilter::all(), 0).streams.is_empty());
+    }
+
+    #[test]
+    fn windowed_trace_of_a_large_run_keeps_a_window_sized_table() {
+        use crate::{ClusterSpec, CostModel, Engine, ProgramBuilder};
+        let p = 1 << 17;
+        let mut b = ProgramBuilder::new(p);
+        for r in 0..p {
+            b.put_notify(r, (r + 1) % p, 4096, 0);
+            b.wait_notify(r, &[0]);
+        }
+        let program = b.build();
+        let filter = TraceFilter::window(100_000, 100_015);
+        for shards in [1, 4] {
+            let engine = Engine::new(ClusterSpec::homogeneous(p, 1), CostModel::skylake_fdr()).with_shards(shards);
+            let report = engine.with_trace_filter(filter).run(&program).expect("the ring must simulate");
+            assert!(report.metrics.dataflow_burst_ops > 0);
+            assert_eq!(report.trace.streams.len(), 32, "{shards} shard(s): sixteen kept ranks, not {p}");
+            assert_eq!(report.trace.iter().filter(|e| e.kind == TraceKind::NotifyVisible).count(), 16);
+            assert!(report.trace.iter().all(|e| filter.keeps(e.rank)));
+        }
+    }
+
+    mod merge {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// The on-demand merge is the global sort: for event sets full of
+            /// exact time ties (across ranks, within a rank, between a rank's
+            /// own events and its arrivals), recorded in any order, with
+            /// empty ranks, no or one event, and streams handed over by
+            /// several shards.
+            #[test]
+            fn iter_matches_the_global_sort(seed in 0u64..u64::MAX) {
+                let mut rng = TestRng::seed_from_u64(seed);
+                let mut pick = move |n: usize| (rng.next_u64() % n as u64) as usize;
+                let (base, ranks) = (pick(3) * 5, 1 + pick(12));
+                let count = [0, 1, 2, 40, 300][pick(5)];
+                let times = [-1.0, -0.0, 0.0, 0.25, 0.5, 1.0, 1.0 + f64::EPSILON, 7.5];
+                let mut next_seq = vec![[0u64, ARRIVAL_SEQ]; ranks];
+                let mut events = Vec::new();
+                for _ in 0..count {
+                    // Skewed towards a few ranks, so some stay empty.
+                    let busy = 1 + pick(ranks);
+                    let (rank, channel) = (pick(busy), pick(2));
+                    let seq = &mut next_seq[rank][channel];
+                    events.push(keyed(times[pick(times.len())], base + rank, *seq));
+                    *seq += 1 + pick(2) as u64;
+                }
+                let mut sorted = events.clone();
+                sort_trace(&mut sorted);
+
+                let trace = Trace::from_events(events.clone());
+                prop_assert_eq!(trace.len(), sorted.len());
+                prop_assert_eq!(trace.is_empty(), sorted.is_empty());
+                let mut it = trace.iter();
+                for (i, want) in sorted.iter().enumerate() {
+                    prop_assert_eq!(it.len(), sorted.len() - i);
+                    prop_assert_eq!(it.size_hint(), (sorted.len() - i, Some(sorted.len() - i)));
+                    prop_assert_eq!(it.next(), Some(want));
+                }
+                prop_assert_eq!(it.size_hint(), (0, Some(0)));
+                prop_assert_eq!(it.next(), None);
+                prop_assert!((&trace).into_iter().eq(sorted.iter()));
+
+                // A permutation of the same events is the same trace.
+                let mut shuffled = events.clone();
+                for i in (1..shuffled.len()).rev() {
+                    shuffled.swap(i, pick(i + 1));
+                }
+                prop_assert_eq!(&Trace::from_events(shuffled), &trace);
+
+                // Shards of one run: each records a share, in any order,
+                // into a table of the run's shape; one trace absorbs them.
+                let shards = 1 + pick(4);
+                let mut parts: Vec<Trace> = (0..shards).map(|_| Trace::new(TraceFilter::all(), base + ranks)).collect();
+                for e in &events {
+                    parts[pick(shards)].record(e.clone());
+                }
+                let mut absorbed = parts.remove(0);
+                for part in parts {
+                    absorbed.absorb(part);
+                }
+                absorbed.seal();
+                prop_assert!(absorbed.iter().eq(sorted.iter()));
+                prop_assert_eq!(&absorbed, &trace);
+
+                // One event fewer, or one field off, is a different trace.
+                if let Some(last) = events.pop() {
+                    prop_assert_ne!(&Trace::from_events(events.clone()), &trace);
+                    events.push(TraceEvent { op_index: Some(1), ..last });
+                    prop_assert_ne!(&Trace::from_events(events), &trace);
+                }
+            }
+        }
     }
 }

@@ -354,11 +354,11 @@ pub fn winner_table(cfg: &SweepConfig) -> Vec<Row> {
         })
         .collect();
     // One job per (row, candidate): each job records the candidate's
-    // schedule once and prices it on every slot's engine.  Per-candidate
-    // granularity keeps the tail of the sweep parallel even when one
-    // candidate (a 1024-rank ring under the fabric) is orders of magnitude
-    // slower to price than the others, while only ever holding one recorded
-    // program per worker in memory.
+    // schedule and compiles it once, and prices the compiled program on
+    // every slot's engine.  Per-candidate granularity keeps the tail of the
+    // sweep parallel even when one candidate (a 1024-rank ring under the
+    // fabric) is orders of magnitude slower to price than the others, while
+    // only ever holding one compiled program per worker in memory.
     let mut jobs: Vec<(usize, usize)> = Vec::new();
     for (spec, &(kind, _, _)) in specs.iter().enumerate() {
         let candidates = match kind {
@@ -382,15 +382,17 @@ pub fn winner_table(cfg: &SweepConfig) -> Vec<Row> {
                 let (spec, cand) = jobs[job];
                 let (kind, ranks, bytes) = specs[spec];
                 let p_idx = cfg.rank_counts.iter().position(|&p| p == ranks).expect("spec ranks come from the grid");
-                let prog = match kind {
+                let compiled = match kind {
                     CollectiveKind::Allreduce => {
                         AllreduceVariant::all()[cand].schedule(ranks, bytes, cfg.ranks_per_node)
                     }
                     CollectiveKind::Alltoall => AlltoallVariant::all()[cand].schedule(ranks, bytes),
-                };
+                }
+                .compile()
+                .expect("candidate schedule must be valid");
                 let seconds: Vec<f64> = engines[p_idx]
                     .iter()
-                    .map(|e| e.makespan(&prog).expect("candidate schedule must simulate"))
+                    .map(|e| e.run_compiled(&compiled).expect("candidate schedule must simulate").makespan())
                     .collect();
                 results.lock().unwrap()[job] = Some(seconds);
             });

@@ -91,3 +91,82 @@ fn smoke_rows_cover_both_collectives_and_all_tapers() {
         assert!(matches!(row.collective, CollectiveKind::Allreduce | CollectiveKind::Alltoall));
     }
 }
+
+/// Every prediction of the smoke table, bit for bit.  Read on the parent of
+/// the change that compiles each candidate once and fuses local ops in the
+/// strict loop; the table must not move.
+#[test]
+fn pinned_smoke_winner_table() {
+    let rows = winner_table(&SweepConfig::smoke());
+    let seconds = rows.iter().flat_map(|row| {
+        std::iter::once(&row.alpha_beta)
+            .chain(row.fabric.iter().map(|(_, sel)| sel))
+            .flat_map(|sel| sel.predictions.iter().map(|p| p.seconds.to_bits()))
+    });
+    let digest = seconds.fold(0u64, |acc, bits| ec_netsim::SplitMix64::mix(acc ^ bits));
+    assert_eq!(format!("{digest:016x}"), "805d8a966e816fca");
+}
+
+/// The table prices through `run_compiled` on a program compiled once, the
+/// selectors through `makespan`: both must agree bit for bit on every engine.
+#[test]
+fn winner_table_agrees_with_the_selectors() {
+    let cfg = SweepConfig::smoke();
+    for row in winner_table(&cfg) {
+        let select = |taper: f64, pricing: Pricing| {
+            let preset = fig16_preset(row.ranks, cfg.ranks_per_node, taper);
+            match row.collective {
+                CollectiveKind::Allreduce => select_allreduce(&preset, row.bytes, pricing),
+                CollectiveKind::Alltoall => select_alltoall(&preset, row.bytes, pricing),
+            }
+        };
+        let bits = |sel: &ec_bench::tuner::Selection| -> Vec<_> {
+            sel.predictions.iter().map(|p| (p.label, p.vendor, p.seconds.to_bits())).collect()
+        };
+        let cell = format!("{} p={} {} B", row.collective.label(), row.ranks, row.bytes);
+        assert_eq!(bits(&row.alpha_beta), bits(&select(1.0, Pricing::AlphaBeta)), "{cell}, alpha-beta");
+        for (taper, sel) in &row.fabric {
+            assert_eq!(bits(sel), bits(&select(*taper, Pricing::Fabric)), "{cell}, fabric {taper}:1");
+        }
+    }
+}
+
+/// A barrier program (`mpi8-ring`: two `barrier_all` phases) and a
+/// rendezvous-sized two-sided ring at four ranks per node, on all three
+/// network models: fingerprint, makespan bits, total wait-time bits.  Same
+/// provenance as the table pin above.
+#[test]
+fn pinned_barrier_and_rendezvous_rings_on_every_network_model() {
+    use ec_baseline::MpiAllreduceVariant;
+    use ec_netsim::{Engine, PacketConfig};
+    let mut got = Vec::new();
+    for (variant, ranks, bytes) in
+        [(MpiAllreduceVariant::Ring, 16, 32_768), (MpiAllreduceVariant::ShumilinRing, 64, 4_194_304)]
+    {
+        let preset = fig16_preset(ranks, 4, 4.0);
+        let program = variant.schedule(ranks, bytes, 4);
+        let packet = Engine::new(preset.cluster.clone(), preset.cost.clone())
+            .with_packet_network(preset.topology.clone(), PacketConfig::default());
+        for (model, engine) in
+            [("alpha-beta", preset.engine_alpha_beta()), ("flow", preset.engine()), ("packet", packet)]
+        {
+            let r = engine.run(&program).expect("ring must simulate");
+            got.push(format!(
+                "{} p={ranks} {model} {:016x} {:016x} {:016x}",
+                variant.label(),
+                r.fingerprint(),
+                r.makespan().to_bits(),
+                r.total_wait_time().to_bits()
+            ));
+        }
+    }
+    let pins = [
+        "mpi8-ring p=16 alpha-beta 0916c260d814e998 3f12df9b3e162236 3f4cc567c3a1f9cd",
+        "mpi8-ring p=16 flow 0398bb32c8430c2f 3f12df9b3e162236 3f4cc567c3a1f9cd",
+        "mpi8-ring p=16 packet 8458d4ef9f4a5d97 3f161a5544d15e15 3f519d6de88c38c7",
+        "mpi7-shumilin-ring p=64 alpha-beta d832c6f7fac4518f 3f685b38dd578e6e 3fc24e34fa0453ad",
+        "mpi7-shumilin-ring p=64 flow 7a84ab912903599c 3f685b38dd578e6e 3fc24e34fa0453ad",
+        "mpi7-shumilin-ring p=64 packet b903f063b7e4ed3d 3f6a1d6d4e3717ab 3fc3c9711c8a40ae",
+    ];
+    assert_eq!(got, pins, "got:\n{}", got.join("\n"));
+}

@@ -44,8 +44,11 @@ const NUM_BUCKETS: usize = 1 << 10;
 /// A three-tier calendar queue (see the module docs).
 #[derive(Debug, Clone)]
 pub(crate) struct CalendarQueue<T> {
-    /// Ring of buckets; bucket `b` (absolute index) lives at `b & MASK`.
+    /// Ring of buckets; bucket `b` (absolute index) lives at `b & MASK` and
+    /// is allocated (`per_bucket` slots) when its first event arrives: a
+    /// short run pays only for the buckets it touches.
     ring: Vec<Vec<T>>,
+    per_bucket: usize,
     /// Absolute index of the current bucket (the one being drained).
     cur: u64,
     /// Whether the current bucket has been sorted (descending) already.
@@ -68,9 +71,9 @@ impl<T: Timed + Ord + Copy> CalendarQueue<T> {
     /// positive value) and pre-sized for roughly `capacity` events.
     pub(crate) fn new(width: f64, capacity: usize) -> Self {
         let width = if width.is_finite() && width > 0.0 { width } else { 1e-6 };
-        let per_bucket = (capacity / NUM_BUCKETS).max(4);
         Self {
-            ring: (0..NUM_BUCKETS).map(|_| Vec::with_capacity(per_bucket)).collect(),
+            ring: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
+            per_bucket: (capacity / NUM_BUCKETS).max(4),
             cur: 0,
             cur_sorted: true,
             sidecar: BinaryHeap::with_capacity(64),
@@ -91,6 +94,16 @@ impl<T: Timed + Ord + Copy> CalendarQueue<T> {
     fn bucket_of(&self, time: f64) -> u64 {
         debug_assert!(time >= 0.0 && time.is_finite(), "event times must be finite and nonnegative");
         (time / self.width) as u64
+    }
+
+    /// File `item` under its ring bucket `b` (within the horizon).
+    #[inline]
+    fn push_ring(&mut self, b: u64, item: T) {
+        let bucket = &mut self.ring[(b & (NUM_BUCKETS as u64 - 1)) as usize];
+        if bucket.capacity() == 0 {
+            bucket.reserve_exact(self.per_bucket);
+        }
+        bucket.push(item);
     }
 
     /// Number of queued events (differential tests only; the engine drains
@@ -115,7 +128,7 @@ impl<T: Timed + Ord + Copy> CalendarQueue<T> {
             // `now`): the bucket is already sorted, so go through the heap.
             self.sidecar.push(Reverse(item));
         } else if b - self.cur < NUM_BUCKETS as u64 {
-            self.ring[(b & (NUM_BUCKETS as u64 - 1)) as usize].push(item);
+            self.push_ring(b, item);
         } else {
             self.far.push(Reverse(item));
         }
@@ -156,7 +169,7 @@ impl<T: Timed + Ord + Copy> CalendarQueue<T> {
                     self.sidecar.push(Reverse(item));
                 } else if b - self.cur < NUM_BUCKETS as u64 {
                     self.far.pop();
-                    self.ring[(b & (NUM_BUCKETS as u64 - 1)) as usize].push(item);
+                    self.push_ring(b, item);
                 } else {
                     break;
                 }
@@ -289,6 +302,53 @@ mod tests {
             let p = *q.peek().unwrap();
             assert_eq!(q.pop(), Some(p));
         }
+    }
+
+    fn allocated_buckets(q: &CalendarQueue<Ev>) -> usize {
+        q.ring.iter().filter(|b| b.capacity() > 0).count()
+    }
+
+    #[test]
+    fn a_fresh_queue_allocates_only_the_buckets_it_uses() {
+        let mut q = CalendarQueue::new(1.0, 1 << 14);
+        assert_eq!(allocated_buckets(&q), 0);
+        // Seven events in three ring buckets, one in the current bucket (the
+        // sidecar) and one beyond the horizon (the far heap).
+        for (seq, time) in [3.5, 3.25, 9.0, 3.75, 700.5, 9.5, 700.0, 0.5, 5000.0].into_iter().enumerate() {
+            q.push(Ev { time, seq: seq as u64 });
+        }
+        assert_eq!(allocated_buckets(&q), 3);
+        assert!(q.ring.iter().all(|b| b.capacity() == 0 || b.capacity() == 16), "first use reserves per_bucket");
+        let drained: Vec<_> = std::iter::from_fn(|| q.pop()).map(|e| e.time).collect();
+        assert_eq!(drained, [0.5, 3.25, 3.5, 3.75, 9.0, 9.5, 700.0, 700.5, 5000.0]);
+        // The far event passed through the ring or the sidecar on its way out.
+        assert!(allocated_buckets(&q) <= 4);
+    }
+
+    #[test]
+    fn a_queue_reused_past_its_first_wrap_does_not_reallocate() {
+        // Three events in flight per bucket width, each pop schedules the
+        // next one a third of the ring ahead: the steady state of a run.
+        let mut q = CalendarQueue::new(1.0, 4 * NUM_BUCKETS);
+        let step = |q: &mut CalendarQueue<Ev>, seq: u64| {
+            let e = q.pop().unwrap();
+            q.push(Ev { time: e.time + 341.0, seq });
+            e.time
+        };
+        for seq in 0..1024u64 {
+            q.push(Ev { time: seq as f64 / 3.0, seq });
+        }
+        let mut seq = 1024;
+        while step(&mut q, seq) < 2.0 * NUM_BUCKETS as f64 {
+            seq += 1;
+        }
+        let buffers = |q: &CalendarQueue<Ev>| q.ring.iter().map(|b| (b.as_ptr(), b.capacity())).collect::<Vec<_>>();
+        let after_first_wraps = buffers(&q);
+        assert_eq!(allocated_buckets(&q), NUM_BUCKETS);
+        while step(&mut q, seq) < 6.0 * NUM_BUCKETS as f64 {
+            seq += 1;
+        }
+        assert_eq!(buffers(&q), after_first_wraps, "steady state must reuse every bucket's buffer");
     }
 
     /// Interleave 20 000 pushes and pops drawn from a deterministic xorshift

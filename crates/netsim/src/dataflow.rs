@@ -1,8 +1,9 @@
 //! Sharded dataflow fast path for one-sided, single-writer programs.
 //!
 //! The strict event loop in [`crate::engine`] spends most of its time on
-//! queue maintenance: every operation of every rank round-trips through the
-//! global event queue (a `Resume` per op, plus a `NotifyVisible` per put).
+//! queue maintenance: every non-local operation of every rank round-trips
+//! through the global event queue (a `Resume` per put, send, receive, wait
+//! or barrier, plus a `NotifyVisible` per put; only local ops run inline).
 //! For the programs the paper's collectives actually generate that machinery
 //! is unnecessary, because their outcome is *order-independent*:
 //!

@@ -20,10 +20,12 @@
 //! materialized), blocked waits borrow their notification-id lists straight
 //! from the arena's id pool, notification counters live in one flat `Vec`
 //! shared by all ranks (indexed through per-rank prefix offsets) instead of
-//! hash maps or a million tiny allocations, the event queue is pre-sized
-//! from the program, and trace events (typed, copyable [`TraceDetail`]
-//! payloads — never formatted strings) are only recorded when tracing is
-//! enabled.
+//! hash maps or a million tiny allocations, the event queue's buckets are
+//! sized from the program and allocated on first use, and trace events
+//! (typed, copyable [`TraceDetail`] payloads — never formatted strings) are
+//! only recorded when tracing is enabled.  Only non-local operations go
+//! through the event queue: local ones run inline with the operation that
+//! released them (see `Sim::resume_after_local_ops`).
 //!
 //! ## Heterogeneity
 //!
@@ -564,7 +566,10 @@ impl Engine {
         Ok(report)
     }
 
-    /// Convenience: simulate and return only the makespan (seconds).
+    /// Convenience: simulate and return only the makespan (seconds).  Like
+    /// [`Engine::run`] it compiles `program` on every call: a caller pricing
+    /// one program on several engines should [`Program::compile`] once and
+    /// take [`RunReport::makespan`] of [`Engine::run_compiled`] on each.
     pub fn makespan(&self, program: &Program) -> Result<f64, SimError> {
         Ok(self.run(program)?.makespan())
     }
@@ -576,16 +581,23 @@ impl Engine {
 
 type MsgId = u64;
 
+/// A `u64` event payload aligned like a `u32`, so that [`EventKind`] packs
+/// behind [`Event::rank`] without padding.
+#[derive(Debug, Clone, Copy, PartialEq)]
+#[repr(Rust, packed(4))]
+struct Word(u64);
+
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum EventKind {
     /// The rank should try to execute its next operation.
     Resume,
-    /// A two-sided message was fully delivered into the rank's memory.
-    Delivered { src: RankId, tag: Tag, bytes: u64, msg: MsgId },
+    /// A two-sided message from rank `src` was fully delivered into the
+    /// rank's memory.
+    Delivered { src: u32, tag: Tag, bytes: Word },
     /// A one-sided notification became visible at the rank.
-    NotifyVisible { notify: NotifyId, bytes: u64 },
+    NotifyVisible { notify: NotifyId },
     /// A transfer injected by the rank finished leaving its NIC.
-    TxDone { msg: MsgId },
+    TxDone { msg: Word },
     /// The head of the rank's fabric injection queue is ready to launch.
     FlowLaunch,
     /// Re-estimate fabric flows: the earliest completion (as of `epoch`) is
@@ -593,16 +605,21 @@ enum EventKind {
     /// since, and a fresher tick is already in the heap.  A packet-fabric
     /// tick drains in place (see `on_fabric_tick`), so one is due per
     /// completion or per engine-event horizon, not per packet-event time.
-    FabricTick { epoch: u64 },
+    FabricTick { epoch: Word },
 }
 
+/// Ranks travel as `u32` (compilation caps the rank count there).
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Event {
     time: f64,
     seq: u64,
-    rank: RankId,
+    rank: u32,
     kind: EventKind,
 }
+
+// Every strict-loop event is copied into a bucket, sorted there and copied
+// out again: its size is the loop's memory traffic.
+const _: () = assert!(size_of::<Event>() == 40);
 
 impl Eq for Event {}
 impl PartialOrd for Event {
@@ -819,6 +836,10 @@ struct RankSim<'a> {
     pending_rndv: HashMap<(RankId, Tag), VecDeque<PendingRendezvous>>,
     /// Number of this rank's transfers still in flight (for WaitAllSends).
     outstanding_sends: usize,
+    /// This rank's rendezvous sends still parked in a receiver's
+    /// `pending_rndv`: the receiver's `Recv` will record their `MsgInjected`
+    /// on this rank's trace channel (see `Sim::resume_after_local_ops`).
+    parked_sends: u32,
     /// Earliest time this rank's injection path is free again.
     tx_free: f64,
     /// Duration multiplier for this rank's local operations (scenario).
@@ -836,6 +857,7 @@ impl RankSim<'_> {
             unexpected: HashMap::new(),
             pending_rndv: HashMap::new(),
             outstanding_sends: 0,
+            parked_sends: 0,
             tx_free: 0.0,
             compute_scale,
             stats: RankStats { compute_scale, ..RankStats::default() },
@@ -867,7 +889,9 @@ struct Sim<'a> {
     tracks_put_tx: &'a [bool],
     node_tx_free: Vec<f64>,
     node_rx_free: Vec<f64>,
-    barrier_arrived: Vec<Option<f64>>,
+    /// Ranks waiting in the current barrier and the latest arrival so far.
+    barrier_arrived: usize,
+    barrier_latest: f64,
     /// Contention backend — flow-level solver or per-packet simulator
     /// (None: the alpha-beta path prices all inter-node transfers).
     fabric: Option<NetSim>,
@@ -889,6 +913,13 @@ struct Sim<'a> {
     /// Per-source counters minting trace flow ids (empty untraced).
     flow_seq: Vec<u64>,
     metrics: EngineMetrics,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Local ops this thread's runs fused in `Sim::resume_after_local_ops`
+    /// (the differential tests reset and read it around a run).
+    static FUSED_OPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// Timing of one alpha-beta transfer (see `Sim::schedule_wire`).
@@ -964,7 +995,8 @@ impl<'a> Sim<'a> {
             tracks_put_tx: &profile.waits_sends,
             node_tx_free: vec![0.0; cluster.nodes],
             node_rx_free: vec![0.0; cluster.nodes],
-            barrier_arrived: vec![None; n],
+            barrier_arrived: 0,
+            barrier_latest: 0.0,
             inject: if fabric.is_some() { (0..n).map(|_| InjectQueue::default()).collect() } else { Vec::new() },
             fabric,
             flow_meta: Vec::new(),
@@ -982,7 +1014,11 @@ impl<'a> Sim<'a> {
         let seq = self.seq;
         self.seq += 1;
         self.metrics.events_scheduled += 1;
-        self.events.push(Event { time, seq, rank, kind });
+        self.events.push(Event { time, seq, rank: rank as u32, kind });
+    }
+
+    fn push_delivered(&mut self, time: f64, dst: RankId, src: RankId, tag: Tag, bytes: u64) {
+        self.push_event(time, dst, EventKind::Delivered { src: src as u32, tag, bytes: Word(bytes) });
     }
 
     /// Record an event on `rank`'s own sequence channel.  The counter
@@ -1022,7 +1058,7 @@ impl<'a> Sim<'a> {
 
     fn run(mut self) -> Result<RunReport, SimError> {
         for r in 0..self.program.num_ranks() {
-            self.push_event(0.0, r, EventKind::Resume);
+            self.resume_after_local_ops(r, 0.0);
         }
         while let Some(ev) = self.events.pop() {
             // Relative tolerance: an absolute epsilon (1e-15 historically)
@@ -1035,15 +1071,16 @@ impl<'a> Sim<'a> {
                 self.now
             );
             self.now = self.now.max(ev.time);
+            let rank = ev.rank as RankId;
             match ev.kind {
-                EventKind::Resume => self.step_rank(ev.rank, ev.time),
-                EventKind::Delivered { src, tag, bytes, msg } => {
-                    self.on_delivered(ev.rank, src, tag, bytes, msg, ev.time);
+                EventKind::Resume => self.step_rank(rank, ev.time),
+                EventKind::Delivered { src, tag, bytes } => {
+                    self.on_delivered(rank, src as RankId, tag, bytes.0, ev.time);
                 }
-                EventKind::NotifyVisible { notify, bytes } => self.on_notify(ev.rank, notify, bytes, ev.time),
-                EventKind::TxDone { msg } => self.on_tx_done(ev.rank, msg, ev.time),
-                EventKind::FlowLaunch => self.on_flow_launch(ev.rank, ev.time),
-                EventKind::FabricTick { epoch } => self.on_fabric_tick(epoch, ev.time),
+                EventKind::NotifyVisible { notify } => self.on_notify(rank, notify, ev.time),
+                EventKind::TxDone { msg } => self.on_tx_done(rank, msg.0, ev.time),
+                EventKind::FlowLaunch => self.on_flow_launch(rank, ev.time),
+                EventKind::FabricTick { epoch } => self.on_fabric_tick(epoch.0, ev.time),
             }
         }
         let blocked: Vec<_> = self
@@ -1132,7 +1169,7 @@ impl<'a> Sim<'a> {
         r.pc += 1;
         let detail = reason.map_or(TraceDetail::None, |reason| TraceDetail::Block { reason });
         self.trace_own(at, rank, TraceKind::BlockEnd, Some(op_index), detail);
-        self.push_event(at, rank, EventKind::Resume);
+        self.resume_after_local_ops(rank, at);
     }
 
     fn block(&mut self, rank: RankId, at: f64, why: Blocked<'a>) {
@@ -1161,17 +1198,17 @@ impl<'a> Sim<'a> {
             return;
         }
         let op = view.op(pc);
+        if let Some(end) = self.exec_local(rank, pc, op, t) {
+            // A `Resume` lands on a local op only where the chain before it
+            // held back (a parked rendezvous send).
+            self.resume_after_local_ops(rank, end);
+            return;
+        }
         self.trace_own(t, rank, TraceKind::OpStart, Some(pc), TraceDetail::Op { op: op.class() });
         self.ranks[rank].stats.finish_time = self.ranks[rank].stats.finish_time.max(t);
         match op {
-            OpView::Compute { seconds } => self.finish_local(rank, t, seconds.max(0.0)),
-            OpView::Reduce { bytes } => {
-                let d = self.cost.reduce_time(bytes);
-                self.finish_local(rank, t, d);
-            }
-            OpView::Copy { bytes } => {
-                let d = self.cost.copy_time(bytes);
-                self.finish_local(rank, t, d);
+            OpView::Compute { .. } | OpView::Reduce { .. } | OpView::Copy { .. } => {
+                unreachable!("local ops are executed above")
             }
             OpView::PutNotify { dst, bytes, notify } => {
                 let launch = t + self.cost.o_send;
@@ -1203,22 +1240,75 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// A purely local operation of nominal duration `d`, scaled by the rank's
-    /// scenario compute factor, finishing at `t + d * scale`.
-    fn finish_local(&mut self, rank: RankId, t: f64, d: f64) {
-        let d = d * self.ranks[rank].compute_scale;
-        self.ranks[rank].stats.compute_time += d;
-        self.advance(rank, t + d);
+    /// Execute `rank`'s op at `pc` from time `t` if it is purely local — its
+    /// nominal duration scaled by the rank's scenario compute factor — and
+    /// return the time it ends; `None` for an op that touches the network,
+    /// another rank or the barrier.
+    fn exec_local(&mut self, rank: RankId, pc: usize, op: OpView<'_>, t: f64) -> Option<f64> {
+        let d = match op {
+            OpView::Compute { seconds } => seconds.max(0.0),
+            OpView::Reduce { bytes } => self.cost.reduce_time(bytes),
+            OpView::Copy { bytes } => self.cost.copy_time(bytes),
+            _ => return None,
+        };
+        self.trace_own(t, rank, TraceKind::OpStart, Some(pc), TraceDetail::Op { op: op.class() });
+        let r = &mut self.ranks[rank];
+        let d = d * r.compute_scale;
+        r.stats.compute_time += d;
+        r.stats.finish_time = r.stats.finish_time.max(t + d);
+        r.pc += 1;
+        self.trace_own(t + d, rank, TraceKind::OpEnd, Some(pc), TraceDetail::None);
+        Some(t + d)
     }
 
-    /// Advance the program counter and schedule the next step at `at`.
+    /// Local-op fusion: `rank`'s `pc` has just moved and its next op would
+    /// start at `t`; run the local ops that follow right here and push the
+    /// rank's one `Resume` at the time the chain ends.  The loop therefore
+    /// pays the event queue per *non-local* op.
+    ///
+    /// `Compute`, `Reduce` and `Copy` may be fused because they touch only
+    /// `ranks[rank]` (`pc`, `compute_time`, `finish_time`), the rank's own
+    /// trace channel and the cost model — nothing another rank's event reads
+    /// before the chain ends — so running them early, in order, with the same
+    /// arithmetic yields what a `Resume` per op would.  Puts, sends,
+    /// receives, waits and barriers keep their `Resume`: NIC cursors,
+    /// matching and the fabric depend on the global event order.  The chain
+    /// holds back while a rendezvous send of this rank is parked at its
+    /// receiver, whose `Recv` will record the `MsgInjected` on *this* rank's
+    /// trace channel: its sequence number must not depend on how far ahead
+    /// the local ops ran.
+    ///
+    /// Ties: the closing `Resume` takes its queue sequence number when the
+    /// chain starts, not when its last op would have started, so it can
+    /// overtake another event of the same rank at a bit-equal time pushed in
+    /// between: an arrival landing exactly as the chain ends then finds the
+    /// rank already blocked in its wait or receive, where the op used to
+    /// find the arrival — a measure-zero tie like the one `dataflow`
+    /// documents for its path.  On a fabric, a put followed by a local op
+    /// leaves no `Resume` between equal-time `FlowLaunch`es, so
+    /// `on_flow_launch` batches solves it ran one by one: fewer
+    /// `fabric_solves`, same rates.
+    fn resume_after_local_ops(&mut self, rank: RankId, mut t: f64) {
+        let view = self.program.rank_ops(rank);
+        while self.ranks[rank].parked_sends == 0 && self.ranks[rank].pc < view.len() {
+            let pc = self.ranks[rank].pc;
+            let Some(end) = self.exec_local(rank, pc, view.op(pc), t) else { break };
+            t = end;
+            #[cfg(test)]
+            FUSED_OPS.set(FUSED_OPS.get() + 1);
+        }
+        self.push_event(t, rank, EventKind::Resume);
+    }
+
+    /// Advance the program counter past a non-local op that completes at
+    /// `at`, run the local ops behind it and schedule the next step.
     fn advance(&mut self, rank: RankId, at: f64) {
         let r = &mut self.ranks[rank];
         let op_index = r.pc;
         r.pc += 1;
         r.stats.finish_time = r.stats.finish_time.max(at);
         self.trace_own(at, rank, TraceKind::OpEnd, Some(op_index), TraceDetail::None);
-        self.push_event(at, rank, EventKind::Resume);
+        self.resume_after_local_ops(rank, at);
     }
 
     // -- transfers ----------------------------------------------------------
@@ -1263,9 +1353,9 @@ impl<'a> Sim<'a> {
         if self.tracks_put_tx[src] {
             let msg = self.alloc_msg();
             self.ranks[src].outstanding_sends += 1;
-            self.push_event(w.tx_done, src, EventKind::TxDone { msg });
+            self.push_event(w.tx_done, src, EventKind::TxDone { msg: Word(msg) });
         }
-        self.push_event(visible, dst, EventKind::NotifyVisible { notify, bytes });
+        self.push_event(visible, dst, EventKind::NotifyVisible { notify });
         if self.tracing {
             let flow = self.next_flow(src);
             self.trace_own(
@@ -1305,8 +1395,8 @@ impl<'a> Sim<'a> {
         let w = self.schedule_wire(src, dst, bytes, beta, same, earliest);
         self.ranks[src].stats.bytes_sent += bytes;
         self.ranks[src].stats.messages_sent += 1;
-        self.push_event(w.tx_done, src, EventKind::TxDone { msg });
-        self.push_event(w.delivered, dst, EventKind::Delivered { src, tag, bytes, msg });
+        self.push_event(w.tx_done, src, EventKind::TxDone { msg: Word(msg) });
+        self.push_delivered(w.delivered, dst, src, tag, bytes);
         if self.tracing {
             let flow = self.next_flow(src);
             self.trace_own(
@@ -1410,7 +1500,7 @@ impl<'a> Sim<'a> {
                 FlowKind::Put { notify, msg } => {
                     debug_assert!(msg.is_none(), "zero-byte puts are never tracked");
                     let visible = earliest + alpha + self.cost.notify_overhead;
-                    self.push_event(visible, dst, EventKind::NotifyVisible { notify, bytes: 0 });
+                    self.push_event(visible, dst, EventKind::NotifyVisible { notify });
                     self.trace_arrival(
                         visible,
                         dst,
@@ -1427,9 +1517,9 @@ impl<'a> Sim<'a> {
                     );
                 }
                 FlowKind::TwoSided { tag, msg } => {
-                    self.push_event(earliest, src, EventKind::TxDone { msg });
+                    self.push_event(earliest, src, EventKind::TxDone { msg: Word(msg) });
                     let delivered = earliest + alpha;
-                    self.push_event(delivered, dst, EventKind::Delivered { src, tag, bytes: 0, msg });
+                    self.push_delivered(delivered, dst, src, tag, 0);
                     self.trace_arrival(
                         delivered,
                         dst,
@@ -1466,7 +1556,7 @@ impl<'a> Sim<'a> {
         debug_assert!(launched, "a FlowLaunch event always finds a due transfer at the queue head");
         let next_is_same_time_launch = matches!(
             self.events.peek(),
-            Some(ev) if ev.time == t && ev.kind == EventKind::FlowLaunch
+            Some(ev) if ev.time == t && matches!(ev.kind, EventKind::FlowLaunch)
         );
         if !next_is_same_time_launch {
             self.resolve_fabric(t);
@@ -1518,7 +1608,7 @@ impl<'a> Sim<'a> {
         let fabric = self.fabric.as_mut().expect("resolve_fabric requires a fabric");
         if let Some(next) = fabric.resolve(t) {
             let epoch = fabric.epoch();
-            self.push_event(next, 0, EventKind::FabricTick { epoch });
+            self.push_event(next, 0, EventKind::FabricTick { epoch: Word(epoch) });
         }
     }
 
@@ -1576,10 +1666,10 @@ impl<'a> Sim<'a> {
             match meta.kind {
                 FlowKind::Put { notify, msg } => {
                     if let Some(msg) = msg {
-                        self.push_event(t, meta.src, EventKind::TxDone { msg });
+                        self.push_event(t, meta.src, EventKind::TxDone { msg: Word(msg) });
                     }
                     let visible = t + meta.alpha + self.cost.notify_overhead;
-                    self.push_event(visible, meta.dst, EventKind::NotifyVisible { notify, bytes: meta.bytes });
+                    self.push_event(visible, meta.dst, EventKind::NotifyVisible { notify });
                     self.trace_arrival(
                         visible,
                         meta.dst,
@@ -1596,13 +1686,9 @@ impl<'a> Sim<'a> {
                     );
                 }
                 FlowKind::TwoSided { tag, msg } => {
-                    self.push_event(t, meta.src, EventKind::TxDone { msg });
+                    self.push_event(t, meta.src, EventKind::TxDone { msg: Word(msg) });
                     let delivered = t + meta.alpha;
-                    self.push_event(
-                        delivered,
-                        meta.dst,
-                        EventKind::Delivered { src: meta.src, tag, bytes: meta.bytes, msg },
-                    );
+                    self.push_delivered(delivered, meta.dst, meta.src, tag, meta.bytes);
                     self.trace_arrival(
                         delivered,
                         meta.dst,
@@ -1658,6 +1744,7 @@ impl<'a> Sim<'a> {
                         bytes,
                         send_time,
                     });
+                    self.ranks[rank].parked_sends += 1;
                 }
                 self.ranks[rank].outstanding_sends += 1;
                 if blocking {
@@ -1692,6 +1779,7 @@ impl<'a> Sim<'a> {
                     self.ranks[rank].pending_rndv.remove(&(src, tag));
                 }
                 let earliest = p.send_time.max(post_done) + self.cost.rendezvous_latency;
+                self.ranks[src].parked_sends -= 1;
                 self.block(rank, t, Blocked::Recv { src, tag });
                 self.schedule_two_sided(src, rank, p.bytes, tag, earliest, p.msg);
                 return;
@@ -1702,7 +1790,7 @@ impl<'a> Sim<'a> {
         self.block(rank, t, Blocked::Recv { src, tag });
     }
 
-    fn on_delivered(&mut self, dst: RankId, src: RankId, tag: Tag, bytes: u64, _msg: MsgId, t: f64) {
+    fn on_delivered(&mut self, dst: RankId, src: RankId, tag: Tag, bytes: u64, t: f64) {
         // The MsgDelivered trace event was emitted (future-dated) when the
         // delivery was scheduled, together with its timing decomposition.
         let matches_block = matches!(
@@ -1753,10 +1841,9 @@ impl<'a> Sim<'a> {
         true
     }
 
-    fn on_notify(&mut self, rank: RankId, notify: NotifyId, bytes: u64, t: f64) {
+    fn on_notify(&mut self, rank: RankId, notify: NotifyId, t: f64) {
         // The NotifyVisible trace event was emitted (future-dated) when the
         // put was scheduled, together with its timing decomposition.
-        let _ = bytes;
         let counts = &mut self.notify_counts[self.notify_off[rank]..self.notify_off[rank + 1]];
         // An arrival no listed wait can reference may exceed this rank's
         // dense range; it can never satisfy a wait, so only count it.
@@ -1791,13 +1878,14 @@ impl<'a> Sim<'a> {
     // -- barrier ---------------------------------------------------------------
 
     fn exec_barrier(&mut self, rank: RankId, t: f64) {
-        self.barrier_arrived[rank] = Some(t);
+        self.barrier_arrived += 1;
+        self.barrier_latest = self.barrier_latest.max(t);
         self.block(rank, t, Blocked::Barrier);
-        if self.barrier_arrived.iter().all(Option::is_some) {
-            let last = self.barrier_arrived.iter().map(|x| x.unwrap()).fold(0.0, f64::max);
-            let release = last + self.cost.barrier_time(self.program.num_ranks());
-            for r in 0..self.program.num_ranks() {
-                self.barrier_arrived[r] = None;
+        let n = self.program.num_ranks();
+        if self.barrier_arrived == n {
+            let release = self.barrier_latest + self.cost.barrier_time(n);
+            (self.barrier_arrived, self.barrier_latest) = (0, 0.0);
+            for r in 0..n {
                 self.unblock(r, release);
             }
         }
@@ -1807,7 +1895,8 @@ impl<'a> Sim<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::ProgramBuilder;
+    use crate::program::{Op, ProgramBuilder};
+    use proptest::prelude::*;
 
     fn engine(nodes: usize, ppn: usize) -> Engine {
         Engine::new(ClusterSpec::homogeneous(nodes, ppn), CostModel::test_model())
@@ -1987,6 +2076,30 @@ mod tests {
         let min_finish = r.ranks.iter().map(|s| s.finish_time).fold(f64::MAX, f64::min);
         assert!(min_finish >= 30e-6, "no rank may leave the barrier before the slowest arrives");
         assert!(r.ranks[3].wait_time > r.ranks[2].wait_time);
+    }
+
+    /// Two barriers over staggered arrivals at p = 4096.  The makespan and
+    /// fingerprint were read on the parent, whose `exec_barrier` re-scanned
+    /// every rank per arrival; the counted release must reproduce the bits.
+    #[test]
+    fn barrier_release_is_pinned_at_4096_ranks() {
+        let p = 4096;
+        let mut b = ProgramBuilder::new(p);
+        for r in 0..p {
+            b.compute(r, 1e-6 * ((r * 7919) % p) as f64);
+            b.barrier(r);
+            b.compute(r, 1e-6 * ((r * 104_729) % p) as f64);
+            b.barrier(r);
+        }
+        let program = b.build();
+        for scheduler in [SchedulerKind::CalendarQueue, SchedulerKind::BinaryHeap] {
+            let r = engine(p / 4, 4).with_scheduler(scheduler).run(&program).unwrap();
+            assert_eq!(
+                (r.makespan().to_bits(), r.total_wait_time().to_bits(), r.fingerprint()),
+                (0x3f80d788e8716e02, 0x4030e9269fa6f9d8, 0x1218e4e13080e2af),
+                "{scheduler:?}"
+            );
+        }
     }
 
     #[test]
@@ -2649,5 +2762,183 @@ mod tests {
         let r = e.run(&b.build()).unwrap();
         assert!(r.makespan() > 2.5e5);
         assert_eq!(r.ranks[0].notifications_consumed, 7);
+    }
+
+    // -- local-op fusion against the unfused reference stepping -------------
+
+    /// Run `program` on the strict loop (never the dataflow path) with the
+    /// fused or the reference stepping; returns the report and the number of
+    /// local ops that were fused.
+    fn strict_run(
+        engine: &Engine,
+        topology: Option<&Topology>,
+        program: &CompiledProgram,
+        unfused: bool,
+    ) -> (RunReport, u64) {
+        let instance = engine.scenario.as_ref().map(|s| s.materialize(&engine.cluster));
+        let fabric = topology.map(|t| NetSim::Flow(Box::new(Fabric::new(t.clone()).unwrap())));
+        let mut sim = Sim::new(
+            &engine.cluster,
+            &engine.cost,
+            program,
+            engine.tracing,
+            engine.filter,
+            instance,
+            fabric,
+            engine.scheduler,
+        );
+        if unfused {
+            // The reference stepping, a `Resume` per op: with a send parked
+            // that no receive ever releases, no rank ever fuses.
+            sim.ranks.iter_mut().for_each(|r| r.parked_sends = 1 << 31);
+        }
+        FUSED_OPS.set(0);
+        let report = sim.run().expect("generated programs are deadlock-free");
+        (report, FUSED_OPS.get())
+    }
+
+    /// A receiver-side op whose emission the generator postpones.
+    enum Deferred {
+        Wait(NotifyId),
+        Recv { src: RankId, bytes: u64, tag: Tag },
+    }
+
+    /// A random valid program over `p` ranks.  Ops are appended in a global
+    /// order in which every blocking op depends only on ops appended before
+    /// it, so executing them in that order is a deadlock-free schedule.
+    /// Local ops (zero-duration computes among them) go between every kind
+    /// of op; receiver-side waits and receives are postponed at random, so
+    /// arrivals pile up unconsumed, destinations have several writers and
+    /// rendezvous sends stay parked at their receivers across local ops.
+    fn random_program(rng: &mut TestRng, p: usize) -> Program {
+        let mut pick = move |n: usize| (rng.next_u64() % n as u64) as usize;
+        let mut b = ProgramBuilder::new(p);
+        let mut deferred: Vec<(RankId, Deferred)> = Vec::new();
+        // Non-blocking sends of a rank whose receive is still postponed.
+        let mut unreceived = vec![0usize; p];
+        fn local(b: &mut ProgramBuilder, r: RankId, pick: &mut impl FnMut(usize) -> usize) {
+            for _ in 0..pick(3) {
+                match pick(3) {
+                    0 => b.compute(r, [0.0, 2.37e-7, 3.1e-6][pick(3)]),
+                    1 => b.reduce(r, [72, 50_001][pick(2)]),
+                    _ => b.copy(r, [0, 4099][pick(2)]),
+                };
+            }
+        }
+        fn emit(b: &mut ProgramBuilder, unreceived: &mut [usize], rank: RankId, op: Deferred) {
+            match op {
+                Deferred::Wait(id) => b.wait_notify(rank, &[id]),
+                Deferred::Recv { src, bytes, tag } => {
+                    unreceived[src] -= 1;
+                    b.recv(rank, src, bytes, tag)
+                }
+            };
+        }
+        for r in 0..p {
+            local(&mut b, r, &mut pick);
+        }
+        for _ in 0..20 + pick(60) {
+            let src = pick(p);
+            let dst = (src + 1 + pick(p - 1)) % p;
+            match pick(9) {
+                0 => local(&mut b, src, &mut pick),
+                1 | 2 => {
+                    let id = pick(3) as NotifyId;
+                    b.put_notify(src, dst, [64, 4096, 200_000][pick(3)], id);
+                    deferred.push((dst, Deferred::Wait(id)));
+                }
+                3 => {
+                    let id = pick(3) as NotifyId;
+                    b.notify(src, dst, id);
+                    deferred.push((dst, Deferred::Wait(id)));
+                }
+                4 | 5 => {
+                    // Eager and rendezvous sizes around the 1 KiB threshold.
+                    let (bytes, tag) = ([0, 256, 1024, 1025, 100_000][pick(5)], pick(2) as Tag);
+                    b.isend(src, dst, bytes, tag);
+                    unreceived[src] += 1;
+                    deferred.push((dst, Deferred::Recv { src, bytes, tag }));
+                }
+                6 => {
+                    // A blocking send is received at once, on tags of its
+                    // own: the sender must not wait on a postponed op.
+                    let bytes = [256, 100_000][pick(2)];
+                    b.send(src, dst, bytes, 100);
+                    local(&mut b, src, &mut pick);
+                    b.recv(dst, src, bytes, 100);
+                    local(&mut b, dst, &mut pick);
+                }
+                7 => {
+                    for _ in 0..pick(4).min(deferred.len()) {
+                        let (rank, op) = deferred.swap_remove(pick(deferred.len()));
+                        emit(&mut b, &mut unreceived, rank, op);
+                        local(&mut b, rank, &mut pick);
+                    }
+                }
+                _ if pick(3) == 0 => {
+                    b.barrier_all();
+                }
+                _ if unreceived[src] == 0 => {
+                    b.wait_all_sends(src);
+                }
+                _ => {}
+            }
+            local(&mut b, src, &mut pick);
+        }
+        for (rank, op) in deferred {
+            emit(&mut b, &mut unreceived, rank, op);
+            local(&mut b, rank, &mut pick);
+        }
+        for r in 0..p {
+            b.wait_all_sends(r);
+            local(&mut b, r, &mut pick);
+        }
+        b.build()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The fused strict loop against a `Resume` per op: same per-rank
+        /// statistics, same link statistics, same canonical trace, and on
+        /// alpha-beta exactly one event fewer per fused op.
+        #[test]
+        fn fused_stepping_matches_a_resume_per_op(seed in 0u64..u64::MAX, shape in 0usize..16) {
+            let (ppn, on_fabric, jittered, heap) = (1 + 3 * (shape & 1), shape & 2 != 0, shape & 4 != 0, shape & 8 != 0);
+            let mut rng = TestRng::seed_from_u64(seed);
+            let nodes = 2 + (rng.next_u64() % 4) as usize;
+            let program = random_program(&mut rng, nodes * ppn);
+            let local_ops = program
+                .ranks
+                .iter()
+                .flat_map(|r| &r.ops)
+                .filter(|op| matches!(op, Op::Compute { .. } | Op::Reduce { .. } | Op::Copy { .. }))
+                .count() as u64;
+            let compiled = program.compile().unwrap();
+            let mut e = engine(nodes, ppn)
+                .with_trace(true)
+                .with_scheduler(if heap { SchedulerKind::BinaryHeap } else { SchedulerKind::CalendarQueue });
+            if jittered {
+                e = e.with_scenario(Scenario::new(seed).with_compute_jitter(0.2).with_link_jitter(0.1, 0.1));
+            }
+            let topology = on_fabric.then(|| Topology::single_switch(nodes, 1e9));
+            let (fused, fused_ops) = strict_run(&e, topology.as_ref(), &compiled, false);
+            let (reference, none) = strict_run(&e, topology.as_ref(), &compiled, true);
+            prop_assert_eq!(none, 0);
+            prop_assert!(fused_ops <= local_ops);
+            prop_assert_eq!(fused.fingerprint(), reference.fingerprint());
+            prop_assert_eq!(&fused.ranks, &reference.ranks);
+            prop_assert_eq!(&fused.links, &reference.links);
+            prop_assert!(fused.trace.iter().eq(reference.trace.iter()), "canonical traces differ");
+            let saved = reference.metrics.events_scheduled - fused.metrics.events_scheduled;
+            if on_fabric {
+                // Fewer `Resume`s between equal-time launches batch more
+                // solves, and each solve skipped is a tick not pushed.
+                prop_assert!(saved >= fused_ops);
+                prop_assert!(fused.metrics.fabric_solves <= reference.metrics.fabric_solves);
+            } else {
+                prop_assert_eq!(saved, fused_ops);
+            }
+        }
     }
 }

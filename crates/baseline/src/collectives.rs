@@ -136,8 +136,7 @@ pub fn allreduce_ring(comm: &mut MpiComm, data: &mut [f64]) -> Result<()> {
     for step in 0..p - 1 {
         let send_chunk = (rank + p - step) % p;
         let recv_chunk = (rank + p - step - 1) % p;
-        let outgoing = data[chunk_start(send_chunk)..chunk_end(send_chunk)].to_vec();
-        comm.send(next, 3, &outgoing)?;
+        comm.send(next, 3, &data[chunk_start(send_chunk)..chunk_end(send_chunk)])?;
         let incoming = comm.recv(prev, 3)?;
         sum_into(&mut data[chunk_start(recv_chunk)..chunk_end(recv_chunk)], &incoming);
     }
@@ -145,8 +144,7 @@ pub fn allreduce_ring(comm: &mut MpiComm, data: &mut [f64]) -> Result<()> {
     for step in 0..p - 1 {
         let send_chunk = (rank + 1 + p - step) % p;
         let recv_chunk = (rank + p - step) % p;
-        let outgoing = data[chunk_start(send_chunk)..chunk_end(send_chunk)].to_vec();
-        comm.send(next, 4, &outgoing)?;
+        comm.send(next, 4, &data[chunk_start(send_chunk)..chunk_end(send_chunk)])?;
         let incoming = comm.recv(prev, 4)?;
         data[chunk_start(recv_chunk)..chunk_end(recv_chunk)].copy_from_slice(&incoming);
     }

@@ -14,6 +14,7 @@ use ec_collectives::topology::{
     allgather_recv_chunk, allgather_send_chunk, chunk_ranges, ring_next, scatter_recv_chunk, scatter_send_chunk,
 };
 use ec_collectives::{ReduceOp, RingAllreduce};
+use ec_gaspi::segment::decode_f64s;
 use ec_gaspi::{Context, GaspiConfig, Job, SegmentId};
 
 const RANKS: usize = 4;
@@ -70,8 +71,11 @@ impl<'a> DirectRing<'a> {
             ctx.notify_reset(self.segment, step as u32).unwrap();
             let (r_start, r_len) = chunks[scatter_recv_chunk(rank, step, p)];
             if r_len > 0 {
-                let incoming = ctx.segment_read_f64s(self.segment, self.scratch_offset(step), r_len).unwrap();
-                op.accumulate(&mut data[r_start..r_start + r_len], &incoming);
+                let acc = &mut data[r_start..r_start + r_len];
+                ctx.segment_with_range(self.segment, self.scratch_offset(step), r_len * 8, |landed| {
+                    op.accumulate_from(acc, decode_f64s(landed));
+                })
+                .unwrap();
             }
         }
         for step in 0..p - 1 {
@@ -87,8 +91,11 @@ impl<'a> DirectRing<'a> {
             ctx.notify_reset(self.segment, id).unwrap();
             let (r_start, r_len) = chunks[allgather_recv_chunk(rank, step, p)];
             if r_len > 0 {
-                let incoming = ctx.segment_read_f64s(self.segment, r_start * 8, r_len).unwrap();
-                data[r_start..r_start + r_len].copy_from_slice(&incoming);
+                let out = &mut data[r_start..r_start + r_len];
+                ctx.segment_with_range(self.segment, r_start * 8, r_len * 8, |landed| {
+                    out.iter_mut().zip(decode_f64s(landed)).for_each(|(o, v)| *o = v);
+                })
+                .unwrap();
             }
         }
     }

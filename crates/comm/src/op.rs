@@ -45,9 +45,23 @@ impl ReduceOp {
     /// the threshold-based eventually consistent collectives rely on when a
     /// contribution carries only a fraction of the payload.
     pub fn accumulate(self, acc: &mut [f64], other: &[f64]) {
-        let n = acc.len().min(other.len());
-        for i in 0..n {
-            acc[i] = self.combine(acc[i], other[i]);
+        self.accumulate_from(acc, other.iter().copied());
+    }
+
+    /// [`ReduceOp::accumulate`] over values produced on the fly — e.g. decoded
+    /// straight out of a segment — so a landed contribution needs no staging
+    /// buffer.  One loop per operator: the `match` sits outside it.
+    pub fn accumulate_from(self, acc: &mut [f64], other: impl Iterator<Item = f64>) {
+        fn fold(acc: &mut [f64], other: impl Iterator<Item = f64>, combine: impl Fn(f64, f64) -> f64) {
+            for (a, b) in acc.iter_mut().zip(other) {
+                *a = combine(*a, b);
+            }
+        }
+        match self {
+            ReduceOp::Sum => fold(acc, other, |a, b| ReduceOp::Sum.combine(a, b)),
+            ReduceOp::Prod => fold(acc, other, |a, b| ReduceOp::Prod.combine(a, b)),
+            ReduceOp::Min => fold(acc, other, |a, b| ReduceOp::Min.combine(a, b)),
+            ReduceOp::Max => fold(acc, other, |a, b| ReduceOp::Max.combine(a, b)),
         }
     }
 

@@ -3,6 +3,7 @@
 use std::ops::Range;
 use std::time::Instant;
 
+use ec_gaspi::segment::decode_f64s;
 use ec_gaspi::{Context, SegmentId};
 use ec_ssp::{Clock, SspPolicy};
 
@@ -89,10 +90,9 @@ impl Transport for ThreadedTransport<'_> {
         let Payload::Elems(buf) = &self.payload else {
             return Err(CommError::UnsupportedOp { op: "put_stamped" });
         };
-        let mut message = Vec::with_capacity(src.len() + 1);
-        message.push(stamp.value() as f64);
-        message.extend_from_slice(&buf[src]);
-        self.ctx.write_notify_f64s(dst, self.segment, dst_off * 8, &message, id, 1, 0)?;
+        // Stamp and data land as one write, which `slot_reduce` relies on.
+        let parts: [&[f64]; 2] = [&[stamp.value() as f64], &buf[src]];
+        self.ctx.write_list_notify_f64s(dst, self.segment, dst_off * 8, &parts, id, 1, 0)?;
         Ok(())
     }
 
@@ -127,8 +127,10 @@ impl Transport for ThreadedTransport<'_> {
         let Payload::Elems(buf) = &mut self.payload else {
             return Err(CommError::UnsupportedOp { op: "local_reduce" });
         };
-        let incoming = self.ctx.segment_read_f64s(self.segment, src_off * 8, dst.len())?;
-        op.accumulate(&mut buf[dst], &incoming);
+        let acc = &mut buf[dst];
+        self.ctx.segment_with_range(self.segment, src_off * 8, acc.len() * 8, |landed| {
+            op.accumulate_from(acc, decode_f64s(landed));
+        })?;
         Ok(())
     }
 
@@ -136,8 +138,10 @@ impl Transport for ThreadedTransport<'_> {
         let byte_off = src_off * self.elem_bytes();
         match &mut self.payload {
             Payload::Elems(buf) => {
-                let incoming = self.ctx.segment_read_f64s(self.segment, byte_off, dst.len())?;
-                buf[dst].copy_from_slice(&incoming);
+                let out = &mut buf[dst];
+                self.ctx.segment_with_range(self.segment, byte_off, out.len() * 8, |landed| {
+                    out.iter_mut().zip(decode_f64s(landed)).for_each(|(o, v)| *o = v);
+                })?;
             }
             Payload::Bytes { recv, .. } => {
                 self.ctx.segment_read(self.segment, byte_off, &mut recv[dst])?;
@@ -170,18 +174,24 @@ impl Transport for ThreadedTransport<'_> {
         op: ReduceOp,
         dst: Range<usize>,
     ) -> Result<SlotUse> {
-        let Payload::Elems(_) = &self.payload else {
+        let Payload::Elems(buf) = &mut self.payload else {
             return Err(CommError::UnsupportedOp { op: "slot_reduce" });
         };
+        let acc = &mut buf[dst];
         let mut waits = Vec::new();
         loop {
-            // One locked read keeps the stamp and its data consistent.
-            let slot = self.ctx.segment_read_f64s(self.segment, slot_off * 8, len + 1)?;
-            let slot_clock = Clock::from(slot[0] as i64);
-            if policy.is_acceptable(now, slot_clock) {
-                let Payload::Elems(buf) = &mut self.payload else { unreachable!() };
-                op.accumulate(&mut buf[dst], &slot[1..]);
-                return Ok(SlotUse { clock: slot_clock, waits });
+            // One lock hold keeps the stamp and its data consistent; the data
+            // is decoded only once the stamp is fresh enough.
+            let accepted = self.ctx.segment_with_range(self.segment, slot_off * 8, (len + 1) * 8, |slot| {
+                let (stamp, data) = slot.split_at(8);
+                let slot_clock = Clock::from(decode_f64s(stamp).next().expect("one stamp") as i64);
+                policy.is_acceptable(now, slot_clock).then(|| {
+                    op.accumulate_from(acc, decode_f64s(data));
+                    slot_clock
+                })
+            })?;
+            if let Some(clock) = accepted {
+                return Ok(SlotUse { clock, waits });
             }
             // Too stale: block until the partner's next update lands.
             let t0 = Instant::now();
@@ -196,6 +206,7 @@ impl Transport for ThreadedTransport<'_> {
 mod tests {
     use super::*;
     use ec_gaspi::{GaspiConfig, Job};
+    use proptest::prelude::*;
 
     const SEG: SegmentId = 1;
 
@@ -347,6 +358,129 @@ mod tests {
         for (data, clock) in out {
             assert_eq!(data, vec![2.0, 2.0]);
             assert_eq!(clock, Clock::from(1));
+        }
+    }
+
+    /// Doubles with every awkward bit pattern: raw `u64` bits (NaN payloads,
+    /// subnormals) interleaved with the named special values.
+    fn awkward_f64s(mut seed: u64, len: usize) -> Vec<f64> {
+        const SPECIAL: [f64; 8] =
+            [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN, f64::MIN_POSITIVE / 4.0, f64::MAX, -1.5];
+        (0..len)
+            .map(|_| {
+                seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                match seed >> 61 {
+                    0 => SPECIAL[(seed >> 32) as usize % SPECIAL.len()],
+                    1 => f64::from_bits(0x7FF0_0000_0000_0000 | seed >> 12), // NaN with payload bits
+                    2 => f64::from_bits(seed >> 12 & 0x000F_FFFF_FFFF_FFFF), // subnormal
+                    _ => f64::from_bits(seed),
+                }
+            })
+            .collect()
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Bit patterns of reduction results.  Which NaN payload an operation on
+    /// two NaNs yields, and which zero `min`/`max` of `0.0` and `-0.0`, is up
+    /// to the instruction selected (a vectorized loop may commute operands),
+    /// so those two cases are canonicalized; everything else is exact.
+    fn reduced_bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| if v.is_nan() { f64::NAN } else { v + 0.0 }).map(f64::to_bits).collect()
+    }
+
+    proptest! {
+        /// The in-place encode/decode against the path it replaced:
+        /// `f64s_to_bytes` → `write` → `read` → `bytes_to_f64s` → the indexed
+        /// accumulate loop, compared by bit pattern.
+        #[test]
+        fn in_place_codec_is_bit_identical_to_the_staged_path(
+            seed in 0u64..u64::MAX,
+            len in 0usize..40,
+            elem_off in 0usize..4,
+            shift in 1usize..8,
+            op_idx in 0usize..4,
+        ) {
+            use ec_gaspi::segment::{bytes_to_f64s, f64s_to_bytes, SegmentStorage};
+            const SIZE: usize = 512;
+            let op = [ReduceOp::Sum, ReduceOp::Prod, ReduceOp::Min, ReduceOp::Max][op_idx];
+            let values = awkward_f64s(seed, len);
+            let acc = awkward_f64s(!seed, len);
+            // Staged reference, at a byte offset that is not a multiple of 8.
+            let odd_off = elem_off * 8 + shift;
+            let staged = SegmentStorage::new(SIZE, 1);
+            prop_assert!(staged.write(odd_off, &f64s_to_bytes(&values)));
+            let mut raw = vec![0u8; len * 8];
+            prop_assert!(staged.read(odd_off, &mut raw));
+            let want_copy = bytes_to_f64s(&raw);
+            let mut want_reduce = acc.clone();
+            for i in 0..len {
+                want_reduce[i] = op.combine(want_reduce[i], want_copy[i]);
+            }
+            let out = Job::new(GaspiConfig::new(1))
+                .run(|ctx| {
+                    ctx.segment_create(SEG, SIZE).unwrap();
+                    // Raw context path at the odd offset.
+                    ctx.write_notify_f64s(0, SEG, odd_off, &values, 0, 1, 0).unwrap();
+                    let mut odd_reduce = acc.clone();
+                    let odd_copy = ctx
+                        .segment_with_range(SEG, odd_off, len * 8, |landed| {
+                            op.accumulate_from(&mut odd_reduce, decode_f64s(landed));
+                            decode_f64s(landed).collect::<Vec<f64>>()
+                        })
+                        .unwrap();
+                    // Transport path (element offsets) over the same values.
+                    let mut send = values.clone();
+                    ThreadedTransport::elems(ctx, SEG, &mut send).put_notify(0, elem_off, 0..len, 1).unwrap();
+                    let mut reduced = acc.clone();
+                    ThreadedTransport::elems(ctx, SEG, &mut reduced).local_reduce(elem_off, 0..len, op).unwrap();
+                    let mut copied = acc.clone();
+                    ThreadedTransport::elems(ctx, SEG, &mut copied).local_copy(elem_off, 0..len).unwrap();
+                    [odd_reduce, odd_copy, reduced, copied]
+                })
+                .unwrap()
+                .remove(0);
+            prop_assert_eq!(reduced_bits(&out[0]), reduced_bits(&want_reduce));
+            prop_assert_eq!(bits(&out[1]), bits(&want_copy));
+            prop_assert_eq!(reduced_bits(&out[2]), reduced_bits(&want_reduce));
+            prop_assert_eq!(bits(&out[3]), bits(&want_copy));
+        }
+    }
+
+    #[test]
+    fn out_of_range_put_and_read_report_their_range_and_write_nothing() {
+        use ec_gaspi::GaspiError;
+        const SIZE: usize = 64;
+        let out = Job::new(GaspiConfig::new(2))
+            .run(|ctx| {
+                ctx.segment_create(SEG, SIZE).unwrap();
+                ctx.barrier();
+                let peer = 1 - ctx.rank();
+                let mut data = vec![5.0; 4];
+                let mut t = ThreadedTransport::elems(ctx, SEG, &mut data);
+                // 4 doubles from element 6 end at byte 80 of 64.
+                let put = t.put_notify(peer, 6, 0..4, 0);
+                let stamped = t.put_stamped(peer, 5, 0..4, Clock::from(1), 0);
+                let read = t.local_reduce(7, 0..2, ReduceOp::Sum);
+                ctx.barrier();
+                let mut landed = [1u8; SIZE];
+                ctx.segment_read(SEG, 0, &mut landed).unwrap();
+                let notified = ctx.notify_test_some(SEG, 0, 1).unwrap();
+                (put, stamped, read, landed == [0u8; SIZE], notified, data)
+            })
+            .unwrap();
+        for (rank, (put, stamped, read, untouched, notified, data)) in out.into_iter().enumerate() {
+            let oob = |rank, offset, len| {
+                Err(CommError::Runtime(GaspiError::OutOfBounds { rank, segment: SEG, offset, len, segment_size: SIZE }))
+            };
+            assert_eq!(put, oob(1 - rank, 48, 32));
+            assert_eq!(stamped, oob(1 - rank, 40, 40));
+            assert_eq!(read, oob(rank, 56, 16));
+            assert!(untouched, "a rejected put must not write");
+            assert_eq!(notified, None, "a rejected put must not notify");
+            assert_eq!(data, vec![5.0; 4], "a rejected read must not reduce");
         }
     }
 }

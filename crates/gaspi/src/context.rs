@@ -11,9 +11,41 @@ use crate::config::GaspiConfig;
 use crate::delivery::{Delivery, DeliveryEngine};
 use crate::error::{GaspiError, Result};
 use crate::notification::{NotificationId, NotificationValue};
-use crate::segment::{bytes_to_f64s, f64s_to_bytes, SegmentId, SegmentStorage};
+use crate::segment::{bytes_to_f64s, encode_f64s, f64s_to_bytes, SegmentId, SegmentStorage};
 use crate::state::SharedState;
 use crate::{QueueId, Rank};
+
+/// What a put carries, borrowed from the caller until it is encoded into the
+/// target segment (or, on the delayed path, into the delivery's own buffer).
+#[derive(Clone, Copy)]
+enum Payload<'a> {
+    Bytes(&'a [u8]),
+    /// Doubles stored little-endian, the parts back to back.
+    F64s(&'a [&'a [f64]]),
+}
+
+impl Payload<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Payload::Bytes(bytes) => bytes.len(),
+            Payload::F64s(parts) => parts.iter().map(|part| part.len() * 8).sum(),
+        }
+    }
+
+    /// The one pass over the payload: write it into `dst` (`len()` bytes).
+    fn encode(&self, mut dst: &mut [u8]) {
+        match self {
+            Payload::Bytes(bytes) => dst.copy_from_slice(bytes),
+            Payload::F64s(parts) => {
+                for part in *parts {
+                    let (head, rest) = dst.split_at_mut(part.len() * 8);
+                    encode_f64s(part, head);
+                    dst = rest;
+                }
+            }
+        }
+    }
+}
 
 /// Per-rank communication context (the equivalent of a GASPI process).
 ///
@@ -114,12 +146,22 @@ impl Context {
         f: F,
     ) -> Result<()> {
         let seg = self.local_segment(segment)?;
-        let size = seg.size();
-        if seg.with_range_mut(offset, len, f) {
-            Ok(())
-        } else {
-            Err(self.out_of_bounds(self.rank, segment, offset, len, size))
-        }
+        seg.with_range_mut(offset, len, f)
+            .ok_or_else(|| self.out_of_bounds(self.rank, segment, offset, len, seg.size()))
+    }
+
+    /// Run a closure over a byte range of a local segment while holding the
+    /// segment lock and return its result: the allocation-free way to consume
+    /// landed data (see [`crate::segment::decode_f64s`]).
+    pub fn segment_with_range<R>(
+        &self,
+        segment: SegmentId,
+        offset: usize,
+        len: usize,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R> {
+        let seg = self.local_segment(segment)?;
+        seg.with_range(offset, len, f).ok_or_else(|| self.out_of_bounds(self.rank, segment, offset, len, seg.size()))
     }
 
     fn local_segment(&self, segment: SegmentId) -> Result<Arc<SegmentStorage>> {
@@ -142,7 +184,7 @@ impl Context {
     /// One-sided write of `data` into `(dst_rank, segment)` at byte `offset`
     /// (the equivalent of `gaspi_write`).
     pub fn write(&self, dst_rank: Rank, segment: SegmentId, offset: usize, data: &[u8], queue: QueueId) -> Result<()> {
-        self.post_remote(dst_rank, segment, Some((offset, data.to_vec())), None, queue)
+        self.post_remote(dst_rank, segment, Some((offset, Payload::Bytes(data))), None, queue)
     }
 
     /// One-sided write followed by a notification (`gaspi_write_notify`):
@@ -158,7 +200,7 @@ impl Context {
         value: NotificationValue,
         queue: QueueId,
     ) -> Result<()> {
-        self.post_remote(dst_rank, segment, Some((offset, data.to_vec())), Some((notify, value)), queue)
+        self.post_remote(dst_rank, segment, Some((offset, Payload::Bytes(data))), Some((notify, value)), queue)
     }
 
     /// Convenience wrapper around [`Context::write_notify`] for `f64` payloads.
@@ -173,7 +215,24 @@ impl Context {
         value: NotificationValue,
         queue: QueueId,
     ) -> Result<()> {
-        self.write_notify(dst_rank, segment, offset, &f64s_to_bytes(values), notify, value, queue)
+        self.write_list_notify_f64s(dst_rank, segment, offset, &[values], notify, value, queue)
+    }
+
+    /// [`Context::write_notify_f64s`] for a payload held in several pieces (the
+    /// shape of `gaspi_write_list_notify`): the parts land back to back from
+    /// `offset` as one write, so no reader sees some of them without the rest.
+    #[allow(clippy::too_many_arguments)]
+    pub fn write_list_notify_f64s(
+        &self,
+        dst_rank: Rank,
+        segment: SegmentId,
+        offset: usize,
+        parts: &[&[f64]],
+        notify: NotificationId,
+        value: NotificationValue,
+        queue: QueueId,
+    ) -> Result<()> {
+        self.post_remote(dst_rank, segment, Some((offset, Payload::F64s(parts))), Some((notify, value)), queue)
     }
 
     /// Pure notification without payload (`gaspi_notify`).
@@ -207,16 +266,17 @@ impl Context {
         &self,
         dst_rank: Rank,
         segment: SegmentId,
-        payload: Option<(usize, Vec<u8>)>,
+        payload: Option<(usize, Payload<'_>)>,
         notification: Option<(NotificationId, NotificationValue)>,
         queue: QueueId,
     ) -> Result<()> {
         self.state.check_rank(dst_rank)?;
         let queue_slot = self.state.queue(self.rank, queue)?;
         let target = self.state.wait_segment(dst_rank, segment, self.state.config.block_timeout)?;
-        if let Some((offset, bytes)) = &payload {
-            if offset + bytes.len() > target.size() {
-                return Err(self.out_of_bounds(dst_rank, segment, *offset, bytes.len(), target.size()));
+        let payload_len = payload.map_or(0, |(_, p)| p.len());
+        if let Some((offset, _)) = payload {
+            if offset.checked_add(payload_len).is_none_or(|end| end > target.size()) {
+                return Err(self.out_of_bounds(dst_rank, segment, offset, payload_len, target.size()));
             }
         }
         if let Some((id, value)) = &notification {
@@ -227,7 +287,6 @@ impl Context {
                 return Err(GaspiError::ZeroNotificationValue);
             }
         }
-        let payload_len = payload.as_ref().map_or(0, |(_, b)| b.len());
         if payload_len > 0 {
             self.state.counters(self.rank).record_write(payload_len as u64);
         }
@@ -238,6 +297,13 @@ impl Context {
         let delay = self.delivery_delay(payload_len, dst_rank);
         match (&self.delivery, delay) {
             (Some(engine), Some(delay)) => {
+                // The delivery outlives this call, so it owns its bytes: the
+                // delayed path's second copy.
+                let mut bytes = vec![0; payload_len];
+                let payload = payload.map(|(offset, p)| {
+                    p.encode(&mut bytes);
+                    (offset, bytes)
+                });
                 queue_slot.post();
                 let submitted = engine.submit(Delivery {
                     deliver_at: Instant::now() + delay,
@@ -253,9 +319,9 @@ impl Context {
             }
             _ => {
                 // Immediate visibility: apply data first, then the notification.
-                if let Some((offset, bytes)) = payload {
-                    let ok = target.write(offset, &bytes);
-                    debug_assert!(ok, "bounds were validated above");
+                if let Some((offset, p)) = payload {
+                    let written = target.with_range_mut(offset, payload_len, |dst| p.encode(dst));
+                    debug_assert!(written.is_some(), "bounds were validated above");
                 }
                 if let Some((id, value)) = notification {
                     target.notifications().set(id, value);

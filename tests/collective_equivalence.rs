@@ -2,6 +2,8 @@
 //! MPI-like baseline implementations (and with straightforward sequential
 //! references) on the values they compute.
 
+use std::time::Duration;
+
 use ec_collectives_suite::baseline::{
     allreduce_rabenseifner, allreduce_recursive_doubling, allreduce_reduce_scatter_allgather,
     allreduce_ring as mpi_allreduce_ring, alltoall_bruck, alltoall_pairwise, bcast_binomial, bcast_pipelined_binomial,
@@ -247,4 +249,60 @@ fn collectives_compose_in_one_job_with_injected_latency() {
     // top of the broadcast 1.0, modulo staleness; the max must be at least
     // the synchronous value on some rank and bounded by the total update mass.
     assert!(root.iter().all(|&v| (1.0..=1.0 + 5.0 * 0.25 * 2.0).contains(&v)));
+}
+
+#[test]
+fn collectives_are_exact_under_delivery_jitter_across_seeds() {
+    // With a delaying profile every put goes through the delivery engine —
+    // the one path that still owns a copy of its payload — arrivals at a
+    // target are reordered by the jitter, and most waits outlast the polling
+    // phase of `notify_waitsome` and park.  The inputs are small integers, so
+    // every sum is exact whatever the arrival order.
+    let n = 37;
+    let block = 5;
+    for p in [2usize, 3, 5, 8] {
+        let sum: Vec<f64> = (0..n).map(|i| (0..p).map(|r| input(r, n)[i]).sum()).collect();
+        for seed in 0..8 {
+            let network = NetworkProfile {
+                base_latency: Duration::from_micros(30),
+                per_byte: Duration::from_nanos(2),
+                jitter: 0.9,
+                seed,
+            };
+            let out = Job::new(GaspiConfig::new(p).with_network(network))
+                .run(|ctx| {
+                    let rank = ctx.rank();
+                    let mut allreduced = input(rank, n);
+                    RingAllreduce::new(ctx, n).unwrap().run(&mut allreduced, ReduceOp::Sum).unwrap();
+
+                    let send: Vec<f64> = (0..p * block).map(|i| (rank * 1000 + i) as f64).collect();
+                    let mut exchanged = vec![0.0; p * block];
+                    AllToAll::new(ctx, block * 8).unwrap().run_f64s(&send, &mut exchanged, block).unwrap();
+
+                    let mut broadcast = if rank == 0 { input(0, n) } else { vec![f64::NAN; n] };
+                    BroadcastBst::new(ctx, n).unwrap().run(&mut broadcast, 0, Threshold::FULL).unwrap();
+
+                    let reduce = ReduceBst::new(ctx, n).unwrap();
+                    let reduced = reduce.run(&input(rank, n), 0, ReduceOp::Sum, ReduceMode::full()).unwrap().result;
+
+                    // The hypercube needs a power-of-two world.
+                    let ssp = p.is_power_of_two().then(|| {
+                        let mut ssp = SspAllreduce::new(ctx, n, 0).unwrap();
+                        ssp.run(&input(rank, n), ReduceOp::Sum).unwrap().result
+                    });
+                    (allreduced, exchanged, broadcast, reduced, ssp)
+                })
+                .unwrap();
+            for (rank, (allreduced, exchanged, broadcast, reduced, ssp)) in out.into_iter().enumerate() {
+                let at = format!("p={p} seed={seed} rank={rank}");
+                assert_eq!(allreduced, sum, "ring allreduce, {at}");
+                let want: Vec<f64> =
+                    (0..p * block).map(|i| (i / block * 1000 + rank * block + i % block) as f64).collect();
+                assert_eq!(exchanged, want, "alltoall, {at}");
+                assert_eq!(broadcast, input(0, n), "broadcast, {at}");
+                assert_eq!(reduced, (rank == 0).then(|| sum.clone()), "reduce, {at}");
+                assert!(ssp.is_none_or(|ssp| ssp == sum), "ssp allreduce, {at}");
+            }
+        }
+    }
 }

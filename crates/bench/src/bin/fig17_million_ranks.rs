@@ -14,10 +14,8 @@
 //!
 //! Reports are folded online (`ReportDetail::Summary`), so neither the
 //! program nor the report ever materializes per-rank state.  The binary
-//! asserts a hard peak-RSS budget (default 8 GiB, `FIG17_RSS_BUDGET` bytes)
-//! and records throughput and peak RSS into `BENCH_engine.json` (merged —
-//! the Criterion benches own the other keys; `BENCH_ENGINE_JSON` overrides
-//! the path).
+//! prints throughput and peak RSS and asserts a hard peak-RSS budget
+//! (default 8 GiB, `FIG17_RSS_BUDGET` bytes).
 //!
 //! The output is fully deterministic: same parameters, same fingerprint —
 //! for every shard count.  Pass `--smoke` for a CI-sized run (`p = 2^17`).
@@ -30,9 +28,9 @@
 
 use std::time::Instant;
 
+use ec_bench::env_usize;
 use ec_bench::million::{peak_rss_bytes, UniformSspSource, WindowedRingSource};
 use ec_bench::ssp_scale::fig14_scenario;
-use ec_bench::{env_usize, merge_baseline_json};
 use ec_netsim::{ClusterSpec, CompiledProgram, CostModel, Engine, ProgramSource, ReportDetail, RunReport, SplitMix64};
 
 struct Measured {
@@ -104,8 +102,7 @@ fn main() {
     let mut digest = SplitMix64::mix(ring.report.fingerprint());
     digest = SplitMix64::mix(digest ^ ssp.report.fingerprint());
 
-    let peak = peak_rss_bytes();
-    match peak {
+    match peak_rss_bytes() {
         Some(rss) => {
             println!("\npeak RSS: {:.2} GiB ({rss} bytes)", rss as f64 / (1u64 << 30) as f64);
             assert!(
@@ -114,30 +111,6 @@ fn main() {
             );
         }
         None => println!("\npeak RSS: unavailable (no procfs)"),
-    }
-
-    // Merge the scale metrics into the shared engine baseline so the CI
-    // bench gate tracks them; full-scale and smoke runs own distinct keys.
-    let path = std::env::var("BENCH_ENGINE_JSON")
-        .unwrap_or_else(|_| format!("{}/../../BENCH_engine.json", env!("CARGO_MANIFEST_DIR")));
-    let ring_ops_per_sec = format!("{:.0}", ring.total_ops as f64 / ring.run_secs);
-    let updates: Vec<(&str, String)> = if smoke {
-        vec![
-            ("ops_per_sec_p_131072", ring_ops_per_sec),
-            ("peak_rss_bytes_smoke", peak.map_or_else(|| "0".into(), |r| r.to_string())),
-        ]
-    } else {
-        vec![
-            ("ops_per_sec_p_1m", ring_ops_per_sec),
-            ("peak_rss_bytes", peak.map_or_else(|| "0".into(), |r| r.to_string())),
-        ]
-    };
-    // Only record the baseline when the rank count was not overridden: the
-    // keys are defined as p = 2^20 (full) / p = 2^17 (smoke) numbers.
-    if std::env::var("FIG17_RANKS").is_err() {
-        if let Err(e) = merge_baseline_json(&path, &updates) {
-            eprintln!("warning: could not update {path}: {e}");
-        }
     }
 
     println!("## determinism fingerprint: {digest:016x}");

@@ -1,7 +1,6 @@
 //! # ec-bench — figure-regeneration harness
 //!
-//! One binary per evaluation figure of the paper (`fig06` … `fig13`), plus
-//! Criterion micro-benchmarks of the collectives on the threaded runtime.
+//! One binary per evaluation figure of the paper (`fig06` … `fig13`).
 //! Each binary prints the same series the corresponding figure plots, as an
 //! aligned text table, and a short comparison against the numbers the paper
 //! reports (speedups, crossover points).
@@ -300,63 +299,6 @@ pub fn print_smoke_memory_stats(smoke: bool, label: &str, program: &ec_netsim::P
     }
 }
 
-/// Parse the `(key, raw value)` pairs of a flat JSON object (the shape of the
-/// `BENCH_*.json` baselines).  String values keep their quotes; nested
-/// objects are not supported.
-pub fn parse_flat_json(s: &str) -> Vec<(String, String)> {
-    let mut out = Vec::new();
-    let mut rest = s;
-    while let Some(start) = rest.find('"') {
-        rest = &rest[start + 1..];
-        let Some(end) = rest.find('"') else { break };
-        let key = rest[..end].to_string();
-        rest = &rest[end + 1..];
-        let Some(after_colon) = rest.trim_start().strip_prefix(':') else { continue };
-        let value = after_colon.trim_start();
-        if let Some(in_string) = value.strip_prefix('"') {
-            let Some(close) = in_string.find('"') else { break };
-            out.push((key, format!("\"{}\"", &in_string[..close])));
-            rest = &in_string[close + 1..];
-        } else {
-            let end = value.find([',', '\n', '}']).unwrap_or(value.len());
-            let raw = value[..end].trim();
-            if !raw.is_empty() {
-                out.push((key, raw.to_string()));
-            }
-            rest = &value[end..];
-        }
-    }
-    out
-}
-
-/// Render `(key, raw value)` pairs back into a flat JSON object.
-pub fn render_flat_json(pairs: &[(String, String)]) -> String {
-    let mut out = String::from("{\n");
-    for (i, (key, value)) in pairs.iter().enumerate() {
-        let comma = if i + 1 < pairs.len() { "," } else { "" };
-        let _ = writeln!(out, "  \"{key}\": {value}{comma}");
-    }
-    out.push_str("}\n");
-    out
-}
-
-/// Merge `updates` into the flat JSON baseline at `path`, preserving every
-/// other field: existing keys are updated in place, new keys appended.  The
-/// baselines are shared between writers (the Criterion benches and the fig17
-/// binary each own a subset of the keys), so a plain overwrite would drop the
-/// other writer's metrics and trip the bench gate's missing-metric check.
-pub fn merge_baseline_json(path: &str, updates: &[(&str, String)]) -> std::io::Result<()> {
-    let existing = std::fs::read_to_string(path).unwrap_or_default();
-    let mut pairs = parse_flat_json(&existing);
-    for (key, value) in updates {
-        match pairs.iter_mut().find(|(k, _)| k == key) {
-            Some(pair) => pair.1 = value.clone(),
-            None => pairs.push((key.to_string(), value.clone())),
-        }
-    }
-    std::fs::write(path, render_flat_json(&pairs))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -402,44 +344,5 @@ mod tests {
     #[test]
     fn node_sweep_matches_the_paper_x_axis() {
         assert_eq!(node_sweep(), vec![2, 4, 8, 16, 32]);
-    }
-
-    #[test]
-    fn flat_json_round_trips_strings_and_numbers() {
-        let doc = "{\n  \"bench\": \"engine_throughput\",\n  \"ranks\": 1024,\n  \"ops_per_sec\": 3.5e7\n}\n";
-        let pairs = parse_flat_json(doc);
-        assert_eq!(
-            pairs,
-            vec![
-                ("bench".into(), "\"engine_throughput\"".into()),
-                ("ranks".into(), "1024".into()),
-                ("ops_per_sec".into(), "3.5e7".into()),
-            ]
-        );
-        assert_eq!(render_flat_json(&pairs), doc);
-    }
-
-    #[test]
-    fn merge_updates_in_place_and_appends_new_keys() {
-        let dir = std::env::temp_dir().join(format!("ec_bench_merge_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("b.json");
-        let path = path.to_str().unwrap();
-        std::fs::write(path, "{\n  \"bench\": \"x\",\n  \"a_per_sec\": 100\n}\n").unwrap();
-        merge_baseline_json(path, &[("a_per_sec", "200".into()), ("peak_rss_bytes", "42".into())]).unwrap();
-        let merged = std::fs::read_to_string(path).unwrap();
-        assert_eq!(merged, "{\n  \"bench\": \"x\",\n  \"a_per_sec\": 200,\n  \"peak_rss_bytes\": 42\n}\n");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn merge_into_a_missing_file_creates_it() {
-        let dir = std::env::temp_dir().join(format!("ec_bench_merge_new_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("fresh.json");
-        let path = path.to_str().unwrap();
-        merge_baseline_json(path, &[("k_per_sec", "1".into())]).unwrap();
-        assert_eq!(std::fs::read_to_string(path).unwrap(), "{\n  \"k_per_sec\": 1\n}\n");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -166,25 +166,21 @@ fn overlapping_put_targets_are_reported_as_a_multi_writer_race() {
     );
 }
 
-/// The checked engine entry point refuses a schedule the analyzer rejects
-/// and accepts (and runs) one it certifies.
+/// The analyzer rejects a schedule the engine would deadlock on and
+/// certifies one the engine runs.
 #[test]
 fn run_checked_rejects_broken_and_runs_clean_schedules() {
     let engine = Engine::new(ClusterSpec::homogeneous(8, 1), CostModel::test_model());
     let clean = ring_allreduce_schedule(8, 4096);
-    let checked = engine.run_checked(&clean).unwrap();
-    let unchecked = engine.run(&clean).unwrap();
-    assert_eq!(checked.fingerprint(), unchecked.fingerprint());
+    assert!(analyze(&clean).unwrap().is_clean());
+    engine.run(&clean).unwrap();
 
     let mut broken = ring_allreduce_schedule(8, 4096);
     let put = broken.ranks[2].ops.iter().position(|op| matches!(op, Op::PutNotify { .. })).unwrap();
     broken.ranks[2].ops.remove(put);
-    match engine.run_checked(&broken) {
-        Err(SimError::Analysis(errors)) => {
-            assert!(errors.iter().any(|e| matches!(e, AnalysisError::Starvation { .. })));
-        }
-        other => panic!("expected an analysis rejection, got {other:?}"),
-    }
+    let errors = analyze(&broken).unwrap().errors;
+    assert!(errors.iter().any(|e| matches!(e, AnalysisError::Starvation { .. })), "got {errors:?}");
+    assert!(matches!(engine.run(&broken), Err(SimError::Deadlock { .. })));
 }
 
 // ---------------------------------------------------------------------------
@@ -226,9 +222,8 @@ fn chain_program(p: usize, stages: usize, reversed: bool, seeded: bool) -> Progr
     program
 }
 
-/// The seeded chain is clean, runs under the engine, and is accepted by the
-/// checked entry point; closing it into a wait-first ring removes the base
-/// case and must stay a *certain* deadlock.
+/// The seeded chain is clean and runs under the engine; closing it into a
+/// wait-first ring removes the base case and must stay a *certain* deadlock.
 #[test]
 fn pipelined_chain_is_certified_and_runs() {
     for p in [3usize, 8, 64] {
@@ -237,8 +232,7 @@ fn pipelined_chain_is_certified_and_runs() {
             let report = analyze(&chain).unwrap();
             assert!(report.is_clean(), "p={p} reversed={reversed}: {:?}", report.errors);
             let engine = Engine::new(ClusterSpec::homogeneous(p, 1), CostModel::test_model());
-            let checked = engine.run_checked(&chain).expect("the analyzer certified the chain");
-            assert_eq!(checked.fingerprint(), engine.run(&chain).unwrap().fingerprint());
+            engine.run(&chain).expect("the analyzer certified the chain");
         }
     }
 

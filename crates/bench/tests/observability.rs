@@ -6,8 +6,8 @@ use ec_bench::congestion::fig15_scenario;
 use ec_bench::ssp_scale::{ssp_scale_program, SspScaleConfig};
 use ec_collectives::schedule::{alltoall_direct_schedule, bcast_bst_schedule, ring_allreduce_schedule};
 use ec_netsim::{
-    validate_chrome_trace, write_chrome_trace, BlockReason, ChromeTraceWriter, ClusterSpec, CostModel, Engine,
-    MsgLabel, Program, RunReport, SchedulerKind, Topology, TraceDetail, TraceFilter, TraceSink,
+    validate_chrome_trace, write_chrome_trace, BlockReason, ChromeTraceWriter, ClusterSpec, CompiledProgram, CostModel,
+    Engine, MsgLabel, Program, RunReport, Topology, TraceDetail, TraceFilter,
 };
 use proptest::prelude::*;
 
@@ -115,17 +115,18 @@ fn chrome_export_reports_a_failed_write() {
     assert_eq!(error.to_string(), "no space left on device");
     assert_eq!(Some(out.written), out.failed_at, "nothing is written after the failure");
 
-    // The same through a sink, whose `record` cannot return the error: the
-    // first one is kept for `finish`, and the truncated file is not closed
-    // as if it were whole.
-    let sink = std::sync::Arc::new(std::sync::Mutex::new(ChromeTraceWriter::new(disk()).expect("opener fits")));
-    let streamed = engine.with_trace_sink(sink.clone()).run(&program).expect("ring must simulate");
-    assert_eq!(streamed.trace, report.trace, "a failing sink does not touch the run");
-    let error = sink.lock().expect("sink lock").finish().expect_err("finish must report the lost write");
+    // The same fed by hand through `record`, which cannot return the error:
+    // the first one is kept for `finish`, and the truncated file is not
+    // closed as if it were whole.
+    let mut writer = ChromeTraceWriter::new(disk()).expect("opener fits");
+    for event in &report.trace {
+        writer.record(event);
+    }
+    let error = writer.finish().expect_err("finish must report the lost write");
     assert_eq!(error.to_string(), "no space left on device");
 }
 
-/// Run `program` through one of the engine's three entry points.
+/// Run `program` in one of the three forms a caller can hold it in.
 fn run_mode(engine: &Engine, program: &Program, mode: usize) -> RunReport {
     match mode {
         0 => engine.run(program).expect("materialized run"),
@@ -133,7 +134,10 @@ fn run_mode(engine: &Engine, program: &Program, mode: usize) -> RunReport {
             let compiled = program.compile().expect("program must compile");
             engine.run_compiled(&compiled).expect("compiled run")
         }
-        _ => engine.run_source(program).expect("source run"),
+        _ => {
+            let compiled = CompiledProgram::from_source(program).expect("source must compile");
+            engine.run_compiled(&compiled).expect("source run")
+        }
     }
 }
 
@@ -259,6 +263,12 @@ fn jittered_engine(ranks: usize) -> Engine {
     traced_engine(ranks).with_scenario(fig15_scenario(7))
 }
 
+/// `RunReport::fingerprint` of the p=32 jittered 1 MiB ring the two ring pins
+/// run.  `ec_netsim`'s `strict_loop_reproduces_the_pinned_ring_traces` builds
+/// the same run (same fingerprint) and checks that the strict loop's trace
+/// equals the dataflow path's, which extends both pins to the strict loop.
+const PINNED_RING_FINGERPRINT: u64 = 0x5723_a09c_2641_e12b;
+
 #[test]
 fn pinned_ring_trace_on_every_execution_path() {
     const PIN: &str = concat!(
@@ -270,11 +280,9 @@ fn pinned_ring_trace_on_every_execution_path() {
     for shards in [1usize, 4] {
         let report = jittered_engine(32).with_shards(shards).run(&program).expect("ring must simulate");
         assert!(report.metrics.dataflow_burst_ops > 0, "the single-writer ring rides the dataflow path");
+        assert_eq!(report.fingerprint(), PINNED_RING_FINGERPRINT);
         assert_eq!(trace_pin(&report), PIN, "dataflow path, {shards} shard(s)");
     }
-    let strict = jittered_engine(32).with_scheduler(SchedulerKind::BinaryHeap).run(&program).expect("strict run");
-    assert_eq!(strict.metrics.dataflow_burst_ops, 0, "the binary heap pins the strict loop");
-    assert_eq!(trace_pin(&strict), PIN, "strict path");
 }
 
 #[test]
@@ -321,8 +329,7 @@ fn pinned_windowed_and_sampled_trace() {
     let filter = TraceFilter { first_rank: 5, last_rank: 20, sample: 2 };
     for shards in [1usize, 4] {
         let report = jittered_engine(32).with_trace_filter(filter).with_shards(shards).run(&program).expect("ring");
+        assert_eq!(report.fingerprint(), PINNED_RING_FINGERPRINT);
         assert_eq!(trace_pin(&report), PIN, "dataflow path, {shards} shard(s)");
     }
-    let strict = jittered_engine(32).with_trace_filter(filter).with_scheduler(SchedulerKind::BinaryHeap);
-    assert_eq!(trace_pin(&strict.run(&program).expect("strict run")), PIN, "strict path");
 }

@@ -161,14 +161,16 @@ mod tests {
             let ring = ring_allreduce_schedule(p, bytes);
             let via_program = engine.run(&ring).unwrap().fingerprint();
             let via_compiled = engine.run_compiled(&ring.compile().unwrap()).unwrap().fingerprint();
-            let via_source = engine.run_source(&RingAllreduceSource::new(p, bytes)).unwrap().fingerprint();
+            let source = CompiledProgram::from_source(&RingAllreduceSource::new(p, bytes)).unwrap();
+            let via_source = engine.run_compiled(&source).unwrap().fingerprint();
             prop_assert_eq!(via_program, via_compiled);
             prop_assert_eq!(via_program, via_source);
 
             let cube = hypercube_allreduce_schedule(p, bytes);
             let via_program = engine.run(&cube).unwrap().fingerprint();
             let via_compiled = engine.run_compiled(&cube.compile().unwrap()).unwrap().fingerprint();
-            let via_source = engine.run_source(&HypercubeAllreduceSource::new(p, bytes)).unwrap().fingerprint();
+            let source = CompiledProgram::from_source(&HypercubeAllreduceSource::new(p, bytes)).unwrap();
+            let via_source = engine.run_compiled(&source).unwrap().fingerprint();
             prop_assert_eq!(via_program, via_compiled);
             prop_assert_eq!(via_program, via_source);
         }

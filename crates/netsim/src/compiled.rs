@@ -11,7 +11,9 @@
 //!   (`u32`, `u32`, `u64`, ~17 B/op) — no per-op allocation;
 //! * wait-id lists live in one shared `u32` pool as `(offset, len)` slices,
 //!   interned by content, and the common single-id `WaitNotify` is inlined
-//!   into the record with no pool indirection at all (see [`CompileOptions`]);
+//!   into the record with no pool indirection at all — by far the common case
+//!   (every ring/hypercube step emits one), and it removes a dependent load from
+//!   the engine's wait hot path;
 //! * targets are stored **rank-relative** — as a ring delta `(dst − rank) mod p`
 //!   or a hypercube mask `dst ⊕ rank` — so the op streams of an SPMD collective
 //!   become byte-identical across ranks and dedup to a single shared arena
@@ -32,23 +34,6 @@ use crate::program::{CommProfile, NotifyId, Op, Program};
 use crate::scenario::SplitMix64;
 use crate::source::ProgramSource;
 use crate::validate::{check_channels, check_rank_ops, ChannelCounts, ValidationError};
-
-/// Options controlling how a program is compiled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CompileOptions {
-    /// Inline single-id `WaitNotify` ops into the op record itself instead of
-    /// routing them through the shared id pool.  Single-id waits are by far
-    /// the common case (every ring/hypercube step emits one), and inlining
-    /// removes a dependent load from the engine's wait hot path.  Default
-    /// `true`; set `false` only to measure the pooled path.
-    pub inline_single_id_waits: bool,
-}
-
-impl Default for CompileOptions {
-    fn default() -> Self {
-        Self { inline_single_id_waits: true }
-    }
-}
 
 /// Op discriminant stored in the arena's kind column (1 byte per op).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -491,27 +476,33 @@ impl Seg {
     }
 }
 
-fn intern_ids(pool: &mut Vec<NotifyId>, map: &mut HashMap<Vec<NotifyId>, u32>, ids: &[NotifyId]) -> u32 {
+fn intern_ids(
+    pool: &mut Vec<NotifyId>,
+    map: &mut HashMap<Vec<NotifyId>, u32>,
+    ids: &[NotifyId],
+) -> Result<u32, ValidationError> {
     if let Some(&off) = map.get(ids) {
-        return off;
+        return Ok(off);
     }
-    let off = u32::try_from(pool.len()).expect("wait-id pool exceeds the u32 offset range");
+    let pooled = pool.len() + ids.len();
+    if pooled > u32::MAX as usize {
+        return Err(ValidationError::CodeRangeExceeded { what: "wait-id pool size", value: pooled });
+    }
+    let off = pool.len() as u32;
     pool.extend_from_slice(ids);
     map.insert(ids.to_vec(), off);
-    off
+    Ok(off)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn encode_rank(
     rank: RankId,
     n: usize,
     ops: &[Op],
     mode: TargetMode,
-    inline_single: bool,
     pool: &mut Vec<NotifyId>,
     pool_map: &mut HashMap<Vec<NotifyId>, u32>,
     out: &mut Seg,
-) {
+) -> Result<(), ValidationError> {
     out.clear();
     for op in ops {
         match op {
@@ -522,13 +513,13 @@ fn encode_rank(
                 out.push(OpKind::PutNotify, encode_target(rank, *dst, mode, n), *notify, *bytes);
             }
             Op::Notify { dst, notify } => out.push(OpKind::Notify, encode_target(rank, *dst, mode, n), *notify, 0),
-            Op::WaitNotify { ids } if inline_single && ids.len() == 1 => out.push(OpKind::WaitOne, ids[0], 0, 0),
+            Op::WaitNotify { ids } if ids.len() == 1 => out.push(OpKind::WaitOne, ids[0], 0, 0),
             Op::WaitNotify { ids } => {
-                let off = intern_ids(pool, pool_map, ids);
+                let off = intern_ids(pool, pool_map, ids)?;
                 out.push(OpKind::WaitMany, off, ids.len() as u32, 0);
             }
             Op::WaitNotifyAny { ids, count } => {
-                let off = intern_ids(pool, pool_map, ids);
+                let off = intern_ids(pool, pool_map, ids)?;
                 out.push(OpKind::WaitAny, off, ids.len() as u32, *count as u64);
             }
             Op::Send { dst, bytes, tag } => out.push(OpKind::Send, encode_target(rank, *dst, mode, n), *tag, *bytes),
@@ -538,6 +529,7 @@ fn encode_rank(
             Op::Barrier => out.push(OpKind::Barrier, 0, 0, 0),
         }
     }
+    Ok(())
 }
 
 /// Streaming compiler: ranks are pushed one at a time (validated, profiled,
@@ -545,7 +537,6 @@ fn encode_rank(
 /// than one rank's materialized ops.
 struct Compiler {
     n: usize,
-    opts: CompileOptions,
     kinds: Vec<OpKind>,
     arg_a: Vec<u32>,
     arg_b: Vec<u32>,
@@ -569,11 +560,14 @@ struct Compiler {
 }
 
 impl Compiler {
-    fn new(n: usize, opts: CompileOptions) -> Self {
-        assert!(n <= u32::MAX as usize, "rank count exceeds the u32 target-code range");
-        Self {
+    /// Rank ids and arena offsets are stored as `u32` codes: a source
+    /// claiming more ranks is refused before any per-rank table is allocated.
+    fn new(n: usize) -> Result<Self, ValidationError> {
+        if n > u32::MAX as usize {
+            return Err(ValidationError::CodeRangeExceeded { what: "rank count", value: n });
+        }
+        Ok(Self {
             n,
-            opts,
             kinds: Vec::new(),
             arg_a: Vec::new(),
             arg_b: Vec::new(),
@@ -594,11 +588,11 @@ impl Compiler {
             total_ops: 0,
             total_wire_bytes: 0,
             notify_id_bound: 0,
-        }
+        })
     }
 
-    /// Mirror of `Program::comm_profile` and `Program::notify_id_bound`,
-    /// folded online as ranks stream through.
+    /// The [`CommProfile`], op and byte totals and the notification-id
+    /// bound, folded online as ranks stream through.
     fn update_profile(&mut self, rank: RankId, ops: &[Op]) {
         for op in ops {
             match op {
@@ -658,8 +652,7 @@ impl Compiler {
         check_rank_ops(rank, ops, self.n, &mut self.sends, &mut self.recvs)?;
         self.update_profile(rank, ops);
 
-        let inline = self.opts.inline_single_id_waits;
-        encode_rank(rank, self.n, ops, TargetMode::Delta, inline, &mut self.pool, &mut self.pool_map, &mut self.delta);
+        encode_rank(rank, self.n, ops, TargetMode::Delta, &mut self.pool, &mut self.pool_map, &mut self.delta)?;
         let delta_hash = self.delta.content_hash();
         if let Some((start, len)) = self.lookup(delta_hash, TargetMode::Delta, &self.delta) {
             self.entries.push(RankEntry { start, len, mode: TargetMode::Delta });
@@ -670,26 +663,29 @@ impl Compiler {
         // signature, try (and prefer) the xor encoding, which the other
         // hypercube ranks will hit; otherwise insert the delta encoding.
         if xor_encodable(rank, ops) {
-            encode_rank(rank, self.n, ops, TargetMode::Xor, inline, &mut self.pool, &mut self.pool_map, &mut self.xor);
+            encode_rank(rank, self.n, ops, TargetMode::Xor, &mut self.pool, &mut self.pool_map, &mut self.xor)?;
             let xor_hash = self.xor.content_hash();
             if let Some((start, len)) = self.lookup(xor_hash, TargetMode::Xor, &self.xor) {
                 self.entries.push(RankEntry { start, len, mode: TargetMode::Xor });
                 return Ok(());
             }
-            self.insert_segment(xor_hash, TargetMode::Xor);
+            self.insert_segment(xor_hash, TargetMode::Xor)
         } else {
-            self.insert_segment(delta_hash, TargetMode::Delta);
+            self.insert_segment(delta_hash, TargetMode::Delta)
         }
-        Ok(())
     }
 
     /// Append the scratch segment for `mode` to the arena and index it.
-    fn insert_segment(&mut self, hash: u64, mode: TargetMode) {
+    fn insert_segment(&mut self, hash: u64, mode: TargetMode) -> Result<(), ValidationError> {
         let seg = match mode {
             TargetMode::Delta => &self.delta,
             TargetMode::Xor => &self.xor,
         };
-        let start = u32::try_from(self.kinds.len()).expect("compiled arena exceeds u32::MAX stored ops");
+        let stored = self.kinds.len() + seg.k.len();
+        if stored > u32::MAX as usize {
+            return Err(ValidationError::CodeRangeExceeded { what: "stored op count", value: stored });
+        }
+        let start = self.kinds.len() as u32;
         let len = seg.k.len() as u32;
         self.kinds.extend_from_slice(&seg.k);
         self.arg_a.extend_from_slice(&seg.a);
@@ -697,6 +693,7 @@ impl Compiler {
         self.arg_c.extend_from_slice(&seg.c);
         self.seg_map.entry(hash).or_default().push(SegCand { start, len, mode });
         self.entries.push(RankEntry { start, len, mode });
+        Ok(())
     }
 
     fn finish(self) -> Result<CompiledProgram, ValidationError> {
@@ -731,13 +728,8 @@ impl CompiledProgram {
     /// calling [`Program::compile`] — same validation, same arena, same
     /// simulation results — in O(ops) instead of O(p · ops) memory.
     pub fn from_source<S: ProgramSource>(source: &S) -> Result<Self, ValidationError> {
-        Self::from_source_with(source, CompileOptions::default())
-    }
-
-    /// [`Self::from_source`] with explicit [`CompileOptions`].
-    pub fn from_source_with<S: ProgramSource>(source: &S, opts: CompileOptions) -> Result<Self, ValidationError> {
         let n = source.num_ranks();
-        let mut compiler = Compiler::new(n, opts);
+        let mut compiler = Compiler::new(n)?;
         let mut scratch = Vec::new();
         for rank in 0..n {
             scratch.clear();
@@ -768,8 +760,7 @@ impl CompiledProgram {
         self.notify_id_bound
     }
 
-    /// The communication profile folded during compilation (identical to
-    /// `Program::comm_profile` of the materialized equivalent).
+    /// The communication profile folded during compilation.
     pub fn profile(&self) -> &CommProfile {
         &self.profile
     }
@@ -946,12 +937,7 @@ impl Program {
     /// (see [`CompiledProgram`]).  Validates while encoding: returns exactly
     /// the error [`mod@crate::validate`] would.
     pub fn compile(&self) -> Result<CompiledProgram, ValidationError> {
-        self.compile_with(CompileOptions::default())
-    }
-
-    /// [`Self::compile`] with explicit [`CompileOptions`].
-    pub fn compile_with(&self, opts: CompileOptions) -> Result<CompiledProgram, ValidationError> {
-        let mut compiler = Compiler::new(self.num_ranks(), opts);
+        let mut compiler = Compiler::new(self.num_ranks())?;
         for (rank, rp) in self.ranks.iter().enumerate() {
             compiler.push_rank(rank, &rp.ops)?;
         }
@@ -1039,6 +1025,8 @@ mod tests {
         assert_eq!(c.total_wire_bytes(), p.total_wire_bytes());
         assert_eq!(c.notify_id_bound(), p.notify_id_bound());
         assert_eq!(*c.profile(), p.comm_profile());
+        // Single-id waits are inlined in their op records, not pooled.
+        assert_eq!(c.memory_stats().pool_ids, 0);
     }
 
     #[test]
@@ -1078,20 +1066,6 @@ mod tests {
     }
 
     #[test]
-    fn pooled_waits_option_roundtrips_identically() {
-        let p = ring_program(16, 2);
-        let inline = p.compile().unwrap();
-        let pooled = p.compile_with(CompileOptions { inline_single_id_waits: false }).unwrap();
-        for rank in 0..16 {
-            assert_eq!(decoded(&inline, rank), decoded(&pooled, rank), "rank {rank}");
-        }
-        // The pooled form stores the single-id lists in the pool; the inline
-        // form stores none of them there.
-        assert_eq!(inline.memory_stats().pool_ids, 0);
-        assert!(pooled.memory_stats().pool_ids > 0);
-    }
-
-    #[test]
     fn wait_id_lists_intern_by_content() {
         let mut b = ProgramBuilder::new(2);
         b.put_notify(0, 1, 64, 0);
@@ -1109,8 +1083,29 @@ mod tests {
     fn compile_reports_validation_errors() {
         let mut b = ProgramBuilder::new(2);
         b.wait_notify(0, &[4, 4]);
-        let err = b.build().compile().unwrap_err();
+        let bad = b.build();
+        let err = bad.compile().unwrap_err();
         assert_eq!(err, ValidationError::DuplicateWaitId { rank: 0, op_index: 0, id: 4 });
+        // The streaming path and the stand-alone validator say the same.
+        assert_eq!(CompiledProgram::from_source(&bad).unwrap_err(), err);
+        assert_eq!(crate::validate::validate(&bad, 2).unwrap_err(), err);
+    }
+
+    #[test]
+    fn rank_count_beyond_the_code_range_is_an_error_not_a_panic() {
+        /// Claims more ranks than a `u32` target code can name.
+        struct TooManyRanks;
+        impl ProgramSource for TooManyRanks {
+            fn num_ranks(&self) -> usize {
+                u32::MAX as usize + 1
+            }
+            fn rank_ops(&self, _rank: RankId, _out: &mut Vec<Op>) {
+                panic!("the rank count is refused before any rank is materialized");
+            }
+        }
+        let err = CompiledProgram::from_source(&TooManyRanks).unwrap_err();
+        assert_eq!(err, ValidationError::CodeRangeExceeded { what: "rank count", value: u32::MAX as usize + 1 });
+        assert!(err.to_string().contains("rank count"), "{err}");
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!
 //! Under these conditions each rank's op chain can *burst-execute*: local
 //! ops advance the rank's clock inline, puts compute their full wire timing
-//! immediately (the same formulas as the strict engine's `schedule_wire`)
+//! immediately (`engine::wire_timing`, the function the strict loop calls)
 //! and append the arrival to the destination's FIFO, and notification waits
 //! drain that FIFO by visible time.  No global event queue, no heap
 //! traffic — the scheduler cost per op drops to a few arithmetic ops.
@@ -68,7 +68,7 @@ use std::sync::{Barrier, Mutex};
 use crate::cluster::{ClusterSpec, RankId};
 use crate::compiled::{CompiledProgram, IdsRef, OpView};
 use crate::cost::CostModel;
-use crate::engine::SimError;
+use crate::engine::{consume_notifications, note_arrival, wire_timing, Nics, SimError};
 use crate::metrics::EngineMetrics;
 use crate::program::{CommProfile, NotifyId};
 use crate::report::{RankStats, RunReport};
@@ -133,41 +133,6 @@ impl DfRank {
     }
 }
 
-/// Record an arrival against the rank's counter slice (the strict engine's
-/// `on_notify` bookkeeping: out-of-range ids are counted but can never
-/// satisfy a wait).
-#[inline]
-fn note_arrival(r: &mut DfRank, counts: &mut [u32], id: NotifyId) {
-    if let Some(c) = counts.get_mut(id as usize) {
-        *c += 1;
-    }
-    r.stats.notifications_received += 1;
-}
-
-/// Exact mirror of the strict engine's `consume_notifications`: if at least
-/// `count` of `ids` have unconsumed arrivals, consume one from each of the
-/// first `count` available ids in listed order.
-fn consume(r: &mut DfRank, counts: &mut [u32], ids: IdsRef<'_>, count: usize) -> bool {
-    let need = count.min(ids.len());
-    let available = ids.iter().filter(|&id| counts.get(id as usize).is_some_and(|&c| c > 0)).count();
-    if available < need {
-        return false;
-    }
-    let mut taken = 0usize;
-    for id in ids.iter() {
-        if taken == need {
-            break;
-        }
-        let c = &mut counts[id as usize];
-        if *c > 0 {
-            *c -= 1;
-            taken += 1;
-        }
-    }
-    r.stats.notifications_consumed += taken as u64;
-    true
-}
-
 /// Complete a satisfied wait: unpark, advance the clock and pc, account.
 #[inline]
 fn finish_wait(r: &mut DfRank, at: f64, waited: f64) {
@@ -200,6 +165,10 @@ enum WaitOutcome {
 /// unblocking at `visible + notify_overhead` like the strict `on_notify`.
 /// The split point is a *virtual* time, so the outcome is independent of
 /// when (in wall-clock terms) arrivals reached the FIFO.
+// `always`: with the shared wait rule inlined into it this is too large for
+// the inliner to place at `run_rank`'s three call sites by itself, and as a
+// call it cost `ring_dataflow` 8 % wall (0 of 10 pairs won).
+#[inline(always)]
 fn try_finish_wait(
     r: &mut DfRank,
     counts: &mut [u32],
@@ -213,16 +182,16 @@ fn try_finish_wait(
             break;
         }
         let (_, id) = r.fifo.pop_front().expect("front exists");
-        note_arrival(r, counts, id);
+        note_arrival(counts, &mut r.stats, id);
     }
-    if consume(r, counts, ids, count) {
+    if consume_notifications(counts, &mut r.stats, ids, count) {
         let end = bs + notify_overhead;
         finish_wait(r, end, 0.0);
         return WaitOutcome::Immediate { end };
     }
     while let Some((v, id)) = r.fifo.pop_front() {
-        note_arrival(r, counts, id);
-        if consume(r, counts, ids, count) {
+        note_arrival(counts, &mut r.stats, id);
+        if consume_notifications(counts, &mut r.stats, ids, count) {
             let end = v + notify_overhead;
             finish_wait(r, end, end - bs);
             return WaitOutcome::Waited { from: bs, end };
@@ -497,62 +466,36 @@ impl<'a> Shard<'a> {
         self.trace_own(li, end, TraceKind::OpEnd, Some(pc), TraceDetail::None);
     }
 
-    /// One-sided put (or zero-byte notify): the exact wire-timing formulas
-    /// of the strict engine's `schedule_put`/`schedule_wire`, evaluated
-    /// inline.
+    /// One-sided put (or zero-byte notify) over the alpha-beta wire.
     fn exec_put(&mut self, li: usize, src: RankId, dst: RankId, bytes: u64, notify: NotifyId, pc: usize) {
         let cost = self.cost;
-        let same = self.cluster.same_node(src, dst);
-        let src_node = self.cluster.node_of(src);
-        let dst_node = self.cluster.node_of(dst);
-        let mut ser = cost.serialization(bytes, cost.beta_one_sided(same));
-        let mut alpha = cost.alpha(same);
-        if let Some(inst) = self.scenario {
-            alpha *= inst.link_alpha_scale(src_node, dst_node);
-            ser *= inst.link_beta_scale(src_node, dst_node);
-        }
+        let nodes = (self.cluster.node_of(src), self.cluster.node_of(dst));
+        let beta = cost.beta_one_sided(nodes.0 == nodes.1);
         let r = &mut self.ranks[li];
         let launch = r.clock + cost.o_send;
-        let mut tx_start = launch.max(r.tx_free);
-        if !same {
-            tx_start = tx_start.max(self.node_tx_free[src_node]);
-        }
-        let tx_done = tx_start + ser;
-        r.tx_free = tx_done;
-        if !same {
-            self.node_tx_free[src_node] = tx_done;
-        }
-        let mut rx_start = tx_start + alpha;
-        if !same {
-            rx_start = rx_start.max(self.node_rx_free[dst_node]);
-        }
-        let delivered = rx_start + ser;
-        if !same {
-            self.node_rx_free[dst_node] = delivered;
-        }
+        let nics = Nics { rank_tx: &mut r.tx_free, node_tx: &mut self.node_tx_free, node_rx: &mut self.node_rx_free };
+        let w = wire_timing(cost, self.scenario, nodes, bytes, beta, launch, nics);
         r.stats.bytes_sent += bytes;
         r.stats.messages_sent += 1;
-        r.max_tx_done = r.max_tx_done.max(tx_done);
+        r.max_tx_done = r.max_tx_done.max(w.tx_done);
         r.pc += 1;
         r.clock = launch;
         r.stats.finish_time = r.stats.finish_time.max(launch);
-        let visible = delivered + cost.notify_overhead;
+        let visible = w.delivered + cost.notify_overhead;
         if self.tracing {
             let flow = ((src as u64) << 32) | r.flow_seq;
             r.flow_seq += 1;
             let label = MsgLabel::Notify(notify);
             // Same per-op order as the strict engine: OpStart (already
             // emitted by the caller), MsgInjected, OpEnd, plus the
-            // future-dated arrival on the destination's channel with the
-            // identical queue/wire decomposition as `schedule_wire`.
-            let queue = (tx_start - launch) + (rx_start - (tx_start + alpha));
+            // future-dated arrival on the destination's channel.
             self.trace_own(li, launch, TraceKind::MsgInjected, None, TraceDetail::Inject { dst, bytes, label, flow });
             self.trace_own(li, launch, TraceKind::OpEnd, Some(pc), TraceDetail::None);
             self.trace_arrival(
                 visible,
                 dst,
                 TraceKind::NotifyVisible,
-                TraceDetail::Arrival { src, bytes, label, flow, inject: launch, queue, wire: ser },
+                TraceDetail::Arrival { src, bytes, label, flow, inject: launch, queue: w.queue, wire: w.ser },
             );
         }
         self.deliver(Arrival { dst, visible, notify, bytes });

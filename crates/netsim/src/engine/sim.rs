@@ -1,0 +1,843 @@
+//! The strict event loop: every rank's non-local operations, in one global
+//! `(time, rank, seq)` order.
+
+use std::collections::{HashMap, VecDeque};
+
+use super::net::{wire_timing, FlowMeta, InjectQueue, NetSim, Nics};
+use super::{time_backstep_tolerance, SimError};
+#[cfg(not(test))]
+use crate::calendar::CalendarQueue;
+use crate::calendar::Timed;
+use crate::cluster::{ClusterSpec, RankId};
+use crate::compiled::{CompiledProgram, IdsRef, OpView};
+use crate::cost::{CostModel, Protocol};
+use crate::fabric::FlowId;
+use crate::metrics::EngineMetrics;
+use crate::program::{NotifyId, Tag};
+use crate::report::{RankStats, RunReport};
+use crate::scenario::ScenarioInstance;
+use crate::trace::{BlockReason, MsgLabel, Trace, TraceDetail, TraceEvent, TraceFilter, TraceKind, ARRIVAL_SEQ};
+
+pub(super) type MsgId = u64;
+
+/// A `u64` event payload aligned like a `u32`, so that [`EventKind`] packs
+/// behind [`Event::rank`] without padding.
+#[derive(Debug, Clone, Copy, PartialEq)]
+#[repr(Rust, packed(4))]
+pub(super) struct Word(pub(super) u64);
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(super) enum EventKind {
+    /// The rank should try to execute its next operation.
+    Resume,
+    /// A two-sided message from rank `src` was fully delivered into the
+    /// rank's memory.
+    Delivered { src: u32, tag: Tag, bytes: Word },
+    /// A one-sided notification became visible at the rank.
+    NotifyVisible { notify: NotifyId },
+    /// A transfer injected by the rank finished leaving its NIC.
+    TxDone { msg: Word },
+    /// The head of the rank's fabric injection queue is ready to launch.
+    FlowLaunch,
+    /// Re-estimate fabric flows: the earliest completion (as of `epoch`) is
+    /// due.  Ticks from older epochs are stale and ignored — rates changed
+    /// since, and a fresher tick is already in the queue.
+    FabricTick { epoch: Word },
+}
+
+/// Ranks travel as `u32` (compilation caps the rank count there).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(super) struct Event {
+    pub(super) time: f64,
+    seq: u64,
+    rank: u32,
+    pub(super) kind: EventKind,
+}
+
+// Every strict-loop event is copied into a bucket, sorted there and copied
+// out again: its size is the loop's memory traffic.
+const _: () = assert!(size_of::<Event>() == 40);
+
+impl Eq for Event {}
+impl PartialOrd for Event {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Event {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        // Time ties break by `(rank, seq)`, not by `seq` alone: the global
+        // sequence number is an *insertion* order, which is scheduling
+        // dependent as soon as events can originate from concurrent shards.
+        // The rank id is stable under any partitioning, so equal-time events
+        // of different ranks order identically no matter where they were
+        // produced; `seq` only disambiguates same-rank same-time events,
+        // whose relative insertion order is defined by the rank's own
+        // (deterministic) execution.
+        self.time.total_cmp(&other.time).then_with(|| self.rank.cmp(&other.rank)).then_with(|| self.seq.cmp(&other.seq))
+    }
+}
+
+impl Timed for Event {
+    fn time(&self) -> f64 {
+        self.time
+    }
+}
+
+/// The strict loop's pending-event store, popped in `(time, rank, seq)`
+/// order: the bucketed calendar queue.  Test builds wrap it in an enum whose
+/// other arm is the global binary heap the queue is checked against.
+#[cfg(not(test))]
+type EventQueue = CalendarQueue<Event>;
+#[cfg(test)]
+use super::tests::EventQueue;
+
+/// What a rank is blocked on.  Notification waits borrow their id list
+/// straight from the compiled program's arena — blocking allocates nothing.
+#[derive(Debug, Clone, Copy)]
+enum Blocked<'a> {
+    Recv { src: RankId, tag: Tag },
+    Notify { ids: IdsRef<'a>, count: usize },
+    SendTxDone { msg: MsgId },
+    WaitAllSends,
+    Barrier,
+}
+
+impl Blocked<'_> {
+    fn describe(&self) -> String {
+        match self {
+            Blocked::Recv { src, tag } => format!("recv from {src} tag {tag}"),
+            Blocked::Notify { ids, count } => format!("waiting for {count} of notifications {ids:?}"),
+            Blocked::SendTxDone { msg } => format!("blocking send, message {msg}"),
+            Blocked::WaitAllSends => "waiting for outstanding sends".to_owned(),
+            Blocked::Barrier => "barrier".to_owned(),
+        }
+    }
+}
+
+#[derive(Debug, Clone)]
+struct PendingRendezvous {
+    msg: MsgId,
+    bytes: u64,
+    send_time: f64,
+}
+
+/// What a transfer raises at its destination when it lands.
+#[derive(Debug, Clone, Copy)]
+pub(super) enum FlowKind {
+    /// One-sided put: raise `notify` at the destination; `msg` feeds
+    /// `WaitAllSends` accounting when the sender tracks completions.
+    Put { notify: NotifyId, msg: Option<MsgId> },
+    /// Two-sided transfer: deliver `(src, tag)` and release the sender.
+    TwoSided { tag: Tag, msg: MsgId },
+}
+
+/// One inter-rank transfer, as its delivery and its trace events see it.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct Transfer {
+    pub(super) src: RankId,
+    pub(super) dst: RankId,
+    /// Logical payload bytes.
+    pub(super) bytes: u64,
+    pub(super) kind: FlowKind,
+    /// Virtual time the transfer was injected (after the injection overhead
+    /// or the rendezvous clear-to-send); a fabric flow launches no earlier.
+    pub(super) inject: f64,
+    /// Trace flow id pairing the injection with the arrival (0 untraced).
+    pub(super) flow: u64,
+}
+
+#[derive(Debug)]
+pub(super) struct RankSim<'a> {
+    pc: usize,
+    done: bool,
+    blocked: Option<Blocked<'a>>,
+    blocked_since: f64,
+    /// Fully arrived two-sided messages without a matching posted receive.
+    unexpected: HashMap<(RankId, Tag), VecDeque<(f64, u64)>>,
+    /// Rendezvous senders waiting for this rank to post a matching receive.
+    pending_rndv: HashMap<(RankId, Tag), VecDeque<PendingRendezvous>>,
+    /// Number of this rank's transfers still in flight (for WaitAllSends).
+    outstanding_sends: usize,
+    /// This rank's rendezvous sends still parked in a receiver's
+    /// `pending_rndv`: the receiver's `Recv` will record their `MsgInjected`
+    /// on this rank's trace channel (see `Sim::resume_after_local_ops`).
+    pub(super) parked_sends: u32,
+    /// Earliest time this rank's injection path is free again.
+    tx_free: f64,
+    /// Duration multiplier for this rank's local operations (scenario).
+    compute_scale: f64,
+    stats: RankStats,
+}
+
+impl RankSim<'_> {
+    fn new(compute_scale: f64) -> Self {
+        Self {
+            pc: 0,
+            done: false,
+            blocked: None,
+            blocked_since: 0.0,
+            unexpected: HashMap::new(),
+            pending_rndv: HashMap::new(),
+            outstanding_sends: 0,
+            parked_sends: 0,
+            tx_free: 0.0,
+            compute_scale,
+            stats: RankStats { compute_scale, ..RankStats::default() },
+        }
+    }
+}
+
+pub(super) struct Sim<'a> {
+    pub(super) cluster: &'a ClusterSpec,
+    pub(super) cost: &'a CostModel,
+    program: &'a CompiledProgram,
+    tracing: bool,
+    pub(super) scenario: Option<ScenarioInstance>,
+    pub(super) now: f64,
+    seq: u64,
+    next_msg: MsgId,
+    pub(super) events: EventQueue,
+    pub(super) ranks: Vec<RankSim<'a>>,
+    /// Dense notification counters (notify id -> unconsumed arrivals) for all
+    /// ranks, flattened into one allocation; rank `r`'s counters live at
+    /// `notify_counts[notify_off[r]..notify_off[r + 1]]`, sized by the largest
+    /// id the rank waits on or can receive.
+    notify_counts: Vec<u32>,
+    /// Per-rank prefix offsets into `notify_counts` (length `n + 1`).
+    notify_off: Vec<usize>,
+    /// Ranks that execute `WaitAllSends` and therefore need `TxDone` events
+    /// for their one-sided puts (borrowed from the compiled program's
+    /// profile).
+    tracks_put_tx: &'a [bool],
+    node_tx_free: Vec<f64>,
+    node_rx_free: Vec<f64>,
+    /// Ranks waiting in the current barrier and the latest arrival so far.
+    barrier_arrived: usize,
+    barrier_latest: f64,
+    /// Contention backend — flow-level solver or per-packet simulator
+    /// (None: the alpha-beta path prices all inter-node transfers).
+    pub(super) fabric: Option<NetSim>,
+    /// Engine-side metadata per fabric flow, indexed by [`FlowId`].
+    pub(super) flow_meta: Vec<Option<FlowMeta>>,
+    /// Per-rank fabric injection pipelines.
+    pub(super) inject: Vec<InjectQueue>,
+    /// Scratch buffers for completed-flow ids and their detached metadata
+    /// (recycled across ticks).
+    pub(super) completed_buf: Vec<FlowId>,
+    pub(super) meta_buf: Vec<FlowMeta>,
+    /// The kept events, per rank (no streams untraced).
+    trace: Trace,
+    /// Per-rank sequence counters for a rank's own events (empty untraced).
+    trace_seq: Vec<u64>,
+    /// Per-destination counters for the arrival sequence channel
+    /// (`ARRIVAL_SEQ | n`; empty untraced).
+    arrival_seq: Vec<u64>,
+    /// Per-source counters minting trace flow ids (empty untraced).
+    flow_seq: Vec<u64>,
+    metrics: EngineMetrics,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Local ops this thread's runs fused in `Sim::resume_after_local_ops`
+    /// (the differential tests reset and read it around a run).
+    pub(super) static FUSED_OPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// The typed trace reason of a blocked state.
+fn block_reason(b: &Blocked<'_>) -> BlockReason {
+    match b {
+        Blocked::Recv { src, tag } => BlockReason::Recv { src: *src, tag: *tag },
+        Blocked::Notify { .. } => BlockReason::Notify,
+        Blocked::SendTxDone { .. } => BlockReason::SendTxDone,
+        Blocked::WaitAllSends => BlockReason::AllSends,
+        Blocked::Barrier => BlockReason::Barrier,
+    }
+}
+
+/// Count an arrival of `id` in one rank's per-id counters.  An id no listed
+/// wait can reference may exceed the rank's dense range; it can never
+/// satisfy a wait, so it is only tallied.
+#[inline]
+pub(crate) fn note_arrival(counts: &mut [u32], stats: &mut RankStats, id: NotifyId) {
+    if let Some(c) = counts.get_mut(id as usize) {
+        *c += 1;
+    }
+    stats.notifications_received += 1;
+}
+
+/// The wait rule of both execution paths.  `counts` holds one rank's
+/// unconsumed arrivals per notification id.  If at least `count` of `ids`
+/// have one, consume exactly `count` arrivals — one from each of the first
+/// `count` available ids in listed order — and return true.  Arrivals beyond
+/// `count` are left for later waits: a `WaitNotifyAny { count }` must never
+/// drain ids a subsequent wait depends on.
+#[inline]
+pub(crate) fn consume_notifications(counts: &mut [u32], stats: &mut RankStats, ids: IdsRef<'_>, count: usize) -> bool {
+    let need = count.min(ids.len());
+    let available = ids.iter().filter(|&id| counts.get(id as usize).is_some_and(|&c| c > 0)).count();
+    if available < need {
+        return false;
+    }
+    let mut taken = 0usize;
+    for id in ids.iter() {
+        if taken == need {
+            break;
+        }
+        let c = &mut counts[id as usize];
+        if *c > 0 {
+            *c -= 1;
+            taken += 1;
+        }
+    }
+    stats.notifications_consumed += taken as u64;
+    true
+}
+
+impl<'a> Sim<'a> {
+    pub(super) fn new(
+        cluster: &'a ClusterSpec,
+        cost: &'a CostModel,
+        program: &'a CompiledProgram,
+        tracing: bool,
+        filter: TraceFilter,
+        scenario: Option<ScenarioInstance>,
+        fabric: Option<NetSim>,
+    ) -> Self {
+        let profile = program.profile();
+        let n = program.num_ranks();
+        let ranks = (0..n)
+            .map(|r| {
+                let scale = scenario.as_ref().map_or(1.0, |s| s.compute_scale(cluster.node_of(r)));
+                RankSim::new(scale)
+            })
+            .collect();
+        let mut notify_off = Vec::with_capacity(n + 1);
+        let mut acc = 0usize;
+        notify_off.push(0);
+        for &bound in &profile.notify_bounds {
+            acc += bound;
+            notify_off.push(acc);
+        }
+        Self {
+            cluster,
+            cost,
+            program,
+            tracing,
+            scenario,
+            now: 0.0,
+            seq: 0,
+            next_msg: 0,
+            // Pooled event storage: pre-size the queue so the steady state
+            // never reallocates (peak occupancy is bounded by the number of
+            // ranks plus in-flight transfers).  The calendar bucket width is
+            // the smallest link latency — the natural spacing between a
+            // transfer's injection and its delivery, so a bucket holds about
+            // one wave of events.
+            events: EventQueue::new(cost.alpha_intra.min(cost.alpha_inter), 4 * n + 64),
+            ranks,
+            notify_counts: vec![0; acc],
+            notify_off,
+            tracks_put_tx: &profile.waits_sends,
+            node_tx_free: vec![0.0; cluster.nodes],
+            node_rx_free: vec![0.0; cluster.nodes],
+            barrier_arrived: 0,
+            barrier_latest: 0.0,
+            inject: if fabric.is_some() { (0..n).map(|_| InjectQueue::default()).collect() } else { Vec::new() },
+            fabric,
+            flow_meta: Vec::new(),
+            completed_buf: Vec::new(),
+            meta_buf: Vec::new(),
+            trace: if tracing { Trace::new(filter, n) } else { Trace::default() },
+            trace_seq: if tracing { vec![0; n] } else { Vec::new() },
+            arrival_seq: if tracing { vec![0; n] } else { Vec::new() },
+            flow_seq: if tracing { vec![0; n] } else { Vec::new() },
+            metrics: EngineMetrics::default(),
+        }
+    }
+
+    pub(super) fn push_event(&mut self, time: f64, rank: RankId, kind: EventKind) {
+        let seq = self.seq;
+        self.seq += 1;
+        self.metrics.events_scheduled += 1;
+        self.events.push(Event { time, seq, rank: rank as u32, kind });
+    }
+
+    /// Record an event on `rank`'s own sequence channel.  The counter
+    /// advances even for filtered-out ranks, so a windowed trace is a
+    /// strict subset of the full one.
+    #[inline]
+    fn trace_own(&mut self, time: f64, rank: RankId, kind: TraceKind, op_index: Option<usize>, detail: TraceDetail) {
+        if !self.tracing {
+            return;
+        }
+        let seq = self.trace_seq[rank];
+        self.trace_seq[rank] += 1;
+        self.trace.record(TraceEvent::new(time, rank, kind, op_index, seq, detail));
+    }
+
+    /// Record a message arrival on the destination's arrival sequence
+    /// channel.  Arrivals are emitted (future-dated) when their timing is
+    /// decided, not when the event fires; with several writers a rank's
+    /// arrival stream is therefore put in time order when the run ends.
+    #[inline]
+    fn trace_arrival(&mut self, time: f64, dst: RankId, kind: TraceKind, detail: TraceDetail) {
+        if !self.tracing {
+            return;
+        }
+        let seq = ARRIVAL_SEQ | self.arrival_seq[dst];
+        self.arrival_seq[dst] += 1;
+        self.trace.record(TraceEvent::new(time, dst, kind, None, seq, detail));
+    }
+
+    /// Mint a flow id pairing an injection with its arrival (0 untraced).
+    #[inline]
+    fn next_flow(&mut self, src: RankId) -> u64 {
+        if !self.tracing {
+            return 0;
+        }
+        let c = self.flow_seq[src];
+        self.flow_seq[src] += 1;
+        ((src as u64) << 32) | c
+    }
+
+    pub(super) fn run(mut self) -> Result<RunReport, SimError> {
+        for r in 0..self.program.num_ranks() {
+            self.resume_after_local_ops(r, 0.0);
+        }
+        while let Some(ev) = self.events.pop() {
+            // Relative tolerance: an absolute epsilon (1e-15 historically)
+            // is below one ulp once the makespan passes ~5 ms, so legitimate
+            // rounding ties tripped the guard on long runs.
+            debug_assert!(
+                ev.time + time_backstep_tolerance(self.now) >= self.now,
+                "time must not run backwards: event at {} behind clock {}",
+                ev.time,
+                self.now
+            );
+            self.now = self.now.max(ev.time);
+            let rank = ev.rank as RankId;
+            match ev.kind {
+                EventKind::Resume => self.step_rank(rank, ev.time),
+                EventKind::Delivered { src, tag, bytes } => {
+                    self.on_delivered(rank, src as RankId, tag, bytes.0, ev.time);
+                }
+                EventKind::NotifyVisible { notify } => self.on_notify(rank, notify, ev.time),
+                EventKind::TxDone { msg } => self.on_tx_done(rank, msg.0, ev.time),
+                EventKind::FlowLaunch => self.on_flow_launch(rank, ev.time),
+                EventKind::FabricTick { epoch } => self.on_fabric_tick(epoch.0, ev.time),
+            }
+        }
+        let blocked: Vec<_> = self
+            .ranks
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| !r.done)
+            .map(|(i, r)| {
+                let what = r.blocked.as_ref().map_or_else(|| "not scheduled".to_owned(), Blocked::describe);
+                (i, r.pc, what)
+            })
+            .collect();
+        if !blocked.is_empty() {
+            return Err(SimError::Deadlock { blocked });
+        }
+        let links = self.fabric.as_ref().map_or_else(Vec::new, |f| f.finish(&mut self.metrics));
+        self.metrics.calendar_bucket_sorts = self.events.sorts();
+        let ranks = self.ranks.into_iter().map(|r| r.stats).collect();
+        self.trace.seal();
+        self.metrics.trace_events = self.trace.len() as u64;
+        Ok(RunReport { ranks, links, trace: self.trace, summary: None, metrics: self.metrics })
+    }
+
+    /// Resume a rank that was blocked, accounting the wait time.
+    fn unblock(&mut self, rank: RankId, at: f64) {
+        let r = &mut self.ranks[rank];
+        debug_assert!(r.blocked.is_some());
+        let reason = r.blocked.as_ref().map(block_reason);
+        r.stats.wait_time += (at - r.blocked_since).max(0.0);
+        r.blocked = None;
+        // Hoist the op index *before* mutating the pc: BlockEnd must pair
+        // with the BlockStart that `block()` emitted for the same op.
+        let op_index = r.pc;
+        r.pc += 1;
+        let detail = reason.map_or(TraceDetail::None, |reason| TraceDetail::Block { reason });
+        self.trace_own(at, rank, TraceKind::BlockEnd, Some(op_index), detail);
+        self.resume_after_local_ops(rank, at);
+    }
+
+    fn block(&mut self, rank: RankId, at: f64, why: Blocked<'a>) {
+        let pc = self.ranks[rank].pc;
+        self.trace_own(at, rank, TraceKind::BlockStart, Some(pc), TraceDetail::Block { reason: block_reason(&why) });
+        let r = &mut self.ranks[rank];
+        r.blocked = Some(why);
+        r.blocked_since = at;
+    }
+
+    /// Execute the next operation of `rank` starting at time `t`.
+    fn step_rank(&mut self, rank: RankId, t: f64) {
+        if self.ranks[rank].blocked.is_some() || self.ranks[rank].done {
+            return;
+        }
+        let pc = self.ranks[rank].pc;
+        // Copy the program reference out of `self` so the decoded operation's
+        // borrowed id lists have the full `'a` lifetime — the hot loop never
+        // materializes an `Op`.
+        let program = self.program;
+        let view = program.rank_ops(rank);
+        if pc >= view.len() {
+            let r = &mut self.ranks[rank];
+            r.done = true;
+            r.stats.finish_time = r.stats.finish_time.max(t);
+            return;
+        }
+        let op = view.op(pc);
+        if let Some(end) = self.exec_local(rank, pc, op, t) {
+            // A `Resume` lands on a local op only where the chain before it
+            // held back (a parked rendezvous send).
+            self.resume_after_local_ops(rank, end);
+            return;
+        }
+        self.trace_own(t, rank, TraceKind::OpStart, Some(pc), TraceDetail::Op { op: op.class() });
+        self.ranks[rank].stats.finish_time = self.ranks[rank].stats.finish_time.max(t);
+        match op {
+            OpView::Compute { .. } | OpView::Reduce { .. } | OpView::Copy { .. } => {
+                unreachable!("local ops are executed above")
+            }
+            OpView::PutNotify { dst, bytes, notify } => {
+                let launch = t + self.cost.o_send;
+                self.schedule_put(rank, dst, bytes, notify, launch);
+                self.advance(rank, launch);
+            }
+            OpView::Notify { dst, notify } => {
+                let launch = t + self.cost.o_send;
+                self.schedule_put(rank, dst, 0, notify, launch);
+                self.advance(rank, launch);
+            }
+            OpView::WaitNotify { ids } => {
+                self.try_wait_notify(rank, t, ids, ids.len());
+            }
+            OpView::WaitNotifyAny { ids, count } => {
+                self.try_wait_notify(rank, t, ids, count);
+            }
+            OpView::Send { dst, bytes, tag } => self.exec_send(rank, dst, bytes, tag, t, true),
+            OpView::Isend { dst, bytes, tag } => self.exec_send(rank, dst, bytes, tag, t, false),
+            OpView::Recv { src, tag, .. } => self.exec_recv(rank, src, tag, t),
+            OpView::WaitAllSends => {
+                if self.ranks[rank].outstanding_sends == 0 {
+                    self.advance(rank, t);
+                } else {
+                    self.block(rank, t, Blocked::WaitAllSends);
+                }
+            }
+            OpView::Barrier => self.exec_barrier(rank, t),
+        }
+    }
+
+    /// Execute `rank`'s op at `pc` from time `t` if it is purely local — its
+    /// nominal duration scaled by the rank's scenario compute factor — and
+    /// return the time it ends; `None` for an op that touches the network,
+    /// another rank or the barrier.
+    fn exec_local(&mut self, rank: RankId, pc: usize, op: OpView<'_>, t: f64) -> Option<f64> {
+        let d = match op {
+            OpView::Compute { seconds } => seconds.max(0.0),
+            OpView::Reduce { bytes } => self.cost.reduce_time(bytes),
+            OpView::Copy { bytes } => self.cost.copy_time(bytes),
+            _ => return None,
+        };
+        self.trace_own(t, rank, TraceKind::OpStart, Some(pc), TraceDetail::Op { op: op.class() });
+        let r = &mut self.ranks[rank];
+        let d = d * r.compute_scale;
+        r.stats.compute_time += d;
+        r.stats.finish_time = r.stats.finish_time.max(t + d);
+        r.pc += 1;
+        self.trace_own(t + d, rank, TraceKind::OpEnd, Some(pc), TraceDetail::None);
+        Some(t + d)
+    }
+
+    /// Local-op fusion: `rank`'s `pc` has just moved and its next op would
+    /// start at `t`; run the local ops that follow right here and push the
+    /// rank's one `Resume` at the time the chain ends.  The loop therefore
+    /// pays the event queue per *non-local* op.
+    ///
+    /// `Compute`, `Reduce` and `Copy` may be fused because they touch only
+    /// `ranks[rank]` (`pc`, `compute_time`, `finish_time`), the rank's own
+    /// trace channel and the cost model — nothing another rank's event reads
+    /// before the chain ends — so running them early, in order, with the same
+    /// arithmetic yields what a `Resume` per op would.  Puts, sends,
+    /// receives, waits and barriers keep their `Resume`: NIC cursors,
+    /// matching and the fabric depend on the global event order.  The chain
+    /// holds back while a rendezvous send of this rank is parked at its
+    /// receiver, whose `Recv` will record the `MsgInjected` on *this* rank's
+    /// trace channel: its sequence number must not depend on how far ahead
+    /// the local ops ran.
+    ///
+    /// Ties: the closing `Resume` takes its queue sequence number when the
+    /// chain starts, not when its last op would have started, so it can
+    /// overtake another event of the same rank at a bit-equal time pushed in
+    /// between: an arrival landing exactly as the chain ends then finds the
+    /// rank already blocked in its wait or receive, where the op used to
+    /// find the arrival — a measure-zero tie like the one `dataflow`
+    /// documents for its path.  On a fabric, a put followed by a local op
+    /// leaves no `Resume` between equal-time `FlowLaunch`es, so
+    /// `on_flow_launch` batches solves it ran one by one: fewer
+    /// `fabric_solves`, same rates.
+    fn resume_after_local_ops(&mut self, rank: RankId, mut t: f64) {
+        let view = self.program.rank_ops(rank);
+        while self.ranks[rank].parked_sends == 0 && self.ranks[rank].pc < view.len() {
+            let pc = self.ranks[rank].pc;
+            let Some(end) = self.exec_local(rank, pc, view.op(pc), t) else { break };
+            t = end;
+            #[cfg(test)]
+            FUSED_OPS.set(FUSED_OPS.get() + 1);
+        }
+        self.push_event(t, rank, EventKind::Resume);
+    }
+
+    /// Advance the program counter past a non-local op that completes at
+    /// `at`, run the local ops behind it and schedule the next step.
+    fn advance(&mut self, rank: RankId, at: f64) {
+        let r = &mut self.ranks[rank];
+        let op_index = r.pc;
+        r.pc += 1;
+        r.stats.finish_time = r.stats.finish_time.max(at);
+        self.trace_own(at, rank, TraceKind::OpEnd, Some(op_index), TraceDetail::None);
+        self.resume_after_local_ops(rank, at);
+    }
+
+    // -- transfers ----------------------------------------------------------
+
+    fn alloc_msg(&mut self) -> MsgId {
+        let id = self.next_msg;
+        self.next_msg += 1;
+        id
+    }
+
+    /// Schedule a one-sided put (or a zero-byte notification) from `src` to
+    /// `dst`, injected at `inject`.
+    fn schedule_put(&mut self, src: RankId, dst: RankId, bytes: u64, notify: NotifyId, inject: f64) {
+        // The TxDone event only feeds `WaitAllSends` accounting; ranks that
+        // never wait for send completion skip it (and the queue traffic), and
+        // a payload-free put through a fabric never raises one.
+        let on_wire = self.fabric.is_none() || self.cluster.same_node(src, dst);
+        let msg = if self.tracks_put_tx[src] && (on_wire || bytes > 0) {
+            self.ranks[src].outstanding_sends += 1;
+            Some(self.alloc_msg())
+        } else {
+            None
+        };
+        self.schedule_transfer(src, dst, bytes, FlowKind::Put { notify, msg }, inject);
+    }
+
+    /// Inject a transfer at `inject`: through the fabric if the run has one
+    /// and the transfer leaves its node, over the alpha-beta wire otherwise.
+    fn schedule_transfer(&mut self, src: RankId, dst: RankId, bytes: u64, kind: FlowKind, inject: f64) {
+        let (src_node, dst_node) = (self.cluster.node_of(src), self.cluster.node_of(dst));
+        let same = src_node == dst_node;
+        let label = match kind {
+            FlowKind::Put { notify, .. } => MsgLabel::Notify(notify),
+            FlowKind::TwoSided { tag, .. } => MsgLabel::Tag(tag),
+        };
+        self.ranks[src].stats.bytes_sent += bytes;
+        self.ranks[src].stats.messages_sent += 1;
+        let flow = self.next_flow(src);
+        self.trace_own(inject, src, TraceKind::MsgInjected, None, TraceDetail::Inject { dst, bytes, label, flow });
+        let x = Transfer { src, dst, bytes, kind, inject, flow };
+        if self.fabric.is_some() && !same {
+            self.fabric_transfer(x);
+            return;
+        }
+        let beta = match kind {
+            FlowKind::Put { .. } => self.cost.beta_one_sided(same),
+            FlowKind::TwoSided { .. } => self.cost.beta_two_sided(same),
+        };
+        let nics = Nics {
+            rank_tx: &mut self.ranks[src].tx_free,
+            node_tx: &mut self.node_tx_free,
+            node_rx: &mut self.node_rx_free,
+        };
+        let w = wire_timing(self.cost, self.scenario.as_ref(), (src_node, dst_node), bytes, beta, inject, nics);
+        self.deliver(x, w.tx_done, w.delivered, w.queue, w.ser);
+    }
+
+    /// A transfer's timing is decided: its sender's NIC is released at
+    /// `tx_done` and its last byte lands in the receiver's memory at
+    /// `landed`.  Push the sender's `TxDone`, then the destination's
+    /// `NotifyVisible` or `Delivered` — in this order, the queue `seq` breaks
+    /// same-rank ties — and record the future-dated arrival with its
+    /// `queue`/`wire` decomposition.
+    pub(super) fn deliver(&mut self, x: Transfer, tx_done: f64, landed: f64, queue: f64, wire: f64) {
+        let to = &mut self.ranks[x.dst].stats;
+        to.bytes_received += x.bytes;
+        to.messages_received += 1;
+        let (at, kind, label) = match x.kind {
+            FlowKind::Put { notify, msg } => {
+                if let Some(msg) = msg {
+                    self.push_event(tx_done, x.src, EventKind::TxDone { msg: Word(msg) });
+                }
+                let visible = landed + self.cost.notify_overhead;
+                self.push_event(visible, x.dst, EventKind::NotifyVisible { notify });
+                (visible, TraceKind::NotifyVisible, MsgLabel::Notify(notify))
+            }
+            FlowKind::TwoSided { tag, msg } => {
+                self.push_event(tx_done, x.src, EventKind::TxDone { msg: Word(msg) });
+                let delivered = EventKind::Delivered { src: x.src as u32, tag, bytes: Word(x.bytes) };
+                self.push_event(landed, x.dst, delivered);
+                (landed, TraceKind::MsgDelivered, MsgLabel::Tag(tag))
+            }
+        };
+        let Transfer { src, bytes, flow, inject, .. } = x;
+        self.trace_arrival(at, x.dst, kind, TraceDetail::Arrival { src, bytes, label, flow, inject, queue, wire });
+    }
+
+    // -- two-sided send / receive -------------------------------------------
+
+    fn exec_send(&mut self, rank: RankId, dst: RankId, bytes: u64, tag: Tag, t: f64, blocking: bool) {
+        let msg = self.alloc_msg();
+        let kind = FlowKind::TwoSided { tag, msg };
+        match self.cost.protocol_for(bytes) {
+            Protocol::Eager => {
+                let launch = t + self.cost.o_send;
+                self.ranks[rank].outstanding_sends += 1;
+                self.schedule_transfer(rank, dst, bytes, kind, launch);
+                // A blocking eager send returns after staging the payload in
+                // an internal buffer; a non-blocking one returns immediately.
+                let local_done = if blocking { launch + self.cost.copy_time(bytes) } else { launch };
+                self.advance(rank, local_done);
+            }
+            Protocol::Rendezvous => {
+                let send_time = t + self.cost.o_send;
+                // Does the receiver already block in a matching receive?
+                let matched = matches!(
+                    &self.ranks[dst].blocked,
+                    Some(Blocked::Recv { src, tag: rtag }) if *src == rank && *rtag == tag
+                );
+                if matched {
+                    let recv_post = self.ranks[dst].blocked_since;
+                    let earliest = send_time.max(recv_post + self.cost.o_recv) + self.cost.rendezvous_latency;
+                    self.schedule_transfer(rank, dst, bytes, kind, earliest);
+                } else {
+                    self.ranks[dst].pending_rndv.entry((rank, tag)).or_default().push_back(PendingRendezvous {
+                        msg,
+                        bytes,
+                        send_time,
+                    });
+                    self.ranks[rank].parked_sends += 1;
+                }
+                self.ranks[rank].outstanding_sends += 1;
+                if blocking {
+                    self.block(rank, t, Blocked::SendTxDone { msg });
+                } else {
+                    self.advance(rank, send_time);
+                }
+            }
+        }
+    }
+
+    fn exec_recv(&mut self, rank: RankId, src: RankId, tag: Tag, t: f64) {
+        let post_done = t + self.cost.o_recv;
+        // 1. Already-arrived (unexpected) eager message?
+        if let Some(q) = self.ranks[rank].unexpected.get_mut(&(src, tag)) {
+            if let Some((delivered, msg_bytes)) = q.pop_front() {
+                if q.is_empty() {
+                    self.ranks[rank].unexpected.remove(&(src, tag));
+                }
+                // Copy out of the unexpected-message buffer.
+                let done = post_done.max(delivered) + self.cost.copy_time(msg_bytes);
+                let waited = (delivered - post_done).max(0.0);
+                self.ranks[rank].stats.wait_time += waited;
+                self.advance(rank, done);
+                return;
+            }
+        }
+        // 2. A rendezvous sender already waiting for this receive?
+        if let Some(q) = self.ranks[rank].pending_rndv.get_mut(&(src, tag)) {
+            if let Some(p) = q.pop_front() {
+                if q.is_empty() {
+                    self.ranks[rank].pending_rndv.remove(&(src, tag));
+                }
+                let earliest = p.send_time.max(post_done) + self.cost.rendezvous_latency;
+                self.ranks[src].parked_sends -= 1;
+                self.block(rank, t, Blocked::Recv { src, tag });
+                self.schedule_transfer(src, rank, p.bytes, FlowKind::TwoSided { tag, msg: p.msg }, earliest);
+                return;
+            }
+        }
+        // 3. Nothing yet: block until a matching message is delivered.
+        self.block(rank, t, Blocked::Recv { src, tag });
+    }
+
+    fn on_delivered(&mut self, dst: RankId, src: RankId, tag: Tag, bytes: u64, t: f64) {
+        // The MsgDelivered trace event was emitted (future-dated) when the
+        // delivery was scheduled, together with its timing decomposition.
+        let matches_block = matches!(
+            &self.ranks[dst].blocked,
+            Some(Blocked::Recv { src: s, tag: rtag }) if *s == src && *rtag == tag
+        );
+        if matches_block {
+            self.unblock(dst, t);
+        } else {
+            self.ranks[dst].unexpected.entry((src, tag)).or_default().push_back((t, bytes));
+        }
+    }
+
+    // -- notifications -------------------------------------------------------
+
+    fn try_wait_notify(&mut self, rank: RankId, t: f64, ids: IdsRef<'a>, count: usize) {
+        if self.consume_notifications(rank, ids, count) {
+            self.advance(rank, t + self.cost.notify_overhead);
+        } else {
+            self.block(rank, t, Blocked::Notify { ids, count });
+        }
+    }
+
+    fn consume_notifications(&mut self, rank: RankId, ids: IdsRef<'_>, count: usize) -> bool {
+        let counts = &mut self.notify_counts[self.notify_off[rank]..self.notify_off[rank + 1]];
+        consume_notifications(counts, &mut self.ranks[rank].stats, ids, count)
+    }
+
+    fn on_notify(&mut self, rank: RankId, notify: NotifyId, t: f64) {
+        // The NotifyVisible trace event was emitted (future-dated) when the
+        // put was scheduled, together with its timing decomposition.
+        let counts = &mut self.notify_counts[self.notify_off[rank]..self.notify_off[rank + 1]];
+        note_arrival(counts, &mut self.ranks[rank].stats, notify);
+        let satisfied = match self.ranks[rank].blocked {
+            Some(Blocked::Notify { ids, count }) => self.consume_notifications(rank, ids, count),
+            _ => false,
+        };
+        if satisfied {
+            self.unblock(rank, t + self.cost.notify_overhead);
+        }
+    }
+
+    // -- send completion ------------------------------------------------------
+
+    fn on_tx_done(&mut self, rank: RankId, msg: MsgId, t: f64) {
+        let r = &mut self.ranks[rank];
+        r.outstanding_sends = r.outstanding_sends.saturating_sub(1);
+        let should_unblock = match &r.blocked {
+            Some(Blocked::SendTxDone { msg: m }) => *m == msg,
+            Some(Blocked::WaitAllSends) => r.outstanding_sends == 0,
+            _ => false,
+        };
+        if should_unblock {
+            self.unblock(rank, t);
+        }
+    }
+
+    // -- barrier ---------------------------------------------------------------
+
+    fn exec_barrier(&mut self, rank: RankId, t: f64) {
+        self.barrier_arrived += 1;
+        self.barrier_latest = self.barrier_latest.max(t);
+        self.block(rank, t, Blocked::Barrier);
+        let n = self.program.num_ranks();
+        if self.barrier_arrived == n {
+            let release = self.barrier_latest + self.cost.barrier_time(n);
+            (self.barrier_arrived, self.barrier_latest) = (0, 0.0);
+            for r in 0..n {
+                self.unblock(r, release);
+            }
+        }
+    }
+}

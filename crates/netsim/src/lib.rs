@@ -16,7 +16,7 @@
 //! * a per-byte reduction cost for local reduction work inside collectives.
 //!
 //! Beyond the alpha–beta links, the engine can price inter-node transfers
-//! through a **flow-level network fabric** ([`NetworkModel::Fabric`]): a
+//! through a **flow-level network fabric** ([`Engine::with_topology`]): a
 //! [`Topology`] of capacitated links (single switch, or a two-level
 //! fat-tree with configurable oversubscription), static shortest-path
 //! routing, and max-min fair bandwidth sharing among concurrent flows
@@ -77,11 +77,11 @@ pub mod validate;
 
 pub use analyze::{analyze, analyze_compiled, analyze_source, AnalysisError, AnalysisReport, BlockedWait};
 pub use cluster::{ClusterSpec, NodeId, RankId};
-pub use compiled::{CompileOptions, CompiledProgram, IdsRef, MemoryStats, OpView, RankOps};
+pub use compiled::{CompiledProgram, IdsRef, MemoryStats, OpView, RankOps};
 pub use congcontrol::{CongAlg, CongControl, Dcqcn, FixedWindow};
 pub use cost::{CostModel, Protocol};
 pub use critpath::{Category, CategoryBreakdown, CriticalPath, PathSegment, SegmentKind};
-pub use engine::{Engine, NetworkModel, SchedulerKind, SimError};
+pub use engine::{Engine, SimError};
 pub use fabric::{Fabric, FlowId, LinkUsage};
 pub use metrics::EngineMetrics;
 pub use packet::{LossConfig, PacketConfig, PacketFabric, PacketLinkUsage, PacketTotals, PfcConfig};
@@ -93,7 +93,7 @@ pub use scenario::{Scenario, ScenarioInstance, SplitMix64};
 pub use source::ProgramSource;
 pub use topology::{EndpointId, Link, LinkId, Topology, TopologyError, TopologyKind};
 pub use trace::{
-    sort_trace, validate_chrome_trace, write_chrome_trace, BlockReason, ChromeTraceStats, ChromeTraceWriter,
-    MemorySink, MsgLabel, OpClass, Trace, TraceDetail, TraceEvent, TraceFilter, TraceIter, TraceKind, TraceSink,
+    validate_chrome_trace, write_chrome_trace, BlockReason, ChromeTraceStats, ChromeTraceWriter, MsgLabel, OpClass,
+    Trace, TraceDetail, TraceEvent, TraceFilter, TraceIter, TraceKind,
 };
-pub use validate::{validate, validate_compiled, validate_source, ValidationError};
+pub use validate::{validate, validate_compiled, ValidationError};

@@ -7,14 +7,15 @@
 //! operations the dataflow burst path executed without touching the global
 //! event queue.  Counters are collected per run, cost nothing when the
 //! feature they count is idle, and are deliberately **excluded from report
-//! equality and fingerprints**: the calendar queue and the binary heap do
-//! the same simulation with different amounts of queue work, and two
-//! reports that simulated identically must still compare equal.
+//! equality and fingerprints**: the strict loop and the dataflow path (and,
+//! in tests, the calendar queue and its reference heap) do the same
+//! simulation with different amounts of queue work, and two reports that
+//! simulated identically must still compare equal.
 
 /// Counters describing the engine work behind one run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineMetrics {
-    /// Events pushed into the strict loop's scheduler (heap or calendar):
+    /// Events pushed into the strict loop's queue:
     /// one `Resume` per rank at start-up and per *non-local* op — local ops
     /// (`Compute`, `Reduce`, `Copy`) run inline with the op that released
     /// them, where they used to cost a `Resume` each (the 4096-worker SSP

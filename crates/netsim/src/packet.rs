@@ -1,7 +1,8 @@
 //! Per-packet network fabric: MTU segmentation, drop-tail queues, PFC
 //! pause/resume, ECN marking and go-back-N loss recovery.
 //!
-//! This is the third [`NetworkModel`](crate::NetworkModel) backend.  Where
+//! This is the engine's third network backend
+//! ([`Engine::with_packet_network`](crate::Engine::with_packet_network)).  Where
 //! the flow-level [`Fabric`](crate::Fabric) shares link capacity by solving
 //! max-min fair rates (a fluid approximation), [`PacketFabric`] moves every
 //! MTU-sized packet through per-port egress queues one serialization at a

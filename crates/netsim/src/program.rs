@@ -197,12 +197,10 @@ impl Program {
         bound
     }
 
-    /// One-pass static communication profile of the program (see
-    /// [`CommProfile`]).  The engine uses it to size its dense per-rank
-    /// notification counters, to skip `TxDone` bookkeeping for ranks that
-    /// never wait on send completion, and to decide whether the program is
-    /// eligible for the sharded dataflow fast path.
-    pub fn comm_profile(&self) -> CommProfile {
+    /// The program's [`CommProfile`] by a plain prescan: the oracle the
+    /// compiler's streaming fold is tested against.
+    #[cfg(test)]
+    pub(crate) fn comm_profile(&self) -> CommProfile {
         let n = self.num_ranks();
         let mut profile = CommProfile {
             notify_bounds: vec![0usize; n],
@@ -240,8 +238,12 @@ impl Program {
     }
 }
 
-/// Static per-program communication facts gathered by
-/// [`Program::comm_profile`] in one prescan.
+/// Static per-program communication facts, folded while the program is
+/// compiled (see [`CompiledProgram::profile`](crate::CompiledProgram::profile)).
+/// The engine uses them to size its dense per-rank notification counters, to
+/// skip `TxDone` bookkeeping for ranks that never wait on send completion,
+/// and to decide whether the program is eligible for the sharded dataflow
+/// fast path.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CommProfile {
     /// Per-rank exclusive bound on the notification ids that can be waited on

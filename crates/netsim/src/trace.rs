@@ -1,6 +1,6 @@
 //! Structured event tracing: typed trace events, the per-rank [`Trace`]
-//! store, pluggable sinks, a streaming Chrome Trace Event writer, and a
-//! validator for exported files.
+//! store, a streaming Chrome Trace Event writer, and a validator for
+//! exported files.
 //!
 //! Every execution path of the engine — the strict event loop, the dataflow
 //! burst path and the sharded workers — emits the same [`TraceEvent`]s.
@@ -21,8 +21,8 @@
 //! while it stays on the same one.  Per-rank consumers (the critical-path
 //! walk) read a rank's two streams directly through [`Trace::rank`].
 //!
-//! Sinks: an optional external [`TraceSink`] — typically a
-//! [`ChromeTraceWriter`] — is fed `Trace::iter()` after the run.  A
+//! Export: [`write_chrome_trace`] (or a [`ChromeTraceWriter`] fed by hand)
+//! consumes `Trace::iter()` after the run.  A
 //! [`TraceFilter`] applies at emission, so rank-windowed or sampled traces
 //! of million-rank runs stay within the fig17 RSS budget: dropped events are
 //! never materialized, and the stream table is sized by the filter's window,
@@ -264,54 +264,6 @@ impl TraceEvent {
         detail: TraceDetail,
     ) -> Self {
         Self { time, rank, kind, op_index, seq, detail }
-    }
-}
-
-/// Sort a trace into its canonical deterministic order.
-pub fn sort_trace(events: &mut [TraceEvent]) {
-    // `(time, rank, seq)` is unique per event, so the unstable sort is just
-    // as deterministic as a stable one — and it sorts a multi-million-event
-    // burst trace several times faster (no allocation, fewer element moves).
-    events.sort_unstable_by(|a, b| {
-        a.time.total_cmp(&b.time).then_with(|| a.rank.cmp(&b.rank)).then_with(|| a.seq.cmp(&b.seq))
-    });
-}
-
-// ---------------------------------------------------------------------------
-// sinks
-// ---------------------------------------------------------------------------
-
-/// Consumer of a (sorted) trace event stream.
-pub trait TraceSink: Send {
-    /// Record one event.
-    fn record(&mut self, event: &TraceEvent);
-    /// Flush any buffered output; called once after the last event.
-    fn finish(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
-/// The back-compat in-memory sink: collects events into a vector.
-#[derive(Debug, Default)]
-pub struct MemorySink {
-    events: Vec<TraceEvent>,
-}
-
-impl MemorySink {
-    /// Create an empty sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Consume the sink and return the collected events.
-    pub fn into_events(self) -> Vec<TraceEvent> {
-        self.events
-    }
-}
-
-impl TraceSink for MemorySink {
-    fn record(&mut self, event: &TraceEvent) {
-        self.events.push(event.clone());
     }
 }
 
@@ -751,18 +703,19 @@ impl<W: Write + Send> ChromeTraceWriter<W> {
         write!(self.buf, "{ts},\"pid\":1").expect("writing to a Vec cannot fail");
         self.end(&[("busy", i128::from(value))])
     }
-}
 
-impl<W: Write + Send> TraceSink for ChromeTraceWriter<W> {
-    fn record(&mut self, event: &TraceEvent) {
-        // Recording is infallible by trait: keep the first write error for
-        // `finish` and write nothing after it.
+    /// Write one event.  Infallible, so it can sit in a plain `for` loop:
+    /// the first write error is kept for [`Self::finish`] and nothing is
+    /// written after it.
+    pub fn record(&mut self, event: &TraceEvent) {
         if self.error.is_none() {
             self.error = self.write_event(event).err();
         }
     }
 
-    fn finish(&mut self) -> io::Result<()> {
+    /// Close the JSON array and flush; returns the first error of any
+    /// earlier write.  Call once, after the last event.
+    pub fn finish(&mut self) -> io::Result<()> {
         if let Some(error) = self.error.take() {
             return Err(error);
         }
@@ -1140,6 +1093,14 @@ mod minijson {
 mod tests {
     use super::*;
 
+    /// The canonical order by a global sort: the reference `Trace::iter`'s
+    /// merge is checked against.
+    fn sort_trace(events: &mut [TraceEvent]) {
+        events.sort_unstable_by(|a, b| {
+            a.time.total_cmp(&b.time).then_with(|| a.rank.cmp(&b.rank)).then_with(|| a.seq.cmp(&b.seq))
+        });
+    }
+
     #[test]
     fn trace_event_round_trip() {
         let e = TraceEvent::new(
@@ -1173,15 +1134,6 @@ mod tests {
         assert!(s.keeps(0) && !s.keeps(2) && s.keeps(8));
         assert!(TraceFilter::all().is_full());
         assert!(!f.is_full());
-    }
-
-    #[test]
-    fn memory_sink_collects_in_order() {
-        let mut sink = MemorySink::new();
-        let e = TraceEvent::new(0.0, 0, TraceKind::OpStart, Some(0), 0, TraceDetail::Op { op: OpClass::Compute });
-        sink.record(&e);
-        sink.record(&e);
-        assert_eq!(sink.into_events().len(), 2);
     }
 
     #[test]

@@ -9,7 +9,6 @@ use std::collections::HashMap;
 use crate::cluster::RankId;
 use crate::compiled::CompiledProgram;
 use crate::program::{Op, Program, Tag};
-use crate::source::ProgramSource;
 
 /// Per-channel send/receive counts accumulated across ranks, keyed by
 /// `(src, dst, tag)`.
@@ -84,6 +83,15 @@ pub enum ValidationError {
         /// Human-readable description of the inconsistency.
         detail: String,
     },
+    /// The program is too large for the compiled form, which stores rank ids
+    /// and arena offsets as `u32` codes.
+    CodeRangeExceeded {
+        /// What overflowed (`"rank count"`, `"stored op count"`,
+        /// `"wait-id pool size"`).
+        what: &'static str,
+        /// The value that does not fit in a `u32`.
+        value: usize,
+    },
     /// The number of sends and receives on a channel differ.
     UnmatchedChannel {
         /// Sending rank.
@@ -126,6 +134,9 @@ impl std::fmt::Display for ValidationError {
             ValidationError::CorruptArena { detail } => {
                 write!(f, "compiled program arena is corrupt: {detail}")
             }
+            ValidationError::CodeRangeExceeded { what, value } => {
+                write!(f, "{what} {value} exceeds the u32 code range of compiled programs")
+            }
             ValidationError::UnmatchedChannel { src, dst, tag, sends, recvs } => {
                 write!(f, "channel {src}->{dst} tag {tag} has {sends} sends but {recvs} receives")
             }
@@ -161,7 +172,7 @@ fn check_distinct_wait_ids(ids: &[u32], rank: RankId, op_index: usize) -> Result
 
 /// Per-op structural checks for one rank, accumulating its two-sided channel
 /// traffic into `sends`/`recvs` for the whole-program channel check.  Shared
-/// by [`validate`], [`validate_source`] and the streaming compiler, so every
+/// by [`validate`] and the streaming compiler, so every
 /// entry path rejects a broken program with the same error at the same op.
 pub(crate) fn check_rank_ops(
     rank: RankId,
@@ -240,27 +251,6 @@ pub fn validate(program: &Program, cluster_ranks: usize) -> Result<(), Validatio
     let mut recvs = ChannelCounts::new();
     for (rank, rp) in program.ranks.iter().enumerate() {
         check_rank_ops(rank, &rp.ops, n, &mut sends, &mut recvs)?;
-    }
-    check_channels(&sends, &recvs)
-}
-
-/// Validate a symbolic [`ProgramSource`] streamingly: one rank's ops are
-/// materialized into a reused scratch buffer at a time, so a p = 2^20
-/// generator validates in O(ops) memory — the full program never exists.
-/// Applies exactly the checks (and yields exactly the errors) of [`validate`]
-/// on the materialized equivalent.
-pub fn validate_source<S: ProgramSource>(source: &S, cluster_ranks: usize) -> Result<(), ValidationError> {
-    let n = source.num_ranks();
-    if n != cluster_ranks {
-        return Err(ValidationError::RankCountMismatch { program: n, cluster: cluster_ranks });
-    }
-    let mut sends = ChannelCounts::new();
-    let mut recvs = ChannelCounts::new();
-    let mut scratch = Vec::new();
-    for rank in 0..n {
-        scratch.clear();
-        source.rank_ops(rank, &mut scratch);
-        check_rank_ops(rank, &scratch, n, &mut sends, &mut recvs)?;
     }
     check_channels(&sends, &recvs)
 }
@@ -382,26 +372,6 @@ mod tests {
         assert!(s.contains("3 sends"));
         let e = ValidationError::CorruptArena { detail: "bad slice".into() };
         assert!(e.to_string().contains("bad slice"));
-    }
-
-    #[test]
-    fn validate_source_agrees_with_validate() {
-        // Valid program: both paths accept.
-        let mut ok = ProgramBuilder::new(3);
-        ok.send(0, 1, 100, 0);
-        ok.recv(1, 0, 100, 0);
-        ok.put_notify(2, 0, 8, 1);
-        ok.wait_notify(0, &[1]);
-        let ok = ok.build();
-        assert!(validate(&ok, 3).is_ok());
-        assert!(validate_source(&ok, 3).is_ok());
-        // Broken program: same error from both paths.
-        let mut bad = ProgramBuilder::new(2);
-        bad.wait_notify(0, &[4, 4]);
-        let bad = bad.build();
-        assert_eq!(validate(&bad, 2).unwrap_err(), validate_source(&bad, 2).unwrap_err());
-        // Rank-count mismatch is caught before any rank materializes.
-        assert!(matches!(validate_source(&ok, 5), Err(ValidationError::RankCountMismatch { .. })));
     }
 
     #[test]

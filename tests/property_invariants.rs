@@ -445,65 +445,6 @@ proptest! {
     }
 }
 
-/// Strategy over the rank counts the scheduler-equivalence property runs at.
-fn scheduler_equivalence_procs() -> impl Strategy<Value = usize> {
-    (0usize..3).prop_map(|i| [4, 16, 64][i])
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    /// The calendar-queue engine (including its dataflow burst fast path and
-    /// rank sharding) and the legacy binary-heap engine produce identical
-    /// makespans and notification counters on random valid programs — with
-    /// and without a fabric topology.  A per-round communication stride
-    /// drawn from the seed makes some programs single-writer (eligible for
-    /// the burst path) and others multi-writer (strict event loop), so the
-    /// property covers every execution path of the engine.
-    #[test]
-    fn calendar_and_heap_schedulers_agree_on_random_programs(
-        p in scheduler_equivalence_procs(),
-        rounds in 1usize..4,
-        kb in 1u64..64,
-        seed in 0u64..10_000,
-        fabric_sel in 0usize..2,
-        shards in 1usize..5,
-    ) {
-        use ec_collectives_suite::netsim::{ProgramBuilder, SchedulerKind, SplitMix64, Topology};
-        let with_fabric = fabric_sel == 1;
-        let bytes = kb * 1024;
-        let mut rng = SplitMix64::new(seed);
-        let mut b = ProgramBuilder::new(p);
-        for k in 0..rounds {
-            let stride = 1 + rng.next_below(p - 1);
-            for r in 0..p {
-                b.compute(r, 1e-6 * (1 + rng.next_below(9)) as f64);
-                b.put_notify(r, (r + stride) % p, bytes, k as u32);
-            }
-            for r in 0..p {
-                b.wait_notify(r, &[k as u32]);
-            }
-        }
-        let prog = b.build();
-        prop_assert!(validate(&prog, p).is_ok());
-        let base = || {
-            let e = Engine::new(ClusterSpec::homogeneous(p, 1), CostModel::skylake_fdr());
-            if with_fabric { e.with_topology(Topology::single_switch(p, 1e9)) } else { e }
-        };
-        let calendar = base().with_shards(shards).run(&prog).unwrap();
-        let heap = base().with_scheduler(SchedulerKind::BinaryHeap).run(&prog).unwrap();
-        prop_assert_eq!(calendar.makespan(), heap.makespan());
-        prop_assert_eq!(calendar.total_notifications_received(), heap.total_notifications_received());
-        prop_assert_eq!(calendar.total_notifications_consumed(), heap.total_notifications_consumed());
-        prop_assert_eq!(calendar.total_notifications_received(), (p * rounds) as u64);
-        for (c, h) in calendar.ranks.iter().zip(heap.ranks.iter()) {
-            prop_assert_eq!(c.finish_time, h.finish_time);
-            prop_assert_eq!(c.notifications_received, h.notifications_received);
-            prop_assert_eq!(c.notifications_consumed, h.notifications_consumed);
-        }
-    }
-}
-
 /// Simulated makespans are deterministic: repeated simulation of the same
 /// program yields bit-identical reports (required for reproducible figures).
 #[test]

@@ -110,7 +110,7 @@ fn recorded_schedules_reproduce_seed_makespans() {
 }
 
 /// Regression guard for the network-fabric integration: an engine routed
-/// through the `NetworkModel::Fabric` path with the degenerate
+/// through `Engine::with_topology` with the degenerate
 /// contention-free topology must reproduce every golden alpha–beta makespan
 /// within 1e-9 relative — the fabric is strictly additive, never a
 /// behavioral change for uncontended pricing.

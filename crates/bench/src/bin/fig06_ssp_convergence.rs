@@ -66,6 +66,7 @@ fn run_slack(dataset: &RatingsDataset, ranks: usize, iterations: usize, slack: u
 }
 
 fn main() {
+    ec_bench::check_args();
     let smoke = ec_bench::smoke_flag();
     let ranks = env_usize("FIG06_RANKS", ec_bench::smoke_default(smoke, 8, 4));
     let iterations = env_usize("FIG06_ITERS", ec_bench::smoke_default(smoke, 200, 20));

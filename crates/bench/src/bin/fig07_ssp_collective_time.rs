@@ -35,6 +35,7 @@ fn compute_phase(rank: usize, iteration: usize, straggler_ms: u64, rng: &mut Std
 }
 
 fn main() {
+    ec_bench::check_args();
     let smoke = ec_bench::smoke_flag();
     let ranks = env_usize("FIG07_RANKS", ec_bench::smoke_default(smoke, 8, 4));
     let elems = env_usize("FIG07_ELEMS", ec_bench::smoke_default(smoke, 100_000, 20_000));

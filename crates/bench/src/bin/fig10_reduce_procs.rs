@@ -13,6 +13,7 @@ use ec_collectives::schedule::reduce_process_threshold_schedule;
 use ec_netsim::{ClusterSpec, CostModel, Engine};
 
 fn main() {
+    ec_bench::check_args();
     let smoke = ec_bench::smoke_flag();
     let elems = env_usize("FIG10_ELEMS", ec_bench::smoke_default(smoke, 1_000_000, 100_000));
     let bytes = (elems * 8) as u64;

@@ -31,6 +31,7 @@ fn run_panel(elems: usize) -> Vec<Series> {
 }
 
 fn main() {
+    ec_bench::check_args();
     let smoke = ec_bench::smoke_flag();
     let small = env_usize("FIG11_SMALL_ELEMS", ec_bench::smoke_default(smoke, 10_000, 1_000));
     let large = env_usize("FIG11_LARGE_ELEMS", ec_bench::smoke_default(smoke, 1_000_000, 100_000));

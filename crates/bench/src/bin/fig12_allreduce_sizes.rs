@@ -14,6 +14,7 @@ use ec_collectives::schedule::ring_allreduce_schedule;
 use ec_netsim::{ClusterSpec, CostModel, Engine};
 
 fn main() {
+    ec_bench::check_args();
     let smoke = ec_bench::smoke_flag();
     let nodes = env_usize("FIG12_NODES", ec_bench::smoke_default(smoke, 32, 16));
     let min_elems = env_usize("FIG12_MIN_ELEMS", 1024);

@@ -15,6 +15,7 @@ use ec_collectives::schedule::alltoall_direct_schedule;
 use ec_netsim::{ClusterSpec, CostModel, Engine};
 
 fn main() {
+    ec_bench::check_args();
     let smoke = ec_bench::smoke_flag();
     let ppn = env_usize("FIG13_PPN", 4);
     let max_block = env_usize("FIG13_MAX_BLOCK", ec_bench::smoke_default(smoke, 32 * 1024, 4 * 1024)) as u64;

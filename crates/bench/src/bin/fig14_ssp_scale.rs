@@ -15,23 +15,12 @@
 //! Environment overrides: `FIG14_SEED` (default 42), `FIG14_ITERS` (24;
 //! smoke 6), `FIG14_BYTES` (32768), `FIG14_COMPUTE_US` (200),
 //! `FIG14_WORKERS` (comma list, e.g. `65536`), `FIG14_MAX_SLACK` (8).
-//!
-//! `--shards N` runs the engine with N worker shards; the output is
-//! bit-identical for every shard count (the fingerprint proves it).
 
 use ec_bench::ssp_scale::{fig14_scenario, ssp_scale_program, SspScaleConfig};
 use ec_bench::{env_f64, env_usize, env_usize_list, Series};
 use ec_netsim::{ClusterSpec, CostModel, Engine, RunReport};
 
-fn run_one(
-    workers: usize,
-    slack: usize,
-    iters: usize,
-    bytes: u64,
-    compute: f64,
-    seed: u64,
-    shards: usize,
-) -> RunReport {
+fn run_one(workers: usize, slack: usize, iters: usize, bytes: u64, compute: f64, seed: u64) -> RunReport {
     let mut cfg = SspScaleConfig::new(workers, slack);
     cfg.iterations = iters;
     cfg.bytes = bytes;
@@ -39,14 +28,13 @@ fn run_one(
     cfg.seed = seed;
     let program = ssp_scale_program(&cfg);
     let engine = Engine::new(ClusterSpec::homogeneous(workers, 1), CostModel::marenostrum4_opa())
-        .with_scenario(fig14_scenario(seed))
-        .with_shards(shards);
+        .with_scenario(fig14_scenario(seed));
     engine.run(&program).expect("fig14 program must simulate")
 }
 
 fn main() {
+    ec_bench::check_args();
     let smoke = ec_bench::smoke_flag();
-    let shards = ec_bench::shards_flag();
     let seed = env_usize("FIG14_SEED", 42) as u64;
     let iters = env_usize("FIG14_ITERS", if smoke { 6 } else { 24 });
     let bytes = env_usize("FIG14_BYTES", 32 * 1024) as u64;
@@ -57,7 +45,7 @@ fn main() {
 
     println!("# Figure 14 — SSP slack sweep at scale (simulated, heterogeneous cluster)");
     println!(
-        "# seed {seed}, {iters} iterations, {} KiB per partner, {:.0} us nominal compute, slack {}..={}, {shards} shard(s)",
+        "# seed {seed}, {iters} iterations, {} KiB per partner, {:.0} us nominal compute, slack {}..={}",
         bytes / 1024,
         compute * 1e6,
         slacks.start(),
@@ -86,7 +74,7 @@ fn main() {
         // doubles as the straggler report.
         let mut worst_scale = f64::NAN;
         for slack in slacks.clone() {
-            let r = run_one(workers, slack, iters, bytes, compute, seed, shards);
+            let r = run_one(workers, slack, iters, bytes, compute, seed);
             let makespan = r.makespan();
             if slack == 0 {
                 baseline = makespan;
@@ -103,8 +91,8 @@ fn main() {
                 r.total_notifications_received()
             );
             // Fold the *full* report digest, not just the makespan: the CI
-            // smoke job asserts this value across shard counts, so every
-            // per-rank statistic must survive the sharded merge unchanged.
+            // smoke job pins this value, so every per-rank statistic is
+            // covered.
             digest = ec_netsim::SplitMix64::mix(digest ^ r.fingerprint());
         }
         let top = *slacks.end() as f64;
@@ -115,7 +103,7 @@ fn main() {
     }
 
     // A short fingerprint so determinism regressions are trivially visible in
-    // CI logs: same seed, same fingerprint — for every shard count.
+    // CI logs: same seed, same fingerprint.
     println!("## determinism fingerprint: {digest:016x}");
     println!("(the paper's Figures 6-7 stop at 32 threaded workers; these runs are simulated)");
 
@@ -126,8 +114,7 @@ fn main() {
     if obs.active() {
         let engine = obs.instrument(
             Engine::new(ClusterSpec::homogeneous(max_workers, 1), CostModel::marenostrum4_opa())
-                .with_scenario(fig14_scenario(seed))
-                .with_shards(shards),
+                .with_scenario(fig14_scenario(seed)),
         );
         let report = engine.run(&ssp_scale_program(&stats_cfg)).expect("fig14 observability run");
         obs.emit("ssp-scale", &report);

@@ -18,8 +18,7 @@
 //! Environment overrides: `FIG15_SEED` (default 42), `FIG15_BLOCK` (32768),
 //! `FIG15_RING_BYTES` (8000000), `FIG15_MAX_P` (1024), `FIG15_RANKS`
 //! (enables the huge-scale alpha–beta section, e.g. 65536),
-//! `FIG15_WINDOW` (32).  `--shards N` runs the engine with N worker shards;
-//! the output is bit-identical for every shard count.
+//! `FIG15_WINDOW` (32).
 
 use std::fmt::Write as _;
 
@@ -62,6 +61,7 @@ fn sweep(
 }
 
 fn main() {
+    ec_bench::check_args();
     let smoke = ec_bench::smoke_flag();
     let seed = env_usize("FIG15_SEED", 42) as u64;
     let block = env_usize("FIG15_BLOCK", 32 * 1024) as u64;
@@ -121,18 +121,17 @@ fn main() {
     // on the alpha-beta model.  The full alltoall is O(p²) messages and the
     // max-min solver re-resolves over every active flow, so neither survives
     // p = 65536 — the windowed programs keep the communication styles while
-    // the event core (and its shards) does the heavy lifting.
+    // the event core does the heavy lifting.
     let scale_ranks = env_usize("FIG15_RANKS", 0);
     if scale_ranks >= 2 {
-        let shards = ec_bench::shards_flag();
         let window = env_usize("FIG15_WINDOW", 32).min(scale_ranks - 1);
-        println!("\n## huge-scale section: p = {scale_ranks}, window {window}, {shards} shard(s), alpha-beta model");
+        println!("\n## huge-scale section: p = {scale_ranks}, window {window}, alpha-beta model");
         let mut digest = 0u64;
         for (label, program) in [
             ("alltoall-window", alltoall_window_schedule(scale_ranks, block, window)),
             ("ring-rounds", ring_rounds_schedule(scale_ranks, ring_bytes / scale_ranks as u64 + 1, window)),
         ] {
-            let r = run_scale_point(scale_ranks, &program, seed, shards);
+            let r = run_scale_point(scale_ranks, &program, seed);
             println!(
                 "{:>16}: makespan {:.6} s, {} puts, {} notifications consumed, report fingerprint {:016x}",
                 label,

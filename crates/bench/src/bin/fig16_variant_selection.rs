@@ -61,6 +61,7 @@ fn print_rows(kind: CollectiveKind, rows: &[Row], tapers: &[f64], makespans: &mu
 }
 
 fn main() {
+    ec_bench::check_args();
     let smoke = ec_bench::smoke_flag();
     let cfg = if smoke { SweepConfig::smoke() } else { SweepConfig::full() };
     let default_max = *cfg.rank_counts.last().unwrap();

@@ -8,7 +8,7 @@
 //! (identical) per-rank op streams into a handful of shared arena segments:
 //!
 //! * a **windowed ring allreduce** (single-writer, one-sided) that runs on
-//!   the sharded dataflow fast path — the throughput workload;
+//!   the dataflow fast path — the throughput workload;
 //! * a **uniform SSP hypercube exchange** (multi-writer) that exercises the
 //!   strict event-loop engine at the same scale.
 //!
@@ -17,14 +17,12 @@
 //! prints throughput and peak RSS and asserts a hard peak-RSS budget
 //! (default 8 GiB, `FIG17_RSS_BUDGET` bytes).
 //!
-//! The output is fully deterministic: same parameters, same fingerprint —
-//! for every shard count.  Pass `--smoke` for a CI-sized run (`p = 2^17`).
+//! The output is fully deterministic: same parameters, same fingerprint.
+//! Pass `--smoke` for a CI-sized run (`p = 2^17`).
 //!
 //! Environment overrides: `FIG17_RANKS` (default 2^20; smoke 2^17),
 //! `FIG17_ROUNDS` (8), `FIG17_CHUNK_BYTES` (32768), `FIG17_SSP_ITERS` (2),
 //! `FIG17_SSP_SLACK` (1), `FIG17_RSS_BUDGET` (8 GiB).
-//!
-//! `--shards N` runs the dataflow-eligible workload with N worker shards.
 
 use std::time::Instant;
 
@@ -40,7 +38,7 @@ struct Measured {
     report: RunReport,
 }
 
-fn measure<S: ProgramSource>(source: &S, ranks: usize, shards: usize, seed: u64) -> Measured {
+fn measure<S: ProgramSource>(source: &S, ranks: usize, seed: u64) -> Measured {
     let t = Instant::now();
     let compiled = CompiledProgram::from_source(source).expect("fig17 program must validate");
     let compile_secs = t.elapsed().as_secs_f64();
@@ -50,7 +48,6 @@ fn measure<S: ProgramSource>(source: &S, ranks: usize, shards: usize, seed: u64)
     // calendar balanced) without breaking the arena's rank interning.
     let engine = Engine::new(ClusterSpec::homogeneous(ranks, 1), CostModel::marenostrum4_opa())
         .with_scenario(fig14_scenario(seed))
-        .with_shards(shards)
         .with_report_detail(ReportDetail::Summary);
     let t = Instant::now();
     let report = engine.run_compiled(&compiled).expect("fig17 program must simulate");
@@ -71,8 +68,8 @@ fn print_row(label: &str, m: &Measured) {
 }
 
 fn main() {
+    ec_bench::check_args();
     let smoke = ec_bench::smoke_flag();
-    let shards = ec_bench::shards_flag();
     let ranks = env_usize("FIG17_RANKS", if smoke { 1 << 17 } else { 1 << 20 });
     let rounds = env_usize("FIG17_ROUNDS", 8);
     let chunk = env_usize("FIG17_CHUNK_BYTES", 32 * 1024) as u64;
@@ -84,7 +81,7 @@ fn main() {
     println!("# Figure 17 — million-rank simulations on the compressed program representation");
     println!(
         "# p = {ranks}, ring window {rounds} rounds x {} KiB, SSP {ssp_iters} iteration(s) slack {ssp_slack}, \
-         {shards} shard(s), RSS budget {:.1} GiB\n",
+         RSS budget {:.1} GiB\n",
         chunk / 1024,
         rss_budget as f64 / (1u64 << 30) as f64
     );
@@ -93,10 +90,10 @@ fn main() {
         "program", "ops", "compile [s]", "run [s]", "ops/s", "makespan [s]", "fingerprint"
     );
 
-    let ring = measure(&WindowedRingSource::new(ranks, rounds, chunk), ranks, shards, seed);
+    let ring = measure(&WindowedRingSource::new(ranks, rounds, chunk), ranks, seed);
     print_row("ring", &ring);
 
-    let ssp = measure(&UniformSspSource::new(ranks, ssp_slack, ssp_iters, chunk, 200e-6), ranks, shards, seed);
+    let ssp = measure(&UniformSspSource::new(ranks, ssp_slack, ssp_iters, chunk, 200e-6), ranks, seed);
     print_row("ssp-cube", &ssp);
 
     let mut digest = SplitMix64::mix(ring.report.fingerprint());
@@ -127,7 +124,6 @@ fn main() {
         let engine = obs.instrument(
             Engine::new(ClusterSpec::homogeneous(ranks, 1), CostModel::marenostrum4_opa())
                 .with_scenario(fig14_scenario(seed))
-                .with_shards(shards)
                 .with_report_detail(ReportDetail::Summary),
         );
         let report = engine.run_compiled(&compiled).expect("fig17 observability run");

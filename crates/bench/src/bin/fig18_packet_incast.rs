@@ -76,6 +76,7 @@ fn winner(points: &[IncastPoint], kind: FabricKind, taper: f64) -> (Collective, 
 }
 
 fn main() {
+    ec_bench::check_args();
     let smoke = ec_bench::smoke_flag();
     let max_p = env_usize("FIG18_MAX_P", if smoke { 64 } else { 256 });
     let rank_counts: Vec<usize> = [64usize, 128, 256].into_iter().filter(|&p| p <= max_p).collect();

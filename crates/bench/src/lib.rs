@@ -106,23 +106,54 @@ pub fn smoke_flag() -> bool {
     std::env::args().any(|a| a == "--smoke")
 }
 
-/// Worker-shard count requested with `--shards N` (or `--shards=N`).
-///
-/// Defaults to 1 (serial execution).  The figure binaries forward the value
-/// to [`ec_netsim::Engine::with_shards`]; the engine clamps it and falls
-/// back to serial execution for programs its sharded path cannot run, so
-/// any positive value is safe — the output is bit-identical either way.
-pub fn shards_flag() -> usize {
-    let mut args = std::env::args();
+/// The flags the `fig*` binaries accept, each with the placeholder of the
+/// value it takes (as the next argument or after `=`), if any.
+const ACCEPTED_FLAGS: [(&str, Option<&str>); 5] = [
+    ("--smoke", None),
+    ("--metrics", None),
+    ("--trace-out", Some("FILE")),
+    ("--trace-ranks", Some("LO..HI")),
+    ("--trace-sample", Some("N")),
+];
+
+/// Split `args` (the program name excluded) into `(flag, value)` pairs, the
+/// value empty for a flag that takes none.  `Err` is the first argument that
+/// is not an accepted flag or a flag's value, or that is a value flag
+/// without its value.
+fn parse_flags(args: &[String]) -> Result<Vec<(&'static str, &str)>, &str> {
+    let mut flags = Vec::new();
+    let mut args = args.iter().map(String::as_str);
     while let Some(a) = args.next() {
-        if a == "--shards" {
-            return args.next().and_then(|v| v.parse().ok()).unwrap_or(1).max(1);
-        }
-        if let Some(v) = a.strip_prefix("--shards=") {
-            return v.parse().ok().unwrap_or(1).max(1);
-        }
+        let (name, inline) = a.split_once('=').map_or((a, None), |(name, value)| (name, Some(value)));
+        let parsed = match ACCEPTED_FLAGS.iter().find(|(flag, _)| *flag == name) {
+            Some(&(flag, Some(_))) => inline.or_else(|| args.next()).map(|value| (flag, value)),
+            Some(&(flag, None)) if inline.is_none() => Some((flag, "")),
+            _ => None,
+        };
+        flags.push(parsed.ok_or(a)?);
     }
-    1
+    Ok(flags)
+}
+
+/// Name the offending argument and the accepted flags on stderr; exit 2.
+fn reject_arg(bad: &str) -> ! {
+    let accepted: Vec<String> =
+        ACCEPTED_FLAGS.iter().map(|(flag, value)| value.map_or(flag.to_string(), |v| format!("{flag} {v}"))).collect();
+    eprintln!("unrecognized or incomplete argument `{bad}`");
+    eprintln!("accepted: {}", accepted.join(" "));
+    eprintln!("(workload sizes are set through the environment variables in the binary's header comment)");
+    std::process::exit(2)
+}
+
+/// Refuse the process arguments unless every one is an accepted flag: a
+/// `fig*` main calls this first, so `--help` or a typo of `--smoke` prints
+/// the accepted flags and exits with status 2 instead of silently running
+/// the full-size figure.
+pub fn check_args() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Err(bad) = parse_flags(&args) {
+        reject_arg(bad);
+    }
 }
 
 /// Observability switches shared by the simulator-backed `fig*` binaries:
@@ -155,36 +186,21 @@ impl Observability {
         let mut metrics = false;
         let mut trace_out = None;
         let mut filter = ec_netsim::TraceFilter::all();
-        let parse_ranks = |v: &str, filter: &mut ec_netsim::TraceFilter| {
-            if let Some((lo, hi)) = v.split_once("..") {
-                if let (Ok(lo), Ok(hi)) = (lo.trim().parse(), hi.trim().parse()) {
-                    filter.first_rank = lo;
-                    filter.last_rank = hi;
-                }
-            }
-        };
-        let mut args = std::env::args();
-        while let Some(a) = args.next() {
-            match a.as_str() {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        for (flag, value) in parse_flags(&args).unwrap_or_else(|bad| reject_arg(bad)) {
+            match flag {
                 "--metrics" => metrics = true,
-                "--trace-out" => trace_out = args.next(),
+                "--trace-out" => trace_out = Some(value.to_string()),
                 "--trace-ranks" => {
-                    if let Some(v) = args.next() {
-                        parse_ranks(&v, &mut filter);
+                    if let Some((lo, hi)) = value.split_once("..") {
+                        if let (Ok(lo), Ok(hi)) = (lo.trim().parse(), hi.trim().parse()) {
+                            filter.first_rank = lo;
+                            filter.last_rank = hi;
+                        }
                     }
                 }
-                "--trace-sample" => {
-                    filter.sample = args.next().and_then(|v| v.parse().ok()).unwrap_or(1).max(1);
-                }
-                _ => {
-                    if let Some(v) = a.strip_prefix("--trace-out=") {
-                        trace_out = Some(v.to_string());
-                    } else if let Some(v) = a.strip_prefix("--trace-ranks=") {
-                        parse_ranks(v, &mut filter);
-                    } else if let Some(v) = a.strip_prefix("--trace-sample=") {
-                        filter.sample = v.parse().ok().unwrap_or(1).max(1);
-                    }
-                }
+                "--trace-sample" => filter.sample = value.parse().ok().unwrap_or(1).max(1),
+                _ => {}
             }
         }
         Self { metrics, trace_out, filter }
@@ -336,9 +352,34 @@ mod tests {
     }
 
     #[test]
-    fn shards_flag_defaults_to_serial() {
-        // The test binary was not invoked with --shards.
-        assert_eq!(shards_flag(), 1);
+    fn parse_flags_pairs_values_and_names_the_offender() {
+        let strings = |args: &[&str]| -> Vec<String> { args.iter().map(ToString::to_string).collect() };
+        assert_eq!(parse_flags(&[]), Ok(vec![]));
+        let args =
+            strings(&["--smoke", "--trace-out", "t.json", "--trace-ranks=0..15", "--metrics", "--trace-sample", "2"]);
+        assert_eq!(
+            parse_flags(&args),
+            Ok(vec![
+                ("--smoke", ""),
+                ("--trace-out", "t.json"),
+                ("--trace-ranks", "0..15"),
+                ("--metrics", ""),
+                ("--trace-sample", "2"),
+            ])
+        );
+        // A flag's value is not inspected, even when it looks like a flag.
+        assert_eq!(parse_flags(&strings(&["--trace-out", "--help"])), Ok(vec![("--trace-out", "--help")]));
+        for (args, bad) in [
+            (&["--help"][..], "--help"),
+            (&["--smoke", "--smok"], "--smok"),
+            (&["--smoke", "--shards", "4"], "--shards"),
+            (&["--shards=4"], "--shards=4"),
+            (&["--smoke=1"], "--smoke=1"),
+            (&["t.json"], "t.json"),
+            (&["--metrics", "--trace-out"], "--trace-out"),
+        ] {
+            assert_eq!(parse_flags(&strings(args)), Err(bad), "{args:?}");
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!
 //! * [`WindowedRingSource`] — a fixed window of pipelined ring steps
 //!   (scatter-reduce rounds followed by allgather rounds).  Strictly
-//!   single-writer and one-sided, so the engine's sharded dataflow fast path
+//!   single-writer and one-sided, so the engine's dataflow fast path
 //!   applies; this is the throughput workload.
 //! * [`UniformSspSource`] — the jitter-free core of the fig14 SSP hypercube
 //!   exchange.  Multi-writer (every rank receives from `log2 p` partners),

@@ -145,9 +145,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// The trace (and the per-rank statistics) must not depend on how the
-    /// program was fed to the engine (materialized / compiled / source), how
-    /// many worker shards executed it, or whether the flow-level fabric
-    /// priced the wires.
+    /// program was fed to the engine (materialized / compiled / source) or
+    /// whether the flow-level fabric priced the wires.
     #[test]
     fn traces_are_identical_across_program_forms_shards_and_fabric(
         ranks in 4usize..12,
@@ -156,29 +155,23 @@ proptest! {
     ) {
         let fabric = fabric_flag == 1;
         let program = ring_allreduce_schedule(ranks, kib * 1024);
-        let engine = |shards: usize| {
-            let e = traced_engine(ranks).with_shards(shards);
-            if fabric {
-                e.with_topology(Topology::single_switch(ranks, 6.8e9))
-            } else {
-                e
-            }
+        let engine = if fabric {
+            traced_engine(ranks).with_topology(Topology::single_switch(ranks, 6.8e9))
+        } else {
+            traced_engine(ranks)
         };
-        let reference = run_mode(&engine(1), &program, 0);
+        let reference = run_mode(&engine, &program, 0);
         prop_assert!(!reference.trace.is_empty());
-        for shards in [1usize, 4] {
-            for mode in 0..3 {
-                let report = run_mode(&engine(shards), &program, mode);
-                prop_assert_eq!(
-                    &report.trace,
-                    &reference.trace,
-                    "mode {} x {} shard(s), fabric {}: the event multiset must be invariant",
-                    mode,
-                    shards,
-                    fabric
-                );
-                prop_assert_eq!(&report.ranks, &reference.ranks);
-            }
+        for mode in 1..3 {
+            let report = run_mode(&engine, &program, mode);
+            prop_assert_eq!(
+                &report.trace,
+                &reference.trace,
+                "mode {}, fabric {}: the event multiset must be invariant",
+                mode,
+                fabric
+            );
+            prop_assert_eq!(&report.ranks, &reference.ranks);
         }
     }
 }
@@ -277,12 +270,10 @@ fn pinned_ring_trace_on_every_execution_path() {
         " | path 155 3f2305440a2affe4,3f21d7df697bc8bb,3f3618f9d9ffa0e4,0000000000000000,0000000000000000"
     );
     let program = ring_allreduce_schedule(32, 1 << 20);
-    for shards in [1usize, 4] {
-        let report = jittered_engine(32).with_shards(shards).run(&program).expect("ring must simulate");
-        assert!(report.metrics.dataflow_burst_ops > 0, "the single-writer ring rides the dataflow path");
-        assert_eq!(report.fingerprint(), PINNED_RING_FINGERPRINT);
-        assert_eq!(trace_pin(&report), PIN, "dataflow path, {shards} shard(s)");
-    }
+    let report = jittered_engine(32).run(&program).expect("ring must simulate");
+    assert!(report.metrics.dataflow_burst_ops > 0, "the single-writer ring rides the dataflow path");
+    assert_eq!(report.fingerprint(), PINNED_RING_FINGERPRINT);
+    assert_eq!(trace_pin(&report), PIN, "dataflow path");
 }
 
 #[test]
@@ -327,9 +318,7 @@ fn pinned_windowed_and_sampled_trace() {
     );
     let program = ring_allreduce_schedule(32, 1 << 20);
     let filter = TraceFilter { first_rank: 5, last_rank: 20, sample: 2 };
-    for shards in [1usize, 4] {
-        let report = jittered_engine(32).with_trace_filter(filter).with_shards(shards).run(&program).expect("ring");
-        assert_eq!(report.fingerprint(), PINNED_RING_FINGERPRINT);
-        assert_eq!(trace_pin(&report), PIN, "dataflow path, {shards} shard(s)");
-    }
+    let report = jittered_engine(32).with_trace_filter(filter).run(&program).expect("ring");
+    assert_eq!(report.fingerprint(), PINNED_RING_FINGERPRINT);
+    assert_eq!(trace_pin(&report), PIN, "dataflow path");
 }

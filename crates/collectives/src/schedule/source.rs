@@ -143,17 +143,16 @@ mod tests {
         /// The three execution paths — materialized `Program`, compiled
         /// arena, and lazy `ProgramSource` — must be indistinguishable in
         /// the simulation result for every engine configuration: rank
-        /// count, payload, shard count, with and without the flow fabric.
+        /// count, payload, with and without the flow fabric.
         #[test]
         fn all_run_paths_produce_identical_fingerprints(
             p_exp in 1usize..=4,
             bytes in 1u64..100_000,
-            shards in 1usize..=4,
             fabric in 0usize..2,
         ) {
             let p = 4usize.pow(p_exp as u32); // 4, 16, 64, 256
             let cost = CostModel::test_model();
-            let mut engine = Engine::new(ClusterSpec::homogeneous(p, 1), cost.clone()).with_shards(shards);
+            let mut engine = Engine::new(ClusterSpec::homogeneous(p, 1), cost.clone());
             if fabric == 1 {
                 engine = engine.with_topology(Topology::single_switch(p, 1.0 / cost.beta_inter));
             }

@@ -1,4 +1,4 @@
-//! Sharded dataflow fast path for one-sided, single-writer programs.
+//! Dataflow fast path for one-sided, single-writer programs.
 //!
 //! The strict event loop in [`crate::engine`] spends most of its time on
 //! queue maintenance: every non-local operation of every rank round-trips
@@ -24,19 +24,13 @@
 //! drain that FIFO by visible time.  No global event queue, no heap
 //! traffic — the scheduler cost per op drops to a few arithmetic ops.
 //!
-//! ## Parallel execution and determinism
+//! One executor runs every rank on the calling thread, in worklist order.
+//! That order never reaches the results: a destination's FIFO only ever
+//! receives from its single writer, so its content is the writer's program
+//! order, and every wait resolves to virtual times computed from the FIFO
+//! content alone.
 //!
-//! Ranks are partitioned into contiguous blocks, one per worker shard.
-//! Cross-shard arrivals travel through per-shard inbound queues; workers
-//! synchronize in rounds on a barrier and stop when every worklist and
-//! inbound queue is empty.  The merge is deterministic *by construction*,
-//! not by merge order: a destination's FIFO only ever receives from its
-//! single writer (so its content is the writer's program order regardless
-//! of when batches land), per-rank statistics are written only by the
-//! owning shard, and every wait resolves to virtual times computed from the
-//! FIFO content alone.  Consequently the `RunReport` is bit-identical for
-//! every shard count — there is no lookahead window to tune, causal FIFO
-//! order *is* the conservative synchronization.
+//! ## The tie rule
 //!
 //! A wait executed at local time `t` treats arrivals with `visible <= t` as
 //! already processed (the strict engine would have handled those
@@ -57,13 +51,11 @@
 //! decomposition, and `BlockStart`/`BlockEnd` pairs for waits that would
 //! have blocked the strict engine.  Sequence numbers use the same two
 //! channels (own events per rank, arrival events per destination minted by
-//! the single writer), and every per-rank stream is recorded in time order
-//! by exactly one shard, so handing the shards' streams to one [`Trace`]
-//! reproduces the strict trace event-for-event without sorting anything.
+//! the single writer), and every per-rank stream is recorded in time order,
+//! so the [`Trace`] reproduces the strict trace event-for-event without
+//! sorting anything.
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::collections::VecDeque;
 
 use crate::cluster::{ClusterSpec, RankId};
 use crate::compiled::{CompiledProgram, IdsRef, OpView};
@@ -75,17 +67,6 @@ use crate::report::{RankStats, RunReport};
 use crate::scenario::ScenarioInstance;
 use crate::trace::{BlockReason, MsgLabel, Trace, TraceDetail, TraceEvent, TraceFilter, TraceKind, ARRIVAL_SEQ};
 
-/// A notification arrival in flight between shards.
-#[derive(Debug, Clone, Copy)]
-struct Arrival {
-    dst: RankId,
-    /// Time the notification becomes visible at `dst` (delivery plus the
-    /// notification overhead).
-    visible: f64,
-    notify: NotifyId,
-    bytes: u64,
-}
-
 /// Per-rank burst-execution state.
 #[derive(Debug)]
 struct DfRank {
@@ -96,7 +77,7 @@ struct DfRank {
     /// Parked in a notification wait at `ops[pc]`.
     blocked: bool,
     blocked_since: f64,
-    /// Already on the shard's worklist.
+    /// Already on the worklist.
     queued: bool,
     /// Unapplied arrivals, FIFO in visible time (single writer).
     fifo: VecDeque<(f64, NotifyId)>,
@@ -110,6 +91,10 @@ struct DfRank {
     seq: u64,
     /// Trace flow-id counter for this rank's injections.
     flow_seq: u64,
+    /// Arrival-channel sequence counter of this rank as a destination; minted
+    /// in its single writer's program order, which is exactly the order the
+    /// strict engine schedules the corresponding `NotifyVisible` events.
+    arrival_seq: u64,
     stats: RankStats,
 }
 
@@ -128,6 +113,7 @@ impl DfRank {
             compute_scale,
             seq: 0,
             flow_seq: 0,
+            arrival_seq: 0,
             stats: RankStats { compute_scale, ..RankStats::default() },
         }
     }
@@ -164,7 +150,7 @@ enum WaitOutcome {
 /// satisfaction check); later arrivals check satisfaction one at a time,
 /// unblocking at `visible + notify_overhead` like the strict `on_notify`.
 /// The split point is a *virtual* time, so the outcome is independent of
-/// when (in wall-clock terms) arrivals reached the FIFO.
+/// the order the worklist ran the writer and the waiter in.
 // `always`: with the shared wait rule inlined into it this is too large for
 // the inliner to place at `run_rank`'s three call sites by itself, and as a
 // call it cost `ring_dataflow` 8 % wall (0 of 10 pairs won).
@@ -200,78 +186,55 @@ fn try_finish_wait(
     WaitOutcome::Pending
 }
 
-/// One worker's slice of the simulation: the ranks in `[lo, hi)`.
-struct Shard<'a> {
-    lo: usize,
-    hi: usize,
-    /// Rank-block size of the uniform partition (`shard of r` = `r / chunk`).
-    chunk: usize,
+/// The burst executor: every rank of the run, on the calling thread.
+struct Burst<'a> {
     cluster: &'a ClusterSpec,
     cost: &'a CostModel,
     program: &'a CompiledProgram,
     scenario: Option<&'a ScenarioInstance>,
     ranks: Vec<DfRank>,
-    /// Dense unconsumed-arrival counters for this shard's ranks, flattened
-    /// into one allocation; local rank `li`'s counters live at
-    /// `counts[offs[li]..offs[li + 1]]` (as in the strict engine).
+    /// Dense unconsumed-arrival counters, flattened into one allocation;
+    /// rank `r`'s counters live at `counts[offs[r]..offs[r + 1]]` (as in the
+    /// strict engine).
     counts: Vec<u32>,
-    /// Per-local-rank prefix offsets into `counts` (length `hi - lo + 1`).
+    /// Per-rank prefix offsets into `counts` (length `p + 1`).
     offs: Vec<usize>,
-    /// Full-size per-node NIC cursors.  Only entries this shard's ranks send
-    /// from (tx) or write to (rx) are touched; the single-writer and
-    /// one-rank-per-node eligibility rules make those entry sets disjoint
-    /// across shards.
+    /// Per-node NIC cursors.  With one rank per node and a single writer per
+    /// destination, each entry is touched by one rank only.
     node_tx_free: Vec<f64>,
     node_rx_free: Vec<f64>,
-    /// Local rank indices ready to execute.
-    worklist: VecDeque<usize>,
-    /// Outbound arrivals per destination shard, flushed once per round.
-    outbox: Vec<Vec<Arrival>>,
+    /// Ranks ready to execute.
+    worklist: VecDeque<RankId>,
     /// Emit trace events mirroring the strict engine's stream.
     tracing: bool,
-    /// Events emitted by this shard: own-channel events of its local ranks
-    /// plus arrival-channel events for the destinations its ranks write to
-    /// (the single-writer rule makes those destination sets disjoint across
-    /// shards, so every stream of the run is filled by one shard).
     trace: Trace,
-    /// Arrival-channel sequence counters keyed by destination rank; minted
-    /// sender-side in the writer's program order, which is exactly the order
-    /// the strict engine schedules the corresponding `NotifyVisible` events.
-    arrival_seq: HashMap<RankId, u64>,
 }
 
-impl<'a> Shard<'a> {
-    #[allow(clippy::too_many_arguments)]
+impl<'a> Burst<'a> {
     fn new(
-        lo: usize,
-        hi: usize,
-        chunk: usize,
-        num_shards: usize,
         cluster: &'a ClusterSpec,
         cost: &'a CostModel,
         program: &'a CompiledProgram,
         scenario: Option<&'a ScenarioInstance>,
-        profile: &'a CommProfile,
+        profile: &CommProfile,
         tracing: bool,
         filter: TraceFilter,
     ) -> Self {
-        let ranks = (lo..hi)
+        let n = program.num_ranks();
+        let ranks = (0..n)
             .map(|r| {
                 let scale = scenario.map_or(1.0, |s| s.compute_scale(cluster.node_of(r)));
                 DfRank::new(scale)
             })
             .collect();
-        let mut offs = Vec::with_capacity(hi - lo + 1);
+        let mut offs = Vec::with_capacity(n + 1);
         let mut acc = 0usize;
         offs.push(0);
-        for r in lo..hi {
+        for r in 0..n {
             acc += profile.notify_bounds[r];
             offs.push(acc);
         }
         Self {
-            lo,
-            hi,
-            chunk,
             cluster,
             cost,
             program,
@@ -281,24 +244,21 @@ impl<'a> Shard<'a> {
             offs,
             node_tx_free: vec![0.0; cluster.nodes],
             node_rx_free: vec![0.0; cluster.nodes],
-            worklist: (0..hi - lo).collect(),
-            outbox: vec![Vec::new(); num_shards],
+            worklist: (0..n).collect(),
             tracing,
-            trace: if tracing { Trace::new(filter, program.num_ranks()) } else { Trace::default() },
-            arrival_seq: HashMap::new(),
+            trace: if tracing { Trace::new(filter, n) } else { Trace::default() },
         }
     }
 
-    /// Record an own-channel event for local rank `li`.  Identical numbering
-    /// to the strict engine's `trace_own`: the counter advances even when
-    /// the filter drops the rank, so a windowed trace is a strict subset of
-    /// the full one.
-    fn trace_own(&mut self, li: usize, time: f64, kind: TraceKind, op_index: Option<usize>, detail: TraceDetail) {
+    /// Record an own-channel event for `rank`.  Identical numbering to the
+    /// strict engine's `trace_own`: the counter advances even when the
+    /// filter drops the rank, so a windowed trace is a strict subset of the
+    /// full one.
+    fn trace_own(&mut self, rank: RankId, time: f64, kind: TraceKind, op_index: Option<usize>, detail: TraceDetail) {
         if !self.tracing {
             return;
         }
-        let rank = self.lo + li;
-        let r = &mut self.ranks[li];
+        let r = &mut self.ranks[rank];
         let seq = r.seq;
         r.seq += 1;
         self.trace.record(TraceEvent::new(time, rank, kind, op_index, seq, detail));
@@ -309,7 +269,7 @@ impl<'a> Shard<'a> {
         if !self.tracing {
             return;
         }
-        let c = self.arrival_seq.entry(dst).or_insert(0);
+        let c = &mut self.ranks[dst].arrival_seq;
         let seq = ARRIVAL_SEQ | *c;
         *c += 1;
         self.trace.record(TraceEvent::new(time, dst, kind, None, seq, detail));
@@ -320,109 +280,99 @@ impl<'a> Shard<'a> {
     /// retroactively at resolution time — its virtual timestamp and sequence
     /// number are the same ones the strict engine assigns at block time,
     /// because a parked rank emits no own-channel events in between.
-    fn emit_wait(&mut self, li: usize, pc: usize, outcome: WaitOutcome) -> bool {
+    fn emit_wait(&mut self, rank: RankId, pc: usize, outcome: WaitOutcome) -> bool {
         match outcome {
             WaitOutcome::Pending => false,
             WaitOutcome::Immediate { end } => {
-                self.trace_own(li, end, TraceKind::OpEnd, Some(pc), TraceDetail::None);
+                self.trace_own(rank, end, TraceKind::OpEnd, Some(pc), TraceDetail::None);
                 true
             }
             WaitOutcome::Waited { from, end } => {
                 let detail = TraceDetail::Block { reason: BlockReason::Notify };
-                self.trace_own(li, from, TraceKind::BlockStart, Some(pc), detail);
-                self.trace_own(li, end, TraceKind::BlockEnd, Some(pc), detail);
+                self.trace_own(rank, from, TraceKind::BlockStart, Some(pc), detail);
+                self.trace_own(rank, end, TraceKind::BlockEnd, Some(pc), detail);
                 true
             }
         }
     }
 
-    /// Append an arrival to its destination's FIFO and wake the destination
-    /// if it is parked in a wait.
-    fn apply_arrival(&mut self, a: Arrival) {
-        let li = a.dst - self.lo;
-        let r = &mut self.ranks[li];
-        r.stats.bytes_received += a.bytes;
+    /// Append an arrival, visible at `visible` (delivery plus the
+    /// notification overhead), to its destination's FIFO and wake the
+    /// destination if it is parked in a wait.
+    fn apply_arrival(&mut self, dst: RankId, visible: f64, notify: NotifyId, bytes: u64) {
+        let r = &mut self.ranks[dst];
+        r.stats.bytes_received += bytes;
         r.stats.messages_received += 1;
-        r.fifo.push_back((a.visible, a.notify));
+        r.fifo.push_back((visible, notify));
         if r.blocked && !r.queued {
             r.queued = true;
-            self.worklist.push_back(li);
+            self.worklist.push_back(dst);
         }
     }
 
-    /// Route an arrival to its destination shard (or apply it locally).
-    fn deliver(&mut self, a: Arrival) {
-        if a.dst >= self.lo && a.dst < self.hi {
-            self.apply_arrival(a);
-        } else {
-            self.outbox[a.dst / self.chunk].push(a);
-        }
-    }
-
-    /// Run every runnable rank until the shard has no local work left.
+    /// Run every runnable rank until no work is left.
     fn run_to_quiescence(&mut self) {
-        while let Some(li) = self.worklist.pop_front() {
-            self.ranks[li].queued = false;
-            self.run_rank(li);
+        while let Some(rank) = self.worklist.pop_front() {
+            self.ranks[rank].queued = false;
+            self.run_rank(rank);
         }
     }
 
     /// Burst-execute one rank until it parks in an unsatisfiable wait or
     /// finishes its program.
-    fn run_rank(&mut self, li: usize) {
+    fn run_rank(&mut self, rank: RankId) {
         let program = self.program;
-        let rank = self.lo + li;
         let view = program.rank_ops(rank);
         let notify_overhead = self.cost.notify_overhead;
-        let (clo, chi) = (self.offs[li], self.offs[li + 1]);
+        let (clo, chi) = (self.offs[rank], self.offs[rank + 1]);
         loop {
-            if self.ranks[li].blocked {
-                let pc = self.ranks[li].pc;
+            if self.ranks[rank].blocked {
+                let pc = self.ranks[rank].pc;
                 let (ids, count) = match view.op(pc) {
                     OpView::WaitNotify { ids } => (ids, ids.len()),
                     OpView::WaitNotifyAny { ids, count } => (ids, count),
                     _ => unreachable!("only notification waits park a dataflow rank"),
                 };
                 let outcome =
-                    try_finish_wait(&mut self.ranks[li], &mut self.counts[clo..chi], ids, count, notify_overhead);
-                if !self.emit_wait(li, pc, outcome) {
+                    try_finish_wait(&mut self.ranks[rank], &mut self.counts[clo..chi], ids, count, notify_overhead);
+                if !self.emit_wait(rank, pc, outcome) {
                     return;
                 }
                 continue;
             }
-            let pc = self.ranks[li].pc;
+            let pc = self.ranks[rank].pc;
             if pc >= view.len() {
-                let r = &mut self.ranks[li];
+                let r = &mut self.ranks[rank];
                 r.done = true;
                 r.stats.finish_time = r.stats.finish_time.max(r.clock);
                 return;
             }
             let op = view.op(pc);
             if self.tracing {
-                let t = self.ranks[li].clock;
-                self.trace_own(li, t, TraceKind::OpStart, Some(pc), TraceDetail::Op { op: op.class() });
+                let t = self.ranks[rank].clock;
+                self.trace_own(rank, t, TraceKind::OpStart, Some(pc), TraceDetail::Op { op: op.class() });
             }
             match op {
-                OpView::Compute { seconds } => self.exec_local(li, pc, seconds.max(0.0)),
-                OpView::Reduce { bytes } => self.exec_local(li, pc, self.cost.reduce_time(bytes)),
-                OpView::Copy { bytes } => self.exec_local(li, pc, self.cost.copy_time(bytes)),
-                OpView::PutNotify { dst, bytes, notify } => self.exec_put(li, rank, dst, bytes, notify, pc),
-                OpView::Notify { dst, notify } => self.exec_put(li, rank, dst, 0, notify, pc),
+                OpView::Compute { seconds } => self.exec_local(rank, pc, seconds.max(0.0)),
+                OpView::Reduce { bytes } => self.exec_local(rank, pc, self.cost.reduce_time(bytes)),
+                OpView::Copy { bytes } => self.exec_local(rank, pc, self.cost.copy_time(bytes)),
+                OpView::PutNotify { dst, bytes, notify } => self.exec_put(rank, dst, bytes, notify, pc),
+                OpView::Notify { dst, notify } => self.exec_put(rank, dst, 0, notify, pc),
                 OpView::WaitNotify { ids } => {
-                    let r = &mut self.ranks[li];
+                    let r = &mut self.ranks[rank];
                     r.blocked = true;
                     r.blocked_since = r.clock;
                     let outcome = try_finish_wait(r, &mut self.counts[clo..chi], ids, ids.len(), notify_overhead);
-                    if !self.emit_wait(li, pc, outcome) {
+                    if !self.emit_wait(rank, pc, outcome) {
                         return;
                     }
                 }
                 OpView::WaitNotifyAny { ids, count } => {
-                    let r = &mut self.ranks[li];
+                    let r = &mut self.ranks[rank];
                     r.blocked = true;
                     r.blocked_since = r.clock;
                     let outcome = try_finish_wait(r, &mut self.counts[clo..chi], ids, count, notify_overhead);
-                    if !self.emit_wait(li, pc, outcome) {
+                    if !self.emit_wait(rank, pc, outcome) {
                         return;
                     }
                 }
@@ -430,7 +380,7 @@ impl<'a> Shard<'a> {
                     // All transfer completion times are known at issue time;
                     // the strict engine's outstanding-send counter reduces
                     // to a max over them.
-                    let r = &mut self.ranks[li];
+                    let r = &mut self.ranks[rank];
                     let (t, tx) = (r.clock, r.max_tx_done);
                     if tx > t {
                         r.stats.wait_time += tx - t;
@@ -440,10 +390,10 @@ impl<'a> Shard<'a> {
                     r.stats.finish_time = r.stats.finish_time.max(r.clock);
                     if tx > t {
                         let detail = TraceDetail::Block { reason: BlockReason::AllSends };
-                        self.trace_own(li, t, TraceKind::BlockStart, Some(pc), detail);
-                        self.trace_own(li, tx, TraceKind::BlockEnd, Some(pc), detail);
+                        self.trace_own(rank, t, TraceKind::BlockStart, Some(pc), detail);
+                        self.trace_own(rank, tx, TraceKind::BlockEnd, Some(pc), detail);
                     } else {
-                        self.trace_own(li, t, TraceKind::OpEnd, Some(pc), TraceDetail::None);
+                        self.trace_own(rank, t, TraceKind::OpEnd, Some(pc), TraceDetail::None);
                     }
                 }
                 OpView::Send { .. } | OpView::Isend { .. } | OpView::Recv { .. } | OpView::Barrier => {
@@ -455,23 +405,23 @@ impl<'a> Shard<'a> {
 
     /// A purely local operation of nominal duration `d`, scaled by the
     /// rank's scenario compute factor.
-    fn exec_local(&mut self, li: usize, pc: usize, d: f64) {
-        let r = &mut self.ranks[li];
+    fn exec_local(&mut self, rank: RankId, pc: usize, d: f64) {
+        let r = &mut self.ranks[rank];
         let d = d * r.compute_scale;
         r.stats.compute_time += d;
         r.clock += d;
         r.pc += 1;
         r.stats.finish_time = r.stats.finish_time.max(r.clock);
         let end = r.clock;
-        self.trace_own(li, end, TraceKind::OpEnd, Some(pc), TraceDetail::None);
+        self.trace_own(rank, end, TraceKind::OpEnd, Some(pc), TraceDetail::None);
     }
 
     /// One-sided put (or zero-byte notify) over the alpha-beta wire.
-    fn exec_put(&mut self, li: usize, src: RankId, dst: RankId, bytes: u64, notify: NotifyId, pc: usize) {
+    fn exec_put(&mut self, src: RankId, dst: RankId, bytes: u64, notify: NotifyId, pc: usize) {
         let cost = self.cost;
         let nodes = (self.cluster.node_of(src), self.cluster.node_of(dst));
         let beta = cost.beta_one_sided(nodes.0 == nodes.1);
-        let r = &mut self.ranks[li];
+        let r = &mut self.ranks[src];
         let launch = r.clock + cost.o_send;
         let nics = Nics { rank_tx: &mut r.tx_free, node_tx: &mut self.node_tx_free, node_rx: &mut self.node_rx_free };
         let w = wire_timing(cost, self.scenario, nodes, bytes, beta, launch, nics);
@@ -489,8 +439,8 @@ impl<'a> Shard<'a> {
             // Same per-op order as the strict engine: OpStart (already
             // emitted by the caller), MsgInjected, OpEnd, plus the
             // future-dated arrival on the destination's channel.
-            self.trace_own(li, launch, TraceKind::MsgInjected, None, TraceDetail::Inject { dst, bytes, label, flow });
-            self.trace_own(li, launch, TraceKind::OpEnd, Some(pc), TraceDetail::None);
+            self.trace_own(src, launch, TraceKind::MsgInjected, None, TraceDetail::Inject { dst, bytes, label, flow });
+            self.trace_own(src, launch, TraceKind::OpEnd, Some(pc), TraceDetail::None);
             self.trace_arrival(
                 visible,
                 dst,
@@ -498,94 +448,28 @@ impl<'a> Shard<'a> {
                 TraceDetail::Arrival { src, bytes, label, flow, inject: launch, queue: w.queue, wire: w.ser },
             );
         }
-        self.deliver(Arrival { dst, visible, notify, bytes });
+        self.apply_arrival(dst, visible, notify, bytes);
     }
 }
 
 /// Execute an eligible program (see the module docs for the eligibility
 /// rules, which [`crate::engine::Engine::run`] enforces).
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run(
     cluster: &ClusterSpec,
     cost: &CostModel,
     program: &CompiledProgram,
     scenario: Option<&ScenarioInstance>,
     profile: &CommProfile,
-    shards: usize,
     tracing: bool,
     filter: TraceFilter,
 ) -> Result<RunReport, SimError> {
-    let n = program.num_ranks();
-    let shards = shards.clamp(1, n.max(1));
-    let chunk = n.div_ceil(shards).max(1);
-    let bounds: Vec<(usize, usize)> = (0..shards).map(|s| ((s * chunk).min(n), ((s + 1) * chunk).min(n))).collect();
-
-    if shards == 1 {
-        let mut shard = Shard::new(0, n, chunk, 1, cluster, cost, program, scenario, profile, tracing, filter);
-        shard.run_to_quiescence();
-        return assemble(program, shard.ranks, shard.trace);
-    }
-
-    // Parallel execution: one worker per shard, synchronized in rounds.
-    // Every outbound arrival is flushed before the first barrier, so after
-    // it each shard sees its complete inbox for the round; activity flags
-    // are published before the second barrier, so after it every shard
-    // reads a consistent global quiescence verdict.  A shard's messages
-    // happen-before its barrier entry, which makes the empty-flags check a
-    // sound termination (or deadlock) detector.
-    let inboxes: Vec<Mutex<Vec<Arrival>>> = (0..shards).map(|_| Mutex::new(Vec::new())).collect();
-    let active: Vec<AtomicBool> = (0..shards).map(|_| AtomicBool::new(false)).collect();
-    let barrier = Barrier::new(shards);
-    let mut results: Vec<(usize, Vec<DfRank>, Trace)> = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (s, &(lo, hi)) in bounds.iter().enumerate() {
-            let (inboxes, active, barrier) = (&inboxes, &active, &barrier);
-            handles.push(scope.spawn(move || {
-                let mut shard =
-                    Shard::new(lo, hi, chunk, shards, cluster, cost, program, scenario, profile, tracing, filter);
-                loop {
-                    shard.run_to_quiescence();
-                    for (t, out) in shard.outbox.iter_mut().enumerate() {
-                        if !out.is_empty() {
-                            inboxes[t].lock().expect("inbox poisoned").append(out);
-                        }
-                    }
-                    barrier.wait();
-                    let incoming = std::mem::take(&mut *inboxes[s].lock().expect("inbox poisoned"));
-                    for a in incoming {
-                        shard.apply_arrival(a);
-                    }
-                    // The barriers provide the happens-before edges; the
-                    // flags only need atomicity.
-                    active[s].store(!shard.worklist.is_empty(), Ordering::Relaxed);
-                    barrier.wait();
-                    if active.iter().all(|f| !f.load(Ordering::Relaxed)) {
-                        break;
-                    }
-                }
-                (lo, shard.ranks, shard.trace)
-            }));
-        }
-        handles.into_iter().map(|h| h.join().expect("shard worker panicked")).collect()
-    });
-    results.sort_by_key(|&(lo, _, _)| lo);
-    let mut ranks = Vec::new();
-    let mut trace: Option<Trace> = None;
-    for (_, rs, tr) in results {
-        ranks.extend(rs);
-        match &mut trace {
-            Some(all) => all.absorb(tr),
-            None => trace = Some(tr),
-        }
-    }
-    assemble(program, ranks, trace.unwrap_or_default())
-}
-
-/// Final bookkeeping: flush arrivals nobody waited for (the strict engine
-/// still counts their `NotifyVisible` events — the counter values themselves
-/// are dead after the run, only the received tally matters), detect
-/// deadlock, and build the report.
-fn assemble(program: &CompiledProgram, mut ranks: Vec<DfRank>, mut trace: Trace) -> Result<RunReport, SimError> {
+    let mut burst = Burst::new(cluster, cost, program, scenario, profile, tracing, filter);
+    burst.run_to_quiescence();
+    let Burst { mut ranks, mut trace, .. } = burst;
+    // Final bookkeeping: flush arrivals nobody waited for (the strict engine
+    // still counts their `NotifyVisible` events — the counter values
+    // themselves are dead after the run, only the received tally matters),
+    // detect deadlock, and build the report.
     let mut blocked = Vec::new();
     for (rank, r) in ranks.iter_mut().enumerate() {
         r.stats.notifications_received += r.fifo.len() as u64;

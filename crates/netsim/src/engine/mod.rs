@@ -132,7 +132,6 @@ pub struct Engine {
     filter: TraceFilter,
     scenario: Option<Scenario>,
     network: NetworkModel,
-    shards: usize,
     report_detail: ReportDetail,
     /// The differential-test reference queue (see `tests::SchedulerKind`).
     #[cfg(test)]
@@ -156,7 +155,6 @@ impl Engine {
             filter: TraceFilter::all(),
             scenario: None,
             network: NetworkModel::AlphaBeta,
-            shards: 1,
             report_detail: ReportDetail::default(),
             #[cfg(test)]
             scheduler: tests::SchedulerKind::default(),
@@ -268,23 +266,18 @@ impl Engine {
         self
     }
 
-    /// Number of worker shards for the parallel dataflow fast path (clamped
-    /// to at least 1).  Ranks are partitioned into contiguous blocks, one
-    /// per shard; cross-shard notification arrivals travel through per-shard
-    /// inbound queues whose per-sender FIFO order makes the result
-    /// *identical for every shard count* (see the `dataflow` module docs).
-    /// Programs the fast path cannot execute (two-sided traffic, barriers,
-    /// fabric contention, multiple writers per destination, more than one
-    /// rank per node) conservatively fall back to the serial strict event
-    /// loop regardless of this setting.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
+    /// Does nothing: execution is single-threaded.  Kept because
+    /// `benchmark/src/adapter.rs::sharded_summary` calls it and a code PR may
+    /// not edit `benchmark/`; ROADMAP item 1's benchmark-definition PR
+    /// deletes that caller and this method together.
+    #[doc(hidden)]
+    pub fn with_shards(self, _shards: usize) -> Self {
         self
     }
 
     /// Select how much per-rank detail the returned [`RunReport`] retains
-    /// (see [`ReportDetail`]; the default keeps everything).  Summarized and
-    /// sampled reports fold the per-rank statistics — and capture the full
+    /// (see [`ReportDetail`]; the default keeps everything).  A summarized
+    /// report folds the per-rank statistics — and captures the full
     /// fingerprint — before dropping rows, so aggregate queries and
     /// determinism checks are unaffected.
     pub fn with_report_detail(mut self, detail: ReportDetail) -> Self {
@@ -336,8 +329,7 @@ impl Engine {
         // Dataflow fast path: one-sided single-writer programs on one-rank
         // nodes have per-destination arrival streams that are FIFO in both
         // issue order and visible time, so rank op chains can burst-execute
-        // without a global event queue — and shard across threads without
-        // changing a single output bit.  Traced runs stay eligible: the
+        // without a global event queue.  Traced runs stay eligible: the
         // burst path emits the same events as the strict loop into the same
         // per-rank streams.  Anything else (fabric contention, two-sided
         // matching, barriers, shared NICs, multiple writers) runs the strict
@@ -348,16 +340,7 @@ impl Engine {
         #[cfg(test)]
         let eligible = eligible && self.scheduler == tests::SchedulerKind::CalendarQueue;
         let mut report = if eligible {
-            dataflow::run(
-                &self.cluster,
-                &self.cost,
-                program,
-                instance.as_ref(),
-                profile,
-                self.shards,
-                self.tracing,
-                self.filter,
-            )?
+            dataflow::run(&self.cluster, &self.cost, program, instance.as_ref(), profile, self.tracing, self.filter)?
         } else {
             let sim = Sim::new(&self.cluster, &self.cost, program, self.tracing, self.filter, instance, fabric);
             #[cfg(test)]

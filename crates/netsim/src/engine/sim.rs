@@ -67,11 +67,11 @@ impl PartialOrd for Event {
 impl Ord for Event {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         // Time ties break by `(rank, seq)`, not by `seq` alone: the global
-        // sequence number is an *insertion* order, which is scheduling
-        // dependent as soon as events can originate from concurrent shards.
-        // The rank id is stable under any partitioning, so equal-time events
-        // of different ranks order identically no matter where they were
-        // produced; `seq` only disambiguates same-rank same-time events,
+        // sequence number is an *insertion* order, which depends on the
+        // order the loop happens to produce events in.  The rank id does
+        // not, so equal-time events of different ranks order identically no
+        // matter where they were produced (every pinned makespan rests on
+        // this key); `seq` only disambiguates same-rank same-time events,
         // whose relative insertion order is defined by the rank's own
         // (deterministic) execution.
         self.time.total_cmp(&other.time).then_with(|| self.rank.cmp(&other.rank)).then_with(|| self.seq.cmp(&other.seq))

@@ -665,7 +665,7 @@ fn mismatched_topology_is_rejected() {
     assert!(matches!(err, SimError::BadTopology(_)));
 }
 
-// -- scheduler, dataflow fast path and sharded execution ----------------
+// -- scheduler and dataflow fast path ------------------------------------
 
 /// Shifted ring: every round, rank `r` puts to `r + 1` and waits for the
 /// round's notification from `r - 1`.  Each destination has exactly one
@@ -687,7 +687,7 @@ fn ring_rounds_program(p: usize, rounds: usize, bytes: u64) -> Program {
 /// Shifted all-to-all: rank `r` puts to every other rank (notification id
 /// = source rank), then waits for all `p - 1` incoming notifications.
 /// Every destination has `p - 1` writers — multi-writer, so the engine
-/// must fall back to the strict event loop even when shards are requested.
+/// must fall back to the strict event loop.
 fn alltoall_program(p: usize, bytes: u64) -> Program {
     let mut b = ProgramBuilder::new(p);
     for r in 0..p {
@@ -721,34 +721,11 @@ fn dataflow_fast_path_matches_strict_under_scenario_perturbations() {
 }
 
 #[test]
-fn sharded_dataflow_is_bit_identical_across_shard_counts() {
-    let p = ring_rounds_program(64, 4, 2048);
-    let baseline = engine(64, 1).with_shards(1).run(&p).unwrap();
-    for shards in [2usize, 3, 8, 64] {
-        let r = engine(64, 1).with_shards(shards).run(&p).unwrap();
-        assert_eq!(r.fingerprint(), baseline.fingerprint(), "shards={shards} must reproduce the serial fingerprint");
-        assert_eq!(r.ranks, baseline.ranks);
-    }
-}
-
-#[test]
-fn strict_fallback_is_bit_identical_across_shard_counts_on_alltoall() {
-    // Satellite: p = 256 all-to-all is multi-writer, so every shard count
-    // takes the strict event loop; the tie-break key (time, rank, seq)
-    // makes the replay byte-identical regardless of the requested shards.
-    let p = alltoall_program(256, 256);
-    let baseline = engine(256, 1).with_shards(1).run(&p).unwrap();
-    for shards in [2usize, 8] {
-        let r = engine(256, 1).with_shards(shards).run(&p).unwrap();
-        assert_eq!(r.fingerprint(), baseline.fingerprint(), "shards={shards}");
-    }
-    assert_eq!(baseline.total_notifications_consumed(), 256 * 255);
-}
-
-#[test]
-fn sharded_alltoall_matches_both_schedulers() {
+fn alltoall_matches_both_schedulers() {
     let p = alltoall_program(32, 512);
     let cal = engine(32, 1).run(&p).unwrap();
+    assert_eq!(cal.metrics.dataflow_burst_ops, 0, "multi-writer: the strict loop runs it");
+    assert_eq!(cal.total_notifications_consumed(), 32 * 31);
     let heap = engine(32, 1).with_scheduler(SchedulerKind::BinaryHeap).run(&p).unwrap();
     assert_eq!(cal, heap, "calendar queue and binary heap must order events identically");
 }
@@ -774,12 +751,12 @@ fn calendar_and_heap_agree_on_two_sided_barrier_fabric_programs() {
 }
 
 #[test]
-fn wait_any_partial_consumption_is_shard_invariant() {
+fn wait_any_partial_consumption_matches_the_strict_engine() {
     // WaitNotifyAny with count < ids.len() is the consume-order-sensitive
     // case: which ids survive for the later wait depends on how arrivals
     // interleave with the wait.  The dataflow wait protocol partitions
-    // arrivals by *virtual* time, so every shard count — and the strict
-    // engine — must agree on the consumed-id multiset.
+    // arrivals by *virtual* time, so it and the strict engine must agree
+    // on the consumed-id multiset.
     // Incremental case: rank 1 parks *before* any arrival, so each
     // arrival is checked one at a time.  The any-wait must consume only
     // id 0 (first available in listed order), leaving 1 and 2 for the
@@ -810,20 +787,19 @@ fn wait_any_partial_consumption_is_shard_invariant() {
     for p in [&incremental, &batched] {
         let strict = engine(2, 1).with_scheduler(SchedulerKind::BinaryHeap).run(p).unwrap();
         assert_eq!(strict.ranks[1].notifications_consumed, 3);
-        for shards in [1usize, 2] {
-            let r = engine(2, 1).with_shards(shards).run(p).unwrap();
-            assert_eq!(r.ranks, strict.ranks, "shards={shards}");
-        }
+        let burst = engine(2, 1).run(p).unwrap();
+        assert!(burst.metrics.dataflow_burst_ops > 0);
+        assert_eq!(burst.ranks, strict.ranks);
     }
 }
 
 #[test]
-fn sharded_dataflow_reports_deadlock() {
+fn dataflow_reports_deadlock() {
     let mut b = ProgramBuilder::new(8);
     b.put_notify(0, 1, 64, 0);
     b.wait_notify(1, &[0]);
     b.wait_notify(5, &[3]); // nobody ever notifies id 3
-    let err = engine(8, 1).with_shards(4).run(&b.build()).unwrap_err();
+    let err = engine(8, 1).run(&b.build()).unwrap_err();
     match err {
         SimError::Deadlock { blocked } => {
             assert_eq!(blocked.len(), 1);
@@ -832,14 +808,6 @@ fn sharded_dataflow_reports_deadlock() {
         }
         other => panic!("expected deadlock, got {other:?}"),
     }
-}
-
-#[test]
-fn shard_count_beyond_rank_count_is_clamped() {
-    let p = ring_rounds_program(4, 2, 1024);
-    let a = engine(4, 1).with_shards(1).run(&p).unwrap();
-    let b = engine(4, 1).with_shards(64).run(&p).unwrap();
-    assert_eq!(a, b);
 }
 
 #[test]
@@ -880,8 +848,8 @@ fn ring_allreduce_program(p: usize, total: u64) -> Program {
 fn strict_loop_reproduces_the_pinned_ring_traces() {
     // `ec_bench`'s `observability.rs` pins the bytes of this run's trace,
     // export and critical path, full and windowed, on the dataflow path
-    // at 1 and 4 shards (it asserts the same fingerprint, so it is the
-    // same run).  Equality here extends both pins to the strict loop.
+    // (it asserts the same fingerprint, so it is the same run).  Equality
+    // here extends both pins to the strict loop.
     let program = ring_allreduce_program(32, 1 << 20);
     let jittered = Engine::new(ClusterSpec::homogeneous(32, 1), CostModel::skylake_fdr())
         .with_trace(true)
@@ -896,16 +864,6 @@ fn strict_loop_reproduces_the_pinned_ring_traces() {
         assert_eq!(strict.trace, burst.trace);
         assert_eq!(strict.ranks, burst.ranks);
     }
-}
-
-#[test]
-fn sharded_trace_matches_the_single_shard_trace() {
-    let p = ring_rounds_program(12, 3, 2048);
-    let one = engine(12, 1).with_trace(true).with_shards(1).run(&p).unwrap();
-    let four = engine(12, 1).with_trace(true).with_shards(4).run(&p).unwrap();
-    assert!(!one.trace.is_empty());
-    assert_eq!(one.trace, four.trace, "the (time, rank, seq) merge must be shard-count independent");
-    assert_eq!(one.ranks, four.ranks);
 }
 
 #[test]
@@ -1113,8 +1071,8 @@ fn random_program(rng: &mut TestRng, p: usize) -> Program {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// The shipped engine (calendar queue, dataflow burst path, rank
-    /// sharding) and the strict loop on the reference heap produce
+    /// The shipped engine (calendar queue, dataflow burst path) and the
+    /// strict loop on the reference heap produce
     /// identical makespans and notification counters on random valid
     /// programs — with and without a fabric topology.  A per-round
     /// communication stride drawn from the seed makes some programs
@@ -1128,7 +1086,6 @@ proptest! {
         kb in 1u64..64,
         seed in 0u64..10_000,
         fabric_sel in 0usize..2,
-        shards in 1usize..5,
     ) {
         let (p, with_fabric, bytes) = ([4, 16, 64][p_sel], fabric_sel == 1, kb * 1024);
         let mut rng = crate::scenario::SplitMix64::new(seed);
@@ -1148,7 +1105,7 @@ proptest! {
             let e = Engine::new(ClusterSpec::homogeneous(p, 1), CostModel::skylake_fdr());
             if with_fabric { e.with_topology(Topology::single_switch(p, 1e9)) } else { e }
         };
-        let calendar = base().with_shards(shards).run(&prog).unwrap();
+        let calendar = base().run(&prog).unwrap();
         let heap = base().with_scheduler(SchedulerKind::BinaryHeap).run(&prog).unwrap();
         prop_assert_eq!(calendar.makespan(), heap.makespan());
         prop_assert_eq!(calendar.total_notifications_received(), heap.total_notifications_received());

@@ -242,8 +242,8 @@ impl Program {
 /// compiled (see [`CompiledProgram::profile`](crate::CompiledProgram::profile)).
 /// The engine uses them to size its dense per-rank notification counters, to
 /// skip `TxDone` bookkeeping for ranks that never wait on send completion,
-/// and to decide whether the program is eligible for the sharded dataflow
-/// fast path.
+/// and to decide whether the program is eligible for the dataflow fast
+/// path.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CommProfile {
     /// Per-rank exclusive bound on the notification ids that can be waited on

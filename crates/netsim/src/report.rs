@@ -107,10 +107,10 @@ impl LinkStats {
 ///
 /// At a million ranks the per-rank [`RankStats`] vector is ~100 MB per
 /// report; figure binaries that only print aggregates select
-/// [`ReportDetail::Summary`] (or [`ReportDetail::Sampled`]) via
-/// [`crate::Engine::with_report_detail`] and the engine folds the aggregates
-/// — including the full determinism fingerprint — *before* dropping the
-/// per-rank rows, so summary reports stay byte-comparable to full ones.
+/// [`ReportDetail::Summary`] via [`crate::Engine::with_report_detail`] and
+/// the engine folds the aggregates — including the full determinism
+/// fingerprint — *before* dropping the per-rank rows, so summary reports
+/// stay byte-comparable to full ones.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReportDetail {
     /// Keep every per-rank row (the default; reports behave exactly as they
@@ -121,10 +121,6 @@ pub enum ReportDetail {
     /// rows.  Aggregate accessors and [`RunReport::fingerprint`] keep
     /// answering from the summary; per-rank accessors see an empty vector.
     Summary,
-    /// Like [`ReportDetail::Summary`], but additionally retain every k-th
-    /// rank's row (rank 0, k, 2k, …) for spot inspection.  `Sampled(1)`
-    /// keeps everything and still attaches the summary.
-    Sampled(usize),
 }
 
 /// Whole-run aggregates folded from the per-rank rows before they are
@@ -161,9 +157,8 @@ pub struct ReportSummary {
 /// Result of simulating one [`crate::Program`].
 #[derive(Debug, Clone, Default)]
 pub struct RunReport {
-    /// Per-rank statistics, indexed by rank id ([`ReportDetail::Full`]),
-    /// every k-th rank ([`ReportDetail::Sampled`]) or empty
-    /// ([`ReportDetail::Summary`]).
+    /// Per-rank statistics, indexed by rank id ([`ReportDetail::Full`]) or
+    /// empty ([`ReportDetail::Summary`]).
     pub ranks: Vec<RankStats>,
     /// Per-link statistics, indexed like the fabric topology's link list
     /// (empty unless the engine ran with a contended network fabric).
@@ -180,9 +175,9 @@ pub struct RunReport {
 /// Report equality deliberately ignores [`RunReport::metrics`]: the
 /// counters describe how much work the *engine* did (queue maintenance,
 /// solver passes), which legitimately differs between the calendar queue
-/// and the binary heap — or between shard counts — while the simulation
-/// outputs they produce are bit-identical.  The determinism tests compare
-/// whole reports across those configurations.
+/// and the binary heap while the simulation outputs they produce are
+/// bit-identical.  The determinism tests compare whole reports across those
+/// configurations.
 impl PartialEq for RunReport {
     fn eq(&self, other: &Self) -> bool {
         self.ranks == other.ranks
@@ -290,7 +285,7 @@ impl RunReport {
     }
 
     /// Apply a [`ReportDetail`] policy: fold the summary (including the full
-    /// fingerprint) and drop or thin the per-rank rows.  Called by the
+    /// fingerprint) and drop the per-rank rows.  Called by the
     /// engine after the report is fully assembled; [`ReportDetail::Full`] is
     /// a no-op, so default runs are untouched.
     pub fn finalize(&mut self, detail: ReportDetail) {
@@ -299,17 +294,6 @@ impl RunReport {
             ReportDetail::Summary => {
                 self.fold_summary();
                 self.ranks = Vec::new();
-            }
-            ReportDetail::Sampled(k) => {
-                self.fold_summary();
-                let k = k.max(1);
-                let mut i = 0usize;
-                self.ranks.retain(|_| {
-                    let keep = i.is_multiple_of(k);
-                    i += 1;
-                    keep
-                });
-                self.ranks.shrink_to_fit();
             }
         }
     }
@@ -372,13 +356,13 @@ impl RunReport {
     /// statistic (floats hashed by exact bit pattern).  Two reports have the
     /// same fingerprint iff their accounting is byte-identical, which is the
     /// property the determinism tests and the CI smoke jobs assert across
-    /// scheduler implementations and shard counts.  The trace is excluded:
+    /// scheduler implementations.  The trace is excluded:
     /// it is empty unless tracing was explicitly enabled.
     ///
     /// When a [`ReportSummary`] is attached, its stored fingerprint — folded
     /// over the complete per-rank rows before any were dropped — is returned,
-    /// so `Summary`/`Sampled` reports fingerprint identically to the `Full`
-    /// report of the same run.
+    /// so a `Summary` report fingerprints identically to the `Full` report
+    /// of the same run.
     pub fn fingerprint(&self) -> u64 {
         if let Some(s) = &self.summary {
             return s.fingerprint;
@@ -508,8 +492,7 @@ mod tests {
         e.links[0].saturated_time = 0.5;
         assert_ne!(a.fingerprint(), e.fingerprint());
 
-        // Swapping rank order changes the digest: it is order-sensitive,
-        // which is exactly what cross-shard determinism checks need.
+        // Swapping rank order changes the digest: it is order-sensitive.
         let mut f = a.clone();
         f.ranks.swap(0, 1);
         assert_ne!(a.fingerprint(), f.fingerprint());
@@ -565,22 +548,6 @@ mod tests {
         untouched.finalize(ReportDetail::Full);
         assert_eq!(untouched, full);
         assert!(untouched.summary.is_none());
-    }
-
-    #[test]
-    fn sampled_finalize_keeps_every_kth_rank() {
-        let mut r = report_with_finish_times(&[1.0, 2.0, 3.0, 4.0, 5.0]);
-        let full_fp = r.fingerprint();
-        r.finalize(ReportDetail::Sampled(2));
-        assert_eq!(r.ranks.len(), 3, "ranks 0, 2, 4 kept");
-        assert_eq!(r.ranks[1].finish_time, 3.0);
-        assert_eq!(r.fingerprint(), full_fp);
-        assert_eq!(r.makespan(), 5.0, "aggregates answer from the summary");
-
-        // Sampled(0) is clamped to keep-everything rather than panicking.
-        let mut z = report_with_finish_times(&[1.0, 2.0]);
-        z.finalize(ReportDetail::Sampled(0));
-        assert_eq!(z.ranks.len(), 2);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! store, a streaming Chrome Trace Event writer, and a validator for
 //! exported files.
 //!
-//! Every execution path of the engine — the strict event loop, the dataflow
-//! burst path and the sharded workers — emits the same [`TraceEvent`]s.
+//! Both execution paths of the engine — the strict event loop and the
+//! dataflow burst path — emit the same [`TraceEvent`]s.
 //! Events carry a typed, copyable [`TraceDetail`] instead of a free-form
 //! string, so post-run analyses (the critical-path walk in
 //! [`crate::critpath`], the `xtask trace-stats` summarizer) never parse text.
@@ -15,8 +15,8 @@
 //! if the check fails (several writers racing to one rank on the strict
 //! path); nothing is ever sorted globally and no second copy of the events
 //! exists at any point.  [`Trace::iter`] yields the canonical
-//! `(time, rank, seq)` order — identical no matter which execution path or
-//! shard count produced the events — by merging the stream heads on demand:
+//! `(time, rank, seq)` order — identical no matter which execution path
+//! produced the events — by merging the stream heads on demand:
 //! `O(log streams)` when the smallest event moves to another stream, `O(1)`
 //! while it stays on the same one.  Per-rank consumers (the critical-path
 //! walk) read a rank's two streams directly through [`Trace::rank`].
@@ -42,7 +42,7 @@ use crate::report::LinkStats;
 /// visible-time order; own-event sequence numbers count per rank in program
 /// execution order.  The two channels are disjoint, so the merged
 /// `(time, rank, seq)` order is identical no matter which execution path
-/// (strict loop, burst path, sharded workers) produced the events.
+/// (strict loop, burst path) produced the events.
 pub const ARRIVAL_SEQ: u64 = 1 << 63;
 
 /// Category of a traced event.
@@ -375,21 +375,6 @@ impl Trace {
             self.streams[stream].push(event);
             self.len += 1;
         }
-    }
-
-    /// Take over the events of `other`, a trace of the same run recorded by
-    /// another shard.  Streams move; none is copied unless both sides
-    /// recorded into it.
-    pub(crate) fn absorb(&mut self, other: Trace) {
-        debug_assert_eq!(self.streams.len(), other.streams.len(), "shards of one run share the stream table");
-        for (mine, mut theirs) in self.streams.iter_mut().zip(other.streams) {
-            if mine.is_empty() {
-                *mine = theirs;
-            } else {
-                mine.append(&mut theirs);
-            }
-        }
-        self.len += other.len;
     }
 
     /// End of recording: put every stream that is not already ascending in
@@ -1253,14 +1238,12 @@ mod tests {
         }
         let program = b.build();
         let filter = TraceFilter::window(100_000, 100_015);
-        for shards in [1, 4] {
-            let engine = Engine::new(ClusterSpec::homogeneous(p, 1), CostModel::skylake_fdr()).with_shards(shards);
-            let report = engine.with_trace_filter(filter).run(&program).expect("the ring must simulate");
-            assert!(report.metrics.dataflow_burst_ops > 0);
-            assert_eq!(report.trace.streams.len(), 32, "{shards} shard(s): sixteen kept ranks, not {p}");
-            assert_eq!(report.trace.iter().filter(|e| e.kind == TraceKind::NotifyVisible).count(), 16);
-            assert!(report.trace.iter().all(|e| filter.keeps(e.rank)));
-        }
+        let engine = Engine::new(ClusterSpec::homogeneous(p, 1), CostModel::skylake_fdr());
+        let report = engine.with_trace_filter(filter).run(&program).expect("the ring must simulate");
+        assert!(report.metrics.dataflow_burst_ops > 0);
+        assert_eq!(report.trace.streams.len(), 32, "sixteen kept ranks, not {p}");
+        assert_eq!(report.trace.iter().filter(|e| e.kind == TraceKind::NotifyVisible).count(), 16);
+        assert!(report.trace.iter().all(|e| filter.keeps(e.rank)));
     }
 
     mod merge {
@@ -1273,8 +1256,7 @@ mod tests {
             /// The on-demand merge is the global sort: for event sets full of
             /// exact time ties (across ranks, within a rank, between a rank's
             /// own events and its arrivals), recorded in any order, with
-            /// empty ranks, no or one event, and streams handed over by
-            /// several shards.
+            /// empty ranks, no or one event.
             #[test]
             fn iter_matches_the_global_sort(seed in 0u64..u64::MAX) {
                 let mut rng = TestRng::seed_from_u64(seed);
@@ -1314,21 +1296,6 @@ mod tests {
                     shuffled.swap(i, pick(i + 1));
                 }
                 prop_assert_eq!(&Trace::from_events(shuffled), &trace);
-
-                // Shards of one run: each records a share, in any order,
-                // into a table of the run's shape; one trace absorbs them.
-                let shards = 1 + pick(4);
-                let mut parts: Vec<Trace> = (0..shards).map(|_| Trace::new(TraceFilter::all(), base + ranks)).collect();
-                for e in &events {
-                    parts[pick(shards)].record(e.clone());
-                }
-                let mut absorbed = parts.remove(0);
-                for part in parts {
-                    absorbed.absorb(part);
-                }
-                absorbed.seal();
-                prop_assert!(absorbed.iter().eq(sorted.iter()));
-                prop_assert_eq!(&absorbed, &trace);
 
                 // One event fewer, or one field off, is a different trace.
                 if let Some(last) = events.pop() {

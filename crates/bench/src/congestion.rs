@@ -211,7 +211,7 @@ mod tests {
     }
 
     #[test]
-    fn scale_schedules_validate_and_are_shard_invariant() {
+    fn scale_schedules_validate_and_consume_every_notification() {
         let alltoall = alltoall_window_schedule(64, 1024, 8);
         let ring = ring_rounds_schedule(64, 4096, 4);
         for p in [&alltoall, &ring] {

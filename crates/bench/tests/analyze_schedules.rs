@@ -169,7 +169,7 @@ fn overlapping_put_targets_are_reported_as_a_multi_writer_race() {
 /// The analyzer rejects a schedule the engine would deadlock on and
 /// certifies one the engine runs.
 #[test]
-fn run_checked_rejects_broken_and_runs_clean_schedules() {
+fn analyzer_rejects_broken_and_accepts_clean_schedules() {
     let engine = Engine::new(ClusterSpec::homogeneous(8, 1), CostModel::test_model());
     let clean = ring_allreduce_schedule(8, 4096);
     assert!(analyze(&clean).unwrap().is_clean());
@@ -186,11 +186,12 @@ fn run_checked_rejects_broken_and_runs_clean_schedules() {
 // ---------------------------------------------------------------------------
 // Pipelined chains through one interned segment.
 //
-// The random differential below never interns two ranks into one class
-// (each rank draws its own stream), so it cannot exercise the lockstep
+// The random one-sided differential below never interns two ranks into one
+// class (each rank draws its own stream), so it cannot exercise the lockstep
 // quotient's blind spot: a piece whose supply comes from earlier ranks of
-// its *own* segment.  These chains do — the exact shape that once made the
-// analyzer report a certain deadlock on a schedule the engine completes.
+// its *own* segment.  These chains and the replicated random streams after
+// them do — the shape that stalls the quotient and hands the verdict to the
+// analyzer's exact per-rank run.
 // ---------------------------------------------------------------------------
 
 /// A pipelined token chain: the seeding edge rank starts `stages` tokens,
@@ -248,6 +249,90 @@ fn pipelined_chain_is_certified_and_runs() {
         report.errors.iter().any(|e| matches!(e, AnalysisError::Deadlock { certain: true, .. })),
         "got {:?}",
         report.errors
+    );
+}
+
+/// A random rank-relative stream: one to five puts, notifies and waits over
+/// ids `0..3`, with each target stored as a delta from the issuing rank
+/// (mostly ±1, so neighbors feed each other) and each wait all-of.
+fn random_relative_stream(rng: &mut SplitMix64, p: usize) -> Vec<Op> {
+    (0..1 + rng.next_below(5))
+        .map(|_| {
+            let delta = match rng.next_below(4) {
+                0 => 1 + rng.next_below(p - 1),
+                1 => p - 1,
+                _ => 1,
+            };
+            let id = rng.next_below(3) as u32;
+            match rng.next_below(3) {
+                0 => Op::PutNotify { dst: delta, bytes: 64, notify: id },
+                1 => Op::Notify { dst: delta, notify: id },
+                _ if rng.next_below(3) == 0 => Op::WaitNotify { ids: vec![id, (id + 1) % 3] },
+                _ => Op::WaitNotify { ids: vec![id] },
+            }
+        })
+        .collect()
+}
+
+/// One stream replicated on every middle rank (so the middle ranks intern
+/// into one class and supply each other), with distinct random streams on
+/// the two edge ranks.
+fn random_interned_program(seed: u64) -> Program {
+    let mut rng = SplitMix64::new(seed);
+    let p = 4 + rng.next_below(6); // 4..=9 ranks
+    let middle = random_relative_stream(&mut rng, p);
+    let mut program = Program::empty(p);
+    for rank in 0..p {
+        let stream = if rank == 0 || rank == p - 1 { random_relative_stream(&mut rng, p) } else { middle.clone() };
+        program.ranks[rank].ops = stream
+            .into_iter()
+            .map(|op| match op {
+                Op::PutNotify { dst, bytes, notify } => Op::PutNotify { dst: (rank + dst) % p, bytes, notify },
+                Op::Notify { dst, notify } => Op::Notify { dst: (rank + dst) % p, notify },
+                other => other,
+            })
+            .collect();
+    }
+    program
+}
+
+/// Differential over replicated random streams: deadlock-free exactly when
+/// the engine completes, and every rank a `certain` deadlock names is
+/// blocked in the engine at the same op.
+#[test]
+fn analyzer_and_engine_agree_on_interned_random_streams() {
+    let (mut completed, mut certain_deadlocks) = (0, 0);
+    for seed in 0..1000u64 {
+        let program = random_interned_program(seed);
+        let report = analyze(&program).unwrap();
+        let engine = Engine::new(ClusterSpec::homogeneous(program.num_ranks(), 1), CostModel::test_model());
+        match engine.run(&program) {
+            Ok(_) => {
+                assert!(report.is_deadlock_free(), "seed {seed}: engine completed but got {:?}", report.errors);
+                completed += 1;
+            }
+            Err(SimError::Deadlock { blocked }) => {
+                assert!(!report.is_deadlock_free(), "seed {seed}: engine deadlocked but the analyzer certified it");
+                for e in &report.errors {
+                    let AnalysisError::Deadlock { blocked: named, certain: true } = e else { continue };
+                    certain_deadlocks += 1;
+                    for b in named {
+                        assert!(
+                            blocked.iter().any(|&(r, pc, _)| r == b.rank && pc == b.op_index),
+                            "seed {seed}: rank {} at op {} is not blocked there in the engine: {blocked:?}",
+                            b.rank,
+                            b.op_index
+                        );
+                    }
+                }
+            }
+            Err(other) => panic!("seed {seed}: unexpected engine error: {other}"),
+        }
+    }
+    // Both verdicts must be common, or the generator has degenerated.
+    assert!(
+        completed >= 100 && certain_deadlocks >= 100,
+        "{completed} completed, {certain_deadlocks} certain deadlocks"
     );
 }
 

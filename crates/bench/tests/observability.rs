@@ -148,7 +148,7 @@ proptest! {
     /// program was fed to the engine (materialized / compiled / source) or
     /// whether the flow-level fabric priced the wires.
     #[test]
-    fn traces_are_identical_across_program_forms_shards_and_fabric(
+    fn traces_are_identical_across_program_forms_and_fabric(
         ranks in 4usize..12,
         kib in 1u64..32,
         fabric_flag in 0usize..2,

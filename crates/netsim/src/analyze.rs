@@ -36,7 +36,7 @@
 //!
 //! ## Complexity: per unique segment, not per rank
 //!
-//! All three analyses run on the [`CompiledProgram`] arena of PR 7, which
+//! All three analyses run on the [`CompiledProgram`] arena, which
 //! stores each distinct rank-relative op stream **once**.  Ranks sharing a
 //! segment are grouped into *classes*; classes are further split into
 //! *pieces* — maximal rank intervals whose incoming supply (which producer
@@ -51,70 +51,68 @@
 //! segments, three pieces — is analyzed in the time and memory of a
 //! handful of ranks: `O(unique segment ops + supply edges + p)` (the `p`
 //! term is the single scan of the rank→segment table; nothing else is
-//! per-rank).  The one exception is the `certain` classification of an
-//! already-found deadlock, which sweeps the stalled pieces to a second
-//! fixpoint: clean schedules never pay for it, and its work is bounded
-//! by the residual (unexecuted) ops of the blocked pieces per sweep.
+//! per-rank).
 //!
-//! ## Soundness and approximation
+//! That bound is per *segment*, so it buys nothing where ranks do not
+//! share one.  Whether they do depends on the op streams, not on the
+//! program form: a ring allreduce whose payload does not split evenly over
+//! `p` gives every rank its own chunk sizes and interns one segment per
+//! rank, compiled from a [`Program`] or from a
+//! [`ProgramSource`](crate::ProgramSource) alike — at p = 1024 that is 1024
+//! classes, 1024 pieces and 5.24 M segment ops, and every per-piece check
+//! runs once per rank.  The exact fallback below is per rank by design; it
+//! runs only when the quotient stalls, which no library schedule does.
 //!
-//! The abstract execution advances each piece as one representative rank
-//! in lockstep and gates remote supply on the *minimum* cursor over the
-//! producing class's pieces — supply is never assumed available before
+//! ## Soundness: a quotient, and an exact fallback
+//!
+//! The abstract execution first advances each piece as one representative
+//! rank in lockstep and gates remote supply on the *minimum* cursor over
+//! the producing class's pieces — supply is never assumed available before
 //! every rank of the producing class could have issued it.  Completion of
-//! the abstract execution therefore implies the engine completes (the
-//! engine's schedule is one of the interleavings the optimistic semantics
+//! this quotient therefore implies the engine completes (the engine's
+//! schedule is one of the interleavings the optimistic semantics
 //! dominates).
 //!
-//! Lockstep alone is too coarse for one legitimate pattern: a pipeline
-//! *within* one segment, where every rank of a piece waits on supply from
-//! an earlier (or later) rank of the same interned segment — rank 0 puts,
-//! rank r waits for r−1 and forwards.  Rank by rank the chain drains, but
-//! no piece can take the first step as a unit.  When the execution stalls,
-//! such pieces are discharged by *pipeline certificates*: a rank-order
-//! induction (ascending or descending) that admits in-piece supply from
-//! ranks strictly on the hypothesis side once the boundary ranks' external
-//! writers have individually passed the producing op, re-runs the
-//! representative under that hypothesis, and commits its progress.  A full
-//! completion commits unconditionally; a prefix commit to cursor `k`
-//! additionally requires every inductively-supplied producing op consumed
-//! so far to lie below `k` (the hypothesis "every rank reaches op `k`"
-//! produces nothing beyond `k`).
+//! Lockstep is too coarse for one legitimate pattern: a pipeline *within*
+//! one segment — rank 0 puts, rank r waits for r−1 and forwards.  Rank by
+//! rank the chain drains, but no piece can take the first step as a unit.
+//! So a stalled quotient decides nothing; it hands over to the *exact
+//! run*, a timeless execution with one cursor per rank.  An arrival counts
+//! the moment its writer passes the put, notify or send; counters are kept
+//! per (receiver, id) and per (receiver, source, tag); a worklist wakes the
+//! receiver of every new arrival; a barrier releases only when every rank
+//! is parked at one; and waits consume by the engine's listed-order rule.
+//! For deterministic consumption this counting system is confluent — an
+//! enabled op stays enabled until its own rank runs it — so a stall is a
+//! deadlock under every arrival order and completion means the engine
+//! completes.
 //!
-//! A stall that survives certification is reported as a deadlock.  It is
-//! `certain` only when (a) consumption is deterministic for every piece
-//! that could still run — no class of an incomplete piece contains a
-//! `WaitNotifyAny` demanding less than its full id set (which ids such a
-//! wait drains depends on arrival order; completed pieces are exempt,
-//! since whatever a finished piece chose to consume it produced everything
-//! it can) — and (b) the residual stalls under every arrival order: the
-//! stalled state is re-run to fixpoint under the *over*-approximating
-//! per-rank gate (a supply edge is granted as soon as any rank in its
-//! writer interval individually passed the producing op, and a grant
-//! unblocks the whole piece), and even that run leaves a piece
-//! incomplete.  Every concrete order's progress lies pointwise below that
-//! fixpoint, so its stall makes the deadlock order-independent; if it
-//! completes instead, some rank might proceed where the lockstep quotient
-//! cannot, and the deadlock is reported with
-//! `certain: false`.  Blocking `Send` is modeled eagerly (non-blocking):
-//! whether a rendezvous handshake blocks is a property of the cost model's
-//! eager threshold, not of the schedule.
+//! Consumption is nondeterministic only at a `WaitNotifyAny` demanding
+//! fewer ids than it lists: which ids it drains depends on arrival order.
+//! A deadlock is therefore `certain` when no rank the exact run left
+//! blocked belongs to a class containing such a wait (ranks that finished
+//! are exempt: whatever they chose to consume, they produced everything
+//! they can).  Blocked ranks are reported grouped by (piece, op index),
+//! without the ones whose wait the budget walk already reported as
+//! [`AnalysisError::Starvation`].  Blocking `Send` is modeled eagerly
+//! (non-blocking): whether a rendezvous handshake blocks is a property of
+//! the cost model's eager threshold, not of the schedule.
 
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::fmt;
 
 use crate::cluster::RankId;
 use crate::compiled::{decode_target, CompiledProgram, OpKind, TargetMode};
 use crate::program::{NotifyId, Program};
-use crate::source::ProgramSource;
 use crate::validate::ValidationError;
 
 /// A defect found by the static analyzer.
 ///
 /// Each error names a *representative* rank; `ranks_affected` counts how
 /// many ranks of the same equivalence class exhibit the identical defect
-/// (the analyzer never enumerates them individually).
+/// (outside the exact fallback of a stalled quotient, the analyzer never
+/// enumerates them individually).
 #[derive(Debug, Clone, PartialEq)]
 pub enum AnalysisError {
     /// A wait demands more arrivals of an id than the whole program can
@@ -134,19 +132,19 @@ pub enum AnalysisError {
         /// Ranks of the same class with the identical deficit.
         ranks_affected: usize,
     },
-    /// The abstract execution stalled with ranks blocked on waits whose
-    /// remaining suppliers are transitively blocked: a cross-rank wait-for
-    /// cycle.
+    /// The exact per-rank execution stalled with ranks blocked on waits
+    /// whose remaining suppliers are transitively blocked: a cross-rank
+    /// wait-for cycle.
     Deadlock {
-        /// One entry per blocked piece: representative rank, op index, and
-        /// a description of what it waits for.
+        /// One entry per (piece, op index) blocked ranks sit at: the lowest
+        /// such rank, the op index, and a description of what it waits for.
         blocked: Vec<BlockedWait>,
-        /// True when the stall is provably a deadlock under every arrival
-        /// order: consumption is deterministic for every piece that could
-        /// still run (no partial `WaitNotifyAny` in an incomplete piece's
-        /// class) and no individual rank can make progress the lockstep
-        /// abstraction missed (see the module docs).  Otherwise the
-        /// deadlock is reachable only under some arrival orders.
+        /// True when the stall is a deadlock under every arrival order: no
+        /// rank the exact per-rank run left blocked belongs to a class with
+        /// a `WaitNotifyAny` demanding fewer ids than it lists, so every
+        /// blocked rank consumes deterministically (see the module docs).
+        /// Otherwise the deadlock is reachable only under some arrival
+        /// orders.
         certain: bool,
     },
     /// Notifications produced for a rank that no wait can ever consume.
@@ -224,16 +222,17 @@ pub enum AnalysisError {
     },
 }
 
-/// One blocked piece in a [`AnalysisError::Deadlock`] report.
+/// The ranks of one piece blocked at one op in a [`AnalysisError::Deadlock`]
+/// report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlockedWait {
-    /// Representative rank of the blocked piece.
+    /// Lowest rank of the piece blocked at this op.
     pub rank: RankId,
     /// Program-order index of the blocked op.
     pub op_index: usize,
     /// Human-readable description of what the op waits for.
     pub what: String,
-    /// Ranks of the same class blocked identically.
+    /// Ranks of the same piece blocked at the same op.
     pub ranks_affected: usize,
 }
 
@@ -335,12 +334,6 @@ pub fn analyze_compiled(prog: &CompiledProgram) -> AnalysisReport {
 /// ```
 pub fn analyze(program: &Program) -> Result<AnalysisReport, ValidationError> {
     Ok(analyze_compiled(&program.compile()?))
-}
-
-/// Compile (which validates) and analyze a symbolic program source without
-/// materializing all ranks.
-pub fn analyze_source<S: ProgramSource>(source: &S) -> Result<AnalysisReport, ValidationError> {
-    Ok(analyze_compiled(&CompiledProgram::from_source(source)?))
 }
 
 /// A maximal run of ranks sharing one arena segment, as `[lo, hi)`
@@ -447,15 +440,12 @@ enum Stuck {
     Done,
     /// Runnable (or not yet inspected).
     Ready,
-    /// A notification wait that cannot be satisfied yet.
-    Wait,
-    /// A receive with no matching message available yet.
-    Recv,
+    /// A wait or receive whose supply is not available yet.
+    Blocked,
     /// Parked at a barrier.
     Barrier,
 }
 
-#[derive(Clone)]
 struct PieceState {
     cursor: usize,
     stuck: Stuck,
@@ -473,7 +463,7 @@ struct Analyzer<'a> {
     /// Per class (indexed by class id): does any of the class's ops demand
     /// `WaitNotifyAny` with `count < ids.len()`?  Consumption is
     /// nondeterministic exactly for those classes, so a reported deadlock
-    /// is only `certain` when no *still-incomplete* piece belongs to one.
+    /// is only `certain` when no rank left blocked belongs to one.
     partial_any: Vec<bool>,
     errors: Vec<AnalysisError>,
 }
@@ -875,7 +865,8 @@ impl<'a> Analyzer<'a> {
         false
     }
 
-    /// Analysis 1: timeless optimistic execution over the piece quotient.
+    /// Analysis 1: timeless optimistic execution over the piece quotient,
+    /// handing a stall to the exact per-rank run.
     fn abstract_execution(&mut self) {
         let n_pieces = self.pieces.len();
         let mut state: Vec<PieceState> = (0..n_pieces)
@@ -909,180 +900,242 @@ impl<'a> Analyzer<'a> {
         let mut at_barrier: usize = 0;
         let mut wids: Vec<NotifyId> = Vec::new();
 
-        'fixpoint: loop {
-            while let Some(pi) = queue.pop_front() {
-                in_queue[pi] = false;
-                let class_idx = self.pieces[pi].class as usize;
-                let (start, len) = (self.classes[class_idx].start, self.classes[class_idx].len);
-                let before = state[pi].cursor;
-                if state[pi].stuck == Stuck::Barrier {
-                    continue; // Only the barrier release path unparks these.
+        while let Some(pi) = queue.pop_front() {
+            in_queue[pi] = false;
+            let class_idx = self.pieces[pi].class as usize;
+            let (start, len) = (self.classes[class_idx].start, self.classes[class_idx].len);
+            let before = state[pi].cursor;
+            if state[pi].stuck == Stuck::Barrier {
+                continue; // Only the barrier release path unparks these.
+            }
+            loop {
+                let cursor = state[pi].cursor;
+                if cursor >= len {
+                    state[pi].stuck = Stuck::Done;
+                    break;
                 }
-                loop {
-                    let cursor = state[pi].cursor;
-                    if cursor >= len {
-                        state[pi].stuck = Stuck::Done;
-                        break;
+                let idx = start + cursor;
+                let (kind, a, b, _) = self.prog.raw_op(idx);
+                match kind {
+                    OpKind::Compute
+                    | OpKind::Reduce
+                    | OpKind::Copy
+                    | OpKind::PutNotify
+                    | OpKind::Notify
+                    | OpKind::Send
+                    | OpKind::Isend
+                    | OpKind::WaitAllSends => {
+                        state[pi].cursor += 1;
                     }
-                    let idx = start + cursor;
-                    let (kind, a, b, _) = self.prog.raw_op(idx);
-                    match kind {
-                        OpKind::Compute
-                        | OpKind::Reduce
-                        | OpKind::Copy
-                        | OpKind::PutNotify
-                        | OpKind::Notify
-                        | OpKind::Send
-                        | OpKind::Isend
-                        | OpKind::WaitAllSends => {
+                    OpKind::WaitOne | OpKind::WaitMany | OpKind::WaitAny => {
+                        let count = self.wait_ids(idx, &mut wids);
+                        let satisfied = if kind == OpKind::WaitAny && count < wids.len() {
+                            self.try_consume_any(&self.pieces[pi], &mut state[pi], &wids, count, &class_min)
+                        } else {
+                            self.try_consume_all(&self.pieces[pi], &mut state[pi], &wids, &class_min)
+                        };
+                        if satisfied {
                             state[pi].cursor += 1;
-                        }
-                        OpKind::WaitOne | OpKind::WaitMany | OpKind::WaitAny => {
-                            let count = self.wait_ids(idx, &mut wids);
-                            let satisfied = if kind == OpKind::WaitAny && count < wids.len() {
-                                self.try_consume_any(&self.pieces[pi], &mut state[pi], &wids, count, &class_min)
-                            } else {
-                                self.try_consume_all(&self.pieces[pi], &mut state[pi], &wids, &class_min)
-                            };
-                            if satisfied {
-                                state[pi].cursor += 1;
-                            } else {
-                                state[pi].stuck = Stuck::Wait;
-                                break;
-                            }
-                        }
-                        OpKind::Recv => {
-                            let piece = &self.pieces[pi];
-                            let src = decode_target(piece.rep(), a, self.classes[class_idx].mode, self.n);
-                            let key = (src, b);
-                            let avail = piece.msgs.get(&key).map_or(0, |srcs| {
-                                srcs.iter()
-                                    .filter(|s| class_min[s.class as usize] > s.op as usize)
-                                    .map(|s| s.count)
-                                    .sum::<u64>()
-                            });
-                            let used = state[pi].msgs_consumed.get(&key).copied().unwrap_or(0);
-                            if avail > used {
-                                *state[pi].msgs_consumed.entry(key).or_insert(0) += 1;
-                                state[pi].cursor += 1;
-                            } else {
-                                state[pi].stuck = Stuck::Recv;
-                                break;
-                            }
-                        }
-                        OpKind::Barrier => {
-                            state[pi].stuck = Stuck::Barrier;
-                            at_barrier += 1;
-                            if at_barrier == n_pieces {
-                                // Every rank is parked at a barrier: release.
-                                at_barrier = 0;
-                                for (qi, s) in state.iter_mut().enumerate() {
-                                    debug_assert_eq!(s.stuck, Stuck::Barrier);
-                                    s.cursor += 1;
-                                    s.stuck = Stuck::Ready;
-                                    if !in_queue[qi] {
-                                        in_queue[qi] = true;
-                                        queue.push_back(qi);
-                                    }
-                                }
-                            }
+                        } else {
+                            state[pi].stuck = Stuck::Blocked;
                             break;
                         }
                     }
-                }
-                // Did this class's minimum cursor advance?  Wake dependents.
-                if state[pi].cursor != before {
-                    bump_class_min(
-                        &self.classes,
-                        &state,
-                        &wake,
-                        &mut wake_ptr,
-                        &mut class_min,
-                        &mut queue,
-                        &mut in_queue,
-                        class_idx,
-                    );
+                    OpKind::Recv => {
+                        let piece = &self.pieces[pi];
+                        let src = decode_target(piece.rep(), a, self.classes[class_idx].mode, self.n);
+                        let key = (src, b);
+                        let avail = piece.msgs.get(&key).map_or(0, |srcs| {
+                            srcs.iter()
+                                .filter(|s| class_min[s.class as usize] > s.op as usize)
+                                .map(|s| s.count)
+                                .sum::<u64>()
+                        });
+                        let used = state[pi].msgs_consumed.get(&key).copied().unwrap_or(0);
+                        if avail > used {
+                            *state[pi].msgs_consumed.entry(key).or_insert(0) += 1;
+                            state[pi].cursor += 1;
+                        } else {
+                            state[pi].stuck = Stuck::Blocked;
+                            break;
+                        }
+                    }
+                    OpKind::Barrier => {
+                        state[pi].stuck = Stuck::Barrier;
+                        at_barrier += 1;
+                        if at_barrier == n_pieces {
+                            // Every rank is parked at a barrier: release.
+                            at_barrier = 0;
+                            for (qi, s) in state.iter_mut().enumerate() {
+                                debug_assert_eq!(s.stuck, Stuck::Barrier);
+                                s.cursor += 1;
+                                s.stuck = Stuck::Ready;
+                                if !in_queue[qi] {
+                                    in_queue[qi] = true;
+                                    queue.push_back(qi);
+                                }
+                            }
+                        }
+                        break;
+                    }
                 }
             }
-
-            // The lockstep quotient stalled (or finished).  A pipeline *within*
-            // one interned segment — every rank of a piece waiting on supply
-            // from an earlier (or later) rank of the same segment — drains rank
-            // by rank even though no piece can take the first step as a unit:
-            // discharge such pieces by rank-order induction and resume.
-            let mut progressed = false;
-            for pi in 0..n_pieces {
-                if !matches!(state[pi].stuck, Stuck::Wait | Stuck::Recv) {
-                    continue;
-                }
-                let Some(commit) = self.pipeline_certificate(pi, &state, &class_min) else { continue };
-                let s = &mut state[pi];
-                s.cursor = commit.cursor;
-                s.consumed = commit.consumed;
-                s.msgs_consumed = commit.msgs_consumed;
-                s.stuck = Stuck::Ready;
-                if !in_queue[pi] {
-                    in_queue[pi] = true;
-                    queue.push_back(pi);
-                }
-                let ci = self.pieces[pi].class as usize;
-                bump_class_min(
-                    &self.classes,
-                    &state,
-                    &wake,
-                    &mut wake_ptr,
-                    &mut class_min,
-                    &mut queue,
-                    &mut in_queue,
-                    ci,
-                );
-                progressed = true;
+            // Did this class's minimum cursor advance?  Wake the pieces whose
+            // supply edges it newly satisfies.
+            if state[pi].cursor == before {
+                continue;
             }
-            if !progressed {
-                break 'fixpoint;
+            let new_min =
+                self.classes[class_idx].piece_idx.iter().map(|&q| state[q].cursor).min().unwrap_or(usize::MAX);
+            if new_min <= class_min[class_idx] {
+                continue;
+            }
+            class_min[class_idx] = new_min;
+            let w = &wake[class_idx];
+            let ptr = &mut wake_ptr[class_idx];
+            while *ptr < w.len() && (w[*ptr].0 as usize) < new_min {
+                let dep = w[*ptr].1 as usize;
+                *ptr += 1;
+                if !in_queue[dep] && !matches!(state[dep].stuck, Stuck::Done | Stuck::Barrier) {
+                    in_queue[dep] = true;
+                    queue.push_back(dep);
+                }
             }
         }
 
-        // Stall diagnosis.
-        let mut blocked = Vec::new();
-        for (pi, s) in state.iter().enumerate() {
-            if s.stuck == Stuck::Done {
+        // A stalled quotient decides nothing: only the exact run does.
+        if state.iter().any(|s| s.stuck != Stuck::Done) {
+            self.report_exact_stall();
+        }
+    }
+
+    /// Run the exact per-rank execution and report what it leaves blocked,
+    /// one [`BlockedWait`] per (piece, op index).
+    fn report_exact_stall(&mut self) {
+        // Waits already reported as starvation by the budget walk are not
+        // *additionally* a deadlock: the deficit alone explains the stall.
+        let starved: HashSet<(RankId, usize)> = self
+            .errors
+            .iter()
+            .filter_map(|e| match e {
+                AnalysisError::Starvation { rank, op_index, .. } => Some((*rank, *op_index)),
+                _ => None,
+            })
+            .collect();
+        let mut certain = true;
+        let mut blocked: BTreeMap<(usize, usize), BlockedWait> = BTreeMap::new();
+        for (rank, cursor) in self.exact_run().into_iter().enumerate() {
+            if cursor >= self.prog.raw_entry(rank).1 {
                 continue;
             }
+            let pi = self.piece_starts.partition_point(|&s| s <= rank) - 1;
             let piece = &self.pieces[pi];
-            // Waits already reported as starvation by the budget walk are
-            // not *additionally* a deadlock: the deficit alone explains the
-            // stall.
-            let starved = self.errors.iter().any(|e| {
-                matches!(e, AnalysisError::Starvation { rank, op_index, .. }
-                    if *rank == piece.rep() && *op_index == s.cursor)
-            });
-            if starved {
+            certain &= !self.partial_any[piece.class as usize];
+            if starved.contains(&(piece.rep(), cursor)) {
                 continue;
             }
-            let view = self.prog.rank_ops(piece.rep()).op(s.cursor);
-            blocked.push(BlockedWait {
-                rank: piece.rep(),
-                op_index: s.cursor,
-                what: format!("{view:?}"),
-                ranks_affected: piece.ranks(),
-            });
+            blocked
+                .entry((pi, cursor))
+                .or_insert_with(|| BlockedWait {
+                    rank,
+                    op_index: cursor,
+                    what: format!("{:?}", self.prog.rank_ops(rank).op(cursor)),
+                    ranks_affected: 0,
+                })
+                .ranks_affected += 1;
         }
         if !blocked.is_empty() {
-            // `certain` needs two things.  Consumption must be deterministic
-            // for every piece that could still run — a partial any-wait in a
-            // *completed* piece cannot un-produce anything, so completed
-            // pieces are exempt.  And the residual must stall under *every*
-            // arrival order, which the lockstep stall alone cannot show:
-            // re-run it under the over-approximating per-rank gate and
-            // demand that even that run leaves some piece incomplete.
-            let deterministic = state
-                .iter()
-                .enumerate()
-                .all(|(pi, s)| s.stuck == Stuck::Done || !self.partial_any[self.pieces[pi].class as usize]);
-            let certain = deterministic && self.residual_stalls_under_every_order(&state);
-            self.errors.push(AnalysisError::Deadlock { blocked, certain });
+            self.errors.push(AnalysisError::Deadlock { blocked: blocked.into_values().collect(), certain });
         }
+    }
+
+    /// The exact fallback: a timeless execution with one cursor per rank
+    /// (see the module docs).  Returns every rank's final cursor; a cursor
+    /// short of the rank's op count marks a rank left blocked.
+    fn exact_run(&self) -> Vec<usize> {
+        let n = self.n;
+        let mut cursor = vec![0usize; n];
+        let mut parked = vec![false; n];
+        let mut at_barrier = 0usize;
+        // Unconsumed arrivals per (receiver, id) and per (receiver, source, tag).
+        let mut notes: HashMap<(RankId, NotifyId), u64> = HashMap::new();
+        let mut msgs: HashMap<(RankId, RankId, u32), u64> = HashMap::new();
+        let mut queue: VecDeque<RankId> = (0..n).collect();
+        let mut in_queue = vec![true; n];
+        let mut wids: Vec<NotifyId> = Vec::new();
+        while let Some(r) = queue.pop_front() {
+            in_queue[r] = false;
+            if parked[r] {
+                continue; // Only the barrier release unparks a rank.
+            }
+            let (start, len, mode) = self.prog.raw_entry(r);
+            while cursor[r] < len {
+                let idx = start + cursor[r];
+                let (kind, a, b, _) = self.prog.raw_op(idx);
+                let receiver = match kind {
+                    OpKind::Compute | OpKind::Reduce | OpKind::Copy | OpKind::WaitAllSends => None,
+                    OpKind::PutNotify | OpKind::Notify => {
+                        let dst = decode_target(r, a, mode, n);
+                        *notes.entry((dst, b)).or_insert(0) += 1;
+                        Some(dst)
+                    }
+                    OpKind::Send | OpKind::Isend => {
+                        let dst = decode_target(r, a, mode, n);
+                        *msgs.entry((dst, r, b)).or_insert(0) += 1;
+                        Some(dst)
+                    }
+                    OpKind::WaitOne | OpKind::WaitMany | OpKind::WaitAny => {
+                        // The engine's rule: consume one arrival from each of
+                        // the first `count` listed ids that have one.
+                        let count = self.wait_ids(idx, &mut wids);
+                        let take: Vec<NotifyId> = wids
+                            .iter()
+                            .copied()
+                            .filter(|&id| notes.get(&(r, id)).is_some_and(|&c| c > 0))
+                            .take(count)
+                            .collect();
+                        if take.len() < count {
+                            break;
+                        }
+                        for id in take {
+                            *notes.entry((r, id)).or_insert(0) -= 1;
+                        }
+                        None
+                    }
+                    OpKind::Recv => {
+                        let src = decode_target(r, a, mode, n);
+                        match msgs.get_mut(&(r, src, b)) {
+                            Some(c) if *c > 0 => *c -= 1,
+                            _ => break,
+                        }
+                        None
+                    }
+                    OpKind::Barrier => {
+                        parked[r] = true;
+                        at_barrier += 1;
+                        if at_barrier == n {
+                            // Every rank is parked at a barrier: release.
+                            at_barrier = 0;
+                            for q in 0..n {
+                                parked[q] = false;
+                                cursor[q] += 1;
+                                if !in_queue[q] {
+                                    in_queue[q] = true;
+                                    queue.push_back(q);
+                                }
+                            }
+                        }
+                        break;
+                    }
+                };
+                cursor[r] += 1;
+                if let Some(dst) = receiver.filter(|&d| !in_queue[d]) {
+                    in_queue[dst] = true;
+                    queue.push_back(dst);
+                }
+            }
+        }
+        cursor
     }
 
     /// All-of consumption (`WaitNotify`, and `WaitNotifyAny` demanding its
@@ -1126,467 +1179,6 @@ impl<'a> Analyzer<'a> {
             srcs.iter().filter(|s| class_min[s.class as usize] > s.op as usize).map(|s| s.count).sum()
         });
         produced.saturating_sub(state.consumed.get(&id).copied().unwrap_or(0))
-    }
-
-    /// Try to advance a stalled piece by *rank-order induction* — the
-    /// pipelined-chain pattern the lockstep quotient cannot express: every
-    /// rank of the piece waits on supply from an earlier (ascending) or
-    /// later (descending) rank of the same interned segment before
-    /// producing its own.  See the module docs ("Soundness and
-    /// approximation").
-    fn pipeline_certificate(&self, pi: usize, state: &[PieceState], class_min: &[usize]) -> Option<CertCommit> {
-        [Dir::Asc, Dir::Desc].into_iter().find_map(|dir| self.certificate_with(pi, dir, state, class_min))
-    }
-
-    /// One direction of [`Analyzer::pipeline_certificate`]: classify every
-    /// supply edge of the piece, then re-run the representative's abstract
-    /// execution under the induction hypothesis and commit its progress.
-    ///
-    /// Soundness is strong induction over the piece's ranks in `dir` order.
-    /// Full completion commits unconditionally: rank `r` assumes every rank
-    /// on the hypothesis side completed its *whole* segment, and the base
-    /// ranks (whose writers fall outside the piece) were checked against
-    /// the writers' actual cursors.  A prefix commit to cursor `k` proves
-    /// only "every rank reaches op `k`", which produces just the ops below
-    /// `k` — so it additionally requires every inductively-supplied
-    /// producing op consumed so far to lie below `k`.
-    fn certificate_with(&self, pi: usize, dir: Dir, state: &[PieceState], class_min: &[usize]) -> Option<CertCommit> {
-        let piece = &self.pieces[pi];
-        let class = &self.classes[piece.class as usize];
-
-        let mut notify_sup: HashMap<NotifyId, CertSupply> = HashMap::new();
-        for (&id, srcs) in &piece.notify {
-            notify_sup.insert(id, self.cert_supply(piece, srcs, dir, state, class_min));
-        }
-        let mut msg_sup: HashMap<(RankId, u32), CertSupply> = HashMap::new();
-        for (&key, srcs) in &piece.msgs {
-            msg_sup.insert(key, self.cert_supply(piece, srcs, dir, state, class_min));
-        }
-
-        let start = state[pi].cursor;
-        let mut cursor = start;
-        let mut consumed = state[pi].consumed.clone();
-        let mut msgs_consumed = state[pi].msgs_consumed.clone();
-        // Largest inductively-supplied producing op relied upon so far.
-        let mut inductive_bound: Option<usize> = None;
-        let mut wids: Vec<NotifyId> = Vec::new();
-
-        while cursor < class.len {
-            let idx = class.start + cursor;
-            let (kind, a, b, _) = self.prog.raw_op(idx);
-            match kind {
-                OpKind::Compute
-                | OpKind::Reduce
-                | OpKind::Copy
-                | OpKind::PutNotify
-                | OpKind::Notify
-                | OpKind::Send
-                | OpKind::Isend
-                | OpKind::WaitAllSends => cursor += 1,
-                OpKind::WaitOne | OpKind::WaitMany | OpKind::WaitAny => {
-                    let count = self.wait_ids(idx, &mut wids);
-                    let avail_of = |id: NotifyId, consumed: &HashMap<NotifyId, u64>| {
-                        notify_sup
-                            .get(&id)
-                            .map_or(0, |cs| cs.avail)
-                            .saturating_sub(consumed.get(&id).copied().unwrap_or(0))
-                    };
-                    let take: Vec<NotifyId> = if kind == OpKind::WaitAny && count < wids.len() {
-                        let available: Vec<NotifyId> =
-                            wids.iter().copied().filter(|&id| avail_of(id, &consumed) >= 1).collect();
-                        if available.len() < count {
-                            break;
-                        }
-                        available[..count].to_vec()
-                    } else {
-                        if !wids.iter().all(|&id| avail_of(id, &consumed) >= 1) {
-                            break;
-                        }
-                        wids.clone()
-                    };
-                    for id in take {
-                        *consumed.entry(id).or_insert(0) += 1;
-                        if let Some(op) = notify_sup.get(&id).and_then(|cs| cs.inductive_op) {
-                            inductive_bound = Some(inductive_bound.map_or(op, |m| m.max(op)));
-                        }
-                    }
-                    cursor += 1;
-                }
-                OpKind::Recv => {
-                    let src = decode_target(piece.rep(), a, class.mode, self.n);
-                    let key = (src, b);
-                    let avail = msg_sup.get(&key).map_or(0, |cs| cs.avail);
-                    if avail <= msgs_consumed.get(&key).copied().unwrap_or(0) {
-                        break;
-                    }
-                    *msgs_consumed.entry(key).or_insert(0) += 1;
-                    if let Some(op) = msg_sup.get(&key).and_then(|cs| cs.inductive_op) {
-                        inductive_bound = Some(inductive_bound.map_or(op, |m| m.max(op)));
-                    }
-                    cursor += 1;
-                }
-                OpKind::Barrier => break,
-            }
-        }
-        let complete = cursor >= class.len;
-        let prefix_sound = inductive_bound.is_none_or(|op| op < cursor);
-        if complete || (cursor > start && prefix_sound) {
-            Some(CertCommit { cursor, consumed, msgs_consumed })
-        } else {
-            None
-        }
-    }
-
-    /// Arrivals one key's supply edges contribute under the certificate:
-    /// globally-produced and certified edges count in full; the largest
-    /// producing op among inductive edges is kept for the prefix-commit
-    /// soundness check.
-    fn cert_supply(
-        &self,
-        piece: &Piece,
-        srcs: &[Supply],
-        dir: Dir,
-        state: &[PieceState],
-        class_min: &[usize],
-    ) -> CertSupply {
-        let mut cs = CertSupply { avail: 0, inductive_op: None };
-        for s in srcs {
-            let op = s.op as usize;
-            if class_min[s.class as usize] > op {
-                cs.avail += s.count;
-                continue;
-            }
-            match self.certify_edge(piece, s, dir, state) {
-                EdgeCert::External => cs.avail += s.count,
-                EdgeCert::Inductive => {
-                    cs.avail += s.count;
-                    cs.inductive_op = Some(cs.inductive_op.map_or(op, |m| m.max(op)));
-                }
-                EdgeCert::No => {}
-            }
-        }
-        cs
-    }
-
-    /// Classify one supply edge of `piece` that the class-minimum gate
-    /// currently rejects.  In-piece writers are admissible only on the
-    /// induction side of `dir` (strictly lower ranks for ascending,
-    /// strictly higher for descending); every writer outside the piece must
-    /// have individually passed the producing op.
-    fn certify_edge(&self, piece: &Piece, s: &Supply, dir: Dir, state: &[PieceState]) -> EdgeCert {
-        let n = self.n;
-        let (lo, hi) = (piece.lo, piece.hi);
-        let op = s.op as usize;
-        match s.mode {
-            TargetMode::Delta => {
-                let c = s.code as usize % n;
-                if c == 0 {
-                    return EdgeCert::No;
-                }
-                let mut inductive = false;
-                // Writers of the non-wrapped readers `[max(lo, c), hi)` sit
-                // at `r - c`: strictly lower than their reader.
-                if lo.max(c) < hi {
-                    match self.span_cert(lo.max(c) - c, hi - c, lo, hi, dir == Dir::Asc, op, state) {
-                        Some(ind) => inductive |= ind,
-                        None => return EdgeCert::No,
-                    }
-                }
-                // Writers of the wrapped readers `[lo, min(hi, c))` sit at
-                // `r + n - c`: strictly higher than their reader.
-                if lo < hi.min(c) {
-                    match self.span_cert(lo + n - c, hi.min(c) + n - c, lo, hi, dir == Dir::Desc, op, state) {
-                        Some(ind) => inductive |= ind,
-                        None => return EdgeCert::No,
-                    }
-                }
-                if inductive {
-                    EdgeCert::Inductive
-                } else {
-                    EdgeCert::External
-                }
-            }
-            TargetMode::Xor => {
-                // Xor supply carries no rank order to induct over: certify
-                // only when every writer block lies outside the piece and
-                // has individually passed the op.
-                let mut blocks = Vec::new();
-                receiver_intervals(lo, hi, s.code, TargetMode::Xor, n, &mut blocks);
-                for (wa, wb) in blocks {
-                    if wa < hi && wb > lo {
-                        return EdgeCert::No;
-                    }
-                    if !self.ranks_past_op(wa, wb, op, state) {
-                        return EdgeCert::No;
-                    }
-                }
-                EdgeCert::External
-            }
-        }
-    }
-
-    /// Certify the writer span `[wa, wb)` feeding piece `[lo, hi)`:
-    /// in-piece writers are admissible only when `hypothesis_side` holds;
-    /// writers outside the piece must each have passed op `op`.  Returns
-    /// whether any in-piece writer was admitted (the edge turns inductive),
-    /// or `None` when the span cannot be certified.
-    #[allow(clippy::too_many_arguments)]
-    fn span_cert(
-        &self,
-        wa: usize,
-        wb: usize,
-        lo: usize,
-        hi: usize,
-        hypothesis_side: bool,
-        op: usize,
-        state: &[PieceState],
-    ) -> Option<bool> {
-        let mut inductive = false;
-        if wa.max(lo) < wb.min(hi) {
-            if !hypothesis_side {
-                return None;
-            }
-            inductive = true;
-        }
-        let (ea, eb) = (wa, wb.min(lo));
-        if ea < eb && !self.ranks_past_op(ea, eb, op, state) {
-            return None;
-        }
-        let (ea, eb) = (wa.max(hi), wb);
-        if ea < eb && !self.ranks_past_op(ea, eb, op, state) {
-            return None;
-        }
-        Some(inductive)
-    }
-
-    /// True when every rank in `[a, b)` belongs to a piece whose abstract
-    /// cursor has passed op index `op` of its segment.
-    fn ranks_past_op(&self, a: usize, b: usize, op: usize, state: &[PieceState]) -> bool {
-        let mut qi = self.piece_starts.partition_point(|&s| s <= a) - 1;
-        while qi < self.pieces.len() && self.pieces[qi].lo < b {
-            if state[qi].cursor <= op {
-                return false;
-            }
-            qi += 1;
-        }
-        true
-    }
-
-    /// True when any rank in `[a, b)` belongs to a piece whose abstract
-    /// cursor has passed op index `op` of its segment.
-    fn any_rank_past_op(&self, a: usize, b: usize, op: usize, state: &[PieceState]) -> bool {
-        let mut qi = self.piece_starts.partition_point(|&s| s <= a) - 1;
-        while qi < self.pieces.len() && self.pieces[qi].lo < b {
-            if state[qi].cursor > op {
-                return true;
-            }
-            qi += 1;
-        }
-        false
-    }
-
-    /// True when a supply edge of `piece` could deliver to *some* rank of
-    /// the piece under *some* arrival order: any rank in the edge's writer
-    /// interval (the inverse image of the piece under the edge's target
-    /// map) has individually passed the producing op.
-    fn edge_live_for_any_rank(
-        &self,
-        piece: &Piece,
-        sup: &Supply,
-        state: &[PieceState],
-        spans: &mut Vec<(usize, usize)>,
-    ) -> bool {
-        spans.clear();
-        match sup.mode {
-            TargetMode::Delta => {
-                let c = sup.code as usize % self.n;
-                shift_interval(piece.lo, piece.hi, self.n - c, self.n, spans);
-            }
-            TargetMode::Xor => {
-                receiver_intervals(piece.lo, piece.hi, sup.code, TargetMode::Xor, self.n, spans);
-            }
-        }
-        spans.iter().any(|&(wa, wb)| self.any_rank_past_op(wa, wb, sup.op as usize, state))
-    }
-
-    /// Unconsumed arrivals of `id` at `piece` under the *optimistic* gate:
-    /// an edge counts as soon as any rank in its writer interval has
-    /// passed the producing op (the class-minimum gate is subsumed —
-    /// `class_min > op` implies every writer passed it).
-    fn avail_optimistic(&self, piece: &Piece, ps: &PieceState, id: NotifyId, state: &[PieceState]) -> u64 {
-        let mut spans: Vec<(usize, usize)> = Vec::new();
-        let produced: u64 = piece.notify.get(&id).map_or(0, |srcs| {
-            srcs.iter().filter(|s| self.edge_live_for_any_rank(piece, s, state, &mut spans)).map(|s| s.count).sum()
-        });
-        produced.saturating_sub(ps.consumed.get(&id).copied().unwrap_or(0))
-    }
-
-    /// True when the stalled residual state cannot complete under *any*
-    /// arrival order — the condition for reporting the deadlock `certain`.
-    ///
-    /// The lockstep quotient under-approximates progress (the class-minimum
-    /// gate holds whole classes back on their slowest piece), so its stall
-    /// alone proves nothing about other interleavings.  This re-runs the
-    /// residual to fixpoint under the opposite, *over*-approximating gate:
-    /// a supply edge is granted the moment any rank in its writer interval
-    /// is individually past the producing op, and a grant unblocks the
-    /// whole piece.  Every concrete arrival order's progress is pointwise
-    /// below this run's fixpoint, so if even it leaves a piece incomplete,
-    /// every order does.  Only sound for deterministic consumption — the
-    /// caller has already ruled out partial any-waits in live classes.
-    fn residual_stalls_under_every_order(&self, residual: &[PieceState]) -> bool {
-        let mut state: Vec<PieceState> = residual.to_vec();
-        let mut wids: Vec<NotifyId> = Vec::new();
-        let mut spans: Vec<(usize, usize)> = Vec::new();
-        loop {
-            let mut progressed = false;
-            for pi in 0..self.pieces.len() {
-                if matches!(state[pi].stuck, Stuck::Done | Stuck::Barrier) {
-                    continue;
-                }
-                let piece = &self.pieces[pi];
-                let class = &self.classes[piece.class as usize];
-                loop {
-                    let cursor = state[pi].cursor;
-                    if cursor >= class.len {
-                        state[pi].stuck = Stuck::Done;
-                        break;
-                    }
-                    let idx = class.start + cursor;
-                    let (kind, a, b, _) = self.prog.raw_op(idx);
-                    match kind {
-                        OpKind::Compute
-                        | OpKind::Reduce
-                        | OpKind::Copy
-                        | OpKind::PutNotify
-                        | OpKind::Notify
-                        | OpKind::Send
-                        | OpKind::Isend
-                        | OpKind::WaitAllSends => {}
-                        OpKind::WaitOne | OpKind::WaitMany | OpKind::WaitAny => {
-                            let count = self.wait_ids(idx, &mut wids);
-                            let available: Vec<NotifyId> = wids
-                                .iter()
-                                .copied()
-                                .filter(|&id| self.avail_optimistic(piece, &state[pi], id, &state) >= 1)
-                                .collect();
-                            let take = if kind == OpKind::WaitAny { count.min(wids.len()) } else { wids.len() };
-                            if available.len() < take {
-                                state[pi].stuck = Stuck::Wait;
-                                break;
-                            }
-                            for &id in available.iter().take(take) {
-                                *state[pi].consumed.entry(id).or_insert(0) += 1;
-                            }
-                        }
-                        OpKind::Recv => {
-                            let src = decode_target(piece.rep(), a, class.mode, self.n);
-                            let key = (src, b);
-                            let produced: u64 = piece.msgs.get(&key).map_or(0, |srcs| {
-                                srcs.iter()
-                                    .filter(|s| self.edge_live_for_any_rank(piece, s, &state, &mut spans))
-                                    .map(|s| s.count)
-                                    .sum()
-                            });
-                            let used = state[pi].msgs_consumed.get(&key).copied().unwrap_or(0);
-                            if produced <= used {
-                                state[pi].stuck = Stuck::Recv;
-                                break;
-                            }
-                            *state[pi].msgs_consumed.entry(key).or_insert(0) += 1;
-                        }
-                        OpKind::Barrier => {
-                            state[pi].stuck = Stuck::Barrier;
-                            break;
-                        }
-                    }
-                    state[pi].cursor += 1;
-                    progressed = true;
-                }
-            }
-            // Barrier release mirrors the engine (and the lockstep loop):
-            // *every* piece must be parked — a piece that ran out of ops
-            // without a barrier never arrives at one, so its ranks hold any
-            // remaining barrier closed forever.
-            let parked = state.iter().filter(|s| s.stuck == Stuck::Barrier).count();
-            if parked > 0 && parked == self.pieces.len() {
-                for s in state.iter_mut().filter(|s| s.stuck == Stuck::Barrier) {
-                    s.cursor += 1;
-                    s.stuck = Stuck::Ready;
-                }
-                progressed = true;
-            }
-            if !progressed {
-                break;
-            }
-        }
-        state.iter().any(|s| s.stuck != Stuck::Done)
-    }
-}
-
-/// Direction of the rank-order induction a pipeline certificate runs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Dir {
-    /// Supply flows from lower to higher ranks (writer < reader).
-    Asc,
-    /// Supply flows from higher to lower ranks (writer > reader).
-    Desc,
-}
-
-/// How one class-min-gated supply edge is justified inside a certificate.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum EdgeCert {
-    /// Every writer is outside the piece and individually past the
-    /// producing op: available regardless of the class minimum.
-    External,
-    /// Some writers are ranks of the certified piece itself on the
-    /// induction side: available by the induction hypothesis.
-    Inductive,
-    /// Not certifiable in this direction.
-    No,
-}
-
-/// Per-key certificate supply: arrivals available under the induction
-/// hypothesis, plus the largest inductively-supplied producing op.
-struct CertSupply {
-    avail: u64,
-    inductive_op: Option<usize>,
-}
-
-/// The piece state a successful pipeline certificate commits back.
-struct CertCommit {
-    cursor: usize,
-    consumed: HashMap<NotifyId, u64>,
-    msgs_consumed: HashMap<(RankId, u32), u64>,
-}
-
-/// Recompute class `ci`'s minimum cursor and, if it advanced, wake the
-/// pieces whose supply edges it newly satisfies (shared by the drain loop
-/// and the certificate commit path).
-#[allow(clippy::too_many_arguments)]
-fn bump_class_min(
-    classes: &[Class],
-    state: &[PieceState],
-    wake: &[Vec<(u32, u32)>],
-    wake_ptr: &mut [usize],
-    class_min: &mut [usize],
-    queue: &mut VecDeque<usize>,
-    in_queue: &mut [bool],
-    ci: usize,
-) {
-    let new_min = classes[ci].piece_idx.iter().map(|&q| state[q].cursor).min().unwrap_or(usize::MAX);
-    if new_min > class_min[ci] {
-        class_min[ci] = new_min;
-        let w = &wake[ci];
-        let ptr = &mut wake_ptr[ci];
-        while *ptr < w.len() && (w[*ptr].0 as usize) < new_min {
-            let dep = w[*ptr].1 as usize;
-            *ptr += 1;
-            if !in_queue[dep] && !matches!(state[dep].stuck, Stuck::Done | Stuck::Barrier) {
-                in_queue[dep] = true;
-                queue.push_back(dep);
-            }
-        }
     }
 }
 
@@ -1854,8 +1446,8 @@ mod tests {
     /// Rank 0 puts, rank r waits for r−1 and forwards, the last rank only
     /// waits: the middle ranks intern into one shared segment and drain
     /// rank by rank.  The lockstep quotient alone stalls here (no piece
-    /// can take the first step as a unit); the ascending pipeline
-    /// certificate must discharge it at any rank count.
+    /// can take the first step as a unit); the exact per-rank run must
+    /// find that the chain completes, at any rank count.
     #[test]
     fn shared_segment_pipelined_chain_is_clean() {
         for p in [3usize, 8, 64, 1 << 14] {
@@ -1874,7 +1466,7 @@ mod tests {
     }
 
     /// The same chain flowing downward (rank p−1 puts, rank r waits for
-    /// r+1 and forwards) exercises the descending induction.
+    /// r+1 and forwards): the exact run is direction-blind.
     #[test]
     fn reversed_pipelined_chain_is_clean() {
         for p in [3usize, 8, 64] {
@@ -1892,7 +1484,7 @@ mod tests {
     }
 
     /// A multi-stage pipeline: two forward chains back to back through the
-    /// same shared segment.  The certificate must compose across stages.
+    /// same shared segment, each stage draining behind the previous one.
     #[test]
     fn two_stage_pipelined_chain_is_clean() {
         let p = 16;
@@ -1912,9 +1504,9 @@ mod tests {
     }
 
     /// Closing the chain into a full ring where *every* rank waits before
-    /// putting removes the base case: a genuine cycle.  The wrapped writer
-    /// defeats both induction directions and even the over-approximating
-    /// residual run cannot complete, so the deadlock stays `certain`.
+    /// putting removes the base case: a genuine cycle.  The exact run
+    /// stalls with every rank at its wait, and with no partial any-wait
+    /// in play the deadlock is `certain`.
     #[test]
     fn wait_first_full_ring_is_a_certain_deadlock() {
         let p = 8;

@@ -75,7 +75,7 @@ pub mod topology;
 pub mod trace;
 pub mod validate;
 
-pub use analyze::{analyze, analyze_compiled, analyze_source, AnalysisError, AnalysisReport, BlockedWait};
+pub use analyze::{analyze, analyze_compiled, AnalysisError, AnalysisReport, BlockedWait};
 pub use cluster::{ClusterSpec, NodeId, RankId};
 pub use compiled::{CompiledProgram, IdsRef, MemoryStats, OpView, RankOps};
 pub use congcontrol::{CongAlg, CongControl, Dcqcn, FixedWindow};

@@ -1,7 +1,7 @@
-//! `cargo xtask lint-schedules` — sweep every schedule generator and
-//! program source in `ec_collectives` and `ec_baseline` through the
-//! [`mod@ec_netsim::analyze`] static analyzer across a grid of rank counts
-//! (power-of-two and not) and payload sizes.
+//! `cargo run --release -p xtask -- lint-schedules` — sweep every schedule
+//! generator and program source in `ec_collectives` and `ec_baseline`
+//! through the [`mod@ec_netsim::analyze`] static analyzer across a grid of
+//! rank counts (power-of-two and not) and payload sizes.
 //!
 //! A schedule that deadlocks, starves a wait, leaks notifications, or races
 //! on a one-sided landing slot fails the lint; so does one that fails
@@ -19,7 +19,7 @@ use ec_collectives::schedule::{
     alltoall_direct_schedule, bcast_bst_schedule, hypercube_allreduce_schedule, reduce_bst_schedule,
     reduce_process_threshold_schedule, ring_allreduce_schedule, HypercubeAllreduceSource, RingAllreduceSource,
 };
-use ec_netsim::{analyze, analyze_source, AnalysisReport, Program, ValidationError};
+use ec_netsim::{analyze, analyze_compiled, AnalysisReport, CompiledProgram, Program, ProgramSource, ValidationError};
 
 /// Rank counts the sweep covers: small degenerate, odd, non-power-of-two
 /// composite, and the power-of-two ladder of the paper's figures.
@@ -48,6 +48,10 @@ fn analyzed(label: String, program: &Program) -> Outcome {
     Outcome { label, report: analyze(program) }
 }
 
+fn analyzed_source(label: String, source: &impl ProgramSource) -> Outcome {
+    Outcome { label, report: CompiledProgram::from_source(source).map(|c| analyze_compiled(&c)) }
+}
+
 /// Run the whole sweep; returns the report text and whether every schedule
 /// analyzed clean.
 pub(crate) fn lint_schedules() -> (String, bool) {
@@ -69,14 +73,14 @@ pub(crate) fn lint_schedules() -> (String, bool) {
                 format!("ec_collectives::alltoall_direct_schedule(p={p}, block={bytes})"),
                 &alltoall_direct_schedule(p, bytes),
             ));
-            outcomes.push(Outcome {
-                label: format!("ec_collectives::RingAllreduceSource(p={p}, bytes={bytes})"),
-                report: analyze_source(&RingAllreduceSource::new(p, bytes)),
-            });
-            outcomes.push(Outcome {
-                label: format!("ec_collectives::HypercubeAllreduceSource(p={p}, bytes={bytes})"),
-                report: analyze_source(&HypercubeAllreduceSource::new(p, bytes)),
-            });
+            outcomes.push(analyzed_source(
+                format!("ec_collectives::RingAllreduceSource(p={p}, bytes={bytes})"),
+                &RingAllreduceSource::new(p, bytes),
+            ));
+            outcomes.push(analyzed_source(
+                format!("ec_collectives::HypercubeAllreduceSource(p={p}, bytes={bytes})"),
+                &HypercubeAllreduceSource::new(p, bytes),
+            ));
             for threshold in THRESHOLD_GRID {
                 outcomes.push(analyzed(
                     format!("ec_collectives::bcast_bst_schedule(p={p}, bytes={bytes}, thr={threshold})"),
@@ -112,14 +116,14 @@ pub(crate) fn lint_schedules() -> (String, bool) {
                 format!("ec_baseline::mpi_alltoall_pairwise_schedule(p={p}, block={bytes})"),
                 &mpi_alltoall_pairwise_schedule(p, bytes),
             ));
-            outcomes.push(Outcome {
-                label: format!("ec_baseline::BinomialBcastSource(p={p}, bytes={bytes})"),
-                report: analyze_source(&BinomialBcastSource::new(p, bytes)),
-            });
-            outcomes.push(Outcome {
-                label: format!("ec_baseline::PairwiseAlltoallSource(p={p}, block={bytes})"),
-                report: analyze_source(&PairwiseAlltoallSource::new(p, bytes)),
-            });
+            outcomes.push(analyzed_source(
+                format!("ec_baseline::BinomialBcastSource(p={p}, bytes={bytes})"),
+                &BinomialBcastSource::new(p, bytes),
+            ));
+            outcomes.push(analyzed_source(
+                format!("ec_baseline::PairwiseAlltoallSource(p={p}, block={bytes})"),
+                &PairwiseAlltoallSource::new(p, bytes),
+            ));
 
             for variant in MpiAllreduceVariant::all() {
                 for ppn in [1usize, 4] {

@@ -1,10 +1,11 @@
-//! `cargo xtask` — repository automation.
+//! `cargo run [--release] -p xtask -- <task>` — repository automation (the
+//! repository defines no `cargo xtask` alias).
 //!
-//! Three tasks, all run by CI:
+//! Three tasks, all run by CI, invoked as CI does:
 //!
 //! ```text
-//! cargo run -p xtask -- lint-schedules [--out report.txt]
-//! cargo run -p xtask -- trace-stats run.json
+//! cargo run --release -p xtask -- lint-schedules [--out report.txt]
+//! cargo run --release -p xtask -- trace-stats run.json
 //! cargo run -p xtask -- doc-check
 //! ```
 //!

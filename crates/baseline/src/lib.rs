@@ -14,14 +14,21 @@
 //!   algorithm as an `ec-netsim` program with two-sided semantics
 //!   (eager/rendezvous protocol, progress-engine bandwidth penalty,
 //!   per-message matching overhead), which is what the figure-regeneration
-//!   benches simulate;
+//!   benches simulate; the binomial `MPI_Bcast` and `MPI_Reduce` are the
+//!   [`variants`] bodies recorded, the rest are built op by op;
 //! * a **single-source variant library** ([`twosided`] + [`variants`]):
 //!   the classic vendor algorithm variants (Rabenseifner allreduce, ring
 //!   reduce-scatter+allgather, Bruck and pairwise AlltoAll, van de Geijn and
-//!   pipelined-binomial Bcast, reduce-scatter+gather Reduce) written once
-//!   against the [`twosided::TwoSided`] trait and executed both on the
-//!   threaded runtime and as recorded simulator schedules — the candidate
-//!   pool the `ec_bench` tuner auto-selects from.
+//!   pipelined-binomial Bcast, binomial and reduce-scatter+gather Reduce)
+//!   written once against the [`twosided::TwoSided`] trait and executed both
+//!   on the threaded runtime and, replayed one rank at a time by
+//!   [`twosided::record`], as simulator schedules — the candidate pool the
+//!   `ec_bench` tuner auto-selects from.
+//!
+//! Every schedule's op stream is produced by exactly one function.  The
+//! hand-built pairwise `MPI_Alltoall` and the single-source
+//! `variants::pairwise_alltoall` are two different schedules (the latter
+//! also prices its self-copy), both kept as separate tuner candidates.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -40,7 +47,6 @@ pub use schedule::allreduce::MpiAllreduceVariant;
 pub use schedule::alltoall::mpi_alltoall_pairwise_schedule;
 pub use schedule::bcast::{mpi_bcast_binomial_schedule, mpi_bcast_default_schedule};
 pub use schedule::reduce::{mpi_reduce_binomial_schedule, mpi_reduce_default_schedule};
-pub use schedule::source::{BinomialBcastSource, PairwiseAlltoallSource};
 pub use twosided::{RecordingTwoSided, ThreadedTwoSided, TwoSided};
 pub use variants::{
     allreduce_rabenseifner, allreduce_reduce_scatter_allgather, alltoall_bruck, bcast_pipelined_binomial,

@@ -13,6 +13,7 @@ use ec_netsim::{Program, ProgramBuilder};
 
 use super::bcast::subtree_bytes;
 use super::trees::{binomial, flat, knary, knomial};
+use crate::variants::prev_power_of_two;
 
 /// The twelve Intel-MPI Allreduce algorithm variants of Figures 11–12.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -121,7 +122,7 @@ fn power_of_two_wrapper(ranks: usize, bytes: u64, inner: impl Fn(&mut ProgramBui
     if ranks == 0 {
         return b.build();
     }
-    let p2 = if ranks.is_power_of_two() { ranks } else { usize::pow(2, (ranks as f64).log2().floor() as u32) };
+    let p2 = prev_power_of_two(ranks);
     let extras = ranks - p2;
     // Pre-fold: ranks p2..ranks hand their contribution to ranks 0..extras.
     for i in 0..extras {

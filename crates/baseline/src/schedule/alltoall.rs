@@ -48,6 +48,16 @@ mod tests {
     }
 
     #[test]
+    fn pairwise_schedule_compiles_with_full_interning() {
+        // Every rank of the pairwise exchange runs the same stream modulo
+        // rank rotation, which the delta coding normalizes away completely.
+        let p = 256;
+        let compiled = mpi_alltoall_pairwise_schedule(p, 4096).compile().unwrap();
+        let per_rank = (compiled.total_ops() / p as u64) as usize;
+        assert_eq!(compiled.memory_stats().stored_ops, per_rank, "all ranks must share one arena segment");
+    }
+
+    #[test]
     fn round_structure_serializes_rounds() {
         // The pairwise exchange must be slower than the one-sided direct
         // algorithm because every round waits for the received block.

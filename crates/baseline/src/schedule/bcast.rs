@@ -4,28 +4,20 @@
 use ec_netsim::{Program, ProgramBuilder};
 
 use super::trees::binomial;
+use crate::twosided::record;
+use crate::variants::binomial_bcast;
 
 /// Message size (bytes) above which the default broadcast switches from the
 /// binomial tree to the scatter + ring-allgather (van de Geijn) algorithm,
 /// mirroring what vendor libraries do for large payloads.
 const LARGE_BCAST_THRESHOLD: u64 = 64 * 1024;
 
-/// Binomial-tree `MPI_Bcast` (the `mpi-bin` curve of Figure 8).
+/// Binomial-tree `MPI_Bcast` (the `mpi-bin` curve of Figure 8): the
+/// single-source [`binomial_bcast`] body from rank 0, recorded over
+/// byte-granular elements.  A zero-byte broadcast records an empty program
+/// (empty ranges are skipped).
 pub fn mpi_bcast_binomial_schedule(ranks: usize, total_bytes: u64) -> Program {
-    let mut b = ProgramBuilder::new(ranks);
-    if ranks <= 1 {
-        return b.build();
-    }
-    for rank in 0..ranks {
-        let (parent, children) = binomial(rank, ranks);
-        if let Some(parent) = parent {
-            b.recv(rank, parent, total_bytes, 0);
-        }
-        for child in children {
-            b.send(rank, child, total_bytes, 0);
-        }
-    }
-    b.build()
+    record(ranks, 1, |t| binomial_bcast(t, total_bytes as usize, 0))
 }
 
 /// Size-adaptive "default" `MPI_Bcast` (the `mpi-def` curve of Figure 8):
@@ -92,6 +84,13 @@ mod tests {
         let prog = mpi_bcast_binomial_schedule(p, 1000);
         validate(&prog, p).unwrap();
         assert_eq!(prog.total_wire_bytes(), (p as u64 - 1) * 1000);
+    }
+
+    #[test]
+    fn zero_byte_binomial_bcast_records_an_empty_program() {
+        let prog = mpi_bcast_binomial_schedule(8, 0);
+        assert_eq!(prog.num_ranks(), 8);
+        assert_eq!(prog.total_ops(), 0, "empty ranges are skipped: no zero-byte Send/Recv pairs");
     }
 
     #[test]

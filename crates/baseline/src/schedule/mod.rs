@@ -10,14 +10,12 @@ pub mod allreduce;
 pub mod alltoall;
 pub mod bcast;
 pub mod reduce;
-pub mod source;
 pub mod trees;
 
 pub use allreduce::MpiAllreduceVariant;
 pub use alltoall::mpi_alltoall_pairwise_schedule;
 pub use bcast::{mpi_bcast_binomial_schedule, mpi_bcast_default_schedule};
 pub use reduce::{mpi_reduce_binomial_schedule, mpi_reduce_default_schedule};
-pub use source::{BinomialBcastSource, PairwiseAlltoallSource};
 
 #[cfg(test)]
 mod tests {

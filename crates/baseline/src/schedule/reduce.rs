@@ -3,30 +3,19 @@
 use ec_netsim::{Program, ProgramBuilder};
 
 use super::trees::binomial;
+use crate::twosided::record;
+use crate::variants::binomial_reduce;
 
 /// Message size (bytes) above which the default reduce switches from the
 /// binomial tree to Rabenseifner's reduce-scatter + gather algorithm.
 const LARGE_REDUCE_THRESHOLD: u64 = 64 * 1024;
 
-/// Binomial-tree `MPI_Reduce` towards rank 0 (the `mpi-bin` curve of Figure 9).
+/// Binomial-tree `MPI_Reduce` towards rank 0 (the `mpi-bin` curve of
+/// Figure 9): the single-source [`binomial_reduce`] body, recorded over
+/// byte-granular elements.  A zero-byte reduce records an empty program
+/// (empty ranges are skipped).
 pub fn mpi_reduce_binomial_schedule(ranks: usize, total_bytes: u64) -> Program {
-    let mut b = ProgramBuilder::new(ranks);
-    if ranks <= 1 {
-        return b.build();
-    }
-    for rank in 0..ranks {
-        let (parent, children) = binomial(rank, ranks);
-        // Children deeper in the tree finish first; a parent receives and
-        // reduces one contribution per child.
-        for child in children.iter().rev() {
-            b.recv(rank, *child, total_bytes, 0);
-            b.reduce(rank, total_bytes);
-        }
-        if let Some(parent) = parent {
-            b.send(rank, parent, total_bytes, 0);
-        }
-    }
-    b.build()
+    record(ranks, 1, |t| binomial_reduce(t, total_bytes as usize, 0))
 }
 
 /// Size-adaptive "default" `MPI_Reduce` (the `mpi-def` curve of Figure 9):
@@ -86,6 +75,13 @@ mod tests {
         let prog = mpi_reduce_binomial_schedule(p, 1000);
         validate(&prog, p).unwrap();
         assert_eq!(prog.total_wire_bytes(), 7 * 1000);
+    }
+
+    #[test]
+    fn zero_byte_binomial_reduce_records_an_empty_program() {
+        let prog = mpi_reduce_binomial_schedule(8, 0);
+        assert_eq!(prog.num_ranks(), 8);
+        assert_eq!(prog.total_ops(), 0, "empty ranges are skipped: no zero-byte Send/Recv pairs");
     }
 
     #[test]

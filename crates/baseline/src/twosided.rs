@@ -10,9 +10,10 @@
 //!
 //! * [`ThreadedTwoSided`] runs the body on the real [`crate::comm`] runtime,
 //!   moving `f64` payloads between rank threads — the correctness oracle;
-//! * [`RecordingTwoSided`] replays the *same body* with payloads abstracted
-//!   to element counts and records every operation into an
-//!   `ec_netsim::Program` with two-sided semantics — the schedule the
+//! * [`RecordingTwoSided`] replays the *same body* for one rank with
+//!   payloads abstracted to element counts and records that rank's
+//!   operations with two-sided semantics; [`record`] replays it once per
+//!   rank into an `ec_netsim::Program` — the schedule the
 //!   figure-regeneration benches and the `ec_bench::tuner` price.
 //!
 //! Because both worlds share one algorithm body, a variant's simulated
@@ -29,7 +30,7 @@
 
 use std::ops::Range;
 
-use ec_netsim::{Program, ProgramBuilder};
+use ec_netsim::{Op, Program, RankProgram};
 
 use crate::comm::{MpiComm, MpiError, Result, Tag};
 
@@ -149,34 +150,30 @@ impl TwoSided for ThreadedTwoSided<'_, '_> {
     }
 }
 
-/// [`TwoSided`] backend that records the algorithm's operations into an
-/// `ec_netsim` program with two-sided semantics (eager/rendezvous protocol,
+/// [`TwoSided`] backend that records **one rank's** operations into a bare
+/// `Vec<ec_netsim::Op>` with two-sided semantics (eager/rendezvous protocol,
 /// matching overheads), pricing payloads as `elements * elem_bytes`.
 #[derive(Debug)]
 pub struct RecordingTwoSided {
-    builder: ProgramBuilder,
     rank: usize,
+    num_ranks: usize,
     elem_bytes: u64,
+    ops: Vec<Op>,
 }
 
 impl RecordingTwoSided {
-    /// Start recording a program for `ranks` ranks whose buffer elements are
-    /// `elem_bytes` bytes wide (8 for `f64` payloads, 1 to address raw
-    /// bytes directly).
-    pub fn new(ranks: usize, elem_bytes: u64) -> Self {
+    /// Start recording rank `rank` of a `ranks`-rank world whose buffer
+    /// elements are `elem_bytes` bytes wide (8 for `f64` payloads, 1 to
+    /// address raw bytes directly).
+    pub fn new(rank: usize, ranks: usize, elem_bytes: u64) -> Self {
         assert!(elem_bytes > 0, "elements must have a non-zero width");
-        Self { builder: ProgramBuilder::new(ranks), rank: 0, elem_bytes }
+        assert!(rank < ranks, "rank {rank} out of range for {ranks} ranks");
+        Self { rank, num_ranks: ranks, elem_bytes, ops: Vec::new() }
     }
 
-    /// Switch the rank whose operations are being recorded.
-    pub fn set_rank(&mut self, rank: usize) {
-        assert!(rank < self.builder.num_ranks(), "rank {rank} out of range");
-        self.rank = rank;
-    }
-
-    /// Finish recording and return the program.
-    pub fn finish(self) -> Program {
-        self.builder.build()
+    /// Finish recording and return the rank's op stream in program order.
+    pub fn finish(self) -> Vec<Op> {
+        self.ops
     }
 
     fn bytes(&self, elems: &Range<usize>) -> u64 {
@@ -190,34 +187,31 @@ impl TwoSided for RecordingTwoSided {
     }
 
     fn num_ranks(&self) -> usize {
-        self.builder.num_ranks()
+        self.num_ranks
     }
 
     fn send(&mut self, dst: usize, tag: Tag, elems: Range<usize>) -> Result<()> {
         if !elems.is_empty() {
-            let bytes = self.bytes(&elems);
-            self.builder.send(self.rank, dst, bytes, tag);
+            self.ops.push(Op::Send { dst, bytes: self.bytes(&elems), tag });
         }
         Ok(())
     }
 
     fn isend(&mut self, dst: usize, tag: Tag, elems: Range<usize>) -> Result<()> {
         if !elems.is_empty() {
-            let bytes = self.bytes(&elems);
-            self.builder.isend(self.rank, dst, bytes, tag);
+            self.ops.push(Op::Isend { dst, bytes: self.bytes(&elems), tag });
         }
         Ok(())
     }
 
     fn wait_all_sends(&mut self) -> Result<()> {
-        self.builder.wait_all_sends(self.rank);
+        self.ops.push(Op::WaitAllSends);
         Ok(())
     }
 
     fn recv_copy(&mut self, src: usize, tag: Tag, elems: Range<usize>) -> Result<()> {
         if !elems.is_empty() {
-            let bytes = self.bytes(&elems);
-            self.builder.recv(self.rank, src, bytes, tag);
+            self.ops.push(Op::Recv { src, bytes: self.bytes(&elems), tag });
         }
         Ok(())
     }
@@ -225,33 +219,35 @@ impl TwoSided for RecordingTwoSided {
     fn recv_reduce(&mut self, src: usize, tag: Tag, elems: Range<usize>) -> Result<()> {
         if !elems.is_empty() {
             let bytes = self.bytes(&elems);
-            self.builder.recv(self.rank, src, bytes, tag);
-            self.builder.reduce(self.rank, bytes);
+            self.ops.push(Op::Recv { src, bytes, tag });
+            self.ops.push(Op::Reduce { bytes });
         }
         Ok(())
     }
 
     fn local_copy(&mut self, dst: usize, src: Range<usize>) -> Result<()> {
         if !src.is_empty() && dst != src.start {
-            let bytes = self.bytes(&src);
-            self.builder.copy(self.rank, bytes);
+            self.ops.push(Op::Copy { bytes: self.bytes(&src) });
         }
         Ok(())
     }
 }
 
-/// Record the program produced by running `body` once per rank.
+/// Record the program produced by running `body` once per rank, each time
+/// on a fresh [`RecordingTwoSided`].
 ///
 /// This is the schedule-generator entry point: the same `body` that runs on
 /// [`ThreadedTwoSided`] inside an [`crate::comm::MpiWorld`] is replayed for
 /// every rank id in turn and its operations are captured.
 pub fn record(ranks: usize, elem_bytes: u64, mut body: impl FnMut(&mut RecordingTwoSided) -> Result<()>) -> Program {
-    let mut rec = RecordingTwoSided::new(ranks, elem_bytes);
-    for rank in 0..ranks {
-        rec.set_rank(rank);
-        body(&mut rec).expect("recording backend operations are infallible");
-    }
-    rec.finish()
+    let ranks = (0..ranks)
+        .map(|rank| {
+            let mut rec = RecordingTwoSided::new(rank, ranks, elem_bytes);
+            body(&mut rec).expect("recording backend operations are infallible");
+            RankProgram { ops: rec.finish() }
+        })
+        .collect();
+    Program { ranks }
 }
 
 #[cfg(test)]

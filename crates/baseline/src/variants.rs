@@ -1,9 +1,9 @@
 //! Single-source baseline algorithm variants: each algorithm below is **one
 //! body** generic over [`TwoSided`], executed both by the threaded
 //! correctness oracle ([`ThreadedTwoSided`]) and by the schedule recorder
-//! ([`RecordingTwoSided`]) — closing the gap between the five hand-written
-//! threaded baselines and the twelve-variant vendor frontier the paper's
-//! Figures 11–13 compare against.
+//! ([`crate::twosided::RecordingTwoSided`]) — closing the gap between the
+//! five hand-written threaded baselines and the twelve-variant vendor
+//! frontier the paper's Figures 11–13 compare against.
 //!
 //! Variants provided (paper-figure nomenclature in parentheses):
 //!
@@ -22,10 +22,12 @@
 //!   [`reduce_scatter_gather_reduce`] (Rabenseifner's reduce, the `mpi-def`
 //!   large-message algorithm, with the same non-power-of-two fold).
 //!
-//! Every body has a `*_schedule` twin that records it into an
-//! `ec_netsim::Program`; the `ec_bench` tuner prices those schedules through
-//! both the alpha–beta model and the PR 4 network fabric to pick the best
-//! variant per (rank count, message size, topology).
+//! Every body is recorded into an `ec_netsim::Program` by exactly one
+//! generator: a `*_schedule` function below, or — for the two binomial trees
+//! — `mpi_bcast_binomial_schedule` / `mpi_reduce_binomial_schedule` in
+//! [`crate::schedule`].  The `ec_bench` tuner prices those schedules through
+//! both the alpha–beta model and the flow-level network fabric to pick the
+//! best variant per (rank count, message size, topology).
 //!
 //! ## Working-buffer layouts
 //!
@@ -42,7 +44,7 @@ use ec_netsim::Program;
 
 use crate::comm::{MpiComm, Result, Tag};
 use crate::schedule::trees::binomial;
-use crate::twosided::{record, RecordingTwoSided, ThreadedTwoSided, TwoSided};
+use crate::twosided::{record, ThreadedTwoSided, TwoSided};
 
 /// Default segment size (elements) of the pipelined binomial broadcast:
 /// 2048 doubles = 16 KiB segments, a typical vendor pipelining granule.
@@ -498,60 +500,44 @@ pub fn reduce_binomial_ss(comm: &mut MpiComm, contribution: &[f64], root: usize)
 }
 
 // ---------------------------------------------------------------------------
-// schedule generators (the same bodies, recorded)
+// schedule generators (the same bodies, recorded over 1-byte elements)
 // ---------------------------------------------------------------------------
-
-/// Record `body` over byte-granular elements (1 byte per element), the
-/// convention of the hand-written baseline schedule generators.
-fn record_bytes(ranks: usize, body: impl FnMut(&mut RecordingTwoSided) -> Result<()>) -> Program {
-    record(ranks, 1, body)
-}
 
 /// Schedule of [`rabenseifner_allreduce`] for `ranks` ranks reducing
 /// `total_bytes` bytes.
 pub fn rabenseifner_allreduce_schedule(ranks: usize, total_bytes: u64) -> Program {
-    record_bytes(ranks, |t| rabenseifner_allreduce(t, total_bytes as usize))
+    record(ranks, 1, |t| rabenseifner_allreduce(t, total_bytes as usize))
 }
 
 /// Schedule of [`reduce_scatter_allgather_allreduce`].
 pub fn rsag_allreduce_schedule(ranks: usize, total_bytes: u64) -> Program {
-    record_bytes(ranks, |t| reduce_scatter_allgather_allreduce(t, total_bytes as usize))
+    record(ranks, 1, |t| reduce_scatter_allgather_allreduce(t, total_bytes as usize))
 }
 
 /// Schedule of [`bruck_alltoall`] with `block_bytes`-byte blocks.
 pub fn bruck_alltoall_schedule(ranks: usize, block_bytes: u64) -> Program {
-    record_bytes(ranks, |t| bruck_alltoall(t, block_bytes as usize))
+    record(ranks, 1, |t| bruck_alltoall(t, block_bytes as usize))
 }
 
 /// Schedule of [`pairwise_alltoall`] with `block_bytes`-byte blocks.
 pub fn pairwise_alltoall_schedule(ranks: usize, block_bytes: u64) -> Program {
-    record_bytes(ranks, |t| pairwise_alltoall(t, block_bytes as usize))
+    record(ranks, 1, |t| pairwise_alltoall(t, block_bytes as usize))
 }
 
 /// Schedule of [`scatter_allgather_bcast`] from rank 0.
 pub fn scatter_allgather_bcast_schedule(ranks: usize, total_bytes: u64) -> Program {
-    record_bytes(ranks, |t| scatter_allgather_bcast(t, total_bytes as usize, 0))
+    record(ranks, 1, |t| scatter_allgather_bcast(t, total_bytes as usize, 0))
 }
 
 /// Schedule of [`pipelined_binomial_bcast`] from rank 0 with
 /// `segment_bytes`-byte segments.
 pub fn pipelined_binomial_bcast_schedule(ranks: usize, total_bytes: u64, segment_bytes: u64) -> Program {
-    record_bytes(ranks, |t| pipelined_binomial_bcast(t, total_bytes as usize, 0, segment_bytes.max(1) as usize))
-}
-
-/// Schedule of [`binomial_bcast`] from rank 0.
-pub fn binomial_bcast_schedule(ranks: usize, total_bytes: u64) -> Program {
-    record_bytes(ranks, |t| binomial_bcast(t, total_bytes as usize, 0))
-}
-
-/// Schedule of [`binomial_reduce`] towards rank 0.
-pub fn binomial_reduce_schedule(ranks: usize, total_bytes: u64) -> Program {
-    record_bytes(ranks, |t| binomial_reduce(t, total_bytes as usize, 0))
+    record(ranks, 1, |t| pipelined_binomial_bcast(t, total_bytes as usize, 0, segment_bytes.max(1) as usize))
 }
 
 /// Schedule of [`reduce_scatter_gather_reduce`] towards rank 0.
 pub fn rsg_reduce_schedule(ranks: usize, total_bytes: u64) -> Program {
-    record_bytes(ranks, |t| reduce_scatter_gather_reduce(t, total_bytes as usize, 0))
+    record(ranks, 1, |t| reduce_scatter_gather_reduce(t, total_bytes as usize, 0))
 }
 
 #[cfg(test)]
@@ -559,6 +545,7 @@ mod tests {
     use super::*;
     use crate::collectives::{allreduce_ring, alltoall_pairwise, reduce_binomial};
     use crate::comm::MpiWorld;
+    use crate::schedule::{mpi_bcast_binomial_schedule, mpi_reduce_binomial_schedule};
     use ec_netsim::{validate, ClusterSpec, CostModel, Engine};
 
     fn input(rank: usize, n: usize) -> Vec<f64> {
@@ -690,8 +677,8 @@ mod tests {
                 pairwise_alltoall_schedule(p, 4096),
                 scatter_allgather_bcast_schedule(p, bytes),
                 pipelined_binomial_bcast_schedule(p, bytes, 16 * 1024),
-                binomial_bcast_schedule(p, bytes),
-                binomial_reduce_schedule(p, bytes),
+                mpi_bcast_binomial_schedule(p, bytes),
+                mpi_reduce_binomial_schedule(p, bytes),
                 rsg_reduce_schedule(p, bytes),
             ];
             let alpha_beta = Engine::new(ClusterSpec::homogeneous(p, 1), CostModel::skylake_fdr());
@@ -739,7 +726,7 @@ mod tests {
         let p = 16;
         let bytes = 8_000_000;
         let e = Engine::new(ClusterSpec::homogeneous(p, 1), CostModel::skylake_fdr());
-        let plain = e.makespan(&binomial_bcast_schedule(p, bytes)).unwrap();
+        let plain = e.makespan(&mpi_bcast_binomial_schedule(p, bytes)).unwrap();
         let pipelined = e.makespan(&pipelined_binomial_bcast_schedule(p, bytes, 64 * 1024)).unwrap();
         let scatter = e.makespan(&scatter_allgather_bcast_schedule(p, bytes)).unwrap();
         // The van de Geijn algorithm is the large-message winner (2(P-1)/P
@@ -757,7 +744,7 @@ mod tests {
         let p = 32;
         let bytes = 8_000_000;
         let e = Engine::new(ClusterSpec::homogeneous(p, 1), CostModel::skylake_fdr());
-        let tree = e.makespan(&binomial_reduce_schedule(p, bytes)).unwrap();
+        let tree = e.makespan(&mpi_reduce_binomial_schedule(p, bytes)).unwrap();
         let rsg = e.makespan(&rsg_reduce_schedule(p, bytes)).unwrap();
         assert!(rsg < tree, "reduce-scatter+gather ({rsg}) must beat the binomial tree ({tree}) at 8 MB");
     }

@@ -7,8 +7,8 @@
 //! this crate (`RingAllreduce`, `BroadcastBst`, `ReduceBst`, `AllToAll`,
 //! `SspAllreduce`) run these bodies on an [`ec_comm::ThreadedTransport`]
 //! with real data; the schedule generators in [`crate::schedule`] run the
-//! *same bodies* on an [`ec_comm::RecordingTransport`] to emit
-//! `ec_netsim::Program`s.  There is no second copy of any algorithm to keep
+//! *same bodies* on an [`ec_comm::RankRecorder`], one rank at a time, to
+//! emit `ec_netsim::Program`s.  There is no second copy of any algorithm to keep
 //! in sync.
 
 pub mod alltoall;

@@ -1,8 +1,7 @@
 //! Schedule shim for the direct one-sided AlltoAll: the single-sourced body
-//! in [`crate::algo::alltoall`] replayed on an
-//! [`ec_comm::RecordingTransport`].
+//! in [`crate::algo::alltoall`] replayed one rank at a time by
+//! [`ec_comm::record`].
 
-use ec_comm::RecordingTransport;
 use ec_netsim::Program;
 
 use crate::algo;
@@ -16,13 +15,8 @@ use crate::algo;
 /// single collective over initially-free landing slots, which is what the
 /// paper's figures time.
 pub fn alltoall_direct_schedule(ranks: usize, block_bytes: u64) -> Program {
-    let mut rec = RecordingTransport::new(ranks, 1);
-    for rank in 0..ranks {
-        rec.set_rank(rank);
-        algo::alltoall_direct(&mut rec, block_bytes as usize, block_bytes as usize, false)
-            .expect("recording is infallible");
-    }
-    rec.finish()
+    let block = block_bytes as usize;
+    ec_comm::record(ranks, 1, |rec| algo::alltoall_direct(rec, block, block, false))
 }
 
 #[cfg(test)]

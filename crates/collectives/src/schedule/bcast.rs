@@ -1,8 +1,7 @@
 //! Schedule shim for the binomial-spanning-tree broadcast: the single-sourced
-//! body in [`crate::algo::bcast`] replayed on an
-//! [`ec_comm::RecordingTransport`].
+//! body in [`crate::algo::bcast`] replayed one rank at a time by
+//! [`ec_comm::record`].
 
-use ec_comm::RecordingTransport;
 use ec_netsim::Program;
 
 use crate::algo::{self, AckMode};
@@ -19,12 +18,7 @@ use crate::algo::{self, AckMode};
 pub fn bcast_bst_schedule(ranks: usize, total_bytes: u64, threshold: f64) -> Program {
     assert!(threshold > 0.0 && threshold <= 1.0, "threshold must be in (0, 1]");
     let ship = ((total_bytes as f64 * threshold).round() as u64).clamp(1, total_bytes.max(1));
-    let mut rec = RecordingTransport::new(ranks, 1);
-    for rank in 0..ranks {
-        rec.set_rank(rank);
-        algo::bcast_bst(&mut rec, ship as usize, 0, AckMode::Leaves).expect("recording is infallible");
-    }
-    rec.finish()
+    ec_comm::record(ranks, 1, |rec| algo::bcast_bst(rec, ship as usize, 0, AckMode::Leaves))
 }
 
 #[cfg(test)]

@@ -9,9 +9,11 @@
 //!
 //! The generators are thin shims: they replay the **same single-sourced
 //! algorithm bodies** from [`crate::algo`] that the threaded handles execute,
-//! on an [`ec_comm::RecordingTransport`] that abstracts payloads into byte
-//! counts.  Agreement with the threaded implementations is structural, not a
-//! documentation promise — the two cannot drift apart.
+//! one rank at a time on an [`ec_comm::RankRecorder`] that abstracts payloads
+//! into byte counts — through [`ec_comm::record`], or through the
+//! [`source`] generators where a figure compiles the schedule without
+//! materializing it.  Agreement with the threaded implementations is
+//! structural, not a documentation promise — the two cannot drift apart.
 
 pub mod alltoall;
 pub mod bcast;

@@ -1,8 +1,8 @@
 //! Schedule shims for the binomial-tree reduce variants: the single-sourced
-//! body in [`crate::algo::reduce`] replayed on an
-//! [`ec_comm::RecordingTransport`].
+//! body in [`crate::algo::reduce`] replayed one rank at a time by
+//! [`ec_comm::record`].
 
-use ec_comm::{RecordingTransport, ReduceOp};
+use ec_comm::ReduceOp;
 use ec_netsim::Program;
 
 use crate::algo;
@@ -28,14 +28,9 @@ pub fn reduce_process_threshold_schedule(ranks: usize, total_bytes: u64, thresho
 }
 
 fn record(ranks: usize, ship_bytes: u64, engaged: &[bool]) -> Program {
-    let mut rec = RecordingTransport::new(ranks, 1);
-    for rank in 0..ranks {
-        rec.set_rank(rank);
-        // The slot stride is segment layout, which the recorder ignores.
-        algo::reduce_bst(&mut rec, ship_bytes as usize, 0, ReduceOp::Sum, engaged, ship_bytes as usize)
-            .expect("recording is infallible");
-    }
-    rec.finish()
+    let ship = ship_bytes as usize;
+    // The slot stride is segment layout, which the recorder ignores.
+    ec_comm::record(ranks, 1, |rec| algo::reduce_bst(rec, ship, 0, ReduceOp::Sum, engaged, ship))
 }
 
 #[cfg(test)]

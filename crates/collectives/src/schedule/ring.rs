@@ -1,13 +1,9 @@
-//! Schedule shims for the segmented pipelined ring allreduce and the plain
-//! hypercube allreduce: the single-sourced bodies in [`crate::algo`] replayed
-//! on an [`ec_comm::RecordingTransport`].
+//! Schedules of the segmented pipelined ring allreduce and the plain
+//! hypercube allreduce: the sources in [`super::source`], materialized.
 
-use ec_comm::{RecordingTransport, ReduceOp};
 use ec_netsim::Program;
-use ec_ssp::{Clock, SspPolicy};
 
-use crate::algo;
-use crate::topology::{chunk_ranges, hypercube_dims};
+use super::source::{HypercubeAllreduceSource, RingAllreduceSource};
 
 /// Build the `gaspi_allreduce_ring` schedule: scatter-reduce followed by
 /// allgather, each of `P - 1` steps, synchronized only by notifications
@@ -16,16 +12,7 @@ use crate::topology::{chunk_ranges, hypercube_dims};
 /// Chunks smaller than one byte (possible when `total_bytes < ranks`) are
 /// announced with payload-free notifications instead of zero-byte puts.
 pub fn ring_allreduce_schedule(ranks: usize, total_bytes: u64) -> Program {
-    let mut rec = RecordingTransport::new(ranks, 1);
-    if ranks > 1 {
-        let n = total_bytes as usize;
-        let scratch_stride = chunk_ranges(n, ranks)[0].1.max(1);
-        for rank in 0..ranks {
-            rec.set_rank(rank);
-            algo::ring_allreduce(&mut rec, n, n, scratch_stride, ReduceOp::Sum).expect("recording is infallible");
-        }
-    }
-    rec.finish()
+    Program::from_source(&RingAllreduceSource::new(ranks, total_bytes))
 }
 
 /// Build a fully synchronous hypercube allreduce schedule: `log2(P)` steps,
@@ -35,20 +22,11 @@ pub fn ring_allreduce_schedule(ranks: usize, total_bytes: u64) -> Program {
 /// (Algorithm 1) when no staleness is exploited; recording the SSP body with
 /// zero slack renders exactly this structure, which the paper uses to explain
 /// why the SSP collective cannot compete with the ring for large vectors
-/// (Figure 7, left).
+/// (Figure 7, left).  Non-power-of-two rank counts are not supported by the
+/// hypercube; the program stays empty (callers check `hypercube_dims`
+/// themselves).
 pub fn hypercube_allreduce_schedule(ranks: usize, total_bytes: u64) -> Program {
-    let mut rec = RecordingTransport::new(ranks, 1);
-    if let Some(dims) = hypercube_dims(ranks) {
-        let n = total_bytes as usize;
-        for rank in 0..ranks {
-            rec.set_rank(rank);
-            algo::ssp_hypercube_allreduce(&mut rec, n, n + 1, dims, ReduceOp::Sum, Clock::from(1), SspPolicy::new(0))
-                .expect("recording is infallible");
-        }
-    }
-    // Non-power-of-two rank counts are not supported by the hypercube; the
-    // program stays empty (callers check `hypercube_dims` themselves).
-    rec.finish()
+    Program::from_source(&HypercubeAllreduceSource::new(ranks, total_bytes))
 }
 
 #[cfg(test)]

@@ -1,15 +1,16 @@
-//! Symbolic SPMD twins of the ring and hypercube schedules.
+//! The ring and hypercube allreduce schedules, each defined once as an
+//! [`ec_netsim::ProgramSource`].
 //!
-//! The materialized generators in [`super::ring`] replay the algorithm body
-//! for **every** rank into one [`ec_netsim::Program`], which costs
-//! `O(P * ops_per_rank)` memory before the simulator even starts.  The
-//! sources here implement [`ec_netsim::ProgramSource`] instead: they hold
-//! only the collective's parameters and replay the *same single-sourced
-//! algorithm body* for one rank at a time on an [`ec_comm::RankRecorder`].
-//! Combined with the arena interning of
-//! [`ec_netsim::CompiledProgram::from_source`], ranks with identical op
-//! streams (all of them, for these SPMD collectives) share a single arena
-//! range, so a million-rank program costs barely more than a four-rank one.
+//! A source holds only the collective's parameters (derived once, in `new`)
+//! and replays the *same single-sourced algorithm body* for one rank at a
+//! time on an [`ec_comm::RankRecorder`].  [`super::ring_allreduce_schedule`]
+//! and [`super::hypercube_allreduce_schedule`] materialize these sources with
+//! [`Program::from_source`](ec_netsim::Program::from_source); figure-scale
+//! callers compile them with
+//! [`ec_netsim::CompiledProgram::from_source`] instead, whose arena
+//! interning stores ranks with identical op streams (all of them, for these
+//! SPMD collectives) once, so a million-rank program costs barely more than
+//! a four-rank one.
 
 use ec_comm::{RankRecorder, ReduceOp};
 use ec_netsim::{Op, ProgramSource};
@@ -18,18 +19,22 @@ use ec_ssp::{Clock, SspPolicy};
 use crate::algo;
 use crate::topology::{chunk_ranges, hypercube_dims};
 
-/// Lazy per-rank generator of the `gaspi_allreduce_ring` schedule — the
-/// symbolic twin of [`super::ring_allreduce_schedule`].
+/// Per-rank generator of the `gaspi_allreduce_ring` schedule (see
+/// [`super::ring_allreduce_schedule`]).
 #[derive(Debug, Clone, Copy)]
 pub struct RingAllreduceSource {
     ranks: usize,
-    total_bytes: u64,
+    /// Payload elements (one byte each).
+    n: usize,
+    /// Landing-slot stride of the scatter-reduce stage: the largest chunk.
+    scratch_stride: usize,
 }
 
 impl RingAllreduceSource {
     /// A ring allreduce of `total_bytes` across `ranks` ranks.
     pub fn new(ranks: usize, total_bytes: u64) -> Self {
-        Self { ranks, total_bytes }
+        let n = total_bytes as usize;
+        Self { ranks, n, scratch_stride: chunk_ranges(n, ranks.max(1))[0].1.max(1) }
     }
 }
 
@@ -42,29 +47,30 @@ impl ProgramSource for RingAllreduceSource {
         if self.ranks <= 1 {
             return;
         }
-        let n = self.total_bytes as usize;
-        let scratch_stride = chunk_ranges(n, self.ranks)[0].1.max(1);
         let mut rec = RankRecorder::new(rank, self.ranks, 1);
-        algo::ring_allreduce(&mut rec, n, n, scratch_stride, ReduceOp::Sum).expect("recording is infallible");
+        algo::ring_allreduce(&mut rec, self.n, self.n, self.scratch_stride, ReduceOp::Sum)
+            .expect("recording is infallible");
         out.append(&mut rec.finish());
     }
 }
 
-/// Lazy per-rank generator of the fully synchronous hypercube allreduce —
-/// the symbolic twin of [`super::hypercube_allreduce_schedule`].
+/// Per-rank generator of the fully synchronous hypercube allreduce (see
+/// [`super::hypercube_allreduce_schedule`]).
 ///
-/// Non-power-of-two rank counts yield empty rank programs, exactly like the
-/// materialized generator.
+/// Non-power-of-two rank counts yield empty rank programs.
 #[derive(Debug, Clone, Copy)]
 pub struct HypercubeAllreduceSource {
     ranks: usize,
-    total_bytes: u64,
+    /// Payload elements (one byte each).
+    n: usize,
+    /// Hypercube dimensions, `None` when `ranks` is not a power of two.
+    dims: Option<u32>,
 }
 
 impl HypercubeAllreduceSource {
     /// A hypercube allreduce of `total_bytes` across `ranks` ranks.
     pub fn new(ranks: usize, total_bytes: u64) -> Self {
-        Self { ranks, total_bytes }
+        Self { ranks, n: total_bytes as usize, dims: hypercube_dims(ranks) }
     }
 }
 
@@ -74,10 +80,11 @@ impl ProgramSource for HypercubeAllreduceSource {
     }
 
     fn rank_ops(&self, rank: usize, out: &mut Vec<Op>) {
-        let Some(dims) = hypercube_dims(self.ranks) else {
+        let Some(dims) = self.dims else {
             return;
         };
-        let n = self.total_bytes as usize;
+        // The SSP body at slack 0 renders the synchronous hypercube.
+        let n = self.n;
         let mut rec = RankRecorder::new(rank, self.ranks, 1);
         algo::ssp_hypercube_allreduce(&mut rec, n, n + 1, dims, ReduceOp::Sum, Clock::from(1), SspPolicy::new(0))
             .expect("recording is infallible");

@@ -9,10 +9,11 @@
 //! * [`ThreadedTransport`] wraps an `ec_gaspi::Context` and moves real bytes
 //!   between rank threads — this is what the in-process collectives in
 //!   `ec_collectives` run on;
-//! * [`RecordingTransport`] executes the *same algorithm code* with payloads
-//!   abstracted to byte counts and records every operation into an
-//!   `ec_netsim::Program`, which is how the paper's cluster-scale figures are
-//!   regenerated without a cluster.
+//! * [`RankRecorder`] executes the *same algorithm code* for one rank with
+//!   payloads abstracted to byte counts and records every operation into
+//!   that rank's `ec_netsim` op stream; [`record`] replays a body once per
+//!   rank into a whole `ec_netsim::Program`, which is how the paper's
+//!   cluster-scale figures are regenerated without a cluster.
 //!
 //! Because the two backends share one algorithm body, the threaded collectives
 //! and the simulated schedules can no longer drift apart: a new collective,
@@ -35,7 +36,7 @@
 //! recorded into a simulator program:
 //!
 //! ```
-//! use ec_comm::{RecordingTransport, Transport};
+//! use ec_comm::Transport;
 //!
 //! /// Every rank sends its first `n` elements to the next rank and waits for
 //! /// the elements arriving from the previous one.
@@ -47,12 +48,7 @@
 //! }
 //!
 //! // Record the schedule for 4 ranks moving 1024 doubles each.
-//! let mut rec = RecordingTransport::new(4, 8);
-//! for rank in 0..4 {
-//!     rec.set_rank(rank);
-//!     shift_right(&mut rec, 1024).unwrap();
-//! }
-//! let program = rec.finish();
+//! let program = ec_comm::record(4, 8, |rec| shift_right(rec, 1024));
 //! assert_eq!(program.total_wire_bytes(), 4 * 1024 * 8);
 //! ec_netsim::validate(&program, 4).unwrap();
 //! ```
@@ -72,6 +68,6 @@ pub mod transport;
 
 pub use error::{CommError, Result};
 pub use op::ReduceOp;
-pub use recording::{RankRecorder, RecordingTransport};
+pub use recording::{record, RankRecorder};
 pub use threaded::ThreadedTransport;
 pub use transport::{NotifyId, Rank, SlotUse, Transport};

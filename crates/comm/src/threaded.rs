@@ -250,7 +250,7 @@ mod tests {
 
     #[test]
     fn wait_any_rejects_non_contiguous_sets_like_the_recorder() {
-        use crate::RecordingTransport;
+        use crate::RankRecorder;
         // Both backends must agree: gapped, duplicated and empty id sets are
         // rejected with `InvalidWaitSet` instead of panicking (threaded) or
         // being silently accepted (recorder).
@@ -266,7 +266,7 @@ mod tests {
                 })
                 .unwrap()[0]
                 .clone();
-            let mut rec = RecordingTransport::new(1, 8);
+            let mut rec = RankRecorder::new(0, 1, 8);
             let recorded = rec.wait_any(ids);
             assert!(matches!(threaded, Err(CommError::InvalidWaitSet { .. })), "threaded accepted {ids:?}");
             assert_eq!(threaded, recorded, "backends disagree on {ids:?}");

@@ -173,10 +173,6 @@ impl Program {
     /// Exclusive upper bound of the notification-id range this program uses
     /// (the largest id referenced by any put, notify or wait, plus one; 0 for
     /// programs without notifications).
-    ///
-    /// The simulator sizes its dense per-rank notification counters from this
-    /// range, and schedule recorders expose it so callers can reserve GASPI
-    /// notification slots.
     pub fn notify_id_bound(&self) -> NotifyId {
         let mut bound: NotifyId = 0;
         for rp in &self.ranks {
@@ -284,12 +280,6 @@ impl ProgramBuilder {
     /// Number of ranks in the program being built.
     pub fn num_ranks(&self) -> usize {
         self.program.num_ranks()
-    }
-
-    /// Exclusive upper bound of the notification ids used so far (see
-    /// [`Program::notify_id_bound`]).
-    pub fn notify_id_bound(&self) -> NotifyId {
-        self.program.notify_id_bound()
     }
 
     fn push(&mut self, rank: RankId, op: Op) -> &mut Self {
@@ -423,12 +413,10 @@ mod tests {
     #[test]
     fn notify_id_bound_covers_puts_and_waits() {
         let mut b = ProgramBuilder::new(3);
-        assert_eq!(b.notify_id_bound(), 0);
         b.put_notify(0, 1, 64, 3);
         b.notify(1, 2, 9);
         b.wait_notify(2, &[9]);
         b.wait_notify_any(1, &[3, 17], 1);
-        assert_eq!(b.notify_id_bound(), 18);
         assert_eq!(b.build().notify_id_bound(), 18);
         assert_eq!(Program::empty(2).notify_id_bound(), 0);
     }

@@ -10,13 +10,15 @@
 //! a symmetric p = 2^20 collective compiles to O(ops) memory and the full
 //! program never exists anywhere.
 //!
-//! Use a generator (a `ProgramSource` implementation) for figure-scale
-//! symmetric collectives; use the recorder path ([`crate::ProgramBuilder`],
-//! `ec_comm::RecordingTransport`) when the per-rank streams are irregular or
-//! produced by replaying real algorithm bodies at small scale.
+//! A source is the one definition of its schedule: [`Program::from_source`]
+//! materializes it when a caller wants the plain per-rank lists, and
+//! `CompiledProgram::from_source` compiles it without ever doing so.  The
+//! collective sources replay the real algorithm bodies one rank at a time
+//! on `ec_comm::RankRecorder`; irregular hand-built programs use
+//! [`crate::ProgramBuilder`] instead.
 
 use crate::cluster::RankId;
-use crate::program::{Op, Program};
+use crate::program::{Op, Program, RankProgram};
 
 /// A program defined by generation: rank `r`'s ops are produced on demand
 /// instead of being stored.
@@ -33,6 +35,22 @@ pub trait ProgramSource {
     /// `out` is cleared by the caller before the call; implementations only
     /// push.  A rank with no work simply pushes nothing.
     fn rank_ops(&self, rank: RankId, out: &mut Vec<Op>);
+}
+
+impl Program {
+    /// Materialize every rank's op stream of `source` — the twin of
+    /// [`CompiledProgram::from_source`](crate::CompiledProgram::from_source)
+    /// for callers that want the per-rank lists themselves.
+    pub fn from_source<S: ProgramSource>(source: &S) -> Self {
+        let ranks = (0..source.num_ranks())
+            .map(|rank| {
+                let mut ops = Vec::new();
+                source.rank_ops(rank, &mut ops);
+                RankProgram { ops }
+            })
+            .collect();
+        Self { ranks }
+    }
 }
 
 /// A materialized program is trivially its own source (rank ops are copied
@@ -78,5 +96,7 @@ mod tests {
         assert_eq!(ProgramSource::num_ranks(&p), 2);
         // The blanket reference impl delegates.
         assert_eq!(ProgramSource::num_ranks(&&p), 2);
+        // Materializing a program's source reproduces the program.
+        assert_eq!(Program::from_source(&p), p);
     }
 }

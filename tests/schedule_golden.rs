@@ -6,16 +6,25 @@
 //! algorithm bodies must validate and reproduce these numbers exactly; any
 //! structural drift between the threaded implementations and the simulated
 //! schedules shows up here as a changed makespan.
+//!
+//! The op-stream digests at the end pin every generator the
+//! `lint-schedules` sweep covers (plus the single-source variant library)
+//! op for op over that sweep's grid, so a refactor of the recorders or of a
+//! generator cannot change a schedule without failing here.
 
 // The golden literals are transcribed verbatim at full f64 round-trip
 // precision (17 significant digits).
 #![allow(clippy::excessive_precision)]
 
+use ec_collectives_suite::baseline::{
+    mpi_alltoall_pairwise_schedule, mpi_bcast_binomial_schedule, mpi_bcast_default_schedule,
+    mpi_reduce_binomial_schedule, mpi_reduce_default_schedule, variants, MpiAllreduceVariant,
+};
 use ec_collectives_suite::collectives::schedule::{
     alltoall_direct_schedule, bcast_bst_schedule, hypercube_allreduce_schedule, reduce_bst_schedule,
-    reduce_process_threshold_schedule, ring_allreduce_schedule,
+    reduce_process_threshold_schedule, ring_allreduce_schedule, HypercubeAllreduceSource, RingAllreduceSource,
 };
-use ec_collectives_suite::netsim::{validate, ClusterSpec, CostModel, Engine, Program, Topology};
+use ec_collectives_suite::netsim::{validate, ClusterSpec, CostModel, Engine, Op, Program, ProgramSource, Topology};
 
 const BYTES: u64 = 8_000_000;
 const BLOCK: u64 = 32 * 1024;
@@ -167,4 +176,180 @@ fn tiny_payloads_validate_in_every_recorded_schedule() {
         validate(&prog, p).unwrap_or_else(|err| panic!("{what}: {err}"));
         assert!(e.makespan(&prog).unwrap() > 0.0, "{what} must simulate");
     }
+}
+
+// ---------------------------------------------------------------------------
+// Op-stream digests over the `xtask lint-schedules` grid
+// ---------------------------------------------------------------------------
+
+/// Rank counts, payload sizes and thresholds of the `lint-schedules` sweep.
+const LINT_RANKS: [usize; 9] = [2, 3, 4, 6, 8, 13, 16, 64, 256];
+const LINT_BYTES: [u64; 3] = [3, 4096, 1 << 20];
+const LINT_THRESHOLDS: [f64; 2] = [0.3, 1.0];
+
+/// Fold `words` into `h`, one SplitMix64 finalizer step each.
+fn fold(h: &mut u64, words: impl IntoIterator<Item = u64>) {
+    for word in words {
+        let mut z = (*h ^ word).wrapping_add(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        *h = z ^ (z >> 31);
+    }
+}
+
+/// Fold every rank's op stream of `source` into `h`: the rank count, then
+/// per rank its length and each op's variant and fields in order.
+fn fold_program(h: &mut u64, source: &impl ProgramSource) {
+    fold(h, [source.num_ranks() as u64]);
+    let mut ops = Vec::new();
+    for rank in 0..source.num_ranks() {
+        ops.clear();
+        source.rank_ops(rank, &mut ops);
+        fold(h, [ops.len() as u64]);
+        for op in &ops {
+            match op {
+                Op::Compute { seconds } => fold(h, [0, seconds.to_bits()]),
+                Op::Reduce { bytes } => fold(h, [1, *bytes]),
+                Op::Copy { bytes } => fold(h, [2, *bytes]),
+                Op::PutNotify { dst, bytes, notify } => fold(h, [3, *dst as u64, *bytes, u64::from(*notify)]),
+                Op::Notify { dst, notify } => fold(h, [4, *dst as u64, u64::from(*notify)]),
+                Op::WaitNotify { ids } => {
+                    fold(h, [5, ids.len() as u64].into_iter().chain(ids.iter().map(|&id| id.into())));
+                }
+                Op::WaitNotifyAny { ids, count } => {
+                    fold(h, [6, *count as u64, ids.len() as u64].into_iter().chain(ids.iter().map(|&id| id.into())));
+                }
+                Op::Send { dst, bytes, tag } => fold(h, [7, *dst as u64, *bytes, u64::from(*tag)]),
+                Op::Isend { dst, bytes, tag } => fold(h, [8, *dst as u64, *bytes, u64::from(*tag)]),
+                Op::Recv { src, bytes, tag } => fold(h, [9, *src as u64, *bytes, u64::from(*tag)]),
+                Op::WaitAllSends => fold(h, [10]),
+                Op::Barrier => fold(h, [11]),
+            }
+        }
+    }
+}
+
+/// Digest of one generator's programs over every `(p, bytes)` cell of the
+/// lint grid, in grid order.
+fn grid_digest<S: ProgramSource>(generate: impl Fn(usize, u64) -> S) -> u64 {
+    let mut h = 0;
+    for p in LINT_RANKS {
+        for bytes in LINT_BYTES {
+            fold_program(&mut h, &generate(p, bytes));
+        }
+    }
+    h
+}
+
+/// Digest of a thresholded generator over the lint grid × thresholds.
+fn threshold_digest(generate: impl Fn(usize, u64, f64) -> Program) -> u64 {
+    let mut h = 0;
+    for p in LINT_RANKS {
+        for bytes in LINT_BYTES {
+            for thr in LINT_THRESHOLDS {
+                fold_program(&mut h, &generate(p, bytes, thr));
+            }
+        }
+    }
+    h
+}
+
+/// Compare computed digests against `golden`, reporting every mismatch at
+/// once (in a form that can be pasted back into the table).
+fn assert_digests(computed: &[(&str, u64)], golden: &[(&str, u64)]) {
+    let report: Vec<String> = computed.iter().map(|(name, d)| format!("(\"{name}\", {d:#018x}),")).collect();
+    assert_eq!(computed.len(), golden.len(), "generator lists differ:\n{}", report.join("\n"));
+    let drifted: Vec<&str> = computed.iter().zip(golden).filter(|(c, g)| c != g).map(|((name, _), _)| *name).collect();
+    assert!(drifted.is_empty(), "op streams drifted for {drifted:?}; computed:\n{}", report.join("\n"));
+}
+
+/// Op-stream digests of the one-sided GASPI generators, read at the commit
+/// before the recorders were unified.
+const GASPI_DIGESTS: &[(&str, u64)] = &[
+    ("ring_allreduce_schedule", 0x76043f38e036e15e),
+    ("hypercube_allreduce_schedule", 0x4ef1cf3306b5390c),
+    ("alltoall_direct_schedule", 0xeb422fa53fc9c63d),
+    ("RingAllreduceSource", 0x76043f38e036e15e),
+    ("HypercubeAllreduceSource", 0x4ef1cf3306b5390c),
+    ("bcast_bst_schedule", 0x36cdcd77a7afbd7f),
+    ("reduce_bst_schedule", 0xfb7ff13aca68128c),
+    ("reduce_process_threshold_schedule", 0x076eb0126cbcbcfb),
+];
+
+/// Op-stream digests of the two-sided MPI generators (the vendor schedules,
+/// the twelve allreduce variants at one and four ranks per node, and the
+/// single-source variant library), read at the same commit.
+const MPI_DIGESTS: &[(&str, u64)] = &[
+    ("mpi_reduce_binomial_schedule", 0x234d5076d317c8fe),
+    ("mpi_reduce_default_schedule", 0x1387037f0a0a5c3e),
+    ("mpi_bcast_binomial_schedule", 0xb7b09f8a910d1007),
+    ("mpi_bcast_default_schedule", 0xd3c81232d39e6c24),
+    ("mpi_alltoall_pairwise_schedule", 0xe768a0521725d3cc),
+    ("rabenseifner_allreduce_schedule", 0xa2a270d2c4765b3e),
+    ("rsag_allreduce_schedule", 0x9c63adf1acddbe15),
+    ("bruck_alltoall_schedule", 0x3f774df01f914c74),
+    ("pairwise_alltoall_schedule", 0xd8cb84139493f9ba),
+    ("scatter_allgather_bcast_schedule", 0x0cc00a98034181ce),
+    ("pipelined_binomial_bcast_schedule", 0x2f24e52301dcfb7a),
+    ("rsg_reduce_schedule", 0x5b2e3f0ead5effb7),
+    ("mpi1-recursive-doubling", 0x8b057fed0050cd38),
+    ("mpi2-rabenseifner", 0x24b9e730967cc1f7),
+    ("mpi3-reduce-bcast", 0x8b65f3de42ae1e2b),
+    ("mpi4-topo-reduce-bcast", 0x646c154ade5b3556),
+    ("mpi5-binomial-gather-scatter", 0x7d5a6a520b4b3296),
+    ("mpi6-topo-gather-scatter", 0x7808820b53d255a3),
+    ("mpi7-shumilin-ring", 0x83dbd222e4955bc4),
+    ("mpi8-ring", 0x31ac320e8f0f5c19),
+    ("mpi9-knomial", 0x580fcf135af3c2d7),
+    ("mpi10-shm-flat", 0xedcc36bd92c56e68),
+    ("mpi11-shm-knomial", 0x7f616efa1bc3faa9),
+    ("mpi12-shm-knary", 0x5096fde92d7c6650),
+];
+
+#[test]
+fn gaspi_generators_reproduce_their_op_stream_digests() {
+    let computed = [
+        ("ring_allreduce_schedule", grid_digest(ring_allreduce_schedule)),
+        ("hypercube_allreduce_schedule", grid_digest(hypercube_allreduce_schedule)),
+        ("alltoall_direct_schedule", grid_digest(alltoall_direct_schedule)),
+        ("RingAllreduceSource", grid_digest(RingAllreduceSource::new)),
+        ("HypercubeAllreduceSource", grid_digest(HypercubeAllreduceSource::new)),
+        ("bcast_bst_schedule", threshold_digest(bcast_bst_schedule)),
+        ("reduce_bst_schedule", threshold_digest(reduce_bst_schedule)),
+        ("reduce_process_threshold_schedule", threshold_digest(reduce_process_threshold_schedule)),
+    ];
+    assert_digests(&computed, GASPI_DIGESTS);
+}
+
+#[test]
+fn mpi_generators_reproduce_their_op_stream_digests() {
+    let mut computed = vec![
+        ("mpi_reduce_binomial_schedule", grid_digest(mpi_reduce_binomial_schedule)),
+        ("mpi_reduce_default_schedule", grid_digest(mpi_reduce_default_schedule)),
+        ("mpi_bcast_binomial_schedule", grid_digest(mpi_bcast_binomial_schedule)),
+        ("mpi_bcast_default_schedule", grid_digest(mpi_bcast_default_schedule)),
+        ("mpi_alltoall_pairwise_schedule", grid_digest(mpi_alltoall_pairwise_schedule)),
+        ("rabenseifner_allreduce_schedule", grid_digest(variants::rabenseifner_allreduce_schedule)),
+        ("rsag_allreduce_schedule", grid_digest(variants::rsag_allreduce_schedule)),
+        ("bruck_alltoall_schedule", grid_digest(variants::bruck_alltoall_schedule)),
+        ("pairwise_alltoall_schedule", grid_digest(variants::pairwise_alltoall_schedule)),
+        ("scatter_allgather_bcast_schedule", grid_digest(variants::scatter_allgather_bcast_schedule)),
+        (
+            "pipelined_binomial_bcast_schedule",
+            grid_digest(|p, bytes| variants::pipelined_binomial_bcast_schedule(p, bytes, 16 * 1024)),
+        ),
+        ("rsg_reduce_schedule", grid_digest(variants::rsg_reduce_schedule)),
+    ];
+    for variant in MpiAllreduceVariant::all() {
+        let mut h = 0;
+        for p in LINT_RANKS {
+            for bytes in LINT_BYTES {
+                for ppn in [1usize, 4].into_iter().filter(|ppn| p % ppn == 0) {
+                    fold_program(&mut h, &variant.schedule(p, bytes, ppn));
+                }
+            }
+        }
+        computed.push((variant.label(), h));
+    }
+    assert_digests(&computed, MPI_DIGESTS);
 }

@@ -12,8 +12,7 @@ use std::fmt::Write as _;
 
 use ec_baseline::{
     mpi_alltoall_pairwise_schedule, mpi_bcast_binomial_schedule, mpi_bcast_default_schedule,
-    mpi_reduce_binomial_schedule, mpi_reduce_default_schedule, BinomialBcastSource, MpiAllreduceVariant,
-    PairwiseAlltoallSource,
+    mpi_reduce_binomial_schedule, mpi_reduce_default_schedule, MpiAllreduceVariant,
 };
 use ec_collectives::schedule::{
     alltoall_direct_schedule, bcast_bst_schedule, hypercube_allreduce_schedule, reduce_bst_schedule,
@@ -115,14 +114,6 @@ pub(crate) fn lint_schedules() -> (String, bool) {
             outcomes.push(analyzed(
                 format!("ec_baseline::mpi_alltoall_pairwise_schedule(p={p}, block={bytes})"),
                 &mpi_alltoall_pairwise_schedule(p, bytes),
-            ));
-            outcomes.push(analyzed_source(
-                format!("ec_baseline::BinomialBcastSource(p={p}, bytes={bytes})"),
-                &BinomialBcastSource::new(p, bytes),
-            ));
-            outcomes.push(analyzed_source(
-                format!("ec_baseline::PairwiseAlltoallSource(p={p}, block={bytes})"),
-                &PairwiseAlltoallSource::new(p, bytes),
             ));
 
             for variant in MpiAllreduceVariant::all() {

@@ -9,17 +9,18 @@
 //! latencies — the natural spacing between a transfer's injection and its
 //! delivery — so a bucket holds roughly one "wave" of events.
 //!
-//! Three tiers keep the structure correct for arbitrary inputs:
+//! Each future bucket within `NUM_BUCKETS` widths of the cursor is an unsorted
+//! chain of 8-event chunks, flagged in an occupancy bitmap so the cursor skips
+//! empty buckets a word at a time.  Reaching a bucket, the cursor drains its
+//! chain once into one reused `Vec`, sorted descending so the minimum pops from
+//! the back; late entrants (for the current bucket or, tolerated, behind the
+//! cursor) go in by binary insertion.  Events past the ring horizon wait in a
+//! binary heap and migrate to their bucket as the cursor comes within range.
 //!
-//! * **ring** — events within `num_buckets` widths of the cursor live in
-//!   their bucket, unsorted until the cursor reaches them (each bucket is
-//!   sorted once, descending, and drained from the back);
-//! * **sidecar** — a small binary heap for events that land in the *current*
-//!   bucket (or, tolerated for robustness, behind the cursor): the current
-//!   bucket is already sorted, so late entrants go through the heap whose
-//!   occupancy is bounded by one bucket's population;
-//! * **far** — a binary heap for events beyond the ring horizon; as the
-//!   cursor advances, due far events migrate into the sidecar.
+//! All chunks come from one pool with a LIFO free list: the chunks a drain just
+//! read are the next ones pushes write, still in cache, and the pool holds about
+//! as many events as are pending.  A `Vec` per bucket would keep the capacity of
+//! its busiest visit, and each push would write a line untouched for a revolution.
 //!
 //! The queue is a *total-order* priority queue: `pop` returns events in
 //! exactly the order `T: Ord` defines (the engine orders events by
@@ -40,43 +41,52 @@ pub(crate) trait Timed {
 
 /// Number of ring buckets (power of two so the ring index is a mask).
 const NUM_BUCKETS: usize = 1 << 10;
+const MASK: u64 = NUM_BUCKETS as u64 - 1;
+/// Events per pool chunk.
+const CHUNK: usize = 8;
+/// End of a chunk chain or of the free list.
+const NIL: usize = usize::MAX;
 
-/// A three-tier calendar queue (see the module docs).
+/// A calendar queue (see the module docs).
 #[derive(Debug, Clone)]
 pub(crate) struct CalendarQueue<T> {
-    /// Ring of buckets; bucket `b` (absolute index) lives at `b & MASK` and
-    /// is allocated (`per_bucket` slots) when its first event arrives: a
-    /// short run pays only for the buckets it touches.
-    ring: Vec<Vec<T>>,
-    per_bucket: usize,
-    /// Absolute index of the current bucket (the one being drained).
+    /// Event storage: chunk `c` is `pool[c * CHUNK..(c + 1) * CHUNK]`.
+    pool: Vec<T>,
+    /// Per chunk: the next (older) chunk of its chain, or the next free one.
+    next: Vec<usize>,
+    /// Most recently freed chunk.
+    free: usize,
+    /// Per ring slot (`bucket & MASK`): one past the pool index of its newest
+    /// event, 0 if empty.  That event's chunk heads the chain; older ones are full.
+    ends: Vec<usize>,
+    /// One bit per ring slot, set while its bucket holds events.
+    occupied: [u64; NUM_BUCKETS / 64],
+    /// Absolute index of the current bucket.
     cur: u64,
-    /// Whether the current bucket has been sorted (descending) already.
-    cur_sorted: bool,
-    /// Late entrants into the current bucket, and migrated due far events.
-    sidecar: BinaryHeap<Reverse<T>>,
+    /// The current bucket's events, sorted descending.
+    current: Vec<T>,
     /// Events at least `NUM_BUCKETS` widths past the cursor.
     far: BinaryHeap<Reverse<T>>,
     /// Bucket width in seconds.
     width: f64,
     len: usize,
-    /// Current-bucket sorts performed (the queue's analogue of a resize:
-    /// the price paid to keep the ring's head ordered; see
-    /// [`crate::EngineMetrics::calendar_bucket_sorts`]).
+    /// Buckets drained and sorted ([`crate::EngineMetrics::calendar_bucket_sorts`]).
     sorts: u64,
 }
 
 impl<T: Timed + Ord + Copy> CalendarQueue<T> {
-    /// Create a queue with the given bucket `width` (clamped to a sane
-    /// positive value) and pre-sized for roughly `capacity` events.
-    pub(crate) fn new(width: f64, capacity: usize) -> Self {
+    /// Create an empty queue with the given bucket `width` (clamped to a sane
+    /// positive value); the event pool grows with the first pushes.
+    pub(crate) fn new(width: f64) -> Self {
         let width = if width.is_finite() && width > 0.0 { width } else { 1e-6 };
         Self {
-            ring: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
-            per_bucket: (capacity / NUM_BUCKETS).max(4),
+            pool: Vec::new(),
+            next: Vec::new(),
+            free: NIL,
+            ends: vec![0; NUM_BUCKETS],
+            occupied: [0; NUM_BUCKETS / 64],
             cur: 0,
-            cur_sorted: true,
-            sidecar: BinaryHeap::with_capacity(64),
+            current: Vec::new(),
             far: BinaryHeap::new(),
             width,
             len: 0,
@@ -84,7 +94,7 @@ impl<T: Timed + Ord + Copy> CalendarQueue<T> {
         }
     }
 
-    /// Number of current-bucket sorts performed so far.
+    /// Number of buckets drained and sorted so far.
     pub(crate) fn sorts(&self) -> u64 {
         self.sorts
     }
@@ -96,37 +106,14 @@ impl<T: Timed + Ord + Copy> CalendarQueue<T> {
         (time / self.width) as u64
     }
 
-    /// File `item` under its ring bucket `b` (within the horizon).
-    #[inline]
-    fn push_ring(&mut self, b: u64, item: T) {
-        let bucket = &mut self.ring[(b & (NUM_BUCKETS as u64 - 1)) as usize];
-        if bucket.capacity() == 0 {
-            bucket.reserve_exact(self.per_bucket);
-        }
-        bucket.push(item);
-    }
-
-    /// Number of queued events (differential tests only; the engine drains
-    /// by popping until `None`).
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.len
-    }
-
-    #[cfg(test)]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     #[inline]
     pub(crate) fn push(&mut self, item: T) {
         self.len += 1;
         let b = self.bucket_of(item.time());
         if b <= self.cur {
-            // Current bucket (or a tolerated sliver behind the cursor — the
-            // engine's monotonicity tolerance allows ties marginally below
-            // `now`): the bucket is already sorted, so go through the heap.
-            self.sidecar.push(Reverse(item));
+            // The current bucket (or, tolerated, behind the cursor): in order.
+            let at = self.current.partition_point(|x| *x > item);
+            self.current.insert(at, item);
         } else if b - self.cur < NUM_BUCKETS as u64 {
             self.push_ring(b, item);
         } else {
@@ -134,90 +121,110 @@ impl<T: Timed + Ord + Copy> CalendarQueue<T> {
         }
     }
 
-    /// Advance the cursor to the next tier holding events, migrating due far
-    /// events.  After this returns with `len > 0`, the minimum element is at
-    /// the back of the (sorted) current bucket or at the sidecar top.
-    fn settle(&mut self) {
-        if self.len == 0 {
-            return;
+    /// Append `item` to ring bucket `b`'s chain, heading it with the most
+    /// recently freed chunk (or a new one) when the head chunk is full.
+    #[inline]
+    fn push_ring(&mut self, b: u64, item: T) {
+        let slot = (b & MASK) as usize;
+        let mut end = self.ends[slot];
+        if end.is_multiple_of(CHUNK) {
+            let c = if self.free == NIL {
+                self.pool.resize(self.pool.len() + CHUNK, item);
+                self.next.push(NIL);
+                self.next.len() - 1
+            } else {
+                let c = self.free;
+                self.free = self.next[c];
+                c
+            };
+            self.next[c] = if end == 0 { NIL } else { (end - 1) / CHUNK };
+            self.occupied[slot / 64] |= 1 << (slot % 64);
+            end = c * CHUNK;
         }
-        loop {
-            if !self.sidecar.is_empty() || !self.ring[(self.cur & (NUM_BUCKETS as u64 - 1)) as usize].is_empty() {
-                if !self.cur_sorted {
-                    // Sort once, descending, so the minimum pops from the back.
-                    let bucket = &mut self.ring[(self.cur & (NUM_BUCKETS as u64 - 1)) as usize];
-                    if !bucket.is_empty() {
-                        bucket.sort_unstable_by(|a, b| b.cmp(a));
-                        self.sorts += 1;
-                    }
-                    self.cur_sorted = true;
-                }
-                return;
-            }
-            // Current bucket and sidecar empty: hop the cursor forward.  If
-            // only far events remain, jump straight to the first one instead
-            // of scanning empty buckets one at a time.
-            let ring_populated = self.len > self.far.len();
-            self.cur = if ring_populated { self.cur + 1 } else { self.bucket_of(self.far.peek().unwrap().0.time()) };
-            self.cur_sorted = false;
-            // Far events now due (at or before the cursor) surface through
-            // the sidecar; events within the ring horizon go to their bucket.
-            while let Some(Reverse(item)) = self.far.peek().copied() {
-                let b = self.bucket_of(item.time());
-                if b <= self.cur {
-                    self.far.pop();
-                    self.sidecar.push(Reverse(item));
-                } else if b - self.cur < NUM_BUCKETS as u64 {
-                    self.far.pop();
-                    self.push_ring(b, item);
-                } else {
+        self.pool[end] = item;
+        self.ends[slot] = end + 1;
+    }
+
+    /// Absolute index of the first occupied ring bucket after the cursor: the
+    /// scan rounds the ring back to the cursor's word, whose own bit is clear.
+    fn next_occupied(&self) -> Option<u64> {
+        let start = ((self.cur + 1) & MASK) as usize;
+        (0..=NUM_BUCKETS / 64).find_map(|i| {
+            let w = (start / 64 + i) % (NUM_BUCKETS / 64);
+            let word = self.occupied[w] & if i == 0 { !0 << (start % 64) } else { !0 };
+            let slot = (w * 64) as u64 + u64::from(word.trailing_zeros());
+            (word != 0).then(|| self.cur + 1 + (slot.wrapping_sub(start as u64) & MASK))
+        })
+    }
+
+    /// Move the current bucket's chain into `current`, sorted descending,
+    /// and push its chunks onto the free list.
+    fn drain_cur(&mut self) {
+        let slot = (self.cur & MASK) as usize;
+        let (mut c, mut hi) = match std::mem::replace(&mut self.ends[slot], 0) {
+            0 => return,
+            end => ((end - 1) / CHUNK, end),
+        };
+        self.occupied[slot / 64] &= !(1 << (slot % 64));
+        while c != NIL {
+            self.current.extend_from_slice(&self.pool[c * CHUNK..hi]);
+            // Free `c` and step to the older chunk (`hi` wraps to 0 at NIL).
+            (self.next[c], self.free, c) = (self.free, c, self.next[c]);
+            hi = c.wrapping_add(1) * CHUNK;
+        }
+        self.current.sort_unstable_by(|a, b| b.cmp(a));
+        self.sorts += 1;
+    }
+
+    /// Advance the cursor until the current bucket holds the minimum: to the
+    /// next occupied ring bucket or, with the ring empty, to the first far
+    /// event's (every far event lies past the ring); re-push far events the
+    /// move brought within the horizon.
+    fn settle(&mut self) {
+        while self.current.is_empty() && self.len > 0 {
+            self.cur = match self.next_occupied() {
+                Some(b) => b,
+                None => self.bucket_of(self.far.peek().expect("queued events off the ring are far").0.time()),
+            };
+            self.drain_cur();
+            while let Some(&Reverse(item)) = self.far.peek() {
+                if self.bucket_of(item.time()) - self.cur >= NUM_BUCKETS as u64 {
                     break;
                 }
+                self.far.pop();
+                self.len -= 1;
+                self.push(item);
             }
         }
     }
 
     /// The minimum element, without removing it.
     pub(crate) fn peek(&mut self) -> Option<&T> {
-        if self.len == 0 {
-            return None;
-        }
         self.settle();
-        let bucket = &self.ring[(self.cur & (NUM_BUCKETS as u64 - 1)) as usize];
-        match (bucket.last(), self.sidecar.peek()) {
-            (Some(b), Some(Reverse(s))) => Some(if b <= s { b } else { s }),
-            (Some(b), None) => Some(b),
-            (None, Some(Reverse(s))) => Some(s),
-            (None, None) => unreachable!("settle leaves the minimum reachable"),
-        }
+        self.current.last()
     }
 
     /// Remove and return the minimum element.
     pub(crate) fn pop(&mut self) -> Option<T> {
-        if self.len == 0 {
-            return None;
-        }
         self.settle();
-        self.len -= 1;
-        let bucket = &mut self.ring[(self.cur & (NUM_BUCKETS as u64 - 1)) as usize];
-        match (bucket.last(), self.sidecar.peek()) {
-            (Some(b), Some(Reverse(s))) => {
-                if b <= s {
-                    bucket.pop()
-                } else {
-                    self.sidecar.pop().map(|Reverse(s)| s)
-                }
-            }
-            (Some(_), None) => bucket.pop(),
-            (None, Some(_)) => self.sidecar.pop().map(|Reverse(s)| s),
-            (None, None) => unreachable!("settle leaves the minimum reachable"),
-        }
+        self.current.pop().inspect(|_| self.len -= 1)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<T> CalendarQueue<T> {
+        /// Number of queued events.
+        fn len(&self) -> usize {
+            self.len
+        }
+
+        fn is_empty(&self) -> bool {
+            self.len == 0
+        }
+    }
 
     #[derive(Debug, Clone, Copy, PartialEq)]
     struct Ev {
@@ -243,7 +250,7 @@ mod tests {
 
     #[test]
     fn drains_in_time_order_across_buckets() {
-        let mut q = CalendarQueue::new(1.0, 16);
+        let mut q = CalendarQueue::new(1.0);
         for (i, t) in [5.5, 0.25, 3.0, 0.75, 2.0, 1024.0, 2.5].iter().enumerate() {
             q.push(Ev { time: *t, seq: i as u64 });
         }
@@ -257,7 +264,7 @@ mod tests {
 
     #[test]
     fn ties_break_by_seq() {
-        let mut q = CalendarQueue::new(1.0, 4);
+        let mut q = CalendarQueue::new(1.0);
         q.push(Ev { time: 1.0, seq: 2 });
         q.push(Ev { time: 1.0, seq: 0 });
         q.push(Ev { time: 1.0, seq: 1 });
@@ -268,7 +275,7 @@ mod tests {
 
     #[test]
     fn pushes_into_the_current_bucket_surface_immediately() {
-        let mut q = CalendarQueue::new(1.0, 4);
+        let mut q = CalendarQueue::new(1.0);
         q.push(Ev { time: 0.5, seq: 0 });
         assert_eq!(q.pop().unwrap().seq, 0);
         // The cursor sits in bucket 0; a new event in bucket 0 must still pop
@@ -281,7 +288,7 @@ mod tests {
 
     #[test]
     fn far_events_migrate_as_the_cursor_advances() {
-        let mut q = CalendarQueue::new(1e-6, 4);
+        let mut q = CalendarQueue::new(1e-6);
         // Far beyond the 1024-bucket horizon from t=0.
         q.push(Ev { time: 1.0, seq: 0 });
         q.push(Ev { time: 0.5, seq: 1 });
@@ -294,7 +301,7 @@ mod tests {
 
     #[test]
     fn peek_matches_pop() {
-        let mut q = CalendarQueue::new(0.125, 8);
+        let mut q = CalendarQueue::new(0.125);
         for i in 0..64u64 {
             q.push(Ev { time: ((i * 37) % 64) as f64 * 0.3, seq: i });
         }
@@ -304,32 +311,36 @@ mod tests {
         }
     }
 
-    fn allocated_buckets(q: &CalendarQueue<Ev>) -> usize {
-        q.ring.iter().filter(|b| b.capacity() > 0).count()
+    /// Chunks the pool has ever handed out.
+    fn chunks(q: &CalendarQueue<Ev>) -> usize {
+        q.pool.len() / CHUNK
     }
 
     #[test]
     fn a_fresh_queue_allocates_only_the_buckets_it_uses() {
-        let mut q = CalendarQueue::new(1.0, 1 << 14);
-        assert_eq!(allocated_buckets(&q), 0);
-        // Seven events in three ring buckets, one in the current bucket (the
-        // sidecar) and one beyond the horizon (the far heap).
+        let mut q = CalendarQueue::new(1.0);
+        let storage =
+            |q: &CalendarQueue<Ev>| [q.pool.capacity(), q.next.capacity(), q.current.capacity(), q.far.capacity()];
+        assert_eq!(storage(&q), [0; 4], "an empty queue allocates no event storage");
+        // Seven events in three ring buckets (one chunk each), one in the
+        // current bucket and one beyond the horizon (the far heap).
         for (seq, time) in [3.5, 3.25, 9.0, 3.75, 700.5, 9.5, 700.0, 0.5, 5000.0].into_iter().enumerate() {
             q.push(Ev { time, seq: seq as u64 });
         }
-        assert_eq!(allocated_buckets(&q), 3);
-        assert!(q.ring.iter().all(|b| b.capacity() == 0 || b.capacity() == 16), "first use reserves per_bucket");
+        assert_eq!(chunks(&q), 3);
+        assert_eq!(q.next, [NIL; 3], "each bucket fits its head chunk");
         let drained: Vec<_> = std::iter::from_fn(|| q.pop()).map(|e| e.time).collect();
         assert_eq!(drained, [0.5, 3.25, 3.5, 3.75, 9.0, 9.5, 700.0, 700.5, 5000.0]);
-        // The far event passed through the ring or the sidecar on its way out.
-        assert!(allocated_buckets(&q) <= 4);
+        // The cursor jumped straight to the far event: no chunk for it.
+        assert_eq!(chunks(&q), 3);
+        assert_eq!(q.occupied, [0; NUM_BUCKETS / 64]);
     }
 
     #[test]
     fn a_queue_reused_past_its_first_wrap_does_not_reallocate() {
         // Three events in flight per bucket width, each pop schedules the
         // next one a third of the ring ahead: the steady state of a run.
-        let mut q = CalendarQueue::new(1.0, 4 * NUM_BUCKETS);
+        let mut q = CalendarQueue::new(1.0);
         let step = |q: &mut CalendarQueue<Ev>, seq: u64| {
             let e = q.pop().unwrap();
             q.push(Ev { time: e.time + 341.0, seq });
@@ -342,13 +353,24 @@ mod tests {
         while step(&mut q, seq) < 2.0 * NUM_BUCKETS as f64 {
             seq += 1;
         }
-        let buffers = |q: &CalendarQueue<Ev>| q.ring.iter().map(|b| (b.as_ptr(), b.capacity())).collect::<Vec<_>>();
+        let buffers = |q: &CalendarQueue<Ev>| (q.pool.as_ptr(), q.pool.len(), q.pool.capacity(), q.current.capacity());
         let after_first_wraps = buffers(&q);
-        assert_eq!(allocated_buckets(&q), NUM_BUCKETS);
+        assert!(chunks(&q) <= 342, "one chunk per occupied bucket, saw {}", chunks(&q));
         while step(&mut q, seq) < 6.0 * NUM_BUCKETS as f64 {
             seq += 1;
         }
-        assert_eq!(buffers(&q), after_first_wraps, "steady state must reuse every bucket's buffer");
+        assert_eq!(buffers(&q), after_first_wraps, "steady state must recycle the pool's chunks");
+    }
+
+    /// A deterministic xorshift word stream.
+    fn xorshift() -> impl FnMut() -> u64 {
+        let mut state = 0x9e3779b97f4a7c15u64;
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        }
     }
 
     /// Interleave 20 000 pushes and pops drawn from a deterministic xorshift
@@ -357,15 +379,9 @@ mod tests {
     /// the clock (the time of the latest pop).  Returns how many pops had
     /// the same timestamp as the pop before them.
     fn assert_agrees_with_heap(width: f64, horizon: impl Fn(u64) -> f64) -> usize {
-        let mut q = CalendarQueue::new(width, 32);
+        let mut q = CalendarQueue::new(width);
         let mut reference: BinaryHeap<Reverse<Ev>> = BinaryHeap::new();
-        let mut state = 0x9e3779b97f4a7c15u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
+        let mut next = xorshift();
         let (mut clock, mut ties) = (0.0f64, 0);
         for seq in 0..20_000u64 {
             let r = next();
@@ -417,5 +433,52 @@ mod tests {
             });
             assert!(ties > 2000, "the stream must be tie-heavy, saw {ties} equal-time pops");
         }
+    }
+
+    #[test]
+    fn agrees_with_a_binary_heap_on_strict_loop_shaped_streams() {
+        // The strict loop's shape under its own width (the smallest link
+        // latency, 0.35 us, so the ring spans 358 us): 2000 ranks with one
+        // pending event each, and every pop schedules that rank's next event
+        // — a re-poke at `now` or a sub-latency step (the current bucket), a
+        // wire delay of one to ten latencies (the near ring), a compute phase
+        // anywhere in the ring, or a straggler up to 2 ms out (the far tier).
+        // The clock makes dozens of revolutions, so every tier stays busy
+        // throughout; times sit on a 50 ns grid, so many tie.
+        let mut next = xorshift();
+        let mut lookahead = || {
+            let r = next();
+            let k = r >> 8;
+            let steps = match r % 8 {
+                0 => k % 7,
+                1..=3 => 7 + k % 63,
+                4 | 5 => 7 + k % 7_160,
+                _ => 7 + k % 39_993,
+            };
+            50e-9 * steps as f64
+        };
+        let mut q = CalendarQueue::new(0.35e-6);
+        let mut reference: BinaryHeap<Reverse<Ev>> = BinaryHeap::new();
+        for seq in 0..2000 {
+            let ev = Ev { time: lookahead(), seq };
+            q.push(ev);
+            reference.push(Reverse(ev));
+        }
+        let (mut clock, mut ties) = (0.0, 0);
+        for seq in 2000..200_000 {
+            let expect = reference.pop().unwrap().0;
+            assert_eq!(q.pop(), Some(expect), "divergence at step {seq}");
+            ties += usize::from(expect.time == clock);
+            clock = expect.time;
+            let ev = Ev { time: clock + lookahead(), seq };
+            q.push(ev);
+            reference.push(Reverse(ev));
+        }
+        assert!(clock > 40.0 * NUM_BUCKETS as f64 * 0.35e-6, "only {clock:e} s simulated");
+        assert!(ties > 2000, "the stream must tie, saw {ties} equal-time pops");
+        while let Some(Reverse(expect)) = reference.pop() {
+            assert_eq!(q.pop(), Some(expect));
+        }
+        assert!(q.pop().is_none());
     }
 }

@@ -329,13 +329,10 @@ impl<'a> Sim<'a> {
             now: 0.0,
             seq: 0,
             next_msg: 0,
-            // Pooled event storage: pre-size the queue so the steady state
-            // never reallocates (peak occupancy is bounded by the number of
-            // ranks plus in-flight transfers).  The calendar bucket width is
-            // the smallest link latency — the natural spacing between a
-            // transfer's injection and its delivery, so a bucket holds about
-            // one wave of events.
-            events: EventQueue::new(cost.alpha_intra.min(cost.alpha_inter), 4 * n + 64),
+            // The calendar bucket width is the smallest link latency — the
+            // natural spacing between a transfer's injection and its
+            // delivery, so a bucket holds about one wave of events.
+            events: EventQueue::new(cost.alpha_intra.min(cost.alpha_inter)),
             ranks,
             notify_counts: vec![0; acc],
             notify_off,

@@ -33,12 +33,12 @@ pub(super) enum SchedulerKind {
 #[derive(Debug)]
 pub(super) enum EventQueue {
     Heap(BinaryHeap<Reverse<Event>>),
-    Calendar(CalendarQueue<Event>),
+    Calendar(Box<CalendarQueue<Event>>),
 }
 
 impl EventQueue {
-    pub(super) fn new(bucket_width: f64, capacity: usize) -> Self {
-        EventQueue::Calendar(CalendarQueue::new(bucket_width, capacity))
+    pub(super) fn new(bucket_width: f64) -> Self {
+        EventQueue::Calendar(Box::new(CalendarQueue::new(bucket_width)))
     }
 
     pub(super) fn push(&mut self, ev: Event) {

@@ -26,8 +26,10 @@ pub struct EngineMetrics {
     /// longer one per packet-event time, so it is several times smaller than
     /// before that change for the same run (`packet_events` is unchanged).
     pub events_scheduled: u64,
-    /// Current-bucket sorts the calendar queue performed (its analogue of a
-    /// resize: the cost paid to keep the ring's head ordered).
+    /// Buckets the strict loop's calendar queue drained and sorted: one per
+    /// ring bucket that held events when the cursor reached it.  Events that
+    /// join the current bucket later, or migrate into it straight from the
+    /// far tier, are inserted in order and count nothing.
     pub calendar_bucket_sorts: u64,
     /// Full max-min fair-share solver passes the fabric ran.
     pub fabric_solves: u64,

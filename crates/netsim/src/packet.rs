@@ -454,15 +454,17 @@ impl PacketFabric {
         // schedules (one hop's flight, or one MTU on the fastest link); the
         // 1 ms `Rto` timers sit in the queue's far tier.  On the repo
         // benchmark's `incast_packet` pass (1.17 M events per alltoall cell)
-        // 1/4 to 1/64 measured alike and 1/2 and 1x 8-17 % slower, while a
-        // sparse drain (mostly empty buckets) takes 1.6x as long at 1/64.
+        // 1/16 and 1/64 measure within 3 % and 1x is 17 % slower.  Empty
+        // buckets cost next to nothing since the queue skips them by its
+        // occupancy bitmap: a sparse drain (one 64 MiB flow) takes 0.92-1.0x
+        // as long at 1/64 as at 1/16.
         let fastest = links.iter().map(|l| l.capacity).fold(0.0, f64::max);
         let mut shortest = f64::from(config.mtu) / fastest;
         if config.hop_latency > 0.0 {
             shortest = shortest.min(config.hop_latency);
         }
         Ok(Self {
-            events: CalendarQueue::new(shortest / 16.0, 4 * n),
+            events: CalendarQueue::new(shortest / 16.0),
             topology: topology.clone(),
             routing,
             mtu: u64::from(config.mtu),

@@ -1066,6 +1066,38 @@ mod tests {
     }
 
     #[test]
+    fn segments_with_one_hash_stay_distinct() {
+        // Dedup must compare whole segments and never trust the hash: force
+        // one hash for two same-length segments of different content.
+        const SAME: u64 = 7;
+        let mut b = ProgramBuilder::new(2);
+        b.put_notify(0, 1, 64, 0);
+        b.wait_notify(1, &[0]);
+        let p = b.build();
+        let mut c = Compiler::new(2).unwrap();
+        let encode = |c: &mut Compiler, rank: RankId| {
+            encode_rank(rank, 2, &p.ranks[rank].ops, TargetMode::Delta, &mut c.pool, &mut c.pool_map, &mut c.delta)
+                .unwrap();
+        };
+        for rank in 0..2 {
+            encode(&mut c, rank);
+            assert_eq!(c.lookup(SAME, TargetMode::Delta, &c.delta), None, "rank {rank}");
+            c.insert_segment(SAME, TargetMode::Delta).unwrap();
+        }
+        assert_eq!(c.seg_map[&SAME].len(), 2);
+        for rank in 0..2 {
+            encode(&mut c, rank);
+            let own = c.entries[rank];
+            assert_eq!(c.lookup(SAME, TargetMode::Delta, &c.delta), Some((own.start, own.len)), "rank {rank}");
+        }
+        let c = c.finish().unwrap();
+        assert_eq!(c.memory_stats().segments, 2);
+        for rank in 0..2 {
+            assert_eq!(decoded(&c, rank), p.ranks[rank].ops, "rank {rank}");
+        }
+    }
+
+    #[test]
     fn wait_id_lists_intern_by_content() {
         let mut b = ProgramBuilder::new(2);
         b.put_notify(0, 1, 64, 0);

@@ -306,9 +306,9 @@ impl Engine {
 
     /// Simulate an already-compiled program.
     ///
-    /// Compilation already validated the op streams, so only the cheap
-    /// structural checks run here (rank count against the cluster, arena
-    /// bounds); the expensive per-op validation is not repeated.
+    /// Compilation already validated the op streams, and a compiled arena is
+    /// valid by construction, so only the rank count is checked against the
+    /// cluster here; nothing is re-walked per run.
     pub fn run_compiled(&self, program: &CompiledProgram) -> Result<RunReport, SimError> {
         validate_compiled(program, self.cluster.total_ranks()).map_err(SimError::Invalid)?;
         self.run_compiled_inner(program)

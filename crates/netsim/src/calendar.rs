@@ -481,4 +481,71 @@ mod tests {
         }
         assert!(q.pop().is_none());
     }
+
+    #[test]
+    fn agrees_with_a_binary_heap_on_dense_buckets() {
+        // Bursts of 33 to 5000 events aimed at one bucket just ahead of the
+        // cursor, each popped part-way against a binary heap, with late
+        // entrants pushed between the pops.  A burst is one of: uniform over
+        // its bucket; runs of 300 equal-time events pushed in ascending or
+        // descending `seq`; times exactly on the edges of the bucket split
+        // into 2^j equal parts (its own base and the next bucket's among
+        // them); or, half of them, the float just below the base of a bucket
+        // `k` whose `time / width` still rounds to `k`.
+        let width = 0.1; // not a power of two, so `time / width` rounds
+        let below_base = |k: u64| (k as f64 * width).next_down();
+        let sizes: [u64; 9] = [33, 34, 63, 64, 65, 300, 1000, 4096, 5000];
+        let mut q = CalendarQueue::new(width);
+        let mut reference: BinaryHeap<Reverse<Ev>> = BinaryHeap::new();
+        let mut next = xorshift();
+        let (mut seq, mut clock, mut widest, mut under) = (0u64, 0.0f64, 0, 0);
+        for burst in 0..144 {
+            let mut k = (clock / width) as u64 + 1 + next() % 3;
+            let n = sizes[burst % sizes.len()];
+            let split = n.next_power_of_two().min(4096);
+            if burst % 4 == 3 {
+                while (below_base(k) / width) as u64 != k {
+                    k += 1;
+                }
+            }
+            let base = k as f64 * width;
+            for i in 0..n {
+                let r = next();
+                let (time, s) = match burst % 4 {
+                    0 => (base + width * (r >> 11) as f64 / (1u64 << 53) as f64, seq + i),
+                    1 => {
+                        let run = (i / 300) as f64 / 17.0;
+                        (base + width * run, if burst % 8 == 1 { seq + i } else { seq + n - 1 - i })
+                    }
+                    2 => (base + width * (r % (split + 1)) as f64 / split as f64, seq + i),
+                    _ if i % 2 == 0 => (below_base(k), seq + i),
+                    _ => (base + width * (r % 1000) as f64 / 1000.0, seq + i),
+                };
+                under += usize::from(time < base && (time / width) as u64 == k);
+                let ev = Ev { time, seq: s };
+                q.push(ev);
+                reference.push(Reverse(ev));
+            }
+            seq += n;
+            let keep = (next() % 2000) as usize;
+            while reference.len() > keep {
+                let expect = reference.pop().unwrap().0;
+                assert_eq!(q.pop(), Some(expect), "divergence in burst {burst}");
+                widest = widest.max(q.current.len() + 1);
+                clock = expect.time;
+                if seq.is_multiple_of(7) {
+                    let ev = Ev { time: clock + width * (next() % 50) as f64 / 100.0, seq };
+                    q.push(ev);
+                    reference.push(Reverse(ev));
+                }
+                seq += 1;
+            }
+        }
+        while let Some(Reverse(expect)) = reference.pop() {
+            assert_eq!(q.pop(), Some(expect));
+        }
+        assert!(q.pop().is_none());
+        assert!(widest >= 5000, "a drained bucket must hold a whole burst, widest {widest}");
+        assert!(under > 1000, "times below their bucket's base: {under}");
+    }
 }

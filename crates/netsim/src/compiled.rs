@@ -982,7 +982,7 @@ impl Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::ProgramBuilder;
+    use crate::program::{ProgramBuilder, Tag};
 
     /// p-rank, `rounds`-round ring put/wait/reduce program (every rank's
     /// stream is the same algorithm rotated by its rank id).
@@ -1203,6 +1203,42 @@ mod tests {
         let idx = c.kinds.iter().position(|&k| k == OpKind::PutNotify).unwrap();
         c.arg_a[idx] = 9; // delta 9 at p = 4
         assert!(c.check_bounds().is_err());
+    }
+
+    #[test]
+    fn arena_records_round_trip_extreme_values() {
+        let mut b = ProgramBuilder::new(3);
+        for seconds in [-0.0, f64::from_bits(1), f64::MAX] {
+            b.compute(0, seconds);
+        }
+        b.reduce(0, u64::MAX).copy(0, 0);
+        b.put_notify(0, 2, 1 << 40, NotifyId::MAX).notify(0, 1, 5);
+        b.send(0, 1, 16, Tag::MAX).isend(0, 2, 2048, 0).wait_all_sends(0);
+        b.recv(1, 0, 16, Tag::MAX).wait_notify_any(1, &[9, 5, NotifyId::MAX], 2).wait_notify(1, &[5]);
+        b.recv(2, 0, 2048, 0).wait_notify(2, &[NotifyId::MAX]).wait_notify(2, &[1, 2]);
+        b.barrier_all();
+        let p = b.build();
+        let c = p.compile().unwrap();
+        for rank in 0..3 {
+            assert_eq!(decoded(&c, rank), p.ranks[rank].ops, "rank {rank}");
+        }
+        // `==` on f64 equates the zeros: compare the bits.
+        let seconds = |op: OpView<'_>| match op {
+            OpView::Compute { seconds } => seconds.to_bits(),
+            other => panic!("not a compute: {other:?}"),
+        };
+        assert_eq!([0, 1, 2].map(|i| seconds(c.op_view(0, i))), [(-0.0f64).to_bits(), 1, f64::MAX.to_bits()]);
+        assert_eq!(c.op_view(1, 1).to_op(), Op::WaitNotifyAny { ids: vec![9, 5, NotifyId::MAX], count: 2 });
+        // 19 stored ops at 17 B, 5 pooled ids at 4 B and 3 rank entries at 12 B.
+        let stats = c.memory_stats();
+        assert_eq!((stats.stored_ops, stats.pool_ids, stats.arena_bytes), (19, 5, 379));
+        // The largest target code a program can hold: rank 1 to rank 0 at the
+        // largest rank count.
+        let n = u32::MAX as usize;
+        assert_eq!(encode_target(1, 0, TargetMode::Delta, n), u32::MAX - 1);
+        assert_eq!(decode_target(1, u32::MAX - 1, TargetMode::Delta, n), 0);
+        assert_eq!(decode_target(n - 1, u32::MAX - 1, TargetMode::Delta, n), n - 2);
+        assert_eq!(decode_target(0, 1 << 31, TargetMode::Xor, n), 1 << 31);
     }
 
     #[test]

@@ -730,6 +730,45 @@ fn alltoall_matches_both_schedulers() {
     assert_eq!(cal, heap, "calendar queue and binary heap must order events identically");
 }
 
+/// The SSP hypercube exchange with every compute phase the same length:
+/// each iteration puts to every partner and, from iteration `slack` on,
+/// consumes one arrival per partner.  Nothing breaks the symmetry, so every
+/// rank's put to one dimension lands at the same instant: hundreds of
+/// equal-time events per calendar bucket.
+fn synchronized_ssp_program(p: usize, iterations: usize, slack: usize) -> Program {
+    let dims = p.trailing_zeros();
+    let mut b = ProgramBuilder::new(p);
+    for r in 0..p {
+        for iter in 0..iterations {
+            b.compute(r, 20e-6);
+            for d in 0..dims {
+                b.put_notify(r, r ^ (1 << d), 64, d);
+            }
+            if iter >= slack {
+                for d in 0..dims {
+                    b.wait_notify(r, &[d]);
+                    b.reduce(r, 64);
+                }
+            }
+        }
+    }
+    b.build()
+}
+
+#[test]
+fn synchronized_ssp_matches_the_reference_heap_on_dense_buckets() {
+    let program = synchronized_ssp_program(256, 6, 2);
+    let run = |s: SchedulerKind| engine(256, 1).with_trace(true).with_scheduler(s).run(&program).unwrap();
+    let (cal, heap) = (run(SchedulerKind::CalendarQueue), run(SchedulerKind::BinaryHeap));
+    assert_eq!(cal.metrics.dataflow_burst_ops, 0, "multi-writer: the strict loop runs it");
+    assert_eq!(cal, heap, "same ranks, links and trace");
+    let pinned = (cal.makespan().to_bits(), cal.fingerprint(), cal.metrics.events_scheduled);
+    assert_eq!(pinned, (heap.makespan().to_bits(), heap.fingerprint(), heap.metrics.events_scheduled));
+    assert_eq!(pinned, (0x3f20b3a3d350c1e0, 0x2707d13e41736f17, 33_024), "read on the comparison-sorted calendar");
+    let sorts = cal.metrics.calendar_bucket_sorts;
+    assert!(cal.metrics.events_scheduled > 100 * sorts, "{sorts} buckets must be dense");
+}
+
 #[test]
 fn calendar_and_heap_agree_on_two_sided_barrier_fabric_programs() {
     let cost = CostModel::test_model();

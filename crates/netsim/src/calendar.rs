@@ -12,10 +12,30 @@
 //! Each future bucket within `NUM_BUCKETS` widths of the cursor is an unsorted
 //! chain of 8-event chunks, flagged in an occupancy bitmap so the cursor skips
 //! empty buckets a word at a time.  Reaching a bucket, the cursor drains its
-//! chain once into one reused `Vec`, sorted descending so the minimum pops from
-//! the back; late entrants (for the current bucket or, tolerated, behind the
+//! chain into one reused `Vec`, sorted descending so the minimum pops from the
+//! back; late entrants (for the current bucket or, tolerated, behind the
 //! cursor) go in by binary insertion.  Events past the ring horizon wait in a
 //! binary heap and migrate to their bucket as the cursor comes within range.
+//!
+//! How a drained bucket is ordered depends on its size:
+//!
+//! * Up to 32 events: copied out and comparison-sorted.  Packet buckets hold
+//!   about 9; an insertion sort there measured 4–7 % slower on the packet
+//!   workload.
+//! * More: one counting pass counts the events in each of `s` equal
+//!   sub-intervals of the bucket's width (`s` is the event count rounded up to
+//!   a power of two, at most 4096).  The events are then scattered straight
+//!   from the chain into the `Vec`, latest sub-interval first and, inside one,
+//!   newest push first.  So equal-time events pushed in ascending order land
+//!   already descending.  An insertion sort finishes the job, in about one
+//!   comparison per event.  A strict-loop bucket holds tens to hundreds of
+//!   events with one adjacent pair in three out of order, so a comparison
+//!   sort's branches mispredict.
+//!
+//! Exactness never rests on the counting pass.  It only moves events closer
+//! to their place; the insertion sort then orders any input by `T: Ord`.  A
+//! sub-interval left holding more than 32 events (a burst of equal times) is
+//! comparison-sorted first, so the insertion sort never turns quadratic.
 //!
 //! All chunks come from one pool with a LIFO free list: the chunks a drain just
 //! read are the next ones pushes write, still in cache, and the pool holds about
@@ -46,6 +66,18 @@ const MASK: u64 = NUM_BUCKETS as u64 - 1;
 const CHUNK: usize = 8;
 /// End of a chunk chain or of the free list.
 const NIL: usize = usize::MAX;
+/// A bucket of at most this many events is comparison-sorted whole; so is a
+/// sub-interval of a bigger one that holds more.
+const SMALL: usize = 32;
+/// Most sub-intervals a big bucket is counted into.
+const MAX_SPLIT: usize = 4096;
+
+#[cfg(test)]
+thread_local! {
+    /// Buckets this thread's queues ordered by the counting pass (tests
+    /// reset and read it around a run).
+    pub(crate) static COUNTED_BUCKETS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
 
 /// A calendar queue (see the module docs).
 #[derive(Debug, Clone)]
@@ -65,6 +97,9 @@ pub(crate) struct CalendarQueue<T> {
     cur: u64,
     /// The current bucket's events, sorted descending.
     current: Vec<T>,
+    /// Per sub-interval of a big bucket being drained: its event count, then
+    /// its next slot in `current`.
+    counts: Vec<u32>,
     /// Events at least `NUM_BUCKETS` widths past the cursor.
     far: BinaryHeap<Reverse<T>>,
     /// Bucket width in seconds.
@@ -87,6 +122,7 @@ impl<T: Timed + Ord + Copy> CalendarQueue<T> {
             occupied: [0; NUM_BUCKETS / 64],
             cur: 0,
             current: Vec::new(),
+            counts: Vec::new(),
             far: BinaryHeap::new(),
             width,
             len: 0,
@@ -157,22 +193,62 @@ impl<T: Timed + Ord + Copy> CalendarQueue<T> {
         })
     }
 
-    /// Move the current bucket's chain into `current`, sorted descending,
-    /// and push its chunks onto the free list.
+    /// Move the current bucket's chain into the empty `current`, sorted
+    /// descending (see the module docs), and hand its chunks to the free list.
     fn drain_cur(&mut self) {
         let slot = (self.cur & MASK) as usize;
-        let (mut c, mut hi) = match std::mem::replace(&mut self.ends[slot], 0) {
-            0 => return,
-            end => ((end - 1) / CHUNK, end),
-        };
-        self.occupied[slot / 64] &= !(1 << (slot % 64));
-        while c != NIL {
-            self.current.extend_from_slice(&self.pool[c * CHUNK..hi]);
-            // Free `c` and step to the older chunk (`hi` wraps to 0 at NIL).
-            (self.next[c], self.free, c) = (self.free, c, self.next[c]);
-            hi = c.wrapping_add(1) * CHUNK;
+        let end = std::mem::replace(&mut self.ends[slot], 0);
+        if end == 0 {
+            return;
         }
-        self.current.sort_unstable_by(|a, b| b.cmp(a));
+        self.occupied[slot / 64] &= !(1 << (slot % 64));
+        // The head chunk holds `end - head * CHUNK` events, every older one is full.
+        let head = (end - 1) / CHUNK;
+        let (mut n, mut tail) = (end - head * CHUNK, head);
+        while self.next[tail] != NIL {
+            (n, tail) = (n + CHUNK, self.next[tail]);
+        }
+        let Self { pool, next, current, counts, .. } = self;
+        if n <= SMALL {
+            chain(pool, next, end).for_each(|c| current.extend_from_slice(c));
+            current.sort_unstable_by(|a, b| b.cmp(a));
+        } else {
+            #[cfg(test)]
+            COUNTED_BUCKETS.set(COUNTED_BUCKETS.get() + 1);
+            // `sub` is monotone in time, and clamps the times rounding put
+            // just outside the bucket.
+            let s = n.next_power_of_two().min(MAX_SPLIT);
+            let (base, scale) = (self.cur as f64 * self.width, s as f64 / self.width);
+            let sub = |e: &T| (((e.time() - base) * scale) as usize).min(s - 1);
+            counts.clear();
+            counts.resize(s, 0);
+            chain(pool, next, end).flatten().for_each(|e| counts[sub(e)] += 1);
+            let mut at = 0;
+            for c in counts.iter_mut().rev() {
+                (*c, at) = (at, at + *c);
+            }
+            // Grow in powers of two, as copying chunk by chunk does: growing
+            // to exact sizes fragmented the heap (+14 % peak RSS on fig17).
+            current.reserve(n.next_power_of_two());
+            current.resize(n, pool[end - 1]);
+            for e in chain(pool, next, end).flat_map(|c| c.iter().rev()) {
+                let k = sub(e);
+                current[counts[k] as usize] = *e;
+                counts[k] += 1;
+            }
+            // Now `counts[k]` ends sub-interval `k`'s run in `current`.
+            let mut lo = 0;
+            for &hi in counts.iter().rev() {
+                if hi as usize - lo > SMALL {
+                    current[lo..hi as usize].sort_unstable_by(|a, b| b.cmp(a));
+                }
+                lo = hi as usize;
+            }
+            insertion_sort_descending(current);
+        }
+        // The drained chain heads the free list, newest chunk first.
+        self.next[tail] = self.free;
+        self.free = head;
         self.sorts += 1;
     }
 
@@ -208,6 +284,35 @@ impl<T: Timed + Ord + Copy> CalendarQueue<T> {
     pub(crate) fn pop(&mut self) -> Option<T> {
         self.settle();
         self.current.pop().inspect(|_| self.len -= 1)
+    }
+}
+
+/// The chunks of the chain whose newest event is `pool[end - 1]`, newest
+/// first, each in push order.
+fn chain<'a, T>(pool: &'a [T], next: &'a [usize], end: usize) -> impl Iterator<Item = &'a [T]> {
+    let (mut c, mut hi) = ((end - 1) / CHUNK, end);
+    std::iter::from_fn(move || {
+        (c != NIL).then(|| {
+            let chunk = &pool[c * CHUNK..hi];
+            // `hi` wraps to 0 at NIL.
+            c = next[c];
+            hi = c.wrapping_add(1) * CHUNK;
+            chunk
+        })
+    })
+}
+
+/// Sort `v` descending by insertion: exact for any input, one comparison per
+/// element on input already in order.
+fn insertion_sort_descending<T: Ord + Copy>(v: &mut [T]) {
+    for i in 1..v.len() {
+        let x = v[i];
+        let mut j = i;
+        while j > 0 && v[j - 1] < x {
+            v[j] = v[j - 1];
+            j -= 1;
+        }
+        v[j] = x;
     }
 }
 
@@ -499,6 +604,7 @@ mod tests {
         let mut reference: BinaryHeap<Reverse<Ev>> = BinaryHeap::new();
         let mut next = xorshift();
         let (mut seq, mut clock, mut widest, mut under) = (0u64, 0.0f64, 0, 0);
+        COUNTED_BUCKETS.set(0);
         for burst in 0..144 {
             let mut k = (clock / width) as u64 + 1 + next() % 3;
             let n = sizes[burst % sizes.len()];
@@ -546,6 +652,8 @@ mod tests {
         }
         assert!(q.pop().is_none());
         assert!(widest >= 5000, "a drained bucket must hold a whole burst, widest {widest}");
+        // Bursts that meet in one bucket are counted together.
+        assert!(COUNTED_BUCKETS.get() > 64, "the counting pass must order most bursts' buckets");
         assert!(under > 1000, "times below their bucket's base: {under}");
     }
 }

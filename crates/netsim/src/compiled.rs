@@ -5,10 +5,12 @@
 //! `Vec<Op>` per rank with every wait carrying its own heap-allocated id list —
 //! at p = 2^20 that is millions of tiny allocations holding rank-rotated copies
 //! of the *same* algorithm.  [`CompiledProgram`] stores all ops once, in a flat
-//! struct-of-arrays arena:
+//! arena:
 //!
-//! * one fixed-width record per op — a 1-byte kind plus three argument columns
-//!   (`u32`, `u32`, `u64`, ~17 B/op) — no per-op allocation;
+//! * one fixed-width record per op, 17 B and no per-op allocation: a 1-byte
+//!   kind column beside one 16-byte argument record (`c: u64`, `a: u32`,
+//!   `b: u32`).  A decode reads two addresses, not four.  The kind keeps its
+//!   own column: a 24-byte record holding it gained no speed for 7 B more;
 //! * wait-id lists live in one shared `u32` pool as `(offset, len)` slices,
 //!   interned by content, and the common single-id `WaitNotify` is inlined
 //!   into the record with no pool indirection at all — by far the common case
@@ -68,6 +70,20 @@ pub(crate) enum TargetMode {
     /// exchanges become rank-invariant).
     Xor,
 }
+
+/// The arguments of one arena op, 16 bytes with no padding (which fields a
+/// kind uses is `encode_rank`'s business).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Rec {
+    /// A payload: byte count, compute seconds as bits, or a wait-any count.
+    c: u64,
+    /// A target code, a single wait id, or a wait-id pool offset.
+    a: u32,
+    /// A notification id, a tag, or a wait-id count.
+    b: u32,
+}
+
+const _: () = assert!(size_of::<Rec>() == 16);
 
 /// One rank's program: a range of arena records plus the target decode mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -378,9 +394,7 @@ impl fmt::Display for MemoryStats {
 pub struct CompiledProgram {
     num_ranks: usize,
     kinds: Vec<OpKind>,
-    arg_a: Vec<u32>,
-    arg_b: Vec<u32>,
-    arg_c: Vec<u64>,
+    recs: Vec<Rec>,
     pool: Vec<NotifyId>,
     entries: Vec<RankEntry>,
     segments: usize,
@@ -443,29 +457,23 @@ fn xor_encodable(rank: RankId, ops: &[Op]) -> bool {
     })
 }
 
-/// Scratch encoding of one rank's segment (struct-of-arrays, reused across
-/// ranks).
+/// Scratch encoding of one rank's segment, in the arena's layout (reused
+/// across ranks).
 #[derive(Default)]
 struct Seg {
     k: Vec<OpKind>,
-    a: Vec<u32>,
-    b: Vec<u32>,
-    c: Vec<u64>,
+    r: Vec<Rec>,
 }
 
 impl Seg {
     fn clear(&mut self) {
         self.k.clear();
-        self.a.clear();
-        self.b.clear();
-        self.c.clear();
+        self.r.clear();
     }
 
     fn push(&mut self, k: OpKind, a: u32, b: u32, c: u64) {
         self.k.push(k);
-        self.a.push(a);
-        self.b.push(b);
-        self.c.push(c);
+        self.r.push(Rec { c, a, b });
     }
 
     /// Two independent multiply–xor lanes over the packed op words, then one
@@ -476,7 +484,7 @@ impl Seg {
         const M0: u64 = 0x9e37_79b9_7f4a_7c15;
         const M1: u64 = 0xbf58_476d_1ce4_e5b9;
         let (mut x, mut y) = (self.k.len() as u64, 0u64);
-        for (((&k, &a), &b), &c) in self.k.iter().zip(&self.a).zip(&self.b).zip(&self.c) {
+        for (&k, &Rec { c, a, b }) in self.k.iter().zip(&self.r) {
             x = (x ^ (((a as u64) << 32) | b as u64)).wrapping_mul(M0).rotate_left(31);
             y = (y ^ c ^ ((k as u64) << 56)).wrapping_mul(M1).rotate_left(27);
         }
@@ -546,9 +554,7 @@ fn encode_rank(
 struct Compiler {
     n: usize,
     kinds: Vec<OpKind>,
-    arg_a: Vec<u32>,
-    arg_b: Vec<u32>,
-    arg_c: Vec<u64>,
+    recs: Vec<Rec>,
     pool: Vec<NotifyId>,
     pool_map: HashMap<Vec<NotifyId>, u32>,
     seg_map: HashMap<u64, Vec<SegCand>>,
@@ -577,9 +583,7 @@ impl Compiler {
         Ok(Self {
             n,
             kinds: Vec::new(),
-            arg_a: Vec::new(),
-            arg_b: Vec::new(),
-            arg_c: Vec::new(),
+            recs: Vec::new(),
             pool: Vec::new(),
             pool_map: HashMap::new(),
             seg_map: HashMap::new(),
@@ -599,8 +603,8 @@ impl Compiler {
         })
     }
 
-    /// The [`CommProfile`], op and byte totals and the notification-id
-    /// bound, folded online as ranks stream through.
+    /// The [`CommProfile`], the op total and the notification-id bound,
+    /// folded online as ranks stream through.
     fn update_profile(&mut self, rank: RankId, ops: &[Op]) {
         for op in ops {
             match op {
@@ -629,7 +633,6 @@ impl Compiler {
                 Op::Send { .. } | Op::Isend { .. } | Op::Recv { .. } | Op::Barrier => self.one_sided_only = false,
                 Op::Compute { .. } | Op::Reduce { .. } | Op::Copy { .. } => {}
             }
-            self.total_wire_bytes += op.wire_bytes();
         }
         self.total_ops += ops.len() as u64;
     }
@@ -645,11 +648,7 @@ impl Compiler {
             }
             let s = c.start as usize;
             let e = s + c.len as usize;
-            if self.kinds[s..e] == seg.k[..]
-                && self.arg_a[s..e] == seg.a[..]
-                && self.arg_b[s..e] == seg.b[..]
-                && self.arg_c[s..e] == seg.c[..]
-            {
+            if self.kinds[s..e] == seg.k[..] && self.recs[s..e] == seg.r[..] {
                 return Some((c.start, c.len));
             }
         }
@@ -657,7 +656,7 @@ impl Compiler {
     }
 
     fn push_rank(&mut self, rank: RankId, ops: &[Op]) -> Result<(), ValidationError> {
-        check_rank_ops(rank, ops, self.n, &mut self.sends, &mut self.recvs)?;
+        check_rank_ops(rank, ops, self.n, &mut self.sends, &mut self.recvs, &mut self.total_wire_bytes)?;
         self.update_profile(rank, ops);
 
         encode_rank(rank, self.n, ops, TargetMode::Delta, &mut self.pool, &mut self.pool_map, &mut self.delta)?;
@@ -696,9 +695,7 @@ impl Compiler {
         let start = self.kinds.len() as u32;
         let len = seg.k.len() as u32;
         self.kinds.extend_from_slice(&seg.k);
-        self.arg_a.extend_from_slice(&seg.a);
-        self.arg_b.extend_from_slice(&seg.b);
-        self.arg_c.extend_from_slice(&seg.c);
+        self.recs.extend_from_slice(&seg.r);
         self.seg_map.entry(hash).or_default().push(SegCand { start, len, mode });
         self.entries.push(RankEntry { start, len, mode });
         Ok(())
@@ -710,9 +707,7 @@ impl Compiler {
         let program = CompiledProgram {
             num_ranks: self.n,
             kinds: self.kinds,
-            arg_a: self.arg_a,
-            arg_b: self.arg_b,
-            arg_c: self.arg_c,
+            recs: self.recs,
             pool: self.pool,
             entries: self.entries,
             segments,
@@ -789,7 +784,7 @@ impl CompiledProgram {
     /// Footprint of the compiled representation.
     pub fn memory_stats(&self) -> MemoryStats {
         let stored_ops = self.kinds.len();
-        let arena_bytes = stored_ops * (size_of::<OpKind>() + 4 + 4 + 8)
+        let arena_bytes = stored_ops * (size_of::<OpKind>() + size_of::<Rec>())
             + self.pool.len() * size_of::<NotifyId>()
             + self.entries.len() * size_of::<RankEntry>();
         MemoryStats {
@@ -812,10 +807,11 @@ impl CompiledProgram {
         (e.start as usize, e.len as usize, e.mode)
     }
 
-    /// Raw record at arena index `idx`: `(kind, arg_a, arg_b, arg_c)` with
-    /// target codes still rank-relative (undecoded).
+    /// Raw record at arena index `idx`: `(kind, a, b, c)` with target codes
+    /// still rank-relative (undecoded).
     pub(crate) fn raw_op(&self, idx: usize) -> (OpKind, u32, u32, u64) {
-        (self.kinds[idx], self.arg_a[idx], self.arg_b[idx], self.arg_c[idx])
+        let Rec { c, a, b } = self.recs[idx];
+        (self.kinds[idx], a, b, c)
     }
 
     /// Slice of the shared wait-id pool referenced by a `WaitMany`/`WaitAny`
@@ -826,9 +822,7 @@ impl CompiledProgram {
 
     #[inline]
     fn decode(&self, idx: usize, rank: RankId, mode: TargetMode) -> OpView<'_> {
-        let a = self.arg_a[idx];
-        let b = self.arg_b[idx];
-        let c = self.arg_c[idx];
+        let Rec { c, a, b } = self.recs[idx];
         let n = self.num_ranks;
         match self.kinds[idx] {
             OpKind::Compute => OpView::Compute { seconds: f64::from_bits(c) },
@@ -858,13 +852,8 @@ impl CompiledProgram {
     fn check_bounds(&self) -> Result<(), String> {
         let n = self.num_ranks;
         let stored = self.kinds.len();
-        if self.arg_a.len() != stored || self.arg_b.len() != stored || self.arg_c.len() != stored {
-            return Err(format!(
-                "column lengths differ: kinds {stored}, a {}, b {}, c {}",
-                self.arg_a.len(),
-                self.arg_b.len(),
-                self.arg_c.len()
-            ));
+        if self.recs.len() != stored {
+            return Err(format!("column lengths differ: kinds {stored}, records {}", self.recs.len()));
         }
         if self.entries.len() != n {
             return Err(format!("{} rank entries for {n} ranks", self.entries.len()));
@@ -882,8 +871,8 @@ impl CompiledProgram {
                 for i in s..end {
                     match self.kinds[i] {
                         OpKind::WaitMany | OpKind::WaitAny => {
-                            let off = self.arg_a[i] as usize;
-                            let cnt = self.arg_b[i] as usize;
+                            let off = self.recs[i].a as usize;
+                            let cnt = self.recs[i].b as usize;
                             match off.checked_add(cnt) {
                                 Some(end) if end <= self.pool.len() => {}
                                 _ => {
@@ -894,14 +883,14 @@ impl CompiledProgram {
                                 }
                             }
                             if self.kinds[i] == OpKind::WaitAny {
-                                let count = self.arg_c[i] as usize;
+                                let count = self.recs[i].c as usize;
                                 if count == 0 || count > cnt {
                                     return Err(format!("op {i}: wait-any count {count} outside 1..={cnt}"));
                                 }
                             }
                         }
                         OpKind::PutNotify | OpKind::Notify | OpKind::Send | OpKind::Isend | OpKind::Recv => {
-                            let code = self.arg_a[i] as usize;
+                            let code = self.recs[i].a as usize;
                             let bad = match e.mode {
                                 TargetMode::Delta => code == 0 || code >= n,
                                 // For power-of-two n, `rank ^ code < n` holds
@@ -927,7 +916,7 @@ impl CompiledProgram {
                         self.kinds[i],
                         OpKind::PutNotify | OpKind::Notify | OpKind::Send | OpKind::Isend | OpKind::Recv
                     ) {
-                        let dst = rank ^ self.arg_a[i] as usize;
+                        let dst = rank ^ self.recs[i].a as usize;
                         if dst >= n {
                             return Err(format!("op {i}: xor target {dst} out of range for rank {rank} at {n} ranks"));
                         }
@@ -1192,7 +1181,7 @@ mod tests {
         let mut c = b.build().compile().unwrap();
         // Find the WaitMany record and push its slice past the pool.
         let idx = c.kinds.iter().position(|&k| k == OpKind::WaitMany).unwrap();
-        c.arg_b[idx] += 7;
+        c.recs[idx].b += 7;
         assert!(c.check_bounds().is_err());
     }
 
@@ -1201,7 +1190,7 @@ mod tests {
         let p = ring_program(4, 1);
         let mut c = p.compile().unwrap();
         let idx = c.kinds.iter().position(|&k| k == OpKind::PutNotify).unwrap();
-        c.arg_a[idx] = 9; // delta 9 at p = 4
+        c.recs[idx].a = 9; // delta 9 at p = 4
         assert!(c.check_bounds().is_err());
     }
 

@@ -7,7 +7,7 @@ use std::collections::BinaryHeap;
 use super::net::NetSim;
 use super::sim::{Event, Sim, FUSED_OPS};
 use super::*;
-use crate::calendar::CalendarQueue;
+use crate::calendar::{CalendarQueue, COUNTED_BUCKETS};
 use crate::fabric::Fabric;
 use crate::program::{NotifyId, Op, ProgramBuilder, Tag};
 use crate::scenario::Scenario;
@@ -759,7 +759,10 @@ fn synchronized_ssp_program(p: usize, iterations: usize, slack: usize) -> Progra
 fn synchronized_ssp_matches_the_reference_heap_on_dense_buckets() {
     let program = synchronized_ssp_program(256, 6, 2);
     let run = |s: SchedulerKind| engine(256, 1).with_trace(true).with_scheduler(s).run(&program).unwrap();
-    let (cal, heap) = (run(SchedulerKind::CalendarQueue), run(SchedulerKind::BinaryHeap));
+    COUNTED_BUCKETS.set(0);
+    let cal = run(SchedulerKind::CalendarQueue);
+    let counted = COUNTED_BUCKETS.get();
+    let heap = run(SchedulerKind::BinaryHeap);
     assert_eq!(cal.metrics.dataflow_burst_ops, 0, "multi-writer: the strict loop runs it");
     assert_eq!(cal, heap, "same ranks, links and trace");
     let pinned = (cal.makespan().to_bits(), cal.fingerprint(), cal.metrics.events_scheduled);
@@ -767,6 +770,7 @@ fn synchronized_ssp_matches_the_reference_heap_on_dense_buckets() {
     assert_eq!(pinned, (0x3f20b3a3d350c1e0, 0x2707d13e41736f17, 33_024), "read on the comparison-sorted calendar");
     let sorts = cal.metrics.calendar_bucket_sorts;
     assert!(cal.metrics.events_scheduled > 100 * sorts, "{sorts} buckets must be dense");
+    assert!(counted * 2 > sorts, "the counting pass ordered only {counted} of {sorts} buckets");
 }
 
 #[test]

@@ -165,9 +165,10 @@ impl Program {
         self.ranks.iter().map(RankProgram::len).sum()
     }
 
-    /// Total bytes injected into the network by all ranks.
+    /// Total bytes injected into the network by all ranks, saturating at
+    /// `u64::MAX` (validation rejects a program whose total overflows).
     pub fn total_wire_bytes(&self) -> u64 {
-        self.ranks.iter().flat_map(|r| r.ops.iter()).map(Op::wire_bytes).sum()
+        self.ranks.iter().flat_map(|r| r.ops.iter()).map(Op::wire_bytes).fold(0, u64::saturating_add)
     }
 
     /// Exclusive upper bound of the notification-id range this program uses

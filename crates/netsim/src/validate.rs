@@ -74,6 +74,14 @@ pub enum ValidationError {
         /// Index of the offending operation.
         op_index: usize,
     },
+    /// The program's payload bytes, summed over ranks and ops in order, pass
+    /// `u64::MAX` at this op.
+    WireBytesOverflow {
+        /// Rank issuing the operation.
+        rank: RankId,
+        /// Index of the offending operation.
+        op_index: usize,
+    },
     /// The program is too large for the compiled form, which stores rank ids
     /// and arena offsets as `u32` codes.
     CodeRangeExceeded {
@@ -122,6 +130,9 @@ impl std::fmt::Display for ValidationError {
             ValidationError::BadComputeDuration { rank, op_index } => {
                 write!(f, "rank {rank} op {op_index} has a negative or non-finite compute duration")
             }
+            ValidationError::WireBytesOverflow { rank, op_index } => {
+                write!(f, "rank {rank} op {op_index} takes the program's total wire bytes past u64::MAX")
+            }
             ValidationError::CodeRangeExceeded { what, value } => {
                 write!(f, "{what} {value} exceeds the u32 code range of compiled programs")
             }
@@ -159,15 +170,17 @@ fn check_distinct_wait_ids(ids: &[u32], rank: RankId, op_index: usize) -> Result
 }
 
 /// Per-op structural checks for one rank, accumulating its two-sided channel
-/// traffic into `sends`/`recvs` for the whole-program channel check.  Shared
-/// by [`validate`] and the streaming compiler, so every
-/// entry path rejects a broken program with the same error at the same op.
+/// traffic into `sends`/`recvs` for the whole-program channel check and its
+/// payload into the running `wire_bytes` total, which must fit a `u64`.
+/// Shared by [`validate`] and the streaming compiler, so every entry path
+/// rejects a broken program with the same error at the same op.
 pub(crate) fn check_rank_ops(
     rank: RankId,
     ops: &[Op],
     n: usize,
     sends: &mut ChannelCounts,
     recvs: &mut ChannelCounts,
+    wire_bytes: &mut u64,
 ) -> Result<(), ValidationError> {
     for (op_index, op) in ops.iter().enumerate() {
         let check_target = |target: RankId| -> Result<(), ValidationError> {
@@ -207,6 +220,8 @@ pub(crate) fn check_rank_ops(
             }
             _ => {}
         }
+        *wire_bytes =
+            wire_bytes.checked_add(op.wire_bytes()).ok_or(ValidationError::WireBytesOverflow { rank, op_index })?;
     }
     Ok(())
 }
@@ -238,10 +253,9 @@ pub fn validate(program: &Program, cluster_ranks: usize) -> Result<(), Validatio
     if n != cluster_ranks {
         return Err(ValidationError::RankCountMismatch { program: n, cluster: cluster_ranks });
     }
-    let mut sends = ChannelCounts::new();
-    let mut recvs = ChannelCounts::new();
+    let (mut sends, mut recvs, mut wire_bytes) = (ChannelCounts::new(), ChannelCounts::new(), 0);
     for (rank, rp) in program.ranks.iter().enumerate() {
-        check_rank_ops(rank, &rp.ops, n, &mut sends, &mut recvs)?;
+        check_rank_ops(rank, &rp.ops, n, &mut sends, &mut recvs, &mut wire_bytes)?;
     }
     check_channels(&mut sends, &mut recvs)
 }
@@ -368,6 +382,36 @@ mod tests {
         let mut b = ProgramBuilder::new(1);
         b.compute(0, -1.0);
         assert!(matches!(validate(&b.build(), 1), Err(ValidationError::BadComputeDuration { .. })));
+    }
+
+    #[test]
+    fn wire_byte_total_overflow_is_an_error_not_a_panic() {
+        use crate::{ClusterSpec, CostModel, Engine, SimError};
+        // Each put fits a u64; the two together do not.  The unmatched send
+        // would fail the channel check, which runs after every op check.
+        let half = u64::MAX / 2 + 1;
+        let mut b = ProgramBuilder::new(3);
+        b.send(0, 2, 8, 0);
+        b.put_notify(0, 1, half, 0);
+        b.put_notify(2, 1, half, 1);
+        b.wait_notify(1, &[0, 1]);
+        let p = b.build();
+        let err = ValidationError::WireBytesOverflow { rank: 2, op_index: 0 };
+        assert_eq!(validate(&p, 3), Err(err.clone()));
+        assert_eq!(p.compile().unwrap_err(), err);
+        assert_eq!(CompiledProgram::from_source(&p).unwrap_err(), err);
+        let engine = Engine::new(ClusterSpec::homogeneous(3, 1), CostModel::test_model());
+        assert_eq!(engine.run(&p).unwrap_err(), SimError::Invalid(err.clone()));
+        assert_eq!(p.total_wire_bytes(), u64::MAX, "saturates");
+        assert!(err.to_string().contains("rank 2 op 0"), "{err}");
+        // An op's own checks come first: the overflowing put also targets
+        // itself.
+        let mut b = ProgramBuilder::new(2);
+        b.put_notify(0, 1, half, 0).put_notify(0, 0, half, 1);
+        let p = b.build();
+        let self_put = ValidationError::SelfMessage { rank: 0, op_index: 1 };
+        assert_eq!(validate(&p, 2), Err(self_put.clone()));
+        assert_eq!(p.compile().unwrap_err(), self_put);
     }
 
     #[test]

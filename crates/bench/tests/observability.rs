@@ -7,7 +7,7 @@ use ec_bench::ssp_scale::{ssp_scale_program, SspScaleConfig};
 use ec_collectives::schedule::{alltoall_direct_schedule, bcast_bst_schedule, ring_allreduce_schedule};
 use ec_netsim::{
     validate_chrome_trace, write_chrome_trace, BlockReason, ChromeTraceWriter, ClusterSpec, CompiledProgram, CostModel,
-    Engine, MsgLabel, Program, RunReport, Topology, TraceDetail, TraceFilter,
+    Engine, Link, MsgLabel, Program, RunReport, Topology, TraceDetail, TraceFilter,
 };
 use proptest::prelude::*;
 
@@ -78,6 +78,29 @@ fn exported_chrome_trace_is_valid_and_fully_paired() {
     );
 }
 
+/// `Topology::custom` accepts any link label; the export escapes it, so a
+/// label with quotes, backslashes and control characters comes back from
+/// the validator as the counter's name.
+#[test]
+fn link_labels_with_json_metacharacters_round_trip_through_the_export() {
+    let single = Topology::single_switch(4, 6.8e9);
+    let links = (single.links().iter().enumerate())
+        .map(|(i, link)| Link { label: format!("{}\"{i}\\\t\u{7f}\u{1}", link.label), ..link.clone() })
+        .collect();
+    let topology = Topology::custom("quoted-single-switch", 4, 1, links);
+    let report = traced_engine(4).with_topology(topology).run(&ring_allreduce_schedule(4, 64 * 1024)).expect("ring");
+    let mut out = Vec::new();
+    write_chrome_trace(&mut out, &report.trace, &report.links).expect("export must succeed");
+    let stats = validate_chrome_trace(std::str::from_utf8(&out).expect("UTF-8")).expect("the export must validate");
+    let mut want: Vec<String> = (report.links.iter())
+        .filter(|link| !link.busy_intervals.is_empty())
+        .map(|link| format!("link:{}", link.label))
+        .collect();
+    want.sort();
+    assert_eq!(want.len(), 8, "every link of the ring carries traffic");
+    assert_eq!(stats.counter_busy.iter().map(|(name, _)| name.clone()).collect::<Vec<_>>(), want);
+}
+
 /// A `Write` that refuses the write that would take it past `fail_at` bytes
 /// — once, like a disk that was full for a moment — and counts what it took.
 struct FailsOnce {
@@ -120,7 +143,7 @@ fn chrome_export_reports_a_failed_write() {
     // closed as if it were whole.
     let mut writer = ChromeTraceWriter::new(disk()).expect("opener fits");
     for event in &report.trace {
-        writer.record(event);
+        writer.record(&event);
     }
     let error = writer.finish().expect_err("finish must report the lost write");
     assert_eq!(error.to_string(), "no space left on device");

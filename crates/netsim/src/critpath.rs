@@ -18,7 +18,7 @@ use std::collections::hash_map::{Entry, HashMap};
 
 use crate::cluster::RankId;
 use crate::report::RunReport;
-use crate::trace::{stream_order, BlockReason, OpClass, Trace, TraceDetail, TraceEvent, TraceKind};
+use crate::trace::{BlockReason, OpClass, Trace, TraceDetail, TraceEvent, TraceKind, TraceStream};
 
 /// Attribution bucket of a span of critical-path time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -187,28 +187,54 @@ impl CriticalPath {
 /// model's smallest latency, well above accumulated f64 noise).
 const TOL: f64 = 1e-12;
 
-/// One rank's events in ascending `(time, seq)` order, plus the walk cursor
+/// A place in a rank's merged timeline: just after its first `own` own
+/// events and its first `arrivals` arrivals.  The walk only makes places
+/// that are prefixes of the one merged order, and those are ordered by
+/// containment, which the derived lexicographic order agrees with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Pos {
+    own: usize,
+    arrivals: usize,
+}
+
+/// One rank's events in ascending `(time, seq)` order — its two streams,
+/// merged on access, an own event first on a tie — plus the walk cursor
 /// (events at or beyond the cursor have been consumed by the path and cannot
-/// be revisited, which guarantees termination).
+/// be revisited, which guarantees termination).  Events are decoded as the
+/// walk reads them; nothing is copied.
 struct Timeline<'a> {
-    ev: Vec<&'a TraceEvent>,
-    cursor: usize,
+    own: TraceStream<'a>,
+    arrivals: TraceStream<'a>,
+    cursor: Pos,
 }
 
 impl<'a> Timeline<'a> {
-    /// Two-way merge of a rank's own and arrival streams.
-    fn merge(own: &'a [TraceEvent], arrivals: &'a [TraceEvent]) -> Self {
-        let mut ev = Vec::with_capacity(own.len() + arrivals.len());
-        let mut next = 0;
-        for e in own {
-            while next < arrivals.len() && stream_order(&arrivals[next], e).is_lt() {
-                ev.push(&arrivals[next]);
-                next += 1;
-            }
-            ev.push(e);
+    fn new(own: TraceStream<'a>, arrivals: TraceStream<'a>) -> Self {
+        let cursor = Pos { own: own.len(), arrivals: arrivals.len() };
+        Self { own, arrivals, cursor }
+    }
+
+    /// The event just before `at`, and its place (the place before it).
+    fn prev(&self, at: Pos) -> Option<(Pos, TraceEvent)> {
+        let (last_own, last_arrival) = (at.own.checked_sub(1), at.arrivals.checked_sub(1));
+        // The later of the two: an arrival comes first only when strictly
+        // earlier in `(time, seq)`.
+        let from_arrivals = match (last_own, last_arrival) {
+            (Some(i), Some(j)) => !self.arrivals.precedes(j, &self.own, i),
+            (_, last_arrival) => last_arrival.is_some(),
+        };
+        if from_arrivals {
+            let j = last_arrival?;
+            Some((Pos { arrivals: j, ..at }, self.arrivals.get(j)?))
+        } else {
+            let i = last_own?;
+            Some((Pos { own: i, ..at }, self.own.get(i)?))
         }
-        ev.extend(&arrivals[next..]);
-        Self { cursor: ev.len(), ev }
+    }
+
+    /// The place after every event at or before `time`.
+    fn until(&self, time: f64) -> Pos {
+        Pos { own: self.own.count_until(time), arrivals: self.arrivals.count_until(time) }
     }
 }
 
@@ -223,7 +249,7 @@ fn timeline<'t, 'a>(
         Entry::Occupied(slot) => Some(slot.into_mut()),
         Entry::Vacant(slot) => {
             let (own, arrivals) = trace.rank(rank);
-            (!own.is_empty() || !arrivals.is_empty()).then(|| slot.insert(Timeline::merge(own, arrivals)))
+            (!own.is_empty() || !arrivals.is_empty()).then(|| slot.insert(Timeline::new(own, arrivals)))
         }
     }
 }
@@ -265,20 +291,19 @@ pub(crate) fn analyze(report: &RunReport) -> Option<CriticalPath> {
         };
         // Find the latest boundary event at or before `t` that the walk has
         // not consumed yet.
-        let mut found: Option<usize> = None;
-        let mut i = tl.cursor.min(tl.ev.len());
-        while i > 0 {
-            i -= 1;
-            let e = tl.ev[i];
+        let mut found: Option<(Pos, TraceEvent)> = None;
+        let mut at = tl.cursor;
+        while let Some((place, e)) = tl.prev(at) {
+            at = place;
             if e.time > t + TOL {
                 continue;
             }
             if matches!(e.kind, TraceKind::OpEnd | TraceKind::BlockEnd) {
-                found = Some(i);
+                found = Some((place, e));
                 break;
             }
         }
-        let Some(i_end) = found else {
+        let Some((i_end, end_ev)) = found else {
             // Rank has no earlier boundary: its history starts here (rank
             // idle from time zero, or truncated by the trace filter).
             let mut bd = CategoryBreakdown::default();
@@ -292,7 +317,6 @@ pub(crate) fn analyze(report: &RunReport) -> Option<CriticalPath> {
             t = 0.0;
             break;
         };
-        let end_ev = tl.ev[i_end];
         // Idle gap between the boundary and the current path position.
         if t - end_ev.time > TOL {
             let mut bd = CategoryBreakdown::default();
@@ -314,24 +338,22 @@ pub(crate) fn analyze(report: &RunReport) -> Option<CriticalPath> {
         let t_end = end_ev.time.min(t);
         // Matching start: same kind family and op index, scanning backward.
         let want_kind = if end_ev.kind == TraceKind::OpEnd { TraceKind::OpStart } else { TraceKind::BlockStart };
-        let mut start_idx = None;
-        let mut j = i_end;
-        while j > 0 {
-            j -= 1;
-            let s = tl.ev[j];
+        let mut start = None;
+        let mut at = i_end;
+        while let Some((place, s)) = tl.prev(at) {
+            at = place;
             if s.kind == want_kind && s.op_index == end_ev.op_index {
-                start_idx = Some(j);
+                start = Some((place, s));
                 break;
             }
         }
-        let Some(j_start) = start_idx else {
+        let Some((j_start, start_ev)) = start else {
             // Unpaired boundary (filtered trace): consume it and charge the
             // instant to blocked.
             tl.cursor = i_end;
             t = t_end;
             continue;
         };
-        let start_ev = tl.ev[j_start];
         let t_start = start_ev.time;
         tl.cursor = j_start;
         if end_ev.kind == TraceKind::OpEnd {
@@ -386,14 +408,13 @@ pub(crate) fn analyze(report: &RunReport) -> Option<CriticalPath> {
             BlockReason::Barrier => {
                 // Jump to the last arriver: the rank whose matching barrier
                 // BlockStart is latest.  All ranks share the release time.
-                let mut last: Option<(f64, RankId, usize)> = None;
+                let mut last: Option<(f64, RankId, Pos)> = None;
                 for (r, ..) in trace.per_rank() {
                     let rtl = timeline(&mut timelines, trace, r).expect("a rank with events has a timeline");
                     // Find this rank's barrier block that releases at t_end.
-                    let mut k = rtl.ev.partition_point(|e| e.time <= t_end + TOL);
-                    while k > 0 {
-                        k -= 1;
-                        let e = rtl.ev[k];
+                    let mut k = rtl.until(t_end + TOL);
+                    while let Some((place, e)) = rtl.prev(k) {
+                        k = place;
                         if t_end - e.time > TOL {
                             break;
                         }
@@ -402,9 +423,8 @@ pub(crate) fn analyze(report: &RunReport) -> Option<CriticalPath> {
                         {
                             // Matching BlockStart.
                             let mut m = k;
-                            while m > 0 {
-                                m -= 1;
-                                let s = rtl.ev[m];
+                            while let Some((place, s)) = rtl.prev(m) {
+                                m = place;
                                 if s.kind == TraceKind::BlockStart && s.op_index == e.op_index {
                                     let better = match last {
                                         None => true,
@@ -447,11 +467,10 @@ pub(crate) fn analyze(report: &RunReport) -> Option<CriticalPath> {
                 // the unblock time.
                 let arrival = {
                     let tl = &timelines[&rank];
-                    let mut k = tl.ev.partition_point(|e| e.time <= t_end + TOL);
-                    let mut hit: Option<&TraceEvent> = None;
-                    while k > 0 {
-                        k -= 1;
-                        let e = tl.ev[k];
+                    let mut k = tl.until(t_end + TOL);
+                    let mut hit: Option<TraceEvent> = None;
+                    while let Some((place, e)) = tl.prev(k) {
+                        k = place;
                         if e.time < t_start - TOL {
                             break;
                         }
@@ -462,7 +481,7 @@ pub(crate) fn analyze(report: &RunReport) -> Option<CriticalPath> {
                             break;
                         }
                     }
-                    hit.cloned()
+                    hit
                 };
                 match arrival {
                     Some(TraceEvent {
@@ -497,8 +516,7 @@ pub(crate) fn analyze(report: &RunReport) -> Option<CriticalPath> {
                         rank = src;
                         t = inject;
                         if let Some(stl) = timeline(&mut timelines, trace, src) {
-                            let ub = stl.ev.partition_point(|e| e.time <= t + TOL);
-                            stl.cursor = stl.cursor.min(ub);
+                            stl.cursor = stl.cursor.min(stl.until(t + TOL));
                         }
                     }
                     _ => {

@@ -94,6 +94,6 @@ pub use source::ProgramSource;
 pub use topology::{EndpointId, Link, LinkId, Topology, TopologyError, TopologyKind};
 pub use trace::{
     validate_chrome_trace, write_chrome_trace, BlockReason, ChromeTraceStats, ChromeTraceWriter, MsgLabel, OpClass,
-    Trace, TraceDetail, TraceEvent, TraceFilter, TraceIter, TraceKind,
+    Trace, TraceDetail, TraceEvent, TraceFilter, TraceIter, TraceKind, TraceStream,
 };
 pub use validate::{validate, validate_compiled, ValidationError};

@@ -11,15 +11,22 @@
 //! What is stored: a [`Trace`] keeps the events as the recorders produce
 //! them — two streams per kept rank, the rank's own events in program order
 //! and the arrivals at it in [`ARRIVAL_SEQ`] order, each ascending in
-//! `(time, seq)`.  A stream is checked once when the run ends and sorted only
-//! if the check fails (several writers racing to one rank on the strict
-//! path); nothing is ever sorted globally and no second copy of the events
-//! exists at any point.  [`Trace::iter`] yields the canonical
+//! `(time, seq)`.  A stream holds 32-byte records, not [`TraceEvent`]s: time,
+//! sequence number, op index, kind and a one-byte detail code.  The rank is
+//! implied by the stream, and op classes and block reasons fit in the code.
+//! The details with a payload — `Inject`, `Arrival` and a `Recv` block
+//! reason — go to one side table the record indexes.  A stream is checked
+//! once when the run ends and sorted only if the check fails (several
+//! writers racing to one rank on the strict path); nothing is ever sorted
+//! globally and no second copy of the events exists at any point.
+//!
+//! Events are decoded on access.  [`Trace::iter`] yields the canonical
 //! `(time, rank, seq)` order — identical no matter which execution path
 //! produced the events — by merging the stream heads on demand:
 //! `O(log streams)` when the smallest event moves to another stream, `O(1)`
 //! while it stays on the same one.  Per-rank consumers (the critical-path
-//! walk) read a rank's two streams directly through [`Trace::rank`].
+//! walk) read a rank's two streams through the [`TraceStream`] views of
+//! [`Trace::rank`].
 //!
 //! Export: [`write_chrome_trace`] (or a [`ChromeTraceWriter`] fed by hand)
 //! consumes `Trace::iter()` after the run.  A
@@ -28,6 +35,7 @@
 //! never materialized, and the stream table is sized by the filter's window,
 //! not by the rank count.
 
+use std::borrow::Borrow;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::io::{self, Write};
@@ -234,7 +242,7 @@ pub enum TraceDetail {
 }
 
 /// One entry of a simulation trace.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceEvent {
     /// Virtual time of the event in seconds.
     pub time: f64,
@@ -316,10 +324,52 @@ impl TraceFilter {
 // the per-rank trace store
 // ---------------------------------------------------------------------------
 
-/// Position of an event inside its stream: ascending time, then sequence
-/// number (the rank is the same for the whole stream).
-pub(crate) fn stream_order(a: &TraceEvent, b: &TraceEvent) -> std::cmp::Ordering {
+/// [`Record::op`] of an event without an op index.
+const NO_OP: u32 = u32::MAX;
+
+/// One stored event: a [`TraceEvent`] without its rank, which the stream
+/// implies, and with its detail reduced to a one-byte [`Code`].  32 bytes.
+#[derive(Debug, Clone, Copy)]
+struct Record {
+    time: f64,
+    /// The event's `seq`, whole.
+    seq: u64,
+    /// Index into [`Trace::details`] (`Code::Side`) or [`Trace::wide`]
+    /// (`Code::Wide`); 0 otherwise.
+    side: usize,
+    /// `op_index`, or [`NO_OP`] for `None`.  Every index the engine emits
+    /// fits: it is below its rank's op count, and compilation refuses more
+    /// than `u32::MAX` stored ops (`ValidationError::CodeRangeExceeded`).
+    /// A hand-built event with a wider index is stored as `Code::Wide`.
+    op: u32,
+    kind: TraceKind,
+    detail: Code,
+}
+
+/// The stream order of records: ascending time, then sequence number.
+fn record_order(a: &Record, b: &Record) -> std::cmp::Ordering {
     a.time.total_cmp(&b.time).then_with(|| a.seq.cmp(&b.seq))
+}
+
+/// A [`TraceDetail`] in one byte, or where to find it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Code {
+    None,
+    Op(OpClass),
+    /// `Block` with reason `Notify`.
+    Notify,
+    /// `Block` with reason `SendTxDone`.
+    SendTxDone,
+    /// `Block` with reason `AllSends`.
+    AllSends,
+    /// `Block` with reason `Barrier`.
+    Barrier,
+    /// Out of line in [`Trace::details`]: `Inject`, `Arrival` and
+    /// `Block { reason: Recv { .. } }`, the details with a payload.
+    Side,
+    /// The op index does not fit [`Record::op`]: [`Trace::wide`] holds it
+    /// together with the detail.
+    Wide,
 }
 
 /// The events of one run, stored per rank (see the module docs): iterate
@@ -333,7 +383,11 @@ pub struct Trace {
     filter: TraceFilter,
     /// `2 * slot` holds the rank's own events, `2 * slot + 1` the arrivals
     /// at it; each ascending in `(time, seq)` once sealed.
-    streams: Vec<Vec<TraceEvent>>,
+    streams: Vec<Vec<Record>>,
+    /// The details of `Code::Side` records, in recording order.
+    details: Vec<TraceDetail>,
+    /// Op index and detail of `Code::Wide` records.
+    wide: Vec<(usize, TraceDetail)>,
     len: usize,
 }
 
@@ -341,7 +395,7 @@ impl Trace {
     /// An empty trace with streams for the ranks of `0..num_ranks` that
     /// `filter` keeps.
     pub(crate) fn new(filter: TraceFilter, num_ranks: usize) -> Self {
-        let mut trace = Self { filter, streams: Vec::new(), len: 0 };
+        let mut trace = Self { filter, ..Self::default() };
         let last = num_ranks.checked_sub(1).map(|last| last.min(filter.last_rank));
         if let Some(last) = last.filter(|&last| last >= filter.first_rank) {
             trace.streams.resize_with(trace.stream_of(last, 1) + 1, Vec::new);
@@ -367,14 +421,76 @@ impl Trace {
         2 * ((rank - self.filter.first_rank) / self.filter.sample.max(1)) + channel
     }
 
+    /// The rank of stream slot `slot`: the `slot`-th rank the filter keeps.
+    /// Exact for every slot that holds events.
+    fn rank_of_slot(&self, slot: usize) -> RankId {
+        let (first, sample) = (self.filter.first_rank, self.filter.sample.max(1));
+        first + (sample - first % sample) % sample + slot * sample
+    }
+
     /// Append `event` to its rank's stream, unless the filter drops the rank.
     #[inline]
     pub(crate) fn record(&mut self, event: TraceEvent) {
         if self.filter.keeps(event.rank) {
             let stream = self.stream_of(event.rank, usize::from(event.seq & ARRIVAL_SEQ != 0));
-            self.streams[stream].push(event);
+            let record = self.encode(event);
+            self.streams[stream].push(record);
             self.len += 1;
         }
+    }
+
+    /// The record of `e`; a detail with a payload goes to the side table.
+    fn encode(&mut self, e: TraceEvent) -> Record {
+        let mut record = Record { time: e.time, seq: e.seq, side: 0, op: NO_OP, kind: e.kind, detail: Code::None };
+        if let Some(index) = e.op_index {
+            match u32::try_from(index) {
+                Ok(op) if op != NO_OP => record.op = op,
+                _ => {
+                    record.side = self.wide.len();
+                    self.wide.push((index, e.detail));
+                    record.detail = Code::Wide;
+                    return record;
+                }
+            }
+        }
+        record.detail = match e.detail {
+            TraceDetail::None => Code::None,
+            TraceDetail::Op { op } => Code::Op(op),
+            TraceDetail::Block { reason: BlockReason::Notify } => Code::Notify,
+            TraceDetail::Block { reason: BlockReason::SendTxDone } => Code::SendTxDone,
+            TraceDetail::Block { reason: BlockReason::AllSends } => Code::AllSends,
+            TraceDetail::Block { reason: BlockReason::Barrier } => Code::Barrier,
+            TraceDetail::Block { reason: BlockReason::Recv { .. } }
+            | TraceDetail::Inject { .. }
+            | TraceDetail::Arrival { .. } => {
+                record.side = self.details.len();
+                self.details.push(e.detail);
+                Code::Side
+            }
+        };
+        record
+    }
+
+    /// The event `record` stores for `rank`.
+    #[inline]
+    fn decode(&self, record: &Record, rank: RankId) -> TraceEvent {
+        let mut op_index = (record.op != NO_OP).then_some(record.op as usize);
+        let block = |reason| TraceDetail::Block { reason };
+        let detail = match record.detail {
+            Code::None => TraceDetail::None,
+            Code::Op(op) => TraceDetail::Op { op },
+            Code::Notify => block(BlockReason::Notify),
+            Code::SendTxDone => block(BlockReason::SendTxDone),
+            Code::AllSends => block(BlockReason::AllSends),
+            Code::Barrier => block(BlockReason::Barrier),
+            Code::Side => self.details[record.side],
+            Code::Wide => {
+                let (index, detail) = self.wide[record.side];
+                op_index = Some(index);
+                detail
+            }
+        };
+        TraceEvent { time: record.time, rank, kind: record.kind, op_index, seq: record.seq, detail }
     }
 
     /// End of recording: put every stream that is not already ascending in
@@ -383,8 +499,8 @@ impl Trace {
     /// future-dated into one rank need the sort.
     pub(crate) fn seal(&mut self) {
         for stream in &mut self.streams {
-            if !stream.is_sorted_by(|a, b| stream_order(a, b).is_le()) {
-                stream.sort_by(stream_order);
+            if !stream.is_sorted_by(|a, b| record_order(a, b).is_le()) {
+                stream.sort_by(record_order);
             }
         }
     }
@@ -399,32 +515,41 @@ impl Trace {
         self.len == 0
     }
 
-    /// The events of `rank`, each slice ascending in `(time, seq)`: its own
+    fn view<'a>(&'a self, rank: RankId, records: &'a [Record]) -> TraceStream<'a> {
+        TraceStream { trace: self, rank, records }
+    }
+
+    /// The events of `rank`, each stream ascending in `(time, seq)`: its own
     /// events in program order and the arrivals at it.  Both are empty for a
     /// rank the trace does not keep.
-    pub fn rank(&self, rank: RankId) -> (&[TraceEvent], &[TraceEvent]) {
-        if !self.filter.keeps(rank) {
-            return (&[], &[]);
-        }
-        let stream = |channel| self.streams.get(self.stream_of(rank, channel)).map_or(&[][..], Vec::as_slice);
-        (stream(0), stream(1))
+    pub fn rank(&self, rank: RankId) -> (TraceStream<'_>, TraceStream<'_>) {
+        let stream = |channel| match self.filter.keeps(rank) {
+            true => self.streams.get(self.stream_of(rank, channel)).map_or(&[][..], Vec::as_slice),
+            false => &[],
+        };
+        (self.view(rank, stream(0)), self.view(rank, stream(1)))
     }
 
     /// Every rank with events, ascending: `(rank, own, arrivals)`.
-    pub(crate) fn per_rank(&self) -> impl Iterator<Item = (RankId, &[TraceEvent], &[TraceEvent])> {
-        self.streams.chunks_exact(2).filter_map(|pair| {
-            let rank = pair[0].first().or(pair[1].first())?.rank;
-            Some((rank, pair[0].as_slice(), pair[1].as_slice()))
-        })
+    pub(crate) fn per_rank(&self) -> impl Iterator<Item = (RankId, TraceStream<'_>, TraceStream<'_>)> {
+        self.streams.chunks_exact(2).enumerate().filter(|(_, pair)| !pair[0].is_empty() || !pair[1].is_empty()).map(
+            |(slot, pair)| {
+                let rank = self.rank_of_slot(slot);
+                (rank, self.view(rank, &pair[0]), self.view(rank, &pair[1]))
+            },
+        )
     }
 
     /// Iterate in canonical `(time, rank, seq)` order.
     pub fn iter(&self) -> TraceIter<'_> {
-        let rest: Vec<_> = self.streams.iter().filter(|s| !s.is_empty()).map(|s| s.iter()).collect();
+        let rest: Vec<_> = (self.streams.iter().enumerate())
+            .filter(|(_, s)| !s.is_empty())
+            .map(|(i, s)| (s.iter(), self.rank_of_slot(i / 2)))
+            .collect();
         let mut heap: BinaryHeap<_> =
-            rest.iter().enumerate().map(|(i, s)| Reverse(Head::of(&s.as_slice()[0], i))).collect();
+            rest.iter().enumerate().map(|(i, (s, rank))| Reverse(Head::of(&s.as_slice()[0], *rank, i))).collect();
         let current = heap.pop().map(|Reverse(head)| head.stream);
-        TraceIter { rest, heap, current, remaining: self.len }
+        TraceIter { trace: self, rest, heap, current, remaining: self.len }
     }
 }
 
@@ -438,11 +563,66 @@ impl PartialEq for Trace {
 }
 
 impl<'a> IntoIterator for &'a Trace {
-    type Item = &'a TraceEvent;
+    type Item = TraceEvent;
     type IntoIter = TraceIter<'a>;
 
     fn into_iter(self) -> TraceIter<'a> {
         self.iter()
+    }
+}
+
+/// One of a rank's two event streams, ascending in `(time, seq)`
+/// ([`Trace::rank`]).  Events are decoded from the stored records on access.
+#[derive(Clone, Copy)]
+pub struct TraceStream<'a> {
+    trace: &'a Trace,
+    rank: RankId,
+    records: &'a [Record],
+}
+
+impl<'a> TraceStream<'a> {
+    /// Number of events.
+    pub fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    /// True if the stream holds no event.
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+
+    /// Event `i`, if there is one.
+    pub fn get(&self, i: usize) -> Option<TraceEvent> {
+        self.records.get(i).map(|record| self.trace.decode(record, self.rank))
+    }
+
+    /// The events in stream order.
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = TraceEvent> + ExactSizeIterator + 'a {
+        let (trace, rank) = (self.trace, self.rank);
+        self.records.iter().map(move |record| trace.decode(record, rank))
+    }
+
+    /// True if event `i` of `self` comes before event `j` of `other` in
+    /// `(time, seq)` order.
+    pub(crate) fn precedes(&self, i: usize, other: &TraceStream<'_>, j: usize) -> bool {
+        record_order(&self.records[i], &other.records[j]).is_lt()
+    }
+
+    /// Number of events at or before `time`.
+    pub(crate) fn count_until(&self, time: f64) -> usize {
+        self.records.partition_point(|record| record.time <= time)
+    }
+}
+
+impl PartialEq for TraceStream<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl std::fmt::Debug for TraceStream<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -457,21 +637,22 @@ struct Head {
 }
 
 impl Head {
-    fn of(e: &TraceEvent, stream: usize) -> Self {
-        let bits = e.time.to_bits();
+    fn of(record: &Record, rank: RankId, stream: usize) -> Self {
+        let bits = record.time.to_bits();
         // Flip all bits of a negative, the sign bit of a non-negative.
         let time = bits ^ ((((bits as i64) >> 63) as u64) | (1 << 63));
-        Self { time, rank: e.rank, seq: e.seq, stream }
+        Self { time, rank, seq: record.seq, stream }
     }
 }
 
 /// Iterator over a [`Trace`] in canonical order: a k-way merge of the
 /// per-rank streams that stays on one stream while it holds the smallest
-/// event.
+/// event, decoding each event as it is yielded.
 #[derive(Debug, Clone)]
 pub struct TraceIter<'a> {
-    /// The unyielded tail of every non-empty stream.
-    rest: Vec<std::slice::Iter<'a, TraceEvent>>,
+    trace: &'a Trace,
+    /// The unyielded tail of every non-empty stream, with the stream's rank.
+    rest: Vec<(std::slice::Iter<'a, Record>, RankId)>,
     /// Heads of all streams but `current`.
     heap: BinaryHeap<Reverse<Head>>,
     /// The stream holding the smallest unyielded event.
@@ -479,16 +660,17 @@ pub struct TraceIter<'a> {
     remaining: usize,
 }
 
-impl<'a> Iterator for TraceIter<'a> {
-    type Item = &'a TraceEvent;
+impl Iterator for TraceIter<'_> {
+    type Item = TraceEvent;
 
-    fn next(&mut self) -> Option<&'a TraceEvent> {
+    fn next(&mut self) -> Option<TraceEvent> {
         let stream = self.current?;
-        let event = self.rest[stream].next()?;
+        let (records, rank) = &mut self.rest[stream];
+        let (record, rank) = (records.next()?, *rank);
         self.remaining -= 1;
-        match self.rest[stream].as_slice().first() {
+        match records.as_slice().first() {
             Some(next) => {
-                let head = Head::of(next, stream);
+                let head = Head::of(next, rank, stream);
                 if let Some(mut top) = self.heap.peek_mut().filter(|top| top.0 < head) {
                     self.current = Some(top.0.stream);
                     *top = Reverse(head);
@@ -496,7 +678,7 @@ impl<'a> Iterator for TraceIter<'a> {
             }
             None => self.current = self.heap.pop().map(|Reverse(head)| head.stream),
         }
-        Some(event)
+        Some(self.trace.decode(record, rank))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -518,13 +700,19 @@ impl ExactSizeIterator for TraceIter<'_> {}
 /// `s`/`f` flow arrows keyed by the flow id; arrivals additionally emit an
 /// instant so the flow head is visible even outside a span.  Timestamps are
 /// microseconds of virtual time.
+///
+/// Every record is assembled from a static head (everything up to `"ts":`
+/// or `"id":`), the timestamp, the track's cached `,"pid":0,"tid":N`
+/// suffix and its arguments.
 pub struct ChromeTraceWriter<W: Write + Send> {
     out: W,
     /// Records formatted since the last write to `out`.
     buf: Vec<u8>,
-    first: bool,
-    /// `named[rank]`: the rank's track already has its name record.
-    named: Vec<bool>,
+    /// What goes before the next record: nothing before the first.
+    sep: &'static [u8],
+    /// `tracks[tid]`: `,"pid":0,"tid":<tid>` once the track has its name
+    /// record, empty before.
+    tracks: Vec<Box<[u8]>>,
     /// The timestamp text of the last record and the bits it renders; runs
     /// of records at one instant format it once.
     ts_bits: u64,
@@ -536,20 +724,94 @@ pub struct ChromeTraceWriter<W: Write + Send> {
 /// The writer hands `buf` to the output once it holds this many bytes.
 const CHROME_CHUNK: usize = 64 * 1024;
 
+/// `"00" "01" … "99"`: decimal digits are written two at a time.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut pairs = [0; 200];
+    let mut i = 0;
+    while i < 100 {
+        pairs[2 * i] = b'0' + (i / 10) as u8;
+        pairs[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    pairs
+};
+
 /// Append `n` in decimal.
 fn push_int(buf: &mut Vec<u8>, mut n: u64) {
     let mut digits = [0u8; 20];
     let mut at = digits.len();
-    loop {
+    while n >= 100 {
+        let pair = 2 * (n % 100) as usize;
+        n /= 100;
+        at -= 2;
+        digits[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if n >= 10 {
+        at -= 2;
+        digits[at..at + 2].copy_from_slice(&DIGIT_PAIRS[2 * n as usize..2 * n as usize + 2]);
+    } else {
         at -= 1;
-        digits[at] = b'0' + (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
-            break;
-        }
+        digits[at] = b'0' + n as u8;
     }
     buf.extend_from_slice(&digits[at..]);
 }
+
+/// Append `s` as the inside of a JSON string: `"`, `\` and control
+/// characters escaped.
+fn push_json_str(buf: &mut Vec<u8>, s: &str) {
+    for &b in s.as_bytes() {
+        match b {
+            b'"' | b'\\' => buf.extend_from_slice(&[b'\\', b]),
+            0x00..=0x1f => write!(buf, "\\u{b:04x}").expect("writing to a Vec cannot fail"),
+            _ => buf.push(b),
+        }
+    }
+}
+
+/// The static start of a record, `{"name":"<name>","cat":"<cat>","ph":"<ph>"`
+/// plus any further fields, up to and including `,"ts":`.
+macro_rules! head {
+    ($name:literal, $cat:literal, $ph:literal $(, $more:literal)?) => {
+        concat!("{\"name\":\"", $name, "\",\"cat\":\"", $cat, "\",\"ph\":\"", $ph, "\"", $($more,)? ",\"ts\":")
+    };
+}
+
+/// The head of an `OpStart` span.
+fn op_head(detail: &TraceDetail) -> &'static str {
+    let TraceDetail::Op { op } = detail else { return head!("op", "op", "B") };
+    match op {
+        OpClass::Compute => head!("compute", "op", "B"),
+        OpClass::Reduce => head!("reduce", "op", "B"),
+        OpClass::Copy => head!("copy", "op", "B"),
+        OpClass::PutNotify => head!("put_notify", "op", "B"),
+        OpClass::Notify => head!("notify", "op", "B"),
+        OpClass::WaitNotify => head!("wait_notify", "op", "B"),
+        OpClass::WaitNotifyAny => head!("wait_notify_any", "op", "B"),
+        OpClass::Send => head!("send", "op", "B"),
+        OpClass::Isend => head!("isend", "op", "B"),
+        OpClass::Recv => head!("recv", "op", "B"),
+        OpClass::WaitAllSends => head!("wait_all_sends", "op", "B"),
+        OpClass::Barrier => head!("barrier", "op", "B"),
+    }
+}
+
+/// The head of a `BlockStart` span.
+fn block_head(detail: &TraceDetail) -> &'static str {
+    let TraceDetail::Block { reason } = detail else { return head!("blocked", "block", "B") };
+    match reason {
+        BlockReason::Recv { .. } => head!("blocked:recv", "block", "B"),
+        BlockReason::Notify => head!("blocked:notify", "block", "B"),
+        BlockReason::SendTxDone => head!("blocked:send_tx", "block", "B"),
+        BlockReason::AllSends => head!("blocked:all_sends", "block", "B"),
+        BlockReason::Barrier => head!("blocked:barrier", "block", "B"),
+    }
+}
+
+const OP_END: &str = head!("op", "op", "E");
+const BLOCK_END: &str = head!("blocked", "block", "E");
+/// Flow heads end in `"id":`; the flow id and `,"ts":` follow.
+const FLOW_START: &str = "{\"name\":\"msg\",\"cat\":\"msg\",\"ph\":\"s\",\"id\":";
+const FLOW_FINISH: &str = "{\"name\":\"msg\",\"cat\":\"msg\",\"ph\":\"f\",\"bp\":\"e\",\"id\":";
 
 impl<W: Write + Send> ChromeTraceWriter<W> {
     /// Start writing: emits the array opener.
@@ -558,64 +820,59 @@ impl<W: Write + Send> ChromeTraceWriter<W> {
         Ok(Self {
             out,
             buf: Vec::with_capacity(CHROME_CHUNK + 512),
-            first: true,
-            named: Vec::new(),
+            sep: b"",
+            tracks: Vec::new(),
             ts_bits: 0,
             ts_text: b"0".to_vec(),
             error: None,
         })
     }
 
-    /// Start a record: the separator, then the given pieces verbatim.
-    fn begin(&mut self, pieces: &[&str]) {
-        if self.first {
-            self.first = false;
-        } else {
-            self.buf.extend_from_slice(b",\n");
-        }
-        for piece in pieces {
-            self.buf.extend_from_slice(piece.as_bytes());
-        }
+    /// Start a record with `head`.
+    fn open(&mut self, head: &str) {
+        self.buf.extend_from_slice(self.sep);
+        self.sep = b",\n";
+        self.buf.extend_from_slice(head.as_bytes());
     }
 
-    /// One record on a rank's track: `head`, the flow id if `head` ends in
-    /// `"id":`, then `,"ts":<ts>,"pid":0,"tid":<tid>` (`ts` in microseconds)
-    /// and `args`.
-    fn on_track(
-        &mut self,
-        head: &[&str],
-        id: Option<u64>,
-        (ts, tid): (f64, RankId),
-        args: &[(&str, i128)],
-    ) -> io::Result<()> {
-        self.begin(head);
-        if let Some(id) = id {
-            push_int(&mut self.buf, id);
-        }
+    /// The flow id after a flow head, and the `,"ts":` that follows it.
+    fn flow_id(&mut self, flow: u64) {
+        push_int(&mut self.buf, flow);
+        self.buf.extend_from_slice(b",\"ts\":");
+    }
+
+    /// The timestamp `ts` (microseconds), formatted once per distinct value.
+    fn stamp(&mut self, ts: f64) {
         if ts.to_bits() != self.ts_bits {
             self.ts_bits = ts.to_bits();
             self.ts_text.clear();
             write!(self.ts_text, "{ts}").expect("writing to a Vec cannot fail");
         }
-        self.buf.extend_from_slice(b",\"ts\":");
         self.buf.extend_from_slice(&self.ts_text);
-        self.buf.extend_from_slice(b",\"pid\":0,\"tid\":");
-        push_int(&mut self.buf, tid as u64);
-        self.end(args)
     }
 
-    /// Close a record with `,"args":{"<key>":<value>,...}}`, or `}` alone.
-    fn end(&mut self, args: &[(&str, i128)]) -> io::Result<()> {
-        for (i, (key, value)) in args.iter().enumerate() {
-            self.buf.extend_from_slice(if i == 0 { b",\"args\":{\"" } else { b",\"" });
-            self.buf.extend_from_slice(key.as_bytes());
-            self.buf.extend_from_slice(b"\":");
-            if *value < 0 {
-                self.buf.push(b'-');
-            }
-            push_int(&mut self.buf, value.unsigned_abs() as u64);
+    /// `,"args":{"<first>":<a>,"<second>":<b>}}`, given `first` as
+    /// `,"args":{"<first>":` and `second` as `,"<second>":`.
+    fn args(&mut self, first: &str, a: u64, second: &str, b: u64) {
+        self.buf.extend_from_slice(first.as_bytes());
+        push_int(&mut self.buf, a);
+        self.buf.extend_from_slice(second.as_bytes());
+        push_int(&mut self.buf, b);
+        self.buf.extend_from_slice(b"}}");
+    }
+
+    /// `,"args":{"op_index":<i>}}`, -1 for none.
+    fn op_arg(&mut self, op_index: Option<usize>) {
+        self.buf.extend_from_slice(b",\"args\":{\"op_index\":");
+        match op_index {
+            Some(i) => push_int(&mut self.buf, i as u64),
+            None => self.buf.extend_from_slice(b"-1"),
         }
-        self.buf.extend_from_slice(if args.is_empty() { b"}" } else { b"}}" });
+        self.buf.extend_from_slice(b"}}");
+    }
+
+    /// Hand the buffer to the output once it is a chunk long.
+    fn close(&mut self) -> io::Result<()> {
         if self.buf.len() >= CHROME_CHUNK {
             self.spill()?;
         }
@@ -628,65 +885,103 @@ impl<W: Write + Send> ChromeTraceWriter<W> {
         written
     }
 
-    fn write_event(&mut self, e: &TraceEvent) -> io::Result<()> {
-        let tid = e.rank;
-        if tid >= self.named.len() {
-            self.named.resize(tid + 1, false);
+    /// Give `tid`'s track its name record and cached suffix, once.
+    fn name_track(&mut self, tid: RankId) {
+        if tid >= self.tracks.len() {
+            self.tracks.resize(tid + 1, Box::default());
         }
-        if !std::mem::replace(&mut self.named[tid], true) {
-            self.begin(&["{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":"]);
-            push_int(&mut self.buf, tid as u64);
+        if self.tracks[tid].is_empty() {
+            let mut suffix = b",\"pid\":0,\"tid\":".to_vec();
+            push_int(&mut suffix, tid as u64);
+            self.open("{\"name\":\"thread_name\",\"ph\":\"M\"");
+            self.buf.extend_from_slice(&suffix);
             self.buf.extend_from_slice(b",\"args\":{\"name\":\"rank ");
             push_int(&mut self.buf, tid as u64);
             self.buf.extend_from_slice(b"\"}}");
+            self.tracks[tid] = suffix.into_boxed_slice();
         }
-        let at = (e.time * 1e6, tid);
-        let op = [("op_index", e.op_index.map_or(-1, |i| i as i128))];
-        let op_end = ["{\"name\":\"op\",\"cat\":\"op\",\"ph\":\"E\""];
+    }
+
+    /// The record's timestamp (`ts` microseconds) and its track's suffix.
+    fn at(&mut self, ts: f64, tid: RankId) {
+        self.stamp(ts);
+        self.buf.extend_from_slice(&self.tracks[tid]);
+    }
+
+    fn write_event(&mut self, e: &TraceEvent) -> io::Result<()> {
+        let (ts, tid) = (e.time * 1e6, e.rank);
+        self.name_track(tid);
         match (e.kind, &e.detail) {
             (TraceKind::OpStart, detail) => {
-                let name = if let TraceDetail::Op { op } = detail { op.name() } else { "op" };
-                self.on_track(&["{\"name\":\"", name, "\",\"cat\":\"op\",\"ph\":\"B\""], None, at, &op)
+                self.open(op_head(detail));
+                self.at(ts, tid);
+                self.op_arg(e.op_index);
             }
-            (TraceKind::OpEnd, _) => self.on_track(&op_end, None, at, &[]),
+            (TraceKind::OpEnd, _) => {
+                self.open(OP_END);
+                self.at(ts, tid);
+                self.buf.push(b'}');
+            }
             (TraceKind::BlockStart, detail) => {
-                let (colon, reason) =
-                    if let TraceDetail::Block { reason } = detail { (":", reason.name()) } else { ("", "") };
-                let head = ["{\"name\":\"blocked", colon, reason, "\",\"cat\":\"block\",\"ph\":\"B\""];
-                self.on_track(&head, None, at, &op)
+                self.open(block_head(detail));
+                self.at(ts, tid);
+                self.op_arg(e.op_index);
             }
             (TraceKind::BlockEnd, _) => {
                 // A blocked op emits no `OpEnd` of its own — resolving the
                 // block ends both the block span and the op span around it.
-                self.on_track(&["{\"name\":\"blocked\",\"cat\":\"block\",\"ph\":\"E\""], None, at, &[])?;
-                self.on_track(&op_end, None, at, &[])
+                for head in [BLOCK_END, OP_END] {
+                    self.open(head);
+                    self.at(ts, tid);
+                    self.buf.push(b'}');
+                }
             }
-            (TraceKind::MsgInjected, TraceDetail::Inject { dst, bytes, flow, .. }) => {
-                let args = [("dst", *dst as i128), ("bytes", i128::from(*bytes))];
-                self.on_track(&["{\"name\":\"msg\",\"cat\":\"msg\",\"ph\":\"s\",\"id\":"], Some(*flow), at, &args)
+            (TraceKind::MsgInjected, &TraceDetail::Inject { dst, bytes, flow, .. }) => {
+                self.open(FLOW_START);
+                self.flow_id(flow);
+                self.at(ts, tid);
+                self.args(",\"args\":{\"dst\":", dst as u64, ",\"bytes\":", bytes);
             }
-            (TraceKind::NotifyVisible | TraceKind::MsgDelivered, TraceDetail::Arrival { src, bytes, flow, .. }) => {
-                let name = if e.kind == TraceKind::NotifyVisible { "notify_visible" } else { "delivered" };
-                let args = [("src", *src as i128), ("bytes", i128::from(*bytes))];
-                self.on_track(&["{\"name\":\"", name, "\",\"cat\":\"msg\",\"ph\":\"i\",\"s\":\"t\""], None, at, &args)?;
-                let finish = ["{\"name\":\"msg\",\"cat\":\"msg\",\"ph\":\"f\",\"bp\":\"e\",\"id\":"];
-                self.on_track(&finish, Some(*flow), at, &[])
+            (TraceKind::NotifyVisible | TraceKind::MsgDelivered, &TraceDetail::Arrival { src, bytes, flow, .. }) => {
+                self.open(if e.kind == TraceKind::NotifyVisible {
+                    head!("notify_visible", "msg", "i", ",\"s\":\"t\"")
+                } else {
+                    head!("delivered", "msg", "i", ",\"s\":\"t\"")
+                });
+                self.at(ts, tid);
+                self.args(",\"args\":{\"src\":", src as u64, ",\"bytes\":", bytes);
+                self.open(FLOW_FINISH);
+                self.flow_id(flow);
+                self.at(ts, tid);
+                self.buf.push(b'}');
             }
+            // A message kind whose detail is not the message's.
             (kind, _) => {
-                let name = format!("{kind:?}");
-                self.on_track(&["{\"name\":\"", &name, "\",\"cat\":\"misc\",\"ph\":\"i\",\"s\":\"t\""], None, at, &[])
+                self.open(match kind {
+                    TraceKind::MsgInjected => head!("MsgInjected", "misc", "i", ",\"s\":\"t\""),
+                    TraceKind::MsgDelivered => head!("MsgDelivered", "misc", "i", ",\"s\":\"t\""),
+                    _ => head!("NotifyVisible", "misc", "i", ",\"s\":\"t\""),
+                });
+                self.at(ts, tid);
+                self.buf.push(b'}');
             }
         }
+        self.close()
     }
 
     /// Emit one `C` (counter) sample: `value` is 1 at the start of a busy
     /// interval of `link` and 0 at its end, so Perfetto renders the link's
-    /// utilization timeline as a square wave.
+    /// utilization timeline as a square wave.  The link's label is escaped
+    /// into the counter's name.
     pub fn write_link_sample(&mut self, link: &str, ts_seconds: f64, value: u32) -> io::Result<()> {
-        let ts = ts_seconds * 1e6;
-        self.begin(&["{\"name\":\"link:", link, "\",\"cat\":\"link\",\"ph\":\"C\",\"ts\":"]);
-        write!(self.buf, "{ts},\"pid\":1").expect("writing to a Vec cannot fail");
-        self.end(&[("busy", i128::from(value))])
+        self.open("{\"name\":\"link:");
+        push_json_str(&mut self.buf, link);
+        self.buf.extend_from_slice(b"\",\"cat\":\"link\",\"ph\":\"C\",\"ts\":");
+        self.stamp(ts_seconds * 1e6);
+        self.buf.extend_from_slice(b",\"pid\":1,\"args\":{\"busy\":");
+        push_int(&mut self.buf, u64::from(value));
+        self.buf.extend_from_slice(b"}}");
+        self.close()
     }
 
     /// Write one event.  Infallible, so it can sit in a plain `for` loop:
@@ -713,14 +1008,14 @@ impl<W: Write + Send> ChromeTraceWriter<W> {
 /// Write a complete Chrome trace: every event of `events` (a [`Trace`], or
 /// a slice already in canonical order) plus one counter track per fabric
 /// link with recorded busy intervals.
-pub fn write_chrome_trace<'a, W: Write + Send>(
+pub fn write_chrome_trace<W: Write + Send>(
     out: W,
-    events: impl IntoIterator<Item = &'a TraceEvent>,
+    events: impl IntoIterator<Item: Borrow<TraceEvent>>,
     links: &[LinkStats],
 ) -> io::Result<()> {
     let mut w = ChromeTraceWriter::new(out)?;
     for e in events {
-        w.write_event(e)?;
+        w.write_event(e.borrow())?;
     }
     for link in links {
         for &(start, end) in &link.busy_intervals {
@@ -1201,7 +1496,7 @@ mod tests {
                 let own = keyed((step / 4) as f64, rank, step);
                 let arrival = keyed((step / 3) as f64 + 0.5, rank, ARRIVAL_SEQ | step);
                 for e in [own, arrival] {
-                    full.record(e.clone());
+                    full.record(e);
                     windowed.record(e);
                 }
             }
@@ -1213,8 +1508,163 @@ mod tests {
         assert_eq!(windowed.len(), 4 * 80);
         assert!(windowed.iter().eq(full.iter().filter(|e| filter.keeps(e.rank))));
         assert_eq!(windowed.rank(6), full.rank(6));
-        assert_eq!(windowed.rank(7), (&[][..], &[][..]));
+        let (own, arrivals) = windowed.rank(7);
+        assert!(own.is_empty() && arrivals.is_empty());
         assert_ne!(windowed, full);
+    }
+
+    /// A window whose first rank is off the sample grid: with first rank 5
+    /// and sample 2 the kept ranks are 6, 8, …, 20, and stream slot `s`
+    /// belongs to rank `6 + 2 s`, not `5 + 2 s`.
+    #[test]
+    fn windowed_trace_whose_first_rank_is_off_the_sample_grid() {
+        let filter = TraceFilter { first_rank: 5, last_rank: 20, sample: 2 };
+        let mut full = Trace::new(TraceFilter::all(), 24);
+        let mut windowed = Trace::new(filter, 24);
+        for step in 0..12u64 {
+            for rank in 0..24 {
+                for e in [keyed(step as f64, rank, step), keyed(step as f64 + 0.5, rank, ARRIVAL_SEQ | step)] {
+                    full.record(e);
+                    windowed.record(e);
+                }
+            }
+        }
+        full.seal();
+        windowed.seal();
+        let ranks: Vec<RankId> = windowed.per_rank().map(|(rank, ..)| rank).collect();
+        assert_eq!(ranks, (6..=20).step_by(2).collect::<Vec<_>>());
+        for (rank, own, arrivals) in windowed.per_rank() {
+            assert_eq!((own, arrivals), full.rank(rank), "rank {rank}");
+            assert!(own.iter().chain(arrivals.iter()).all(|e| e.rank == rank));
+        }
+        let (own, arrivals) = windowed.rank(6);
+        assert_eq!((own.len(), arrivals.len()), (12, 12));
+        assert_eq!(windowed.rank(6), full.rank(6));
+        assert_eq!(own.get(3), full.rank(6).0.get(3));
+        assert!(windowed.iter().eq(full.iter().filter(|e| filter.keeps(e.rank))));
+    }
+
+    /// Every field of an event survives the 32-byte record and the side
+    /// tables bit for bit, including the values at the edges of each
+    /// narrowed or sentinel-coded field.
+    #[test]
+    fn records_round_trip_extreme_values() {
+        assert!(size_of::<Record>() <= 32, "{} bytes", size_of::<Record>());
+        let widest = u32::MAX as usize - 1;
+        let arrival = |label| TraceDetail::Arrival {
+            src: usize::MAX,
+            bytes: u64::MAX,
+            label,
+            flow: u64::MAX,
+            inject: -0.0,
+            queue: f64::from_bits(1),
+            wire: f64::MAX,
+        };
+        let details = [
+            TraceDetail::None,
+            TraceDetail::Op { op: OpClass::WaitNotifyAny },
+            TraceDetail::Block { reason: BlockReason::Recv { src: usize::MAX, tag: u32::MAX } },
+            TraceDetail::Block { reason: BlockReason::Recv { src: 0, tag: 0 } },
+            TraceDetail::Block { reason: BlockReason::Notify },
+            TraceDetail::Block { reason: BlockReason::SendTxDone },
+            TraceDetail::Block { reason: BlockReason::AllSends },
+            TraceDetail::Block { reason: BlockReason::Barrier },
+            TraceDetail::Inject { dst: 0, bytes: u64::MAX, label: MsgLabel::Notify(u32::MAX), flow: u64::MAX },
+            TraceDetail::Inject { dst: usize::MAX, bytes: 0, label: MsgLabel::Tag(0), flow: 0 },
+            arrival(MsgLabel::Notify(0)),
+            arrival(MsgLabel::Tag(u32::MAX)),
+        ];
+        let times = [-0.0, 0.0, f64::from_bits(1), f64::MIN_POSITIVE / 2.0, f64::MAX];
+        let ops = [None, Some(0), Some(widest), Some(widest + 1), Some(usize::MAX)];
+        let kinds = [TraceKind::OpStart, TraceKind::BlockEnd, TraceKind::MsgInjected, TraceKind::NotifyVisible];
+        let mut events = Vec::new();
+        for (i, detail) in details.into_iter().enumerate() {
+            for (j, op_index) in ops.into_iter().enumerate() {
+                let n = (i * ops.len() + j) as u64;
+                let channel = if j % 2 == 0 { 0 } else { ARRIVAL_SEQ };
+                let seq = channel | if n == 0 { ARRIVAL_SEQ - 1 } else { n };
+                let kind = kinds[(i + j) % kinds.len()];
+                events.push(TraceEvent::new(times[(i + j) % times.len()], 7, kind, op_index, seq, detail));
+            }
+        }
+        let debug = |events: &[TraceEvent]| events.iter().map(|e| format!("{e:?}")).collect::<Vec<_>>();
+        let mut sorted = events.clone();
+        sort_trace(&mut sorted);
+        let trace = Trace::from_events(events.clone());
+        let stored: Vec<TraceEvent> = trace.iter().collect();
+        assert_eq!(debug(&stored), debug(&sorted), "every field, bit for bit");
+        assert_eq!(trace.wide.len(), 2 * details.len(), "only op indices above the widest stored one spill");
+        assert_eq!(trace.details.len(), 6 * 3, "the payload details of the inline-op events");
+
+        // The other recording order fills the side tables in another order:
+        // the same trace.
+        events.reverse();
+        assert_eq!(Trace::from_events(events.clone()), trace);
+        // `None` and the widest stored index are different events, and so
+        // are the widest stored index and the first spilled one.
+        for (a, b) in [(None, Some(widest)), (Some(widest), Some(widest + 1))] {
+            let one = |op_index| {
+                Trace::from_events(vec![TraceEvent::new(0.0, 0, TraceKind::OpEnd, op_index, 0, TraceDetail::None)])
+            };
+            assert_ne!(one(a), one(b));
+            assert_eq!(one(a).iter().next().map(|e| e.op_index), Some(a));
+        }
+    }
+
+    #[test]
+    fn link_labels_are_escaped_into_the_counter_name() {
+        let label = "sw\\\"0\"->\tleaf\u{1}";
+        let link = LinkStats { label: label.into(), busy_intervals: vec![(1e-6, 3e-6)], ..LinkStats::default() };
+        let mut buf = Vec::new();
+        write_chrome_trace(&mut buf, &[] as &[TraceEvent], std::slice::from_ref(&link)).unwrap();
+        let stats = validate_chrome_trace(std::str::from_utf8(&buf).unwrap()).expect("an escaped label validates");
+        assert_eq!(stats.counter_busy.len(), 1);
+        assert_eq!(stats.counter_busy[0].0, format!("link:{label}"));
+        assert!((stats.counter_busy[0].1 - 2e-6).abs() < 1e-12);
+    }
+
+    /// The static span heads spell the same names as `OpClass::name` and
+    /// `BlockReason::name`.
+    #[test]
+    fn span_heads_carry_the_display_names() {
+        let ops = [
+            OpClass::Compute,
+            OpClass::Reduce,
+            OpClass::Copy,
+            OpClass::PutNotify,
+            OpClass::Notify,
+            OpClass::WaitNotify,
+            OpClass::WaitNotifyAny,
+            OpClass::Send,
+            OpClass::Isend,
+            OpClass::Recv,
+            OpClass::WaitAllSends,
+            OpClass::Barrier,
+        ];
+        for op in ops {
+            let want = format!("{{\"name\":\"{}\",\"cat\":\"op\",\"ph\":\"B\",\"ts\":", op.name());
+            assert_eq!(op_head(&TraceDetail::Op { op }), want);
+        }
+        let reasons = [
+            BlockReason::Recv { src: 0, tag: 0 },
+            BlockReason::Notify,
+            BlockReason::SendTxDone,
+            BlockReason::AllSends,
+            BlockReason::Barrier,
+        ];
+        for reason in reasons {
+            let want = format!("{{\"name\":\"blocked:{}\",\"cat\":\"block\",\"ph\":\"B\",\"ts\":", reason.name());
+            assert_eq!(block_head(&TraceDetail::Block { reason }), want);
+        }
+    }
+
+    #[test]
+    fn integers_are_written_two_digits_at_a_time() {
+        for n in [0, 7, 9, 10, 42, 99, 100, 101, 999, 1000, 65_535, 1 << 32, u64::MAX / 10, u64::MAX] {
+            let mut buf = Vec::new();
+            push_int(&mut buf, n);
+            assert_eq!(String::from_utf8(buf).unwrap(), n.to_string());
+        }
     }
 
     #[test]
@@ -1284,11 +1734,11 @@ mod tests {
                 for (i, want) in sorted.iter().enumerate() {
                     prop_assert_eq!(it.len(), sorted.len() - i);
                     prop_assert_eq!(it.size_hint(), (sorted.len() - i, Some(sorted.len() - i)));
-                    prop_assert_eq!(it.next(), Some(want));
+                    prop_assert_eq!(it.next(), Some(*want));
                 }
                 prop_assert_eq!(it.size_hint(), (0, Some(0)));
                 prop_assert_eq!(it.next(), None);
-                prop_assert!((&trace).into_iter().eq(sorted.iter()));
+                prop_assert!((&trace).into_iter().eq(sorted.iter().copied()));
 
                 // A permutation of the same events is the same trace.
                 let mut shuffled = events.clone();

@@ -280,6 +280,10 @@ impl<'a> Burst<'a> {
     /// retroactively at resolution time — its virtual timestamp and sequence
     /// number are the same ones the strict engine assigns at block time,
     /// because a parked rank emits no own-channel events in between.
+    // `always`: with its three trace calls inlined the inliner leaves it a
+    // call at `run_rank`'s three wait sites, which an untraced run pays on
+    // every wait.
+    #[inline(always)]
     fn emit_wait(&mut self, rank: RankId, pc: usize, outcome: WaitOutcome) -> bool {
         match outcome {
             WaitOutcome::Pending => false,

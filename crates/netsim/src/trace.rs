@@ -429,7 +429,9 @@ impl Trace {
     }
 
     /// Append `event` to its rank's stream, unless the filter drops the rank.
-    #[inline]
+    /// Never inlined: the engines' emitters sit in their hot loops behind a
+    /// `tracing` check, and an untraced run must not carry the encode there.
+    #[inline(never)]
     pub(crate) fn record(&mut self, event: TraceEvent) {
         if self.filter.keeps(event.rank) {
             let stream = self.stream_of(event.rank, usize::from(event.seq & ARRIVAL_SEQ != 0));
@@ -547,7 +549,7 @@ impl Trace {
             .map(|(i, s)| (s.iter(), self.rank_of_slot(i / 2)))
             .collect();
         let mut heap: BinaryHeap<_> =
-            rest.iter().enumerate().map(|(i, (s, rank))| Reverse(Head::of(&s.as_slice()[0], *rank, i))).collect();
+            rest.iter().enumerate().map(|(i, (s, _))| Reverse(Head::of(&s.as_slice()[0], i))).collect();
         let current = heap.pop().map(|Reverse(head)| head.stream);
         TraceIter { trace: self, rest, heap, current, remaining: self.len }
     }
@@ -627,21 +629,22 @@ impl std::fmt::Debug for TraceStream<'_> {
 }
 
 /// Merge key of a stream's next event, smallest first: the time's bits in
-/// `f64::total_cmp` order, then rank, then sequence number.
+/// `f64::total_cmp` order, then the stream.  Between streams the stream
+/// order is the `(rank, seq)` order: slots ascend with the rank, and a
+/// rank's own stream (`2 * slot`) holds only sequence numbers below
+/// [`ARRIVAL_SEQ`], its arrival stream (`2 * slot + 1`) only ones above.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Head {
     time: u64,
-    rank: RankId,
-    seq: u64,
     stream: usize,
 }
 
 impl Head {
-    fn of(record: &Record, rank: RankId, stream: usize) -> Self {
+    fn of(record: &Record, stream: usize) -> Self {
         let bits = record.time.to_bits();
         // Flip all bits of a negative, the sign bit of a non-negative.
         let time = bits ^ ((((bits as i64) >> 63) as u64) | (1 << 63));
-        Self { time, rank, seq: record.seq, stream }
+        Self { time, stream }
     }
 }
 
@@ -651,7 +654,8 @@ impl Head {
 #[derive(Debug, Clone)]
 pub struct TraceIter<'a> {
     trace: &'a Trace,
-    /// The unyielded tail of every non-empty stream, with the stream's rank.
+    /// The unyielded tail of every non-empty stream, in stream order, with
+    /// the stream's rank.
     rest: Vec<(std::slice::Iter<'a, Record>, RankId)>,
     /// Heads of all streams but `current`.
     heap: BinaryHeap<Reverse<Head>>,
@@ -670,7 +674,7 @@ impl Iterator for TraceIter<'_> {
         self.remaining -= 1;
         match records.as_slice().first() {
             Some(next) => {
-                let head = Head::of(next, rank, stream);
+                let head = Head::of(next, stream);
                 if let Some(mut top) = self.heap.peek_mut().filter(|top| top.0 < head) {
                     self.current = Some(top.0.stream);
                     *top = Reverse(head);

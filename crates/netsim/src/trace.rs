@@ -352,7 +352,7 @@ fn record_order(a: &Record, b: &Record) -> std::cmp::Ordering {
 }
 
 /// A [`TraceDetail`] in one byte, or where to find it.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 enum Code {
     None,
     Op(OpClass),
@@ -525,21 +525,20 @@ impl Trace {
     /// events in program order and the arrivals at it.  Both are empty for a
     /// rank the trace does not keep.
     pub fn rank(&self, rank: RankId) -> (TraceStream<'_>, TraceStream<'_>) {
-        let stream = |channel| match self.filter.keeps(rank) {
-            true => self.streams.get(self.stream_of(rank, channel)).map_or(&[][..], Vec::as_slice),
-            false => &[],
+        let stream = |channel| {
+            let records = self.filter.keeps(rank).then(|| self.streams.get(self.stream_of(rank, channel)));
+            self.view(rank, records.flatten().map_or(&[], Vec::as_slice))
         };
-        (self.view(rank, stream(0)), self.view(rank, stream(1)))
+        (stream(0), stream(1))
     }
 
     /// Every rank with events, ascending: `(rank, own, arrivals)`.
     pub(crate) fn per_rank(&self) -> impl Iterator<Item = (RankId, TraceStream<'_>, TraceStream<'_>)> {
-        self.streams.chunks_exact(2).enumerate().filter(|(_, pair)| !pair[0].is_empty() || !pair[1].is_empty()).map(
-            |(slot, pair)| {
-                let rank = self.rank_of_slot(slot);
-                (rank, self.view(rank, &pair[0]), self.view(rank, &pair[1]))
-            },
-        )
+        let pairs = self.streams.chunks_exact(2).enumerate();
+        pairs.filter(|(_, pair)| pair.iter().any(|s| !s.is_empty())).map(|(slot, pair)| {
+            let rank = self.rank_of_slot(slot);
+            (rank, self.view(rank, &pair[0]), self.view(rank, &pair[1]))
+        })
     }
 
     /// Iterate in canonical `(time, rank, seq)` order.

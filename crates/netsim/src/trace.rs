@@ -713,9 +713,11 @@ pub struct ChromeTraceWriter<W: Write + Send> {
     buf: Vec<u8>,
     /// What goes before the next record: nothing before the first.
     sep: &'static [u8],
-    /// `tracks[tid]`: `,"pid":0,"tid":<tid>` once the track has its name
-    /// record, empty before.
+    /// `tracks[tid - first_tid]`: `,"pid":0,"tid":<tid>` once the track has
+    /// its name record, empty before.  The table spans the tids seen, so a
+    /// rank-windowed trace of a large run keeps it window-sized.
     tracks: Vec<Box<[u8]>>,
+    first_tid: RankId,
     /// The timestamp text of the last record and the bits it renders; runs
     /// of records at one instant format it once.
     ts_bits: u64,
@@ -825,6 +827,7 @@ impl<W: Write + Send> ChromeTraceWriter<W> {
             buf: Vec::with_capacity(CHROME_CHUNK + 512),
             sep: b"",
             tracks: Vec::new(),
+            first_tid: 0,
             ts_bits: 0,
             ts_text: b"0".to_vec(),
             error: None,
@@ -888,12 +891,19 @@ impl<W: Write + Send> ChromeTraceWriter<W> {
         written
     }
 
-    /// Give `tid`'s track its name record and cached suffix, once.
-    fn name_track(&mut self, tid: RankId) {
-        if tid >= self.tracks.len() {
-            self.tracks.resize(tid + 1, Box::default());
+    /// The slot of `tid` in `tracks`; gives the track its name record and
+    /// cached suffix the first time.
+    fn track(&mut self, tid: RankId) -> usize {
+        if self.tracks.is_empty() || tid < self.first_tid {
+            let grow = if self.tracks.is_empty() { 1 } else { self.first_tid - tid };
+            self.tracks.splice(0..0, std::iter::repeat_with(Box::default).take(grow));
+            self.first_tid = tid;
         }
-        if self.tracks[tid].is_empty() {
+        let slot = tid - self.first_tid;
+        if slot >= self.tracks.len() {
+            self.tracks.resize(slot + 1, Box::default());
+        }
+        if self.tracks[slot].is_empty() {
             let mut suffix = b",\"pid\":0,\"tid\":".to_vec();
             push_int(&mut suffix, tid as u64);
             self.open("{\"name\":\"thread_name\",\"ph\":\"M\"");
@@ -901,33 +911,34 @@ impl<W: Write + Send> ChromeTraceWriter<W> {
             self.buf.extend_from_slice(b",\"args\":{\"name\":\"rank ");
             push_int(&mut self.buf, tid as u64);
             self.buf.extend_from_slice(b"\"}}");
-            self.tracks[tid] = suffix.into_boxed_slice();
+            self.tracks[slot] = suffix.into_boxed_slice();
         }
+        slot
     }
 
-    /// The record's timestamp (`ts` microseconds) and its track's suffix.
-    fn at(&mut self, ts: f64, tid: RankId) {
+    /// The record's timestamp (`ts` microseconds) and the suffix of the
+    /// track in slot `track`.
+    fn at(&mut self, ts: f64, track: usize) {
         self.stamp(ts);
-        self.buf.extend_from_slice(&self.tracks[tid]);
+        self.buf.extend_from_slice(&self.tracks[track]);
     }
 
     fn write_event(&mut self, e: &TraceEvent) -> io::Result<()> {
-        let (ts, tid) = (e.time * 1e6, e.rank);
-        self.name_track(tid);
+        let (ts, track) = (e.time * 1e6, self.track(e.rank));
         match (e.kind, &e.detail) {
             (TraceKind::OpStart, detail) => {
                 self.open(op_head(detail));
-                self.at(ts, tid);
+                self.at(ts, track);
                 self.op_arg(e.op_index);
             }
             (TraceKind::OpEnd, _) => {
                 self.open(OP_END);
-                self.at(ts, tid);
+                self.at(ts, track);
                 self.buf.push(b'}');
             }
             (TraceKind::BlockStart, detail) => {
                 self.open(block_head(detail));
-                self.at(ts, tid);
+                self.at(ts, track);
                 self.op_arg(e.op_index);
             }
             (TraceKind::BlockEnd, _) => {
@@ -935,14 +946,14 @@ impl<W: Write + Send> ChromeTraceWriter<W> {
                 // block ends both the block span and the op span around it.
                 for head in [BLOCK_END, OP_END] {
                     self.open(head);
-                    self.at(ts, tid);
+                    self.at(ts, track);
                     self.buf.push(b'}');
                 }
             }
             (TraceKind::MsgInjected, &TraceDetail::Inject { dst, bytes, flow, .. }) => {
                 self.open(FLOW_START);
                 self.flow_id(flow);
-                self.at(ts, tid);
+                self.at(ts, track);
                 self.args(",\"args\":{\"dst\":", dst as u64, ",\"bytes\":", bytes);
             }
             (TraceKind::NotifyVisible | TraceKind::MsgDelivered, &TraceDetail::Arrival { src, bytes, flow, .. }) => {
@@ -951,11 +962,11 @@ impl<W: Write + Send> ChromeTraceWriter<W> {
                 } else {
                     head!("delivered", "msg", "i", ",\"s\":\"t\"")
                 });
-                self.at(ts, tid);
+                self.at(ts, track);
                 self.args(",\"args\":{\"src\":", src as u64, ",\"bytes\":", bytes);
                 self.open(FLOW_FINISH);
                 self.flow_id(flow);
-                self.at(ts, tid);
+                self.at(ts, track);
                 self.buf.push(b'}');
             }
             // A message kind whose detail is not the message's.
@@ -965,7 +976,7 @@ impl<W: Write + Send> ChromeTraceWriter<W> {
                     TraceKind::MsgDelivered => head!("MsgDelivered", "misc", "i", ",\"s\":\"t\""),
                     _ => head!("NotifyVisible", "misc", "i", ",\"s\":\"t\""),
                 });
-                self.at(ts, tid);
+                self.at(ts, track);
                 self.buf.push(b'}');
             }
         }
@@ -1658,6 +1669,24 @@ mod tests {
         for reason in reasons {
             let want = format!("{{\"name\":\"blocked:{}\",\"cat\":\"block\",\"ph\":\"B\",\"ts\":", reason.name());
             assert_eq!(block_head(&TraceDetail::Block { reason }), want);
+        }
+    }
+
+    /// The per-track table covers the tids seen, not every tid below them,
+    /// and a lower tid arriving later still gets its own suffix.
+    #[test]
+    fn track_table_spans_only_the_tids_seen() {
+        let instant = |tid| TraceEvent::new(1e-6, tid, TraceKind::MsgInjected, None, 0, TraceDetail::None);
+        let mut writer = ChromeTraceWriter::new(Vec::new()).unwrap();
+        for tid in [1_000_005, 1_000_000, 1_000_003, 1_000_005] {
+            writer.record(&instant(tid));
+        }
+        assert_eq!((writer.first_tid, writer.tracks.len()), (1_000_000, 6));
+        writer.finish().unwrap();
+        let json = String::from_utf8(writer.out).unwrap();
+        assert_eq!(validate_chrome_trace(&json).unwrap().events, 7, "three name records and four instants");
+        for (tid, records) in [(1_000_000, 1), (1_000_003, 1), (1_000_005, 2)] {
+            assert_eq!(json.matches(&format!("\"tid\":{tid}}}")).count(), records, "tid {tid}");
         }
     }
 

@@ -22,8 +22,7 @@
 //! — the losslessness of the fabric, not bandwidth, decides the winner.
 
 use ec_collectives::schedule::{alltoall_direct_schedule, ring_allreduce_schedule};
-use ec_netsim::{ClusterPreset, Engine, FixedWindow, PacketConfig, Program, RunReport};
-use std::sync::Arc;
+use ec_netsim::{ClusterPreset, CongControl, Engine, FixedWindow, PacketConfig, Program, RunReport};
 
 pub use crate::congestion::Collective;
 
@@ -105,7 +104,9 @@ impl FabricKind {
         match self {
             FabricKind::Flow => None,
             FabricKind::PacketPfc => Some(PacketConfig::default()),
-            FabricKind::PacketWindow => Some(PacketConfig::default().with_cc(Arc::new(FixedWindow::default()))),
+            FabricKind::PacketWindow => {
+                Some(PacketConfig::default().with_cc(CongControl::FixedWindow(FixedWindow::default())))
+            }
             FabricKind::PacketLossy => Some(PacketConfig::lossy()),
         }
     }

@@ -1,14 +1,13 @@
-//! Pluggable congestion control for the per-packet fabric backend.
+//! Congestion control for the per-packet fabric backend: a closed choice of
+//! two algorithms.
 //!
-//! The packet simulator ([`crate::packet`]) delegates *how fast a message may
-//! inject packets* to a per-message controller implementing [`CongAlg`].  The
-//! controller sees the same feedback a real NIC would — cumulative ACKs with
-//! an ECN-echo bit, and NACK-triggered go-back-N rewinds — and answers with a
-//! pacing rate and a window, both of which the sender honors jointly (a
-//! packet is injected only when the window has room *and* the pacing clock
-//! allows it).
-//!
-//! Two implementations ship with the crate:
+//! The packet simulator ([`crate::packet`]) asks the configured
+//! [`CongControl`] *how fast a message may inject packets*.  The controller
+//! sees the same feedback a real NIC would — cumulative ACKs with an
+//! ECN-echo bit, and NACK- or timeout-triggered go-back-N rewinds — and
+//! answers with a pacing rate and a window, both of which the sender honors
+//! jointly (a packet is injected only when the window has room *and* the
+//! pacing clock allows it).
 //!
 //! * [`Dcqcn`] — a DCQCN-style rate-based algorithm (the de-facto standard
 //!   for RoCEv2 fabrics): multiplicative decrease driven by an EWMA of the
@@ -19,53 +18,20 @@
 //!   Useful as a control: any divergence between the two under the same
 //!   workload is attributable to congestion control, not to the fabric.
 //!
-//! Algorithms are deterministic by construction: they may only consult the
-//! virtual clock passed to their callbacks, never wall-clock time or
-//! unseeded randomness, so a run fingerprints identically across repeats.
+//! Both are deterministic by construction: they consult only the virtual
+//! clock passed to them, never wall-clock time or unseeded randomness, so a
+//! run fingerprints identically across repeats.
 
-/// Per-message congestion-control state machine.
-///
-/// One instance exists per in-flight message; the packet fabric calls the
-/// feedback methods as ACKs and NACKs arrive and consults [`CongAlg::rate`]
-/// and [`CongAlg::window`] before each injection.  All times are virtual
-/// seconds from the simulation clock.
-pub trait CongAlg: std::fmt::Debug + Send {
-    /// Current pacing rate in bytes/second.  `f64::INFINITY` means
-    /// "line rate": the sender is limited only by its window and the
-    /// first-hop queue.
-    fn rate(&self) -> f64;
-
-    /// Current window in bytes: the maximum volume of unacknowledged data
-    /// the sender may keep in flight.  `u64::MAX` means unwindowed.
-    fn window(&self) -> u64;
-
-    /// A cumulative ACK advanced the message by `acked_bytes`; `marked` is
-    /// true when the receiver echoed an ECN congestion-experienced mark for
-    /// the acknowledged span.
-    fn on_ack(&mut self, now: f64, acked_bytes: u64, marked: bool);
-
-    /// The receiver reported a sequence gap (NACK) and the sender performed
-    /// a go-back-N rewind.
-    fn on_loss(&mut self, now: f64);
+/// The congestion-control algorithm a packet fabric applies to every message.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum CongControl {
+    /// Rate-based DCQCN (see [`Dcqcn`]).
+    Dcqcn(Dcqcn),
+    /// Constant window at line rate (see [`FixedWindow`]).
+    FixedWindow(FixedWindow),
 }
 
-/// Factory for per-message [`CongAlg`] instances.
-///
-/// The fabric holds one `CongControl` (shared across all messages of a run)
-/// and asks it for a fresh controller whenever a message is injected, handing
-/// it the line rate of the message's first hop so rate-based algorithms know
-/// their ceiling.
-pub trait CongControl: std::fmt::Debug + Send + Sync {
-    /// Short algorithm name, used in [`Debug`](std::fmt::Debug) output and
-    /// figure labels (e.g. `"dcqcn"`).
-    fn name(&self) -> &'static str;
-
-    /// Build the controller for one new message whose first hop serializes
-    /// at `line_rate` bytes/second.
-    fn new_flow(&self, line_rate: f64) -> Box<dyn CongAlg>;
-}
-
-/// DCQCN-style rate-based congestion control (factory).
+/// DCQCN-style rate-based congestion control parameters.
 ///
 /// The shipped parameters follow the published algorithm's shape — an EWMA
 /// `alpha` of the mark fraction drives multiplicative decrease, recovery
@@ -73,16 +39,7 @@ pub trait CongControl: std::fmt::Debug + Send + Sync {
 /// probes upward — with the timer-driven pieces re-expressed on ACK arrival
 /// so the fabric needs no extra timer events: elapsed virtual time between
 /// ACKs is converted into the equivalent number of update periods.
-///
-/// ```
-/// use ec_netsim::congcontrol::{CongControl, Dcqcn};
-/// let cc = Dcqcn::default();
-/// let mut flow = cc.new_flow(12.5e9);
-/// assert_eq!(flow.rate(), 12.5e9); // starts at line rate
-/// flow.on_ack(1.0e-3, 4096, true); // ECN mark => multiplicative decrease
-/// assert!(flow.rate() < 12.5e9);
-/// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Dcqcn {
     /// EWMA gain for the mark-fraction estimate (the paper's `g`).
     pub gain: f64,
@@ -101,21 +58,17 @@ impl Default for Dcqcn {
     }
 }
 
-impl CongControl for Dcqcn {
-    fn name(&self) -> &'static str {
-        "dcqcn"
-    }
+/// Fixed-window baseline: a constant window of `window_bytes` (at least one
+/// byte), line-rate pacing, and no reaction to ECN marks or losses.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FixedWindow {
+    /// Window size in bytes (unacknowledged data cap per message).
+    pub window_bytes: u64,
+}
 
-    fn new_flow(&self, line_rate: f64) -> Box<dyn CongAlg> {
-        Box::new(DcqcnFlow {
-            params: self.clone(),
-            line_rate,
-            rate: line_rate,
-            target: line_rate,
-            alpha: 1.0,
-            stage: 0,
-            last_event: f64::NEG_INFINITY,
-        })
+impl Default for FixedWindow {
+    fn default() -> Self {
+        Self { window_bytes: 64 * 4096 }
     }
 }
 
@@ -123,10 +76,11 @@ impl CongControl for Dcqcn {
 /// additive increase starts probing above it.
 const DCQCN_RECOVERY_STAGES: u32 = 5;
 
-/// Per-message DCQCN state (see [`Dcqcn`]).
-#[derive(Debug)]
-struct DcqcnFlow {
-    params: Dcqcn,
+/// Per-message controller state.  Only [`Dcqcn`] reads or moves it; a fixed
+/// window has no state beyond its parameter.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CcState {
+    /// Serialization rate of the message's first hop (bytes/s): the ceiling.
     line_rate: f64,
     /// Current sending rate (bytes/s).
     rate: f64,
@@ -140,113 +94,80 @@ struct DcqcnFlow {
     last_event: f64,
 }
 
-impl DcqcnFlow {
-    /// Run `n` update periods of alpha decay and rate recovery/increase.
-    fn advance_periods(&mut self, n: u32) {
-        for _ in 0..n {
-            self.alpha *= 1.0 - self.params.gain;
-            self.stage = self.stage.saturating_add(1);
-            if self.stage > DCQCN_RECOVERY_STAGES {
-                self.target = (self.target + self.params.rate_ai).min(self.line_rate);
-            }
-            self.rate = ((self.rate + self.target) / 2.0).min(self.line_rate);
-        }
+impl CcState {
+    /// State of a new message whose first hop serializes at `line_rate`
+    /// bytes/second; it starts sending at line rate.
+    pub(crate) fn new(line_rate: f64) -> Self {
+        Self { line_rate, rate: line_rate, target: line_rate, alpha: 1.0, stage: 0, last_event: f64::NEG_INFINITY }
     }
 }
 
-impl CongAlg for DcqcnFlow {
-    fn rate(&self) -> f64 {
-        self.rate
+impl CongControl {
+    /// Current pacing rate in bytes/second.  `f64::INFINITY` means "line
+    /// rate": the sender is limited only by its window and the first-hop
+    /// queue.
+    pub(crate) fn rate(&self, s: &CcState) -> f64 {
+        match self {
+            CongControl::Dcqcn(_) => s.rate,
+            CongControl::FixedWindow(_) => f64::INFINITY,
+        }
     }
 
-    fn window(&self) -> u64 {
-        u64::MAX
+    /// Current window in bytes: the maximum volume of unacknowledged data
+    /// the sender may keep in flight.  `u64::MAX` means unwindowed.
+    pub(crate) fn window(&self) -> u64 {
+        match self {
+            CongControl::Dcqcn(_) => u64::MAX,
+            CongControl::FixedWindow(w) => w.window_bytes.max(1),
+        }
     }
 
-    fn on_ack(&mut self, now: f64, _acked_bytes: u64, marked: bool) {
-        if self.last_event == f64::NEG_INFINITY {
-            self.last_event = now;
+    /// A cumulative ACK reached the sender at `now`; `marked` is true when
+    /// the receiver echoed an ECN congestion-experienced mark for the
+    /// acknowledged span.
+    pub(crate) fn on_ack(&self, s: &mut CcState, now: f64, marked: bool) {
+        let CongControl::Dcqcn(p) = self else { return };
+        if s.last_event == f64::NEG_INFINITY {
+            s.last_event = now;
         }
         // Convert elapsed virtual time into whole update periods; the
         // fractional remainder stays banked in `last_event`.
-        let elapsed = (now - self.last_event).max(0.0);
-        let periods = (elapsed / self.params.period) as u32;
+        let elapsed = (now - s.last_event).max(0.0);
+        let periods = (elapsed / p.period) as u32;
         if periods > 0 {
-            self.advance_periods(periods.min(10_000));
-            self.last_event += f64::from(periods) * self.params.period;
+            // Alpha decay and rate recovery/increase, once per period.
+            for _ in 0..periods.min(10_000) {
+                s.alpha *= 1.0 - p.gain;
+                s.stage = s.stage.saturating_add(1);
+                if s.stage > DCQCN_RECOVERY_STAGES {
+                    s.target = (s.target + p.rate_ai).min(s.line_rate);
+                }
+                s.rate = ((s.rate + s.target) / 2.0).min(s.line_rate);
+            }
+            s.last_event += f64::from(periods) * p.period;
         }
         if marked {
             // Cut: remember where we were, decrease by the estimated
             // congestion level, restart recovery.
-            self.alpha = (1.0 - self.params.gain) * self.alpha + self.params.gain;
-            self.target = self.rate;
-            self.rate = (self.rate * (1.0 - self.alpha / 2.0)).max(self.params.min_rate);
-            self.stage = 0;
-            self.last_event = now;
+            s.alpha = (1.0 - p.gain) * s.alpha + p.gain;
+            s.target = s.rate;
+            s.rate = (s.rate * (1.0 - s.alpha / 2.0)).max(p.min_rate);
+            s.stage = 0;
+            s.last_event = now;
         }
     }
 
-    fn on_loss(&mut self, now: f64) {
+    /// The sender performed a go-back-N rewind at `now` (a NACK reported a
+    /// sequence gap, or the retransmission timer fired).
+    pub(crate) fn on_loss(&self, s: &mut CcState, now: f64) {
+        let CongControl::Dcqcn(p) = self else { return };
         // Losses are a stronger signal than marks: treat as a full-alpha cut.
-        self.alpha = 1.0;
-        self.target = self.rate;
-        self.rate = (self.rate / 2.0).max(self.params.min_rate);
-        self.stage = 0;
-        self.last_event = now;
+        s.alpha = 1.0;
+        s.target = s.rate;
+        s.rate = (s.rate / 2.0).max(p.min_rate);
+        s.stage = 0;
+        s.last_event = now;
     }
-}
-
-/// Fixed-window baseline (factory): a constant window of `packets * mtu`
-/// bytes, line-rate pacing, and no reaction to ECN marks or losses.
-///
-/// ```
-/// use ec_netsim::congcontrol::{CongControl, FixedWindow};
-/// let cc = FixedWindow { window_bytes: 16 * 4096 };
-/// let mut flow = cc.new_flow(12.5e9);
-/// assert_eq!(flow.window(), 16 * 4096);
-/// flow.on_ack(0.0, 4096, true); // marks are ignored
-/// assert_eq!(flow.rate(), f64::INFINITY);
-/// ```
-#[derive(Debug, Clone)]
-pub struct FixedWindow {
-    /// Window size in bytes (unacknowledged data cap per message).
-    pub window_bytes: u64,
-}
-
-impl Default for FixedWindow {
-    fn default() -> Self {
-        Self { window_bytes: 64 * 4096 }
-    }
-}
-
-impl CongControl for FixedWindow {
-    fn name(&self) -> &'static str {
-        "fixed-window"
-    }
-
-    fn new_flow(&self, _line_rate: f64) -> Box<dyn CongAlg> {
-        Box::new(FixedWindowFlow { window: self.window_bytes.max(1) })
-    }
-}
-
-/// Per-message state for [`FixedWindow`] (no state beyond the window).
-#[derive(Debug)]
-struct FixedWindowFlow {
-    window: u64,
-}
-
-impl CongAlg for FixedWindowFlow {
-    fn rate(&self) -> f64 {
-        f64::INFINITY
-    }
-
-    fn window(&self) -> u64 {
-        self.window
-    }
-
-    fn on_ack(&mut self, _now: f64, _acked_bytes: u64, _marked: bool) {}
-
-    fn on_loss(&mut self, _now: f64) {}
 }
 
 #[cfg(test)]
@@ -255,64 +176,69 @@ mod tests {
 
     #[test]
     fn dcqcn_starts_at_line_rate_and_cuts_on_marks() {
-        let cc = Dcqcn::default();
-        let mut f = cc.new_flow(1e9);
-        assert_eq!(f.rate(), 1e9);
-        f.on_ack(0.0, 4096, true);
-        let after_one = f.rate();
-        assert!(after_one < 1e9, "a mark must cut the rate, got {after_one}");
-        f.on_ack(1e-6, 4096, true);
-        assert!(f.rate() < after_one, "successive marks keep cutting");
-        assert!(f.rate() >= cc.min_rate, "cuts respect the floor");
+        let p = Dcqcn::default();
+        let cc = CongControl::Dcqcn(p);
+        assert_eq!(cc.window(), u64::MAX, "DCQCN is rate-based, not windowed");
+        for (line_rate, first_mark) in [(1e9, 0.0), (12.5e9, 1.0e-3)] {
+            let mut s = CcState::new(line_rate);
+            assert_eq!(cc.rate(&s), line_rate);
+            cc.on_ack(&mut s, first_mark, true);
+            let after_one = cc.rate(&s);
+            assert!(after_one < line_rate, "a mark must cut the rate, got {after_one}");
+            cc.on_ack(&mut s, first_mark + 1e-6, true);
+            assert!(cc.rate(&s) < after_one, "successive marks keep cutting");
+            assert!(cc.rate(&s) >= p.min_rate, "cuts respect the floor");
+        }
     }
 
     #[test]
     fn dcqcn_recovers_toward_line_rate_after_marks_stop() {
-        let cc = Dcqcn::default();
-        let mut f = cc.new_flow(1e9);
-        f.on_ack(0.0, 4096, true);
-        let cut = f.rate();
+        let p = Dcqcn::default();
+        let (cc, mut s) = (CongControl::Dcqcn(p), CcState::new(1e9));
+        cc.on_ack(&mut s, 0.0, true);
+        let cut = cc.rate(&s);
         // A long quiet stretch of unmarked ACKs: recovery halves back to the
         // target, additive increase then pushes the target upward.
         let mut t = 0.0;
         for _ in 0..200 {
-            t += cc.period;
-            f.on_ack(t, 4096, false);
+            t += p.period;
+            cc.on_ack(&mut s, t, false);
         }
-        assert!(f.rate() > cut, "rate must recover after marks stop: {} vs {cut}", f.rate());
-        assert!(f.rate() <= 1e9, "never exceeds line rate");
+        assert!(cc.rate(&s) > cut, "rate must recover after marks stop: {} vs {cut}", cc.rate(&s));
+        assert!(cc.rate(&s) <= 1e9, "never exceeds line rate");
     }
 
     #[test]
     fn dcqcn_loss_halves_the_rate() {
-        let cc = Dcqcn::default();
-        let mut f = cc.new_flow(1e9);
-        f.on_loss(0.0);
-        assert_eq!(f.rate(), 0.5e9);
+        let (cc, mut s) = (CongControl::Dcqcn(Dcqcn::default()), CcState::new(1e9));
+        cc.on_loss(&mut s, 0.0);
+        assert_eq!(cc.rate(&s), 0.5e9);
     }
 
     #[test]
     fn dcqcn_is_deterministic() {
-        let cc = Dcqcn::default();
-        let mut a = cc.new_flow(1e9);
-        let mut b = cc.new_flow(1e9);
+        let cc = CongControl::Dcqcn(Dcqcn::default());
+        let (mut a, mut b) = (CcState::new(1e9), CcState::new(1e9));
         for i in 0..50 {
             let t = f64::from(i) * 20e-6;
             let marked = i % 7 == 0;
-            a.on_ack(t, 4096, marked);
-            b.on_ack(t, 4096, marked);
+            cc.on_ack(&mut a, t, marked);
+            cc.on_ack(&mut b, t, marked);
         }
-        assert_eq!(a.rate(), b.rate());
+        assert_eq!(cc.rate(&a), cc.rate(&b));
     }
 
     #[test]
     fn fixed_window_ignores_feedback() {
-        let cc = FixedWindow { window_bytes: 8192 };
-        let mut f = cc.new_flow(1e9);
-        f.on_ack(0.0, 4096, true);
-        f.on_loss(1.0);
-        assert_eq!(f.window(), 8192);
-        assert_eq!(f.rate(), f64::INFINITY);
-        assert_eq!(cc.name(), "fixed-window");
+        for window_bytes in [8192, 16 * 4096] {
+            let (cc, mut s) = (CongControl::FixedWindow(FixedWindow { window_bytes }), CcState::new(12.5e9));
+            assert_eq!(cc.window(), window_bytes);
+            cc.on_ack(&mut s, 0.0, true);
+            cc.on_loss(&mut s, 1.0);
+            assert_eq!(cc.window(), window_bytes);
+            assert_eq!(cc.rate(&s), f64::INFINITY);
+        }
+        let empty = CongControl::FixedWindow(FixedWindow { window_bytes: 0 });
+        assert_eq!(empty.window(), 1, "a zero window still admits one packet");
     }
 }

@@ -10,7 +10,7 @@ use crate::cluster::{ClusterSpec, NodeId, RankId};
 use crate::cost::CostModel;
 use crate::fabric::{Fabric, FlowId};
 use crate::metrics::EngineMetrics;
-use crate::packet::PacketFabric;
+use crate::packet::{PacketConfig, PacketFabric};
 use crate::report::LinkStats;
 use crate::scenario::ScenarioInstance;
 use crate::topology::TopologyError;
@@ -134,16 +134,13 @@ impl NetSim {
                 cluster: cluster.nodes,
             }));
         }
-        if let Some(config) = packet {
-            config.validate().map_err(SimError::BadPacketConfig)?;
-        }
         if topology.is_contention_free() {
+            // The alpha-beta fallback builds no packet fabric to check it.
+            packet.map_or(Ok(()), PacketConfig::validate).map_err(SimError::BadPacketConfig)?;
             return Ok(None);
         }
         Ok(Some(match packet {
-            Some(config) => {
-                NetSim::Packet(Box::new(PacketFabric::new(topology, config.clone()).map_err(SimError::BadTopology)?))
-            }
+            Some(config) => NetSim::Packet(Box::new(PacketFabric::new(topology, *config)?)),
             None => NetSim::Flow(Box::new(Fabric::new(topology.clone()).map_err(SimError::BadTopology)?)),
         }))
     }

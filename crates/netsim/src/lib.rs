@@ -78,7 +78,7 @@ pub mod validate;
 pub use analyze::{analyze, analyze_compiled, AnalysisError, AnalysisReport, BlockedWait};
 pub use cluster::{ClusterSpec, NodeId, RankId};
 pub use compiled::{CompiledProgram, IdsRef, MemoryStats, OpView, RankOps};
-pub use congcontrol::{CongAlg, CongControl, Dcqcn, FixedWindow};
+pub use congcontrol::{CongControl, Dcqcn, FixedWindow};
 pub use cost::{CostModel, Protocol};
 pub use critpath::{Category, CategoryBreakdown, CriticalPath, PathSegment, SegmentKind};
 pub use engine::{Engine, SimError};

@@ -14,7 +14,7 @@
 //!
 //! * Messages are segmented into MTU packets at the sender and injected
 //!   subject to the congestion controller's window and pacing rate
-//!   ([`crate::congcontrol::CongAlg`]); the sender's own egress queue never
+//!   ([`PacketConfig::cc`]); the sender's own egress queue never
 //!   drops — injection stalls until the NIC queue has room.
 //! * Every directed link owns one FIFO egress queue at its upstream device;
 //!   packets are forwarded store-and-forward: serialize (`bytes/capacity`),
@@ -67,15 +67,15 @@
 //! ```
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 use crate::calendar::{CalendarQueue, Timed};
 use crate::cluster::NodeId;
-use crate::congcontrol::{CongAlg, CongControl, Dcqcn};
+use crate::congcontrol::{CcState, CongControl, Dcqcn};
 use crate::fabric::{FlowId, LinkUsage};
 use crate::routing::RoutingTable;
 use crate::scenario::SplitMix64;
-use crate::topology::{EndpointId, LinkId, Topology, TopologyError};
+use crate::topology::{EndpointId, LinkId, Topology};
+use crate::SimError;
 
 /// PFC pause/resume thresholds, in bytes of egress-queue occupancy.
 ///
@@ -103,7 +103,7 @@ pub struct LossConfig {
 }
 
 /// Configuration for the per-packet fabric backend.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PacketConfig {
     /// Maximum payload per packet (bytes).
     pub mtu: u32,
@@ -124,7 +124,7 @@ pub struct PacketConfig {
     /// Seeded random loss at the delivery point; `None` for no injected loss.
     pub loss: Option<LossConfig>,
     /// Congestion-control algorithm applied per message.
-    pub cc: Arc<dyn CongControl>,
+    pub cc: CongControl,
 }
 
 impl Default for PacketConfig {
@@ -140,7 +140,7 @@ impl Default for PacketConfig {
             hop_latency: 500e-9,
             rto: 1e-3,
             loss: None,
-            cc: Arc::new(Dcqcn::default()),
+            cc: CongControl::Dcqcn(Dcqcn::default()),
         }
     }
 }
@@ -153,7 +153,7 @@ impl PacketConfig {
     }
 
     /// Same configuration with a different congestion controller.
-    pub fn with_cc(mut self, cc: Arc<dyn CongControl>) -> Self {
+    pub fn with_cc(mut self, cc: CongControl) -> Self {
         self.cc = cc;
         self
     }
@@ -343,7 +343,7 @@ struct Msg {
     /// Receiver-side ECN echo pending for the next ACK.
     marked_pending: bool,
     attempt: u32,
-    cc: Box<dyn CongAlg>,
+    cc: CcState,
     /// Pacing clock: earliest time the next packet may be injected.
     next_allowed: f64,
     send_scheduled: bool,
@@ -356,7 +356,6 @@ struct Msg {
     /// Contention-free completion time: store-and-forward pipeline fill plus
     /// draining the payload at the path bottleneck.
     wire_ideal: f64,
-    retransmits: u64,
     done: bool,
 }
 
@@ -401,18 +400,13 @@ pub struct PacketFabric {
 
 impl PacketFabric {
     /// Build a packet fabric over `topology` (routes are computed once, as
-    /// for the flow-level fabric).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config` fails [`PacketConfig::validate`]; the engine
-    /// validates configurations before construction and reports a
-    /// [`SimError`](crate::SimError) instead.
-    pub fn new(topology: &Topology, config: PacketConfig) -> Result<Self, TopologyError> {
-        if let Err(e) = config.validate() {
-            panic!("invalid PacketConfig: {e}");
-        }
-        let routing = RoutingTable::new(topology)?;
+    /// for the flow-level fabric).  Fails with
+    /// [`SimError::BadPacketConfig`] if `config` fails
+    /// [`PacketConfig::validate`], and with [`SimError::BadTopology`] if the
+    /// topology cannot be routed.
+    pub fn new(topology: &Topology, config: PacketConfig) -> Result<Self, SimError> {
+        config.validate().map_err(SimError::BadPacketConfig)?;
+        let routing = RoutingTable::new(topology).map_err(SimError::BadTopology)?;
         let links: Vec<PLink> = topology
             .links()
             .iter()
@@ -534,7 +528,7 @@ impl PacketFabric {
         path.clear();
         self.routing.path_into(&self.topology, src, dst, &mut path);
         debug_assert!(!path.is_empty(), "inter-node paths traverse at least one link");
-        let line_rate = self.links[path[0]].capacity;
+        let cc = CcState::new(self.links[path[0]].capacity);
         let min_cap = path.iter().map(|&l| self.links[l].capacity).fold(f64::INFINITY, f64::min);
         let first = (wire_bytes.min(self.mtu)) as f64;
         let mut wire_ideal = (wire_bytes as f64 - first) / min_cap;
@@ -552,7 +546,7 @@ impl PacketFabric {
             nack_armed: true,
             marked_pending: false,
             attempt: 0,
-            cc: self.cfg.cc.new_flow(line_rate),
+            cc,
             next_allowed: now,
             send_scheduled: true,
             stalled: false,
@@ -561,7 +555,6 @@ impl PacketFabric {
             injected: now,
             complete_time: 0.0,
             wire_ideal,
-            retransmits: 0,
             done: false,
         };
         match self.msgs.get_mut(id as usize) {
@@ -693,7 +686,7 @@ impl PacketFabric {
                 if m.done || m.next_seq >= m.pkts {
                     return;
                 }
-                let window = m.cc.window().max(self.mtu);
+                let window = self.cfg.cc.window().max(self.mtu);
                 let in_flight = u64::from(m.next_seq - m.acked) * self.mtu;
                 if in_flight >= window {
                     return; // window full: an ACK will re-poke us
@@ -721,7 +714,7 @@ impl PacketFabric {
                 let pkt =
                     Pkt { msg: id, gen: m.gen, seq_no: m.next_seq, bytes, hop: 0, ecn: false, attempt: m.attempt };
                 m.next_seq += 1;
-                let rate = m.cc.rate();
+                let rate = self.cfg.cc.rate(&m.cc);
                 if rate.is_finite() && rate > 0.0 {
                     m.next_allowed = m.next_allowed.max(now) + f64::from(bytes) / rate;
                 }
@@ -941,17 +934,13 @@ impl PacketFabric {
             if m.gen != gen || m.done {
                 return;
             }
-            let newly = acked.saturating_sub(m.acked);
             m.acked = m.acked.max(acked);
-            let acked_bytes = u64::from(newly) * u64::from(self.cfg.mtu);
-            m.cc.on_ack(now, acked_bytes, marked);
+            self.cfg.cc.on_ack(&mut m.cc, now, marked);
             if nack && m.acked < m.next_seq {
-                let rewound = u64::from(m.next_seq - m.acked);
-                m.retransmits += rewound;
-                self.totals.retransmits += rewound;
+                self.totals.retransmits += u64::from(m.next_seq - m.acked);
                 m.next_seq = m.acked;
                 m.attempt += 1;
-                m.cc.on_loss(now);
+                self.cfg.cc.on_loss(&mut m.cc, now);
             }
         }
         self.try_send(id, now);
@@ -971,12 +960,10 @@ impl PacketFabric {
                 return; // nothing outstanding; the next injection re-arms
             }
             if m.acked == m.rto_snapshot {
-                let rewound = u64::from(m.next_seq - m.acked);
-                m.retransmits += rewound;
-                self.totals.retransmits += rewound;
+                self.totals.retransmits += u64::from(m.next_seq - m.acked);
                 m.next_seq = m.acked;
                 m.attempt += 1;
-                m.cc.on_loss(now);
+                self.cfg.cc.on_loss(&mut m.cc, now);
             }
         }
         self.try_send(id, now);
@@ -1114,7 +1101,7 @@ mod tests {
         let mut cfg = PacketConfig::lossy();
         cfg.queue_capacity = 8 * u64::from(cfg.mtu); // tiny switch buffers
         cfg.ecn_threshold = None;
-        cfg.cc = Arc::new(FixedWindow { window_bytes: 64 * 4096 });
+        cfg.cc = CongControl::FixedWindow(FixedWindow { window_bytes: 64 * 4096 });
         let topo = Topology::single_switch(8, 1e9);
         let mut f = PacketFabric::new(&topo, cfg).unwrap();
         for src in 1..8 {

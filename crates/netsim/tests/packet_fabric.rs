@@ -8,11 +8,9 @@
 //! through a non-blocking switch) their makespans must agree to within the
 //! store-and-forward overhead of packetization.
 
-use std::sync::Arc;
-
 use ec_netsim::{
-    ClusterSpec, CostModel, Dcqcn, Engine, FixedWindow, LossConfig, PacketConfig, PacketFabric, PfcConfig,
-    ProgramBuilder, Topology,
+    ClusterSpec, CongControl, CostModel, Dcqcn, Engine, FixedWindow, LossConfig, PacketConfig, PacketFabric, PfcConfig,
+    ProgramBuilder, SimError, Topology,
 };
 use proptest::prelude::*;
 
@@ -112,8 +110,8 @@ fn packet_agrees_with_flow_on_ring() {
 
 #[test]
 fn packet_agrees_with_flow_under_fixed_window() {
-    let cfg = PacketConfig::default().with_cc(Arc::new(FixedWindow::default()));
-    assert_backends_agree(&ring_program(16, 1 << 20), 16, cfg.clone(), 0.05, "ring, p=16, fixed-window");
+    let cfg = PacketConfig::default().with_cc(CongControl::FixedWindow(FixedWindow::default()));
+    assert_backends_agree(&ring_program(16, 1 << 20), 16, cfg, 0.05, "ring, p=16, fixed-window");
     assert_backends_agree(&disjoint_pairs_program(32, 1 << 20), 32, cfg, 0.05, "pairs, p=32, fixed-window");
 }
 
@@ -130,6 +128,29 @@ fn packet_backend_fingerprint_is_deterministic() {
     assert_eq!(a.fingerprint(), b.fingerprint(), "repeat packet runs must fingerprint identically");
     assert_eq!(a.links, b.links, "per-link packet counters must be deterministic");
     assert!(a.links.iter().map(|l| l.packets).sum::<u64>() > 0, "links must carry packet counts");
+}
+
+#[test]
+fn engine_reports_a_bad_packet_config_as_an_error() {
+    // A real fabric and the contention-free fallback both reject the config.
+    let bad = PacketConfig { mtu: 0, ..PacketConfig::default() };
+    for topo in [Topology::single_switch(4, 12.5e9), Topology::contention_free(4)] {
+        let err = Engine::new(ClusterSpec::homogeneous(4, 1), CostModel::skylake_fdr())
+            .with_packet_network(topo, bad)
+            .run(&ring_program(4, 4096))
+            .unwrap_err();
+        assert!(matches!(err, SimError::BadPacketConfig(_)), "got {err:?}");
+    }
+}
+
+#[test]
+fn packet_fabric_new_returns_typed_errors_instead_of_panicking() {
+    let topo = Topology::single_switch(4, 12.5e9);
+    let err = PacketFabric::new(&topo, PacketConfig { mtu: 0, ..PacketConfig::default() }).unwrap_err();
+    assert!(matches!(err, SimError::BadPacketConfig(_)), "got {err:?}");
+    let disconnected = Topology::custom("island", 2, 0, Vec::new());
+    let err = PacketFabric::new(&disconnected, PacketConfig::default()).unwrap_err();
+    assert!(matches!(err, SimError::BadTopology(_)), "got {err:?}");
 }
 
 /// Strategy: a small incast/spread flow set on a single-switch topology,
@@ -169,7 +190,7 @@ proptest! {
     fn packets_are_conserved_under_loss(set in flow_set(), seed in 0u64..u64::MAX) {
         let (nodes, flows) = set;
         let topo = Topology::single_switch(nodes, 12.5e9);
-        let mut cfg = PacketConfig::lossy().with_cc(Arc::new(FixedWindow::default()));
+        let mut cfg = PacketConfig::lossy().with_cc(CongControl::FixedWindow(FixedWindow::default()));
         cfg.queue_capacity = 8 * u64::from(cfg.mtu);
         cfg.loss = Some(LossConfig { rate: 0.02, seed });
         let mut fabric = build(&topo, cfg, &flows);
@@ -217,7 +238,7 @@ proptest! {
             let finish = drain(&mut fabric, flows.len(), 0.0);
             (finish, *fabric.totals(), fabric.packet_usage().to_vec())
         };
-        let (ta, a, ua) = run(cfg.clone());
+        let (ta, a, ua) = run(cfg);
         let (tb, b, ub) = run(cfg);
         prop_assert_eq!(ta.to_bits(), tb.to_bits(), "finish times must be bit-identical");
         prop_assert_eq!(a, b, "totals must be identical");
@@ -284,9 +305,10 @@ fn dcqcn_throttles_the_incast_sender_rate() {
     let topo = Topology::fat_tree(16, 4, 4.0, 12.5e9);
     let flows: Vec<_> = (1..16).map(|src| (src, 0usize, GIB / 2048)).collect();
 
-    let mut dcqcn = build(&topo, PacketConfig::default().with_cc(Arc::new(Dcqcn::default())), &flows);
+    let mut dcqcn = build(&topo, PacketConfig::default().with_cc(CongControl::Dcqcn(Dcqcn::default())), &flows);
     drain(&mut dcqcn, flows.len(), 0.0);
-    let mut fixed = build(&topo, PacketConfig::default().with_cc(Arc::new(FixedWindow::default())), &flows);
+    let mut fixed =
+        build(&topo, PacketConfig::default().with_cc(CongControl::FixedWindow(FixedWindow::default())), &flows);
     drain(&mut fixed, flows.len(), 0.0);
 
     let (d, f) = (dcqcn.totals(), fixed.totals());

@@ -19,6 +19,7 @@
 //!   exchange.  Multi-writer (every rank receives from `log2 p` partners),
 //!   so it exercises the strict event-loop engine at scale.
 
+use crate::ssp_scale::{push_rank_ops, SspScaleConfig};
 use ec_netsim::{Op, ProgramSource};
 
 /// A fixed window of pipelined ring-allreduce steps: `rounds` scatter-reduce
@@ -77,16 +78,12 @@ impl ProgramSource for WindowedRingSource {
 /// the slack window — consumes one (possibly stale) contribution per partner
 /// and folds it in.
 ///
-/// Identical to `ssp_scale_program` with jitter and hiccups disabled, which
-/// makes every rank's stream byte-identical and lets the arena store it
-/// once.  The equivalence is asserted by a test below.
+/// It runs `ssp_scale_program`'s per-rank generator with jitter and hiccups
+/// at zero, which makes every rank's stream byte-identical and lets the
+/// arena store it once.
 #[derive(Debug, Clone, Copy)]
 pub struct UniformSspSource {
-    workers: usize,
-    slack: usize,
-    iterations: usize,
-    bytes: u64,
-    compute: f64,
+    cfg: SspScaleConfig,
 }
 
 impl UniformSspSource {
@@ -98,29 +95,25 @@ impl UniformSspSource {
     pub fn new(workers: usize, slack: usize, iterations: usize, bytes: u64, compute: f64) -> Self {
         assert!(workers >= 2 && workers.is_power_of_two(), "workers must be a power of two >= 2");
         assert!(bytes > 0, "per-partner payload must be non-empty");
-        Self { workers, slack, iterations, bytes, compute }
+        let cfg = SspScaleConfig {
+            iterations,
+            bytes,
+            compute,
+            jitter: 0.0,
+            hiccup_prob: 0.0,
+            ..SspScaleConfig::new(workers, slack)
+        };
+        Self { cfg }
     }
 }
 
 impl ProgramSource for UniformSspSource {
     fn num_ranks(&self) -> usize {
-        self.workers
+        self.cfg.workers
     }
 
     fn rank_ops(&self, rank: usize, out: &mut Vec<Op>) {
-        let dims = self.workers.trailing_zeros() as usize;
-        for iter in 0..self.iterations {
-            out.push(Op::Compute { seconds: self.compute });
-            for d in 0..dims {
-                out.push(Op::PutNotify { dst: rank ^ (1 << d), bytes: self.bytes, notify: d as u32 });
-            }
-            if iter >= self.slack {
-                for d in 0..dims {
-                    out.push(Op::WaitNotify { ids: vec![d as u32] });
-                    out.push(Op::Reduce { bytes: self.bytes });
-                }
-            }
-        }
+        push_rank_ops(&self.cfg, rank, out);
     }
 }
 

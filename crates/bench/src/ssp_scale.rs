@@ -28,10 +28,10 @@
 //! * **persistent heterogeneity** injected by the engine's
 //!   [`Scenario`] layer: per-node speed factors, slow nodes, link jitter.
 
-use ec_netsim::{Program, ProgramBuilder, Scenario, SplitMix64};
+use ec_netsim::{Op, Program, RankProgram, Scenario, SplitMix64};
 
 /// Parameters of one simulated SSP run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SspScaleConfig {
     /// Number of simulated workers (must be a power of two >= 2).
     pub workers: usize,
@@ -90,31 +90,41 @@ pub fn fig14_scenario(seed: u64) -> Scenario {
 pub fn ssp_scale_program(cfg: &SspScaleConfig) -> Program {
     assert!(cfg.workers >= 2 && cfg.workers.is_power_of_two(), "workers must be a power of two >= 2");
     assert!(cfg.bytes > 0, "per-partner payload must be non-empty");
+    let ranks = (0..cfg.workers)
+        .map(|rank| {
+            let mut ops = Vec::new();
+            push_rank_ops(cfg, rank, &mut ops);
+            RankProgram { ops }
+        })
+        .collect();
+    Program { ranks }
+}
+
+/// Append rank `rank`'s op stream of the program [`ssp_scale_program`]
+/// builds for `cfg` to `out`.  With `jitter` and `hiccup_prob` at zero every
+/// compute op lasts exactly `compute` and all ranks' streams are alike.
+pub(crate) fn push_rank_ops(cfg: &SspScaleConfig, rank: usize, out: &mut Vec<Op>) {
     let dims = cfg.workers.trailing_zeros() as usize;
-    let mut b = ProgramBuilder::new(cfg.workers);
-    for rank in 0..cfg.workers {
-        // One independent deterministic stream per rank.
-        let mut rng = SplitMix64::new(cfg.seed ^ SplitMix64::mix(rank as u64 + 1));
-        for iter in 0..cfg.iterations {
-            let mut compute = cfg.compute * (1.0 + cfg.jitter * rng.next_symmetric_f64());
-            if rng.next_unit_f64() < cfg.hiccup_prob {
-                compute *= cfg.hiccup_factor;
-            }
-            b.compute(rank, compute);
+    // One independent deterministic stream per rank.
+    let mut rng = SplitMix64::new(cfg.seed ^ SplitMix64::mix(rank as u64 + 1));
+    for iter in 0..cfg.iterations {
+        let mut compute = cfg.compute * (1.0 + cfg.jitter * rng.next_symmetric_f64());
+        if rng.next_unit_f64() < cfg.hiccup_prob {
+            compute *= cfg.hiccup_factor;
+        }
+        out.push(Op::Compute { seconds: compute });
+        for d in 0..dims {
+            out.push(Op::PutNotify { dst: rank ^ (1 << d), bytes: cfg.bytes, notify: d as u32 });
+        }
+        if iter >= cfg.slack {
             for d in 0..dims {
-                b.put_notify(rank, rank ^ (1 << d), cfg.bytes, d as u32);
-            }
-            if iter >= cfg.slack {
-                for d in 0..dims {
-                    // Consumes the oldest unconsumed arrival of dimension d:
-                    // the partner's put from iteration `iter - slack`.
-                    b.wait_notify(rank, &[d as u32]);
-                    b.reduce(rank, cfg.bytes);
-                }
+                // Consumes the oldest unconsumed arrival of dimension d:
+                // the partner's put from iteration `iter - slack`.
+                out.push(Op::WaitNotify { ids: vec![d as u32] });
+                out.push(Op::Reduce { bytes: cfg.bytes });
             }
         }
     }
-    b.build()
 }
 
 #[cfg(test)]

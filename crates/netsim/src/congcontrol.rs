@@ -39,6 +39,15 @@ pub enum CongControl {
 /// probes upward — with the timer-driven pieces re-expressed on ACK arrival
 /// so the fabric needs no extra timer events: elapsed virtual time between
 /// ACKs is converted into the equivalent number of update periods.
+///
+/// ```
+/// use ec_netsim::congcontrol::{CcState, CongControl, Dcqcn};
+/// let cc = CongControl::Dcqcn(Dcqcn::default());
+/// let mut flow = CcState::new(12.5e9);
+/// assert_eq!(cc.rate(&flow), 12.5e9); // starts at line rate
+/// cc.on_ack(&mut flow, 1.0e-3, true); // ECN mark => multiplicative decrease
+/// assert!(cc.rate(&flow) < 12.5e9);
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Dcqcn {
     /// EWMA gain for the mark-fraction estimate (the paper's `g`).
@@ -60,6 +69,15 @@ impl Default for Dcqcn {
 
 /// Fixed-window baseline: a constant window of `window_bytes` (at least one
 /// byte), line-rate pacing, and no reaction to ECN marks or losses.
+///
+/// ```
+/// use ec_netsim::congcontrol::{CcState, CongControl, FixedWindow};
+/// let cc = CongControl::FixedWindow(FixedWindow { window_bytes: 16 * 4096 });
+/// let mut flow = CcState::new(12.5e9);
+/// assert_eq!(cc.window(), 16 * 4096);
+/// cc.on_ack(&mut flow, 0.0, true); // marks are ignored
+/// assert_eq!(cc.rate(&flow), f64::INFINITY);
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FixedWindow {
     /// Window size in bytes (unacknowledged data cap per message).
@@ -79,7 +97,7 @@ const DCQCN_RECOVERY_STAGES: u32 = 5;
 /// Per-message controller state.  Only [`Dcqcn`] reads or moves it; a fixed
 /// window has no state beyond its parameter.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct CcState {
+pub struct CcState {
     /// Serialization rate of the message's first hop (bytes/s): the ceiling.
     line_rate: f64,
     /// Current sending rate (bytes/s).
@@ -97,7 +115,7 @@ pub(crate) struct CcState {
 impl CcState {
     /// State of a new message whose first hop serializes at `line_rate`
     /// bytes/second; it starts sending at line rate.
-    pub(crate) fn new(line_rate: f64) -> Self {
+    pub fn new(line_rate: f64) -> Self {
         Self { line_rate, rate: line_rate, target: line_rate, alpha: 1.0, stage: 0, last_event: f64::NEG_INFINITY }
     }
 }
@@ -106,7 +124,7 @@ impl CongControl {
     /// Current pacing rate in bytes/second.  `f64::INFINITY` means "line
     /// rate": the sender is limited only by its window and the first-hop
     /// queue.
-    pub(crate) fn rate(&self, s: &CcState) -> f64 {
+    pub fn rate(&self, s: &CcState) -> f64 {
         match self {
             CongControl::Dcqcn(_) => s.rate,
             CongControl::FixedWindow(_) => f64::INFINITY,
@@ -115,7 +133,7 @@ impl CongControl {
 
     /// Current window in bytes: the maximum volume of unacknowledged data
     /// the sender may keep in flight.  `u64::MAX` means unwindowed.
-    pub(crate) fn window(&self) -> u64 {
+    pub fn window(&self) -> u64 {
         match self {
             CongControl::Dcqcn(_) => u64::MAX,
             CongControl::FixedWindow(w) => w.window_bytes.max(1),
@@ -125,7 +143,7 @@ impl CongControl {
     /// A cumulative ACK reached the sender at `now`; `marked` is true when
     /// the receiver echoed an ECN congestion-experienced mark for the
     /// acknowledged span.
-    pub(crate) fn on_ack(&self, s: &mut CcState, now: f64, marked: bool) {
+    pub fn on_ack(&self, s: &mut CcState, now: f64, marked: bool) {
         let CongControl::Dcqcn(p) = self else { return };
         if s.last_event == f64::NEG_INFINITY {
             s.last_event = now;
@@ -159,7 +177,7 @@ impl CongControl {
 
     /// The sender performed a go-back-N rewind at `now` (a NACK reported a
     /// sequence gap, or the retransmission timer fired).
-    pub(crate) fn on_loss(&self, s: &mut CcState, now: f64) {
+    pub fn on_loss(&self, s: &mut CcState, now: f64) {
         let CongControl::Dcqcn(p) = self else { return };
         // Losses are a stronger signal than marks: treat as a full-alpha cut.
         s.alpha = 1.0;

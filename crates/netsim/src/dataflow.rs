@@ -49,23 +49,24 @@
 //! strict engine: per-op `OpStart`/`OpEnd`, `MsgInjected` at launch,
 //! future-dated `NotifyVisible` arrivals with the exact queue/wire timing
 //! decomposition, and `BlockStart`/`BlockEnd` pairs for waits that would
-//! have blocked the strict engine.  Sequence numbers use the same two
-//! channels (own events per rank, arrival events per destination minted by
-//! the single writer), and every per-rank stream is recorded in time order,
-//! so the [`Trace`] reproduces the strict trace event-for-event without
-//! sorting anything.
+//! have blocked the strict engine.  Both paths record through one
+//! [`Recorder`], which mints every sequence number and flow id; a
+//! destination's arrivals are numbered in its single writer's program order,
+//! the order the strict engine schedules them.  Every per-rank stream is
+//! recorded in time order, so the [`Trace`](crate::Trace) reproduces the
+//! strict trace event-for-event without sorting anything.
 
 use std::collections::VecDeque;
 
 use crate::cluster::{ClusterSpec, RankId};
 use crate::compiled::{CompiledProgram, IdsRef, OpView};
 use crate::cost::CostModel;
-use crate::engine::{consume_notifications, note_arrival, wire_timing, Nics, SimError};
+use crate::engine::{describe_wait, finish_run, local_op_time, wire_timing, Nics, NotifyTable, SimError};
 use crate::metrics::EngineMetrics;
-use crate::program::{CommProfile, NotifyId};
+use crate::program::NotifyId;
 use crate::report::{RankStats, RunReport};
 use crate::scenario::ScenarioInstance;
-use crate::trace::{BlockReason, MsgLabel, Trace, TraceDetail, TraceEvent, TraceFilter, TraceKind, ARRIVAL_SEQ};
+use crate::trace::{BlockReason, MsgLabel, Recorder, TraceDetail, TraceFilter, TraceKind};
 
 /// Per-rank burst-execution state.
 #[derive(Debug)]
@@ -85,16 +86,6 @@ struct DfRank {
     tx_free: f64,
     /// Completion time of the rank's latest transfer (for `WaitAllSends`).
     max_tx_done: f64,
-    compute_scale: f64,
-    /// Own-event trace sequence counter (mirrors the strict engine's
-    /// per-rank channel; advances even for filtered-out ranks).
-    seq: u64,
-    /// Trace flow-id counter for this rank's injections.
-    flow_seq: u64,
-    /// Arrival-channel sequence counter of this rank as a destination; minted
-    /// in its single writer's program order, which is exactly the order the
-    /// strict engine schedules the corresponding `NotifyVisible` events.
-    arrival_seq: u64,
     stats: RankStats,
 }
 
@@ -110,10 +101,6 @@ impl DfRank {
             fifo: VecDeque::new(),
             tx_free: 0.0,
             max_tx_done: 0.0,
-            compute_scale,
-            seq: 0,
-            flow_seq: 0,
-            arrival_seq: 0,
             stats: RankStats { compute_scale, ..RankStats::default() },
         }
     }
@@ -157,27 +144,29 @@ enum WaitOutcome {
 #[inline(always)]
 fn try_finish_wait(
     r: &mut DfRank,
-    counts: &mut [u32],
+    notes: &mut NotifyTable,
+    rank: RankId,
     ids: IdsRef<'_>,
     count: usize,
     notify_overhead: f64,
 ) -> WaitOutcome {
+    let mut notes = notes.of(rank);
     let bs = r.blocked_since;
     while let Some(&(v, _)) = r.fifo.front() {
         if v > bs {
             break;
         }
         let (_, id) = r.fifo.pop_front().expect("front exists");
-        note_arrival(counts, &mut r.stats, id);
+        notes.note_arrival(&mut r.stats, id);
     }
-    if consume_notifications(counts, &mut r.stats, ids, count) {
+    if notes.consume(&mut r.stats, ids, count) {
         let end = bs + notify_overhead;
         finish_wait(r, end, 0.0);
         return WaitOutcome::Immediate { end };
     }
     while let Some((v, id)) = r.fifo.pop_front() {
-        note_arrival(counts, &mut r.stats, id);
-        if consume_notifications(counts, &mut r.stats, ids, count) {
+        notes.note_arrival(&mut r.stats, id);
+        if notes.consume(&mut r.stats, ids, count) {
             let end = v + notify_overhead;
             finish_wait(r, end, end - bs);
             return WaitOutcome::Waited { from: bs, end };
@@ -193,88 +182,17 @@ struct Burst<'a> {
     program: &'a CompiledProgram,
     scenario: Option<&'a ScenarioInstance>,
     ranks: Vec<DfRank>,
-    /// Dense unconsumed-arrival counters, flattened into one allocation;
-    /// rank `r`'s counters live at `counts[offs[r]..offs[r + 1]]` (as in the
-    /// strict engine).
-    counts: Vec<u32>,
-    /// Per-rank prefix offsets into `counts` (length `p + 1`).
-    offs: Vec<usize>,
+    notes: NotifyTable,
     /// Per-node NIC cursors.  With one rank per node and a single writer per
     /// destination, each entry is touched by one rank only.
     node_tx_free: Vec<f64>,
     node_rx_free: Vec<f64>,
     /// Ranks ready to execute.
     worklist: VecDeque<RankId>,
-    /// Emit trace events mirroring the strict engine's stream.
-    tracing: bool,
-    trace: Trace,
+    rec: Recorder,
 }
 
-impl<'a> Burst<'a> {
-    fn new(
-        cluster: &'a ClusterSpec,
-        cost: &'a CostModel,
-        program: &'a CompiledProgram,
-        scenario: Option<&'a ScenarioInstance>,
-        profile: &CommProfile,
-        tracing: bool,
-        filter: TraceFilter,
-    ) -> Self {
-        let n = program.num_ranks();
-        let ranks = (0..n)
-            .map(|r| {
-                let scale = scenario.map_or(1.0, |s| s.compute_scale(cluster.node_of(r)));
-                DfRank::new(scale)
-            })
-            .collect();
-        let mut offs = Vec::with_capacity(n + 1);
-        let mut acc = 0usize;
-        offs.push(0);
-        for r in 0..n {
-            acc += profile.notify_bounds[r];
-            offs.push(acc);
-        }
-        Self {
-            cluster,
-            cost,
-            program,
-            scenario,
-            ranks,
-            counts: vec![0; acc],
-            offs,
-            node_tx_free: vec![0.0; cluster.nodes],
-            node_rx_free: vec![0.0; cluster.nodes],
-            worklist: (0..n).collect(),
-            tracing,
-            trace: if tracing { Trace::new(filter, n) } else { Trace::default() },
-        }
-    }
-
-    /// Record an own-channel event for `rank`.  Identical numbering to the
-    /// strict engine's `trace_own`: the counter advances even when the
-    /// filter drops the rank, so a windowed trace is a strict subset of the
-    /// full one.
-    fn trace_own(&mut self, rank: RankId, time: f64, kind: TraceKind, op_index: Option<usize>, detail: TraceDetail) {
-        if !self.tracing {
-            return;
-        }
-        let r = &mut self.ranks[rank];
-        let seq = r.seq;
-        r.seq += 1;
-        self.trace.record(TraceEvent::new(time, rank, kind, op_index, seq, detail));
-    }
-
-    /// Record a (future-dated) arrival-channel event for destination `dst`.
-    fn trace_arrival(&mut self, time: f64, dst: RankId, kind: TraceKind, detail: TraceDetail) {
-        if !self.tracing {
-            return;
-        }
-        let c = &mut self.ranks[dst].arrival_seq;
-        let seq = ARRIVAL_SEQ | *c;
-        *c += 1;
-        self.trace.record(TraceEvent::new(time, dst, kind, None, seq, detail));
-    }
-
+impl Burst<'_> {
     /// Emit the strict-engine-equivalent events for a wait outcome and
     /// report whether the wait resolved.  The `BlockStart` is emitted
     /// retroactively at resolution time — its virtual timestamp and sequence
@@ -288,13 +206,13 @@ impl<'a> Burst<'a> {
         match outcome {
             WaitOutcome::Pending => false,
             WaitOutcome::Immediate { end } => {
-                self.trace_own(rank, end, TraceKind::OpEnd, Some(pc), TraceDetail::None);
+                self.rec.own(end, rank, TraceKind::OpEnd, Some(pc), TraceDetail::None);
                 true
             }
             WaitOutcome::Waited { from, end } => {
                 let detail = TraceDetail::Block { reason: BlockReason::Notify };
-                self.trace_own(rank, from, TraceKind::BlockStart, Some(pc), detail);
-                self.trace_own(rank, end, TraceKind::BlockEnd, Some(pc), detail);
+                self.rec.own(from, rank, TraceKind::BlockStart, Some(pc), detail);
+                self.rec.own(end, rank, TraceKind::BlockEnd, Some(pc), detail);
                 true
             }
         }
@@ -328,54 +246,49 @@ impl<'a> Burst<'a> {
         let program = self.program;
         let view = program.rank_ops(rank);
         let notify_overhead = self.cost.notify_overhead;
-        let (clo, chi) = (self.offs[rank], self.offs[rank + 1]);
         loop {
+            let pc = self.ranks[rank].pc;
             if self.ranks[rank].blocked {
-                let pc = self.ranks[rank].pc;
-                let (ids, count) = match view.op(pc) {
-                    OpView::WaitNotify { ids } => (ids, ids.len()),
-                    OpView::WaitNotifyAny { ids, count } => (ids, count),
-                    _ => unreachable!("only notification waits park a dataflow rank"),
-                };
+                let (ids, count) = parked_wait(view.op(pc));
                 let outcome =
-                    try_finish_wait(&mut self.ranks[rank], &mut self.counts[clo..chi], ids, count, notify_overhead);
+                    try_finish_wait(&mut self.ranks[rank], &mut self.notes, rank, ids, count, notify_overhead);
                 if !self.emit_wait(rank, pc, outcome) {
                     return;
                 }
                 continue;
             }
-            let pc = self.ranks[rank].pc;
+            let r = &mut self.ranks[rank];
             if pc >= view.len() {
-                let r = &mut self.ranks[rank];
                 r.done = true;
                 r.stats.finish_time = r.stats.finish_time.max(r.clock);
                 return;
             }
             let op = view.op(pc);
-            if self.tracing {
-                let t = self.ranks[rank].clock;
-                self.trace_own(rank, t, TraceKind::OpStart, Some(pc), TraceDetail::Op { op: op.class() });
-            }
+            let t = r.clock;
+            self.rec.own(t, rank, TraceKind::OpStart, Some(pc), TraceDetail::Op { op: op.class() });
             match op {
-                OpView::Compute { seconds } => self.exec_local(rank, pc, seconds.max(0.0)),
-                OpView::Reduce { bytes } => self.exec_local(rank, pc, self.cost.reduce_time(bytes)),
-                OpView::Copy { bytes } => self.exec_local(rank, pc, self.cost.copy_time(bytes)),
+                OpView::Compute { .. } | OpView::Reduce { .. } | OpView::Copy { .. } => {
+                    let d = local_op_time(self.cost, op, r.stats.compute_scale).expect("a local op");
+                    r.stats.compute_time += d;
+                    r.clock += d;
+                    r.pc += 1;
+                    r.stats.finish_time = r.stats.finish_time.max(r.clock);
+                    self.rec.own(r.clock, rank, TraceKind::OpEnd, Some(pc), TraceDetail::None);
+                }
                 OpView::PutNotify { dst, bytes, notify } => self.exec_put(rank, dst, bytes, notify, pc),
                 OpView::Notify { dst, notify } => self.exec_put(rank, dst, 0, notify, pc),
                 OpView::WaitNotify { ids } => {
-                    let r = &mut self.ranks[rank];
                     r.blocked = true;
-                    r.blocked_since = r.clock;
-                    let outcome = try_finish_wait(r, &mut self.counts[clo..chi], ids, ids.len(), notify_overhead);
+                    r.blocked_since = t;
+                    let outcome = try_finish_wait(r, &mut self.notes, rank, ids, ids.len(), notify_overhead);
                     if !self.emit_wait(rank, pc, outcome) {
                         return;
                     }
                 }
                 OpView::WaitNotifyAny { ids, count } => {
-                    let r = &mut self.ranks[rank];
                     r.blocked = true;
-                    r.blocked_since = r.clock;
-                    let outcome = try_finish_wait(r, &mut self.counts[clo..chi], ids, count, notify_overhead);
+                    r.blocked_since = t;
+                    let outcome = try_finish_wait(r, &mut self.notes, rank, ids, count, notify_overhead);
                     if !self.emit_wait(rank, pc, outcome) {
                         return;
                     }
@@ -384,8 +297,7 @@ impl<'a> Burst<'a> {
                     // All transfer completion times are known at issue time;
                     // the strict engine's outstanding-send counter reduces
                     // to a max over them.
-                    let r = &mut self.ranks[rank];
-                    let (t, tx) = (r.clock, r.max_tx_done);
+                    let tx = r.max_tx_done;
                     if tx > t {
                         r.stats.wait_time += tx - t;
                         r.clock = tx;
@@ -394,30 +306,15 @@ impl<'a> Burst<'a> {
                     r.stats.finish_time = r.stats.finish_time.max(r.clock);
                     if tx > t {
                         let detail = TraceDetail::Block { reason: BlockReason::AllSends };
-                        self.trace_own(rank, t, TraceKind::BlockStart, Some(pc), detail);
-                        self.trace_own(rank, tx, TraceKind::BlockEnd, Some(pc), detail);
+                        self.rec.own(t, rank, TraceKind::BlockStart, Some(pc), detail);
+                        self.rec.own(tx, rank, TraceKind::BlockEnd, Some(pc), detail);
                     } else {
-                        self.trace_own(rank, t, TraceKind::OpEnd, Some(pc), TraceDetail::None);
+                        self.rec.own(t, rank, TraceKind::OpEnd, Some(pc), TraceDetail::None);
                     }
                 }
-                OpView::Send { .. } | OpView::Isend { .. } | OpView::Recv { .. } | OpView::Barrier => {
-                    unreachable!("two-sided ops and barriers are gated out by eligibility")
-                }
+                _ => unreachable!("two-sided ops and barriers are gated out by eligibility"),
             }
         }
-    }
-
-    /// A purely local operation of nominal duration `d`, scaled by the
-    /// rank's scenario compute factor.
-    fn exec_local(&mut self, rank: RankId, pc: usize, d: f64) {
-        let r = &mut self.ranks[rank];
-        let d = d * r.compute_scale;
-        r.stats.compute_time += d;
-        r.clock += d;
-        r.pc += 1;
-        r.stats.finish_time = r.stats.finish_time.max(r.clock);
-        let end = r.clock;
-        self.trace_own(rank, end, TraceKind::OpEnd, Some(pc), TraceDetail::None);
     }
 
     /// One-sided put (or zero-byte notify) over the alpha-beta wire.
@@ -436,23 +333,24 @@ impl<'a> Burst<'a> {
         r.clock = launch;
         r.stats.finish_time = r.stats.finish_time.max(launch);
         let visible = w.delivered + cost.notify_overhead;
-        if self.tracing {
-            let flow = ((src as u64) << 32) | r.flow_seq;
-            r.flow_seq += 1;
-            let label = MsgLabel::Notify(notify);
-            // Same per-op order as the strict engine: OpStart (already
-            // emitted by the caller), MsgInjected, OpEnd, plus the
-            // future-dated arrival on the destination's channel.
-            self.trace_own(src, launch, TraceKind::MsgInjected, None, TraceDetail::Inject { dst, bytes, label, flow });
-            self.trace_own(src, launch, TraceKind::OpEnd, Some(pc), TraceDetail::None);
-            self.trace_arrival(
-                visible,
-                dst,
-                TraceKind::NotifyVisible,
-                TraceDetail::Arrival { src, bytes, label, flow, inject: launch, queue: w.queue, wire: w.ser },
-            );
-        }
+        // Same per-op order as the strict engine: OpStart (already emitted by
+        // the caller), MsgInjected, OpEnd, plus the future-dated arrival on
+        // the destination's channel.
+        let label = MsgLabel::Notify(notify);
+        let flow = self.rec.inject(launch, src, dst, bytes, label);
+        self.rec.own(launch, src, TraceKind::OpEnd, Some(pc), TraceDetail::None);
+        let detail = TraceDetail::Arrival { src, bytes, label, flow, inject: launch, queue: w.queue, wire: w.ser };
+        self.rec.arrival(visible, dst, TraceKind::NotifyVisible, detail);
         self.apply_arrival(dst, visible, notify, bytes);
+    }
+}
+
+/// The ids and quorum of the notification wait `op` a rank parks in.
+fn parked_wait(op: OpView<'_>) -> (IdsRef<'_>, usize) {
+    match op {
+        OpView::WaitNotify { ids } => (ids, ids.len()),
+        OpView::WaitNotifyAny { ids, count } => (ids, count),
+        _ => unreachable!("only notification waits park a dataflow rank"),
     }
 }
 
@@ -463,44 +361,42 @@ pub(crate) fn run(
     cost: &CostModel,
     program: &CompiledProgram,
     scenario: Option<&ScenarioInstance>,
-    profile: &CommProfile,
     tracing: bool,
     filter: TraceFilter,
 ) -> Result<RunReport, SimError> {
-    let mut burst = Burst::new(cluster, cost, program, scenario, profile, tracing, filter);
+    let n = program.num_ranks();
+    let ranks = (0..n)
+        .map(|r| {
+            let scale = scenario.map_or(1.0, |s| s.compute_scale(cluster.node_of(r)));
+            DfRank::new(scale)
+        })
+        .collect();
+    let mut burst = Burst {
+        cluster,
+        cost,
+        program,
+        scenario,
+        ranks,
+        notes: NotifyTable::new(program.profile()),
+        node_tx_free: vec![0.0; cluster.nodes],
+        node_rx_free: vec![0.0; cluster.nodes],
+        worklist: (0..n).collect(),
+        rec: Recorder::new(tracing, filter, n),
+    };
     burst.run_to_quiescence();
-    let Burst { mut ranks, mut trace, .. } = burst;
-    // Final bookkeeping: flush arrivals nobody waited for (the strict engine
-    // still counts their `NotifyVisible` events — the counter values
-    // themselves are dead after the run, only the received tally matters),
-    // detect deadlock, and build the report.
-    let mut blocked = Vec::new();
+    let Burst { mut ranks, rec, .. } = burst;
+    // Flush the arrivals nobody waited for: the strict engine still counts
+    // their `NotifyVisible` events (only the received tally matters after
+    // the run, not the counters).
+    let mut stuck = Vec::new();
     for (rank, r) in ranks.iter_mut().enumerate() {
         r.stats.notifications_received += r.fifo.len() as u64;
-        r.fifo.clear();
         if !r.done {
-            let what = match program.rank_ops(rank).op(r.pc) {
-                OpView::WaitNotify { ids } => format!("waiting for {} of notifications {ids:?}", ids.len()),
-                OpView::WaitNotifyAny { ids, count } => format!("waiting for {count} of notifications {ids:?}"),
-                other => format!("stuck at {other:?}"),
-            };
-            blocked.push((rank, r.pc, what));
+            let (ids, count) = parked_wait(program.rank_ops(rank).op(r.pc));
+            stuck.push((rank, r.pc, describe_wait(ids, count)));
         }
     }
-    if !blocked.is_empty() {
-        return Err(SimError::Deadlock { blocked });
-    }
-    trace.seal();
-    let metrics = EngineMetrics {
-        dataflow_burst_ops: ranks.iter().map(|r| r.pc as u64).sum(),
-        trace_events: trace.len() as u64,
-        ..EngineMetrics::default()
-    };
-    Ok(RunReport {
-        ranks: ranks.into_iter().map(|r| r.stats).collect(),
-        links: Vec::new(),
-        trace,
-        summary: None,
-        metrics,
-    })
+    let metrics =
+        EngineMetrics { dataflow_burst_ops: ranks.iter().map(|r| r.pc as u64).sum(), ..EngineMetrics::default() };
+    finish_run(stuck, ranks.into_iter().map(|r| r.stats), Vec::new(), rec, metrics)
 }

@@ -18,14 +18,14 @@
 //! The hot loop is allocation-free in steady state: operations are decoded
 //! from the [`CompiledProgram`]'s fixed-width arena records (never cloned or
 //! materialized), blocked waits borrow their notification-id lists straight
-//! from the arena's id pool, notification counters live in one flat `Vec`
-//! shared by all ranks (indexed through per-rank prefix offsets) instead of
-//! hash maps or a million tiny allocations, the event queue's buckets are
-//! sized from the program and allocated on first use, and trace events
-//! (typed, copyable [`TraceDetail`](crate::TraceDetail) payloads — never formatted strings) are
-//! only recorded when tracing is enabled.  Only non-local operations go
-//! through the event queue: local ones run inline with the operation that
-//! released them (see `Sim::resume_after_local_ops`).
+//! from the arena's id pool, notification counters live in one flat table
+//! shared by all ranks instead of hash maps or a million tiny allocations,
+//! the event queue's buckets are sized from the program and allocated on
+//! first use, and trace events (typed, copyable [`TraceDetail`](crate::TraceDetail)
+//! payloads — never formatted strings) are only recorded when tracing is
+//! enabled.  Only non-local operations go through the event queue: local ones
+//! run inline with the operation that released them (see
+//! `Sim::resume_after_local_ops`).
 //!
 //! ## Heterogeneity
 //!
@@ -35,22 +35,22 @@
 //! per-rank compute scale is surfaced in [`RankStats::compute_scale`](crate::RankStats::compute_scale).
 
 use crate::cluster::{ClusterSpec, RankId};
-use crate::compiled::CompiledProgram;
+use crate::compiled::{CompiledProgram, IdsRef, OpView};
 use crate::cost::CostModel;
 use crate::dataflow;
+use crate::metrics::EngineMetrics;
 use crate::packet::PacketConfig;
-use crate::program::Program;
-use crate::report::{ReportDetail, RunReport};
+use crate::program::{CommProfile, NotifyId, Program};
+use crate::report::{LinkStats, RankStats, ReportDetail, RunReport};
 use crate::scenario::Scenario;
 use crate::topology::{Topology, TopologyError};
-use crate::trace::TraceFilter;
+use crate::trace::{Recorder, TraceFilter};
 use crate::validate::{validate_compiled, ValidationError};
 
 mod net;
 mod sim;
 
 pub(crate) use net::{wire_timing, Nics};
-pub(crate) use sim::{consume_notifications, note_arrival};
 
 use net::NetSim;
 use sim::Sim;
@@ -121,6 +121,116 @@ impl std::error::Error for SimError {}
 #[inline]
 pub(crate) fn time_backstep_tolerance(now: f64) -> f64 {
     1e-12 * now.abs().max(1.0)
+}
+
+// -- the rules both execution paths share ------------------------------------
+
+/// Unconsumed notification arrivals of every rank, per notification id, in
+/// one flat allocation: rank `r`'s counters are `counts[off[r]..off[r + 1]]`,
+/// sized by [`CommProfile::notify_bounds`] (the largest id the rank waits on
+/// or can receive).
+#[derive(Debug)]
+pub(crate) struct NotifyTable {
+    counts: Vec<u32>,
+    off: Vec<usize>,
+}
+
+impl NotifyTable {
+    pub(crate) fn new(profile: &CommProfile) -> Self {
+        let mut off = vec![0];
+        for &bound in &profile.notify_bounds {
+            off.push(off[off.len() - 1] + bound);
+        }
+        Self { counts: vec![0; off[off.len() - 1]], off }
+    }
+
+    /// Rank `rank`'s counters.
+    #[inline]
+    pub(crate) fn of(&mut self, rank: RankId) -> RankNotes<'_> {
+        RankNotes(&mut self.counts[self.off[rank]..self.off[rank + 1]])
+    }
+}
+
+/// One rank's counters in a [`NotifyTable`].
+pub(crate) struct RankNotes<'a>(&'a mut [u32]);
+
+impl RankNotes<'_> {
+    /// Count an arrival of `id`.  An id no listed wait can reference may
+    /// exceed the rank's dense range; it can never satisfy a wait, so it is
+    /// only tallied.
+    #[inline]
+    pub(crate) fn note_arrival(&mut self, stats: &mut RankStats, id: NotifyId) {
+        if let Some(c) = self.0.get_mut(id as usize) {
+            *c += 1;
+        }
+        stats.notifications_received += 1;
+    }
+
+    /// The wait rule.  If at least `count` of `ids` have an unconsumed
+    /// arrival, consume exactly `count` arrivals — one from each of the
+    /// first `count` available ids in listed order — and return true.
+    /// Arrivals beyond `count` are left for later waits: a
+    /// `WaitNotifyAny { count }` must never drain ids a subsequent wait
+    /// depends on.
+    #[inline]
+    pub(crate) fn consume(&mut self, stats: &mut RankStats, ids: IdsRef<'_>, count: usize) -> bool {
+        let counts = &mut *self.0;
+        let need = count.min(ids.len());
+        let available = ids.iter().filter(|&id| counts.get(id as usize).is_some_and(|&c| c > 0)).count();
+        if available < need {
+            return false;
+        }
+        let mut taken = 0usize;
+        for id in ids.iter() {
+            if taken == need {
+                break;
+            }
+            let c = &mut counts[id as usize];
+            if *c > 0 {
+                *c -= 1;
+                taken += 1;
+            }
+        }
+        stats.notifications_consumed += taken as u64;
+        true
+    }
+}
+
+/// The duration of a local op — its nominal time times the rank's scenario
+/// compute factor `scale` — or `None` for an op that touches the network,
+/// another rank or the barrier.
+#[inline]
+pub(crate) fn local_op_time(cost: &CostModel, op: OpView<'_>, scale: f64) -> Option<f64> {
+    let d = match op {
+        OpView::Compute { seconds } => seconds.max(0.0),
+        OpView::Reduce { bytes } => cost.reduce_time(bytes),
+        OpView::Copy { bytes } => cost.copy_time(bytes),
+        _ => return None,
+    };
+    Some(d * scale)
+}
+
+/// What a rank stuck in a wait for `count` of `ids` waits for.
+pub(crate) fn describe_wait(ids: IdsRef<'_>, count: usize) -> String {
+    format!("waiting for {count} of notifications {ids:?}")
+}
+
+/// The end of a run on either path: a deadlock if any rank is `stuck`
+/// (`(rank, pc, what)` each), else the report with its trace sealed and
+/// counted.
+pub(crate) fn finish_run(
+    stuck: Vec<(RankId, usize, String)>,
+    ranks: impl Iterator<Item = RankStats>,
+    links: Vec<LinkStats>,
+    recorder: Recorder,
+    mut metrics: EngineMetrics,
+) -> Result<RunReport, SimError> {
+    if !stuck.is_empty() {
+        return Err(SimError::Deadlock { blocked: stuck });
+    }
+    let trace = recorder.finish();
+    metrics.trace_events = trace.len() as u64;
+    Ok(RunReport { ranks: ranks.collect(), links, trace, summary: None, metrics })
 }
 
 /// Discrete-event simulator configured with a cluster and a cost model.
@@ -340,7 +450,7 @@ impl Engine {
         #[cfg(test)]
         let eligible = eligible && self.scheduler == tests::SchedulerKind::CalendarQueue;
         let mut report = if eligible {
-            dataflow::run(&self.cluster, &self.cost, program, instance.as_ref(), profile, self.tracing, self.filter)?
+            dataflow::run(&self.cluster, &self.cost, program, instance.as_ref(), self.tracing, self.filter)?
         } else {
             let sim = Sim::new(&self.cluster, &self.cost, program, self.tracing, self.filter, instance, fabric);
             #[cfg(test)]

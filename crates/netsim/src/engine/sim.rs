@@ -4,7 +4,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use super::net::{wire_timing, FlowMeta, InjectQueue, NetSim, Nics};
-use super::{time_backstep_tolerance, SimError};
+use super::{describe_wait, finish_run, local_op_time, time_backstep_tolerance, NotifyTable, SimError};
 #[cfg(not(test))]
 use crate::calendar::CalendarQueue;
 use crate::calendar::Timed;
@@ -16,7 +16,7 @@ use crate::metrics::EngineMetrics;
 use crate::program::{NotifyId, Tag};
 use crate::report::{RankStats, RunReport};
 use crate::scenario::ScenarioInstance;
-use crate::trace::{BlockReason, MsgLabel, Trace, TraceDetail, TraceEvent, TraceFilter, TraceKind, ARRIVAL_SEQ};
+use crate::trace::{BlockReason, MsgLabel, Recorder, TraceDetail, TraceFilter, TraceKind};
 
 pub(super) type MsgId = u64;
 
@@ -107,7 +107,7 @@ impl Blocked<'_> {
     fn describe(&self) -> String {
         match self {
             Blocked::Recv { src, tag } => format!("recv from {src} tag {tag}"),
-            Blocked::Notify { ids, count } => format!("waiting for {count} of notifications {ids:?}"),
+            Blocked::Notify { ids, count } => describe_wait(*ids, *count),
             Blocked::SendTxDone { msg } => format!("blocking send, message {msg}"),
             Blocked::WaitAllSends => "waiting for outstanding sends".to_owned(),
             Blocked::Barrier => "barrier".to_owned(),
@@ -165,8 +165,6 @@ pub(super) struct RankSim<'a> {
     pub(super) parked_sends: u32,
     /// Earliest time this rank's injection path is free again.
     tx_free: f64,
-    /// Duration multiplier for this rank's local operations (scenario).
-    compute_scale: f64,
     stats: RankStats,
 }
 
@@ -182,7 +180,6 @@ impl RankSim<'_> {
             outstanding_sends: 0,
             parked_sends: 0,
             tx_free: 0.0,
-            compute_scale,
             stats: RankStats { compute_scale, ..RankStats::default() },
         }
     }
@@ -192,20 +189,13 @@ pub(super) struct Sim<'a> {
     pub(super) cluster: &'a ClusterSpec,
     pub(super) cost: &'a CostModel,
     program: &'a CompiledProgram,
-    tracing: bool,
     pub(super) scenario: Option<ScenarioInstance>,
     pub(super) now: f64,
     seq: u64,
     next_msg: MsgId,
     pub(super) events: EventQueue,
     pub(super) ranks: Vec<RankSim<'a>>,
-    /// Dense notification counters (notify id -> unconsumed arrivals) for all
-    /// ranks, flattened into one allocation; rank `r`'s counters live at
-    /// `notify_counts[notify_off[r]..notify_off[r + 1]]`, sized by the largest
-    /// id the rank waits on or can receive.
-    notify_counts: Vec<u32>,
-    /// Per-rank prefix offsets into `notify_counts` (length `n + 1`).
-    notify_off: Vec<usize>,
+    notes: NotifyTable,
     /// Ranks that execute `WaitAllSends` and therefore need `TxDone` events
     /// for their one-sided puts (borrowed from the compiled program's
     /// profile).
@@ -226,15 +216,7 @@ pub(super) struct Sim<'a> {
     /// (recycled across ticks).
     pub(super) completed_buf: Vec<FlowId>,
     pub(super) meta_buf: Vec<FlowMeta>,
-    /// The kept events, per rank (no streams untraced).
-    trace: Trace,
-    /// Per-rank sequence counters for a rank's own events (empty untraced).
-    trace_seq: Vec<u64>,
-    /// Per-destination counters for the arrival sequence channel
-    /// (`ARRIVAL_SEQ | n`; empty untraced).
-    arrival_seq: Vec<u64>,
-    /// Per-source counters minting trace flow ids (empty untraced).
-    flow_seq: Vec<u64>,
+    rec: Recorder,
     metrics: EngineMetrics,
 }
 
@@ -256,45 +238,6 @@ fn block_reason(b: &Blocked<'_>) -> BlockReason {
     }
 }
 
-/// Count an arrival of `id` in one rank's per-id counters.  An id no listed
-/// wait can reference may exceed the rank's dense range; it can never
-/// satisfy a wait, so it is only tallied.
-#[inline]
-pub(crate) fn note_arrival(counts: &mut [u32], stats: &mut RankStats, id: NotifyId) {
-    if let Some(c) = counts.get_mut(id as usize) {
-        *c += 1;
-    }
-    stats.notifications_received += 1;
-}
-
-/// The wait rule of both execution paths.  `counts` holds one rank's
-/// unconsumed arrivals per notification id.  If at least `count` of `ids`
-/// have one, consume exactly `count` arrivals — one from each of the first
-/// `count` available ids in listed order — and return true.  Arrivals beyond
-/// `count` are left for later waits: a `WaitNotifyAny { count }` must never
-/// drain ids a subsequent wait depends on.
-#[inline]
-pub(crate) fn consume_notifications(counts: &mut [u32], stats: &mut RankStats, ids: IdsRef<'_>, count: usize) -> bool {
-    let need = count.min(ids.len());
-    let available = ids.iter().filter(|&id| counts.get(id as usize).is_some_and(|&c| c > 0)).count();
-    if available < need {
-        return false;
-    }
-    let mut taken = 0usize;
-    for id in ids.iter() {
-        if taken == need {
-            break;
-        }
-        let c = &mut counts[id as usize];
-        if *c > 0 {
-            *c -= 1;
-            taken += 1;
-        }
-    }
-    stats.notifications_consumed += taken as u64;
-    true
-}
-
 impl<'a> Sim<'a> {
     pub(super) fn new(
         cluster: &'a ClusterSpec,
@@ -313,18 +256,10 @@ impl<'a> Sim<'a> {
                 RankSim::new(scale)
             })
             .collect();
-        let mut notify_off = Vec::with_capacity(n + 1);
-        let mut acc = 0usize;
-        notify_off.push(0);
-        for &bound in &profile.notify_bounds {
-            acc += bound;
-            notify_off.push(acc);
-        }
         Self {
             cluster,
             cost,
             program,
-            tracing,
             scenario,
             now: 0.0,
             seq: 0,
@@ -334,8 +269,7 @@ impl<'a> Sim<'a> {
             // delivery, so a bucket holds about one wave of events.
             events: EventQueue::new(cost.alpha_intra.min(cost.alpha_inter)),
             ranks,
-            notify_counts: vec![0; acc],
-            notify_off,
+            notes: NotifyTable::new(profile),
             tracks_put_tx: &profile.waits_sends,
             node_tx_free: vec![0.0; cluster.nodes],
             node_rx_free: vec![0.0; cluster.nodes],
@@ -346,10 +280,7 @@ impl<'a> Sim<'a> {
             flow_meta: Vec::new(),
             completed_buf: Vec::new(),
             meta_buf: Vec::new(),
-            trace: if tracing { Trace::new(filter, n) } else { Trace::default() },
-            trace_seq: if tracing { vec![0; n] } else { Vec::new() },
-            arrival_seq: if tracing { vec![0; n] } else { Vec::new() },
-            flow_seq: if tracing { vec![0; n] } else { Vec::new() },
+            rec: Recorder::new(tracing, filter, n),
             metrics: EngineMetrics::default(),
         }
     }
@@ -359,44 +290,6 @@ impl<'a> Sim<'a> {
         self.seq += 1;
         self.metrics.events_scheduled += 1;
         self.events.push(Event { time, seq, rank: rank as u32, kind });
-    }
-
-    /// Record an event on `rank`'s own sequence channel.  The counter
-    /// advances even for filtered-out ranks, so a windowed trace is a
-    /// strict subset of the full one.
-    #[inline]
-    fn trace_own(&mut self, time: f64, rank: RankId, kind: TraceKind, op_index: Option<usize>, detail: TraceDetail) {
-        if !self.tracing {
-            return;
-        }
-        let seq = self.trace_seq[rank];
-        self.trace_seq[rank] += 1;
-        self.trace.record(TraceEvent::new(time, rank, kind, op_index, seq, detail));
-    }
-
-    /// Record a message arrival on the destination's arrival sequence
-    /// channel.  Arrivals are emitted (future-dated) when their timing is
-    /// decided, not when the event fires; with several writers a rank's
-    /// arrival stream is therefore put in time order when the run ends.
-    #[inline]
-    fn trace_arrival(&mut self, time: f64, dst: RankId, kind: TraceKind, detail: TraceDetail) {
-        if !self.tracing {
-            return;
-        }
-        let seq = ARRIVAL_SEQ | self.arrival_seq[dst];
-        self.arrival_seq[dst] += 1;
-        self.trace.record(TraceEvent::new(time, dst, kind, None, seq, detail));
-    }
-
-    /// Mint a flow id pairing an injection with its arrival (0 untraced).
-    #[inline]
-    fn next_flow(&mut self, src: RankId) -> u64 {
-        if !self.tracing {
-            return 0;
-        }
-        let c = self.flow_seq[src];
-        self.flow_seq[src] += 1;
-        ((src as u64) << 32) | c
     }
 
     pub(super) fn run(mut self) -> Result<RunReport, SimError> {
@@ -426,25 +319,12 @@ impl<'a> Sim<'a> {
                 EventKind::FabricTick { epoch } => self.on_fabric_tick(epoch.0, ev.time),
             }
         }
-        let blocked: Vec<_> = self
-            .ranks
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| !r.done)
-            .map(|(i, r)| {
-                let what = r.blocked.as_ref().map_or_else(|| "not scheduled".to_owned(), Blocked::describe);
-                (i, r.pc, what)
-            })
+        let stuck = (self.ranks.iter().enumerate().filter(|(_, r)| !r.done))
+            .map(|(i, r)| (i, r.pc, r.blocked.as_ref().map_or_else(|| "not scheduled".to_owned(), Blocked::describe)))
             .collect();
-        if !blocked.is_empty() {
-            return Err(SimError::Deadlock { blocked });
-        }
         let links = self.fabric.as_ref().map_or_else(Vec::new, |f| f.finish(&mut self.metrics));
         self.metrics.calendar_bucket_sorts = self.events.sorts();
-        let ranks = self.ranks.into_iter().map(|r| r.stats).collect();
-        self.trace.seal();
-        self.metrics.trace_events = self.trace.len() as u64;
-        Ok(RunReport { ranks, links, trace: self.trace, summary: None, metrics: self.metrics })
+        finish_run(stuck, self.ranks.into_iter().map(|r| r.stats), links, self.rec, self.metrics)
     }
 
     /// Resume a rank that was blocked, accounting the wait time.
@@ -459,13 +339,13 @@ impl<'a> Sim<'a> {
         let op_index = r.pc;
         r.pc += 1;
         let detail = reason.map_or(TraceDetail::None, |reason| TraceDetail::Block { reason });
-        self.trace_own(at, rank, TraceKind::BlockEnd, Some(op_index), detail);
+        self.rec.own(at, rank, TraceKind::BlockEnd, Some(op_index), detail);
         self.resume_after_local_ops(rank, at);
     }
 
     fn block(&mut self, rank: RankId, at: f64, why: Blocked<'a>) {
         let pc = self.ranks[rank].pc;
-        self.trace_own(at, rank, TraceKind::BlockStart, Some(pc), TraceDetail::Block { reason: block_reason(&why) });
+        self.rec.own(at, rank, TraceKind::BlockStart, Some(pc), TraceDetail::Block { reason: block_reason(&why) });
         let r = &mut self.ranks[rank];
         r.blocked = Some(why);
         r.blocked_since = at;
@@ -495,7 +375,7 @@ impl<'a> Sim<'a> {
             self.resume_after_local_ops(rank, end);
             return;
         }
-        self.trace_own(t, rank, TraceKind::OpStart, Some(pc), TraceDetail::Op { op: op.class() });
+        self.rec.own(t, rank, TraceKind::OpStart, Some(pc), TraceDetail::Op { op: op.class() });
         self.ranks[rank].stats.finish_time = self.ranks[rank].stats.finish_time.max(t);
         match op {
             OpView::Compute { .. } | OpView::Reduce { .. } | OpView::Copy { .. } => {
@@ -531,24 +411,16 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// Execute `rank`'s op at `pc` from time `t` if it is purely local — its
-    /// nominal duration scaled by the rank's scenario compute factor — and
-    /// return the time it ends; `None` for an op that touches the network,
-    /// another rank or the barrier.
+    /// Execute `rank`'s op at `pc` from time `t` if it is local (see
+    /// [`local_op_time`]) and return the time it ends.
     fn exec_local(&mut self, rank: RankId, pc: usize, op: OpView<'_>, t: f64) -> Option<f64> {
-        let d = match op {
-            OpView::Compute { seconds } => seconds.max(0.0),
-            OpView::Reduce { bytes } => self.cost.reduce_time(bytes),
-            OpView::Copy { bytes } => self.cost.copy_time(bytes),
-            _ => return None,
-        };
-        self.trace_own(t, rank, TraceKind::OpStart, Some(pc), TraceDetail::Op { op: op.class() });
+        let d = local_op_time(self.cost, op, self.ranks[rank].stats.compute_scale)?;
+        self.rec.own(t, rank, TraceKind::OpStart, Some(pc), TraceDetail::Op { op: op.class() });
         let r = &mut self.ranks[rank];
-        let d = d * r.compute_scale;
         r.stats.compute_time += d;
         r.stats.finish_time = r.stats.finish_time.max(t + d);
         r.pc += 1;
-        self.trace_own(t + d, rank, TraceKind::OpEnd, Some(pc), TraceDetail::None);
+        self.rec.own(t + d, rank, TraceKind::OpEnd, Some(pc), TraceDetail::None);
         Some(t + d)
     }
 
@@ -598,7 +470,7 @@ impl<'a> Sim<'a> {
         let op_index = r.pc;
         r.pc += 1;
         r.stats.finish_time = r.stats.finish_time.max(at);
-        self.trace_own(at, rank, TraceKind::OpEnd, Some(op_index), TraceDetail::None);
+        self.rec.own(at, rank, TraceKind::OpEnd, Some(op_index), TraceDetail::None);
         self.resume_after_local_ops(rank, at);
     }
 
@@ -637,8 +509,7 @@ impl<'a> Sim<'a> {
         };
         self.ranks[src].stats.bytes_sent += bytes;
         self.ranks[src].stats.messages_sent += 1;
-        let flow = self.next_flow(src);
-        self.trace_own(inject, src, TraceKind::MsgInjected, None, TraceDetail::Inject { dst, bytes, label, flow });
+        let flow = self.rec.inject(inject, src, dst, bytes, label);
         let x = Transfer { src, dst, bytes, kind, inject, flow };
         if self.fabric.is_some() && !same {
             self.fabric_transfer(x);
@@ -684,7 +555,7 @@ impl<'a> Sim<'a> {
             }
         };
         let Transfer { src, bytes, flow, inject, .. } = x;
-        self.trace_arrival(at, x.dst, kind, TraceDetail::Arrival { src, bytes, label, flow, inject, queue, wire });
+        self.rec.arrival(at, x.dst, kind, TraceDetail::Arrival { src, bytes, label, flow, inject, queue, wire });
     }
 
     // -- two-sided send / receive -------------------------------------------
@@ -781,29 +652,22 @@ impl<'a> Sim<'a> {
     // -- notifications -------------------------------------------------------
 
     fn try_wait_notify(&mut self, rank: RankId, t: f64, ids: IdsRef<'a>, count: usize) {
-        if self.consume_notifications(rank, ids, count) {
+        if self.notes.of(rank).consume(&mut self.ranks[rank].stats, ids, count) {
             self.advance(rank, t + self.cost.notify_overhead);
         } else {
             self.block(rank, t, Blocked::Notify { ids, count });
         }
     }
 
-    fn consume_notifications(&mut self, rank: RankId, ids: IdsRef<'_>, count: usize) -> bool {
-        let counts = &mut self.notify_counts[self.notify_off[rank]..self.notify_off[rank + 1]];
-        consume_notifications(counts, &mut self.ranks[rank].stats, ids, count)
-    }
-
     fn on_notify(&mut self, rank: RankId, notify: NotifyId, t: f64) {
         // The NotifyVisible trace event was emitted (future-dated) when the
         // put was scheduled, together with its timing decomposition.
-        let counts = &mut self.notify_counts[self.notify_off[rank]..self.notify_off[rank + 1]];
-        note_arrival(counts, &mut self.ranks[rank].stats, notify);
-        let satisfied = match self.ranks[rank].blocked {
-            Some(Blocked::Notify { ids, count }) => self.consume_notifications(rank, ids, count),
-            _ => false,
-        };
-        if satisfied {
-            self.unblock(rank, t + self.cost.notify_overhead);
+        let (r, mut notes) = (&mut self.ranks[rank], self.notes.of(rank));
+        notes.note_arrival(&mut r.stats, notify);
+        if let Some(Blocked::Notify { ids, count }) = r.blocked {
+            if notes.consume(&mut r.stats, ids, count) {
+                self.unblock(rank, t + self.cost.notify_overhead);
+            }
         }
     }
 

@@ -53,6 +53,87 @@ use crate::report::LinkStats;
 /// (strict loop, burst path) produced the events.
 pub const ARRIVAL_SEQ: u64 = 1 << 63;
 
+/// The one emitter both execution paths record through, and the only code
+/// that mints a `seq` or a flow id: own events count per rank in execution
+/// order, arrivals per destination under [`ARRIVAL_SEQ`], flows per source
+/// (the source rank in the high 32 bits).  The counters advance for ranks
+/// the filter drops, so a windowed trace is a strict subset of the full one.
+/// Untraced, it holds nothing and records nothing.
+#[derive(Debug, Default)]
+pub(crate) struct Recorder {
+    on: bool,
+    trace: Trace,
+    /// Per rank: the next number of each counter (`OWN`, `ARRIVAL`, `FLOW`).
+    next: Vec<[u64; 3]>,
+}
+
+impl Recorder {
+    const OWN: usize = 0;
+    const ARRIVAL: usize = 1;
+    const FLOW: usize = 2;
+
+    pub(crate) fn new(tracing: bool, filter: TraceFilter, num_ranks: usize) -> Self {
+        if !tracing {
+            return Self::default();
+        }
+        Self { on: true, trace: Trace::new(filter, num_ranks), next: vec![[0; 3]; num_ranks] }
+    }
+
+    /// Take the next number of `rank`'s counter `which`.
+    #[inline]
+    fn mint(&mut self, rank: RankId, which: usize) -> u64 {
+        let n = &mut self.next[rank][which];
+        *n += 1;
+        *n - 1
+    }
+
+    /// Record an event on `rank`'s own channel.
+    #[inline]
+    pub(crate) fn own(
+        &mut self,
+        time: f64,
+        rank: RankId,
+        kind: TraceKind,
+        op_index: Option<usize>,
+        detail: TraceDetail,
+    ) {
+        if self.on {
+            let seq = self.mint(rank, Self::OWN);
+            self.trace.record(TraceEvent::new(time, rank, kind, op_index, seq, detail));
+        }
+    }
+
+    /// Record a message leaving `src` at `time` and return the flow id that
+    /// pairs it with its arrival (0 untraced).
+    #[inline]
+    pub(crate) fn inject(&mut self, time: f64, src: RankId, dst: RankId, bytes: u64, label: MsgLabel) -> u64 {
+        if !self.on {
+            return 0;
+        }
+        let flow = ((src as u64) << 32) | self.mint(src, Self::FLOW);
+        self.own(time, src, TraceKind::MsgInjected, None, TraceDetail::Inject { dst, bytes, label, flow });
+        flow
+    }
+
+    /// Record a message arrival on `dst`'s arrival channel.  Arrivals are
+    /// recorded future-dated, when their timing is decided; a rank with
+    /// several writers has its arrival stream put in time order by
+    /// [`Recorder::finish`].
+    #[inline]
+    pub(crate) fn arrival(&mut self, time: f64, dst: RankId, kind: TraceKind, detail: TraceDetail) {
+        if self.on {
+            let seq = ARRIVAL_SEQ | self.mint(dst, Self::ARRIVAL);
+            self.trace.record(TraceEvent::new(time, dst, kind, None, seq, detail));
+        }
+    }
+
+    /// End of recording: the sealed trace.
+    pub(crate) fn finish(mut self) -> Trace {
+        self.trace.seal();
+        self.trace
+    }
+}
+
 /// Category of a traced event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TraceKind {
@@ -394,7 +475,7 @@ pub struct Trace {
 impl Trace {
     /// An empty trace with streams for the ranks of `0..num_ranks` that
     /// `filter` keeps.
-    pub(crate) fn new(filter: TraceFilter, num_ranks: usize) -> Self {
+    fn new(filter: TraceFilter, num_ranks: usize) -> Self {
         let mut trace = Self { filter, ..Self::default() };
         let last = num_ranks.checked_sub(1).map(|last| last.min(filter.last_rank));
         if let Some(last) = last.filter(|&last| last >= filter.first_rank) {
@@ -499,7 +580,7 @@ impl Trace {
     /// `(time, seq)` in order.  Own streams and single-writer arrival
     /// streams are recorded in order; only arrivals that several writers
     /// future-dated into one rank need the sort.
-    pub(crate) fn seal(&mut self) {
+    fn seal(&mut self) {
         for stream in &mut self.streams {
             if !stream.is_sorted_by(|a, b| record_order(a, b).is_le()) {
                 stream.sort_by(record_order);

@@ -842,8 +842,9 @@ fn dataflow_reports_deadlock() {
     b.put_notify(0, 1, 64, 0);
     b.wait_notify(1, &[0]);
     b.wait_notify(5, &[3]); // nobody ever notifies id 3
-    let err = engine(8, 1).run(&b.build()).unwrap_err();
-    match err {
+    let p = b.build();
+    let err = engine(8, 1).run(&p).unwrap_err();
+    match &err {
         SimError::Deadlock { blocked } => {
             assert_eq!(blocked.len(), 1);
             assert_eq!(blocked[0].0, 5);
@@ -851,6 +852,9 @@ fn dataflow_reports_deadlock() {
         }
         other => panic!("expected deadlock, got {other:?}"),
     }
+    // The strict loop reports the same stuck ranks in the same words.
+    let strict = engine(8, 1).with_scheduler(SchedulerKind::BinaryHeap).run(&p).unwrap_err();
+    assert_eq!(strict, err);
 }
 
 #[test]

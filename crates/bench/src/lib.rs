@@ -116,17 +116,37 @@ const ACCEPTED_FLAGS: [(&str, Option<&str>); 5] = [
     ("--trace-sample", Some("N")),
 ];
 
+/// The inclusive rank window of a `--trace-ranks LO..HI` value.
+fn rank_window(value: &str) -> Option<(usize, usize)> {
+    let (lo, hi) = value.split_once("..")?;
+    let (lo, hi) = (lo.trim().parse().ok()?, hi.trim().parse().ok()?);
+    (lo <= hi).then_some((lo, hi))
+}
+
+/// Whether `value` is well-formed for `flag`.
+fn valid_value(flag: &str, value: &str) -> bool {
+    match flag {
+        "--trace-ranks" => rank_window(value).is_some(),
+        "--trace-sample" => value.parse::<usize>().is_ok(),
+        _ => true,
+    }
+}
+
 /// Split `args` (the program name excluded) into `(flag, value)` pairs, the
 /// value empty for a flag that takes none.  `Err` is the first argument that
-/// is not an accepted flag or a flag's value, or that is a value flag
-/// without its value.
+/// is not an accepted flag or a flag's value, that is a value flag without
+/// its value, or that carries a malformed `--trace-ranks`/`--trace-sample`
+/// value.
 fn parse_flags(args: &[String]) -> Result<Vec<(&'static str, &str)>, &str> {
     let mut flags = Vec::new();
     let mut args = args.iter().map(String::as_str);
     while let Some(a) = args.next() {
         let (name, inline) = a.split_once('=').map_or((a, None), |(name, value)| (name, Some(value)));
         let parsed = match ACCEPTED_FLAGS.iter().find(|(flag, _)| *flag == name) {
-            Some(&(flag, Some(_))) => inline.or_else(|| args.next()).map(|value| (flag, value)),
+            Some(&(flag, Some(_))) => match inline.or_else(|| args.next()) {
+                Some(value) if !valid_value(flag, value) => return Err(if inline.is_some() { a } else { value }),
+                value => value.map(|value| (flag, value)),
+            },
             Some(&(flag, None)) if inline.is_none() => Some((flag, "")),
             _ => None,
         };
@@ -139,7 +159,7 @@ fn parse_flags(args: &[String]) -> Result<Vec<(&'static str, &str)>, &str> {
 fn reject_arg(bad: &str) -> ! {
     let accepted: Vec<String> =
         ACCEPTED_FLAGS.iter().map(|(flag, value)| value.map_or(flag.to_string(), |v| format!("{flag} {v}"))).collect();
-    eprintln!("unrecognized or incomplete argument `{bad}`");
+    eprintln!("unrecognized, incomplete or malformed argument `{bad}`");
     eprintln!("accepted: {}", accepted.join(" "));
     eprintln!("(workload sizes are set through the environment variables in the binary's header comment)");
     std::process::exit(2)
@@ -192,14 +212,9 @@ impl Observability {
                 "--metrics" => metrics = true,
                 "--trace-out" => trace_out = Some(value.to_string()),
                 "--trace-ranks" => {
-                    if let Some((lo, hi)) = value.split_once("..") {
-                        if let (Ok(lo), Ok(hi)) = (lo.trim().parse(), hi.trim().parse()) {
-                            filter.first_rank = lo;
-                            filter.last_rank = hi;
-                        }
-                    }
+                    (filter.first_rank, filter.last_rank) = rank_window(value).expect("checked by parse_flags");
                 }
-                "--trace-sample" => filter.sample = value.parse().ok().unwrap_or(1).max(1),
+                "--trace-sample" => filter.sample = value.parse::<usize>().expect("checked by parse_flags").max(1),
                 _ => {}
             }
         }
@@ -367,8 +382,10 @@ mod tests {
                 ("--trace-sample", "2"),
             ])
         );
-        // A flag's value is not inspected, even when it looks like a flag.
+        // A file name is not inspected, even when it looks like a flag.
         assert_eq!(parse_flags(&strings(&["--trace-out", "--help"])), Ok(vec![("--trace-out", "--help")]));
+        // A sampling stride of 0 means 1.
+        assert_eq!(parse_flags(&strings(&["--trace-sample=0"])), Ok(vec![("--trace-sample", "0")]));
         for (args, bad) in [
             (&["--help"][..], "--help"),
             (&["--smoke", "--smok"], "--smok"),
@@ -377,6 +394,12 @@ mod tests {
             (&["--smoke=1"], "--smoke=1"),
             (&["t.json"], "t.json"),
             (&["--metrics", "--trace-out"], "--trace-out"),
+            (&["--trace-ranks", "0-15"], "0-15"),
+            (&["--trace-ranks=0-15"], "--trace-ranks=0-15"),
+            (&["--trace-ranks", "15..0"], "15..0"),
+            (&["--trace-ranks", "0..x"], "0..x"),
+            (&["--trace-sample", "x"], "x"),
+            (&["--smoke", "--trace-sample=-1"], "--trace-sample=-1"),
         ] {
             assert_eq!(parse_flags(&strings(args)), Err(bad), "{args:?}");
         }

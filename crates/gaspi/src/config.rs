@@ -42,12 +42,6 @@ impl NetworkProfile {
         }
     }
 
-    /// A deliberately slow, jittery profile that makes stragglers and stale
-    /// data prominent (used by the SSP experiments).
-    pub fn wan_like(seed: u64) -> Self {
-        Self { base_latency: Duration::from_micros(200), per_byte: Duration::from_nanos(2), jitter: 0.3, seed }
-    }
-
     /// Whether this profile injects any delay at all.
     pub fn is_instant(&self) -> bool {
         self.base_latency.is_zero() && self.per_byte.is_zero()

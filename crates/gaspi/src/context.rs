@@ -136,20 +136,6 @@ impl Context {
         self.segment_write_local(segment, offset, &f64s_to_bytes(values))
     }
 
-    /// Run a closure over a mutable byte range of a local segment while
-    /// holding the segment lock (used for in-place reductions).
-    pub fn segment_with_range_mut<F: FnOnce(&mut [u8])>(
-        &self,
-        segment: SegmentId,
-        offset: usize,
-        len: usize,
-        f: F,
-    ) -> Result<()> {
-        let seg = self.local_segment(segment)?;
-        seg.with_range_mut(offset, len, f)
-            .ok_or_else(|| self.out_of_bounds(self.rank, segment, offset, len, seg.size()))
-    }
-
     /// Run a closure over a byte range of a local segment while holding the
     /// segment lock and return its result: the allocation-free way to consume
     /// landed data (see [`crate::segment::decode_f64s`]).

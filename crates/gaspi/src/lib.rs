@@ -48,7 +48,6 @@ pub mod config;
 pub mod context;
 pub mod delivery;
 pub mod error;
-pub mod group;
 pub mod job;
 pub mod notification;
 pub mod segment;
@@ -57,7 +56,6 @@ pub mod state;
 pub use config::{GaspiConfig, NetworkProfile};
 pub use context::Context;
 pub use error::GaspiError;
-pub use group::Group;
 pub use job::Job;
 pub use notification::{NotificationId, NotificationValue};
 pub use segment::SegmentId;

@@ -41,11 +41,6 @@ impl DatasetConfig {
     pub fn small(seed: u64) -> Self {
         Self { num_users: 200, num_items: 120, num_ratings: 4_000, true_rank: 4, noise: 0.05, seed }
     }
-
-    /// A medium configuration used by the Figure 6/7 regeneration harness.
-    pub fn movielens_like(seed: u64) -> Self {
-        Self { num_users: 4_000, num_items: 1_200, num_ratings: 120_000, true_rank: 8, noise: 0.1, seed }
-    }
 }
 
 /// A generated dataset: the ratings plus the dimensions they refer to.

@@ -330,91 +330,45 @@ fn hierarchical(
         return leader_allreduce(ranks, bytes);
     }
     let nodes = ranks / ppn;
-    let mut b = ProgramBuilder::new(ranks);
-    // Phase 1: intra-node reduce to the node leader (first rank on the node).
-    for node in 0..nodes {
-        let leader = node * ppn;
-        for local in 1..ppn {
-            let rank = leader + local;
-            b.send(rank, leader, bytes, 80);
-            b.recv(leader, rank, bytes, 80);
-            b.reduce(leader, bytes);
+    // Phases 1 and 3: intra-node reduce to the node leader (first rank on
+    // the node), and intra-node broadcast of the result.
+    let mut reduce = ProgramBuilder::new(ranks);
+    let mut bcast = ProgramBuilder::new(ranks);
+    for leader in (0..nodes).map(|node| node * ppn) {
+        for rank in leader + 1..leader + ppn {
+            reduce.send(rank, leader, bytes, 80);
+            reduce.recv(leader, rank, bytes, 80);
+            reduce.reduce(leader, bytes);
+            bcast.send(leader, rank, bytes, 81);
+            bcast.recv(rank, leader, bytes, 81);
         }
     }
-    // Phase 2: allreduce across the node leaders.
-    let leaders: Vec<usize> = (0..nodes).map(|n| n * ppn).collect();
-    let leader_prog = leader_allreduce(nodes, bytes);
-    for (node, rank_prog) in leader_prog.ranks.into_iter().enumerate() {
-        for op in rank_prog.ops {
-            // Remap the leader-world rank ids onto the real leader ranks.
-            let remapped = remap_op(op, &leaders);
-            b_push(&mut b, leaders[node], remapped);
+    // Phase 2: allreduce across the node leaders, its leader-world rank ids
+    // remapped onto the real leader ranks.
+    let mut leaders = Program::empty(ranks);
+    for (node, rank_prog) in leader_allreduce(nodes, bytes).ranks.into_iter().enumerate() {
+        leaders.ranks[node * ppn].ops = rank_prog.ops.into_iter().map(|op| remap_op(op, ppn)).collect();
+    }
+    let mut program = reduce.build();
+    for phase in [leaders, bcast.build()] {
+        for (rank_prog, next) in program.ranks.iter_mut().zip(phase.ranks) {
+            rank_prog.ops.extend(next.ops);
         }
     }
-    // Phase 3: intra-node broadcast of the result.
-    for node in 0..nodes {
-        let leader = node * ppn;
-        for local in 1..ppn {
-            let rank = leader + local;
-            b.send(leader, rank, bytes, 81);
-            b.recv(rank, leader, bytes, 81);
-        }
-    }
-    b.build()
+    program
 }
 
-/// Remap rank references inside an op from leader-world ids to real ranks.
-fn remap_op(op: ec_netsim::Op, leaders: &[usize]) -> ec_netsim::Op {
+/// Remap rank references inside an op from leader-world ids to real ranks
+/// (leader `n` is rank `n * ppn`).
+fn remap_op(op: ec_netsim::Op, ppn: usize) -> ec_netsim::Op {
     use ec_netsim::Op::*;
     match op {
-        PutNotify { dst, bytes, notify } => PutNotify { dst: leaders[dst], bytes, notify },
-        Notify { dst, notify } => Notify { dst: leaders[dst], notify },
-        Send { dst, bytes, tag } => Send { dst: leaders[dst], bytes, tag },
-        Isend { dst, bytes, tag } => Isend { dst: leaders[dst], bytes, tag },
-        Recv { src, bytes, tag } => Recv { src: leaders[src], bytes, tag },
+        PutNotify { dst, bytes, notify } => PutNotify { dst: dst * ppn, bytes, notify },
+        Notify { dst, notify } => Notify { dst: dst * ppn, notify },
+        Send { dst, bytes, tag } => Send { dst: dst * ppn, bytes, tag },
+        Isend { dst, bytes, tag } => Isend { dst: dst * ppn, bytes, tag },
+        Recv { src, bytes, tag } => Recv { src: src * ppn, bytes, tag },
         other => other,
-    }
-}
-
-fn b_push(b: &mut ProgramBuilder, rank: usize, op: ec_netsim::Op) {
-    use ec_netsim::Op::*;
-    match op {
-        Compute { seconds } => {
-            b.compute(rank, seconds);
-        }
-        Reduce { bytes } => {
-            b.reduce(rank, bytes);
-        }
-        Copy { bytes } => {
-            b.copy(rank, bytes);
-        }
-        PutNotify { dst, bytes, notify } => {
-            b.put_notify(rank, dst, bytes, notify);
-        }
-        Notify { dst, notify } => {
-            b.notify(rank, dst, notify);
-        }
-        WaitNotify { ids } => {
-            b.wait_notify(rank, &ids);
-        }
-        WaitNotifyAny { ids, count } => {
-            b.wait_notify_any(rank, &ids, count);
-        }
-        Send { dst, bytes, tag } => {
-            b.send(rank, dst, bytes, tag);
-        }
-        Isend { dst, bytes, tag } => {
-            b.isend(rank, dst, bytes, tag);
-        }
-        Recv { src, bytes, tag } => {
-            b.recv(rank, src, bytes, tag);
-        }
-        WaitAllSends => {
-            b.wait_all_sends(rank);
-        }
-        Barrier => {
-            b.barrier(rank);
-        }
     }
 }
 

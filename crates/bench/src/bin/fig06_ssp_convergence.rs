@@ -11,13 +11,16 @@
 //! synchronous run (slack = 0) reaches at the end of its execution —
 //! mirroring the paper's methodology.
 //!
-//! Environment overrides: `FIG06_RANKS` (default 8; the paper uses 32),
-//! `FIG06_ITERS`, `FIG06_USERS`, `FIG06_ITEMS`, `FIG06_RATINGS`,
-//! `FIG06_STRAGGLER_MS`, `FIG06_JITTER`.
+//! Sizes: 8 workers, 200 iterations, 2 000 users x 800 items, 60 000
+//! ratings (`--smoke`: 4 workers, 20 iterations, 400 x 160, 8 000 ratings);
+//! rank 0 straggles 4 ms per iteration, compute jitter 25 %.
+//!
+//! Environment override: `FIG06_RANKS` (the paper uses 32 workers; keep it
+//! at or below the host's core count, one thread runs per rank).
 
 use std::time::Duration;
 
-use ec_bench::{env_f64, env_usize};
+use ec_bench::{env_usize, smoke_default};
 use ec_collectives::schedule::hypercube_allreduce_schedule;
 use ec_gaspi::{GaspiConfig, Job, NetworkProfile};
 use ec_mlapp::{DatasetConfig, RatingsDataset, SgdConfig, Trainer, TrainerConfig};
@@ -29,18 +32,21 @@ struct SlackRun {
     total_time: f64,
 }
 
+/// The straggler rank's extra delay per iteration.
+const STRAGGLER: Duration = Duration::from_millis(4);
+/// Relative compute jitter of every rank.
+const JITTER: f64 = 0.25;
+
 fn run_slack(dataset: &RatingsDataset, ranks: usize, iterations: usize, slack: u64) -> SlackRun {
-    let straggler_ms = env_usize("FIG06_STRAGGLER_MS", 4) as u64;
-    let jitter = env_f64("FIG06_JITTER", 0.25);
     let config = TrainerConfig {
         rank: 8,
         sgd: SgdConfig { learning_rate: 0.01, regularization: 0.02, sample_fraction: 1.0 },
         slack,
         iterations,
         seed: 42,
-        compute_jitter: jitter,
+        compute_jitter: JITTER,
         straggler_ranks: vec![0],
-        straggler_delay: Duration::from_millis(straggler_ms),
+        straggler_delay: STRAGGLER,
         target_rmse: None,
     };
     let dataset = dataset.clone();
@@ -68,12 +74,12 @@ fn run_slack(dataset: &RatingsDataset, ranks: usize, iterations: usize, slack: u
 fn main() {
     ec_bench::check_args();
     let smoke = ec_bench::smoke_flag();
-    let ranks = env_usize("FIG06_RANKS", ec_bench::smoke_default(smoke, 8, 4));
-    let iterations = env_usize("FIG06_ITERS", ec_bench::smoke_default(smoke, 200, 20));
+    let ranks = env_usize("FIG06_RANKS", smoke_default(smoke, 8, 4));
+    let iterations = smoke_default(smoke, 200, 20);
     let dataset_cfg = DatasetConfig {
-        num_users: env_usize("FIG06_USERS", ec_bench::smoke_default(smoke, 2_000, 400)),
-        num_items: env_usize("FIG06_ITEMS", ec_bench::smoke_default(smoke, 800, 160)),
-        num_ratings: env_usize("FIG06_RATINGS", ec_bench::smoke_default(smoke, 60_000, 8_000)),
+        num_users: smoke_default(smoke, 2_000, 400),
+        num_items: smoke_default(smoke, 800, 160),
+        num_ratings: smoke_default(smoke, 60_000, 8_000),
         true_rank: 8,
         noise: 0.1,
         seed: 42,

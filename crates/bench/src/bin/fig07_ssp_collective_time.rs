@@ -11,36 +11,42 @@
 //! and (b) the waiting time shrinks — and eventually vanishes — as the slack
 //! grows.
 //!
-//! Environment overrides: `FIG07_RANKS`, `FIG07_ELEMS`, `FIG07_ITERS`,
-//! `FIG07_STRAGGLER_MS`.
+//! Sizes: 8 ranks, 100 000 doubles per contribution, 20 iterations
+//! (`--smoke`: 4 ranks, 20 000 doubles, 5 iterations); rank 0 straggles
+//! 4 ms every other iteration.
+//!
+//! Environment override: `FIG07_RANKS` (keep it at or below the host's core
+//! count, one thread runs per rank).
 
 use std::time::{Duration, Instant};
 
 use ec_baseline::{allreduce_ring as mpi_allreduce_ring, MpiWorld};
-use ec_bench::env_usize;
+use ec_bench::{env_usize, smoke_default};
 use ec_collectives::schedule::hypercube_allreduce_schedule;
 use ec_collectives::{ReduceOp, RingAllreduce, SspAllreduce};
 use ec_gaspi::{GaspiConfig, Job, NetworkProfile};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// The straggler rank's extra delay on every other iteration.
+const STRAGGLER: Duration = Duration::from_millis(4);
+
 /// Simulated compute phase between collective calls: jitter plus a straggler.
-fn compute_phase(rank: usize, iteration: usize, straggler_ms: u64, rng: &mut StdRng) {
+fn compute_phase(rank: usize, iteration: usize, rng: &mut StdRng) {
     let base = Duration::from_millis(2);
     let jitter = base.mul_f64(rng.gen_range(0.0..0.5));
     std::thread::sleep(base + jitter);
     if rank == 0 && iteration.is_multiple_of(2) {
-        std::thread::sleep(Duration::from_millis(straggler_ms));
+        std::thread::sleep(STRAGGLER);
     }
 }
 
 fn main() {
     ec_bench::check_args();
     let smoke = ec_bench::smoke_flag();
-    let ranks = env_usize("FIG07_RANKS", ec_bench::smoke_default(smoke, 8, 4));
-    let elems = env_usize("FIG07_ELEMS", ec_bench::smoke_default(smoke, 100_000, 20_000));
-    let iters = env_usize("FIG07_ITERS", ec_bench::smoke_default(smoke, 20, 5));
-    let straggler_ms = env_usize("FIG07_STRAGGLER_MS", 4) as u64;
+    let ranks = env_usize("FIG07_RANKS", smoke_default(smoke, 8, 4));
+    let elems = smoke_default(smoke, 100_000, 20_000);
+    let iters = smoke_default(smoke, 20, 5);
     let slacks = [0u64, 2, 8, 32, 64];
 
     println!("# Figure 7 — allreduce_ssp per-call time and wait-for-updates time");
@@ -65,7 +71,7 @@ fn main() {
                 let mut rng = StdRng::seed_from_u64(7 + ctx.rank() as u64);
                 let mut call_time = Duration::ZERO;
                 for it in 0..iters {
-                    compute_phase(ctx.rank(), it, straggler_ms, &mut rng);
+                    compute_phase(ctx.rank(), it, &mut rng);
                     let contribution = vec![1.0 + ctx.rank() as f64; elems];
                     let t0 = Instant::now();
                     ssp.run(&contribution, ReduceOp::Sum).expect("ssp allreduce");
@@ -93,7 +99,7 @@ fn main() {
             let mut rng = StdRng::seed_from_u64(11 + ctx.rank() as u64);
             let mut call_time = Duration::ZERO;
             for it in 0..iters {
-                compute_phase(ctx.rank(), it, straggler_ms, &mut rng);
+                compute_phase(ctx.rank(), it, &mut rng);
                 let mut data = vec![1.0 + ctx.rank() as f64; elems];
                 let t0 = Instant::now();
                 ring.run(&mut data, ReduceOp::Sum).expect("ring allreduce");
@@ -110,7 +116,7 @@ fn main() {
         let mut rng = StdRng::seed_from_u64(13 + comm.rank() as u64);
         let mut call_time = Duration::ZERO;
         for it in 0..iters {
-            compute_phase(comm.rank(), it, straggler_ms, &mut rng);
+            compute_phase(comm.rank(), it, &mut rng);
             let mut data = vec![1.0 + comm.rank() as f64; elems];
             let t0 = Instant::now();
             mpi_allreduce_ring(comm, &mut data).expect("mpi allreduce");

@@ -4,10 +4,10 @@
 //! Series: `gaspi_reduce` (binomial tree, one-sided) reducing 25 %, 50 %,
 //! 75 % and 100 % of the data, against the MPI default and binomial reduce.
 //!
-//! Environment overrides: `FIG09_SMALL_ELEMS`, `FIG09_LARGE_ELEMS`.
+//! Sizes: 10 000 and 1 000 000 doubles (`--smoke`: 1 000 and 100 000).
 
 use ec_baseline::{mpi_reduce_binomial_schedule, mpi_reduce_default_schedule};
-use ec_bench::{env_usize, node_sweep, render_table, speedup, Series};
+use ec_bench::{node_sweep, render_table, smoke_default, speedup, Series};
 use ec_collectives::schedule::reduce_bst_schedule;
 use ec_netsim::{ClusterSpec, CostModel, Engine};
 
@@ -36,8 +36,8 @@ fn run_panel(elems: usize) -> Vec<Series> {
 fn main() {
     ec_bench::check_args();
     let smoke = ec_bench::smoke_flag();
-    let small = env_usize("FIG09_SMALL_ELEMS", ec_bench::smoke_default(smoke, 10_000, 1_000));
-    let large = env_usize("FIG09_LARGE_ELEMS", ec_bench::smoke_default(smoke, 1_000_000, 100_000));
+    let small = smoke_default(smoke, 10_000, 1_000);
+    let large = smoke_default(smoke, 1_000_000, 100_000);
 
     let max_nodes = *node_sweep().last().expect("non-empty sweep");
     ec_bench::print_smoke_memory_stats(smoke, "reduce-bst", &reduce_bst_schedule(max_nodes, (large * 8) as u64, 1.0));

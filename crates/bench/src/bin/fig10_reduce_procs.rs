@@ -5,17 +5,17 @@
 //! Series: at least 25 %, 50 %, 75 % and 100 % of the processes engaged,
 //! against the MPI default and binomial reduce.
 //!
-//! Environment override: `FIG10_ELEMS`.
+//! Size: 1 000 000 doubles (`--smoke`: 100 000).
 
 use ec_baseline::{mpi_reduce_binomial_schedule, mpi_reduce_default_schedule};
-use ec_bench::{env_usize, node_sweep, render_table, Series};
+use ec_bench::{node_sweep, render_table, smoke_default, Series};
 use ec_collectives::schedule::reduce_process_threshold_schedule;
 use ec_netsim::{ClusterSpec, CostModel, Engine};
 
 fn main() {
     ec_bench::check_args();
     let smoke = ec_bench::smoke_flag();
-    let elems = env_usize("FIG10_ELEMS", ec_bench::smoke_default(smoke, 1_000_000, 100_000));
+    let elems = smoke_default(smoke, 1_000_000, 100_000);
     let bytes = (elems * 8) as u64;
     let max_nodes = *node_sweep().last().expect("non-empty sweep");
     ec_bench::print_smoke_memory_stats(

@@ -5,10 +5,10 @@
 //! (`gaspi_allreduce_ring`) against the twelve Intel-MPI Allreduce variants
 //! (`mpi1` … `mpi12`).
 //!
-//! Environment overrides: `FIG11_SMALL_ELEMS`, `FIG11_LARGE_ELEMS`.
+//! Sizes: 10 000 and 1 000 000 doubles (`--smoke`: 1 000 and 100 000).
 
 use ec_baseline::MpiAllreduceVariant;
-use ec_bench::{env_usize, node_sweep, render_table, speedup, Series};
+use ec_bench::{node_sweep, render_table, smoke_default, speedup, Series};
 use ec_collectives::schedule::ring_allreduce_schedule;
 use ec_netsim::{ClusterSpec, CostModel, Engine};
 
@@ -33,8 +33,8 @@ fn run_panel(elems: usize) -> Vec<Series> {
 fn main() {
     ec_bench::check_args();
     let smoke = ec_bench::smoke_flag();
-    let small = env_usize("FIG11_SMALL_ELEMS", ec_bench::smoke_default(smoke, 10_000, 1_000));
-    let large = env_usize("FIG11_LARGE_ELEMS", ec_bench::smoke_default(smoke, 1_000_000, 100_000));
+    let small = smoke_default(smoke, 10_000, 1_000);
+    let large = smoke_default(smoke, 1_000_000, 100_000);
 
     let max_nodes = *node_sweep().last().expect("non-empty sweep");
     ec_bench::print_smoke_memory_stats(

@@ -6,19 +6,19 @@
 //! about 2 MB upwards, peaking at 2.07x / 2.13x over the ring / Shumilin's
 //! ring variants at 64 MB (8,388,608 doubles).
 //!
-//! Environment overrides: `FIG12_NODES`, `FIG12_MIN_ELEMS`, `FIG12_MAX_ELEMS`.
+//! Sizes: 32 nodes, 1 024 to 8 388 608 elements (`--smoke`: 16 nodes, up to
+//! 65 536 elements).
 
 use ec_baseline::MpiAllreduceVariant;
-use ec_bench::{env_usize, render_table, speedup, Series};
+use ec_bench::{render_table, smoke_default, speedup, Series};
 use ec_collectives::schedule::ring_allreduce_schedule;
 use ec_netsim::{ClusterSpec, CostModel, Engine};
 
 fn main() {
     ec_bench::check_args();
     let smoke = ec_bench::smoke_flag();
-    let nodes = env_usize("FIG12_NODES", ec_bench::smoke_default(smoke, 32, 16));
-    let min_elems = env_usize("FIG12_MIN_ELEMS", 1024);
-    let max_elems = env_usize("FIG12_MAX_ELEMS", ec_bench::smoke_default(smoke, 8_388_608, 65_536));
+    let nodes = smoke_default(smoke, 32, 16);
+    let max_elems = smoke_default(smoke, 8_388_608, 65_536);
 
     ec_bench::print_smoke_memory_stats(
         smoke,
@@ -32,7 +32,7 @@ fn main() {
         series.push(Series::new(v.label()));
     }
 
-    let mut elems = min_elems;
+    let mut elems = 1024;
     while elems <= max_elems {
         let bytes = (elems * 8) as u64;
         let kb = bytes as f64 / 1024.0;

@@ -7,18 +7,18 @@
 //! nodes, and notes that the Quantum Espresso FFT uses 6–24 KB messages —
 //! squarely in the region where GASPI wins.
 //!
-//! Environment overrides: `FIG13_PPN`, `FIG13_MAX_BLOCK`.
+//! Sizes: blocks up to 32 KiB (`--smoke`: 4 KiB).
 
 use ec_baseline::mpi_alltoall_pairwise_schedule;
-use ec_bench::{env_usize, render_table, speedup, Series};
+use ec_bench::{render_table, smoke_default, speedup, Series};
 use ec_collectives::schedule::alltoall_direct_schedule;
 use ec_netsim::{ClusterSpec, CostModel, Engine};
 
 fn main() {
     ec_bench::check_args();
     let smoke = ec_bench::smoke_flag();
-    let ppn = env_usize("FIG13_PPN", 4);
-    let max_block = env_usize("FIG13_MAX_BLOCK", ec_bench::smoke_default(smoke, 32 * 1024, 4 * 1024)) as u64;
+    let ppn = 4;
+    let max_block = smoke_default(smoke, 32 * 1024, 4 * 1024) as u64;
     let node_counts = [4usize, 8, 16];
 
     let max_ranks = node_counts[node_counts.len() - 1] * ppn;

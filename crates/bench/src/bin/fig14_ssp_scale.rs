@@ -12,53 +12,56 @@
 //! The output is fully deterministic: the same seed produces byte-identical
 //! tables.  Pass `--smoke` for a CI-sized run (128 workers, few iterations).
 //!
-//! Environment overrides: `FIG14_SEED` (default 42), `FIG14_ITERS` (24;
-//! smoke 6), `FIG14_BYTES` (32768), `FIG14_COMPUTE_US` (200),
-//! `FIG14_WORKERS` (comma list, e.g. `65536`), `FIG14_MAX_SLACK` (8).
+//! Sizes: seed 42, 24 iterations (`--smoke`: 6), 32 KiB per partner, 200 us
+//! nominal compute.
+//!
+//! Environment overrides: `FIG14_WORKERS` (comma list, default
+//! `128,256,512,1024`, smoke `128`) and `FIG14_MAX_SLACK` (8).  CI runs
+//! `FIG14_WORKERS=65536 FIG14_MAX_SLACK=2` with `--smoke` and pins its
+//! fingerprint.
 
 use ec_bench::ssp_scale::{fig14_scenario, ssp_scale_program, SspScaleConfig};
-use ec_bench::{env_f64, env_usize, env_usize_list, Series};
+use ec_bench::{env_usize, env_usize_list, Series};
 use ec_netsim::{ClusterSpec, CostModel, Engine, RunReport};
 
-fn run_one(workers: usize, slack: usize, iters: usize, bytes: u64, compute: f64, seed: u64) -> RunReport {
-    let mut cfg = SspScaleConfig::new(workers, slack);
-    cfg.iterations = iters;
-    cfg.bytes = bytes;
-    cfg.compute = compute;
-    cfg.seed = seed;
-    let program = ssp_scale_program(&cfg);
+/// Nominal compute per iteration: 200 us as `200.0 * 1e-6`, one ulp below
+/// `200e-6` (the `SspScaleConfig` default); the pinned fingerprints depend
+/// on that ulp.
+const COMPUTE: f64 = 200.0 * 1e-6;
+
+/// The sweep's program configuration for `workers` at `slack`.
+fn config(workers: usize, slack: usize, iters: usize) -> SspScaleConfig {
+    SspScaleConfig { iterations: iters, compute: COMPUTE, ..SspScaleConfig::new(workers, slack) }
+}
+
+fn run_one(workers: usize, slack: usize, iters: usize) -> RunReport {
+    let cfg = config(workers, slack, iters);
     let engine = Engine::new(ClusterSpec::homogeneous(workers, 1), CostModel::marenostrum4_opa())
-        .with_scenario(fig14_scenario(seed));
-    engine.run(&program).expect("fig14 program must simulate")
+        .with_scenario(fig14_scenario(cfg.seed));
+    engine.run(&ssp_scale_program(&cfg)).expect("fig14 program must simulate")
 }
 
 fn main() {
     ec_bench::check_args();
     let smoke = ec_bench::smoke_flag();
-    let seed = env_usize("FIG14_SEED", 42) as u64;
-    let iters = env_usize("FIG14_ITERS", if smoke { 6 } else { 24 });
-    let bytes = env_usize("FIG14_BYTES", 32 * 1024) as u64;
-    let compute = env_f64("FIG14_COMPUTE_US", 200.0) * 1e-6;
+    let iters = if smoke { 6 } else { 24 };
     let max_slack = env_usize("FIG14_MAX_SLACK", 8);
     let slacks = 0..=max_slack;
     let worker_counts = env_usize_list("FIG14_WORKERS", if smoke { &[128] } else { &[128, 256, 512, 1024] });
+    let max_workers = *worker_counts.iter().max().expect("non-empty worker list");
+    let stats_cfg = config(max_workers, max_slack, iters);
 
     println!("# Figure 14 — SSP slack sweep at scale (simulated, heterogeneous cluster)");
     println!(
-        "# seed {seed}, {iters} iterations, {} KiB per partner, {:.0} us nominal compute, slack {}..={}",
-        bytes / 1024,
-        compute * 1e6,
+        "# seed {}, {iters} iterations, {} KiB per partner, {:.0} us nominal compute, slack {}..={}",
+        stats_cfg.seed,
+        stats_cfg.bytes / 1024,
+        COMPUTE * 1e6,
         slacks.start(),
         slacks.end()
     );
     println!("# scenario: 10% node speed spread, 2% slow nodes (1.5x), 10% link jitter, 5% hiccup iterations (6x)\n");
 
-    let max_workers = *worker_counts.iter().max().expect("non-empty worker list");
-    let mut stats_cfg = SspScaleConfig::new(max_workers, max_slack);
-    stats_cfg.iterations = iters;
-    stats_cfg.bytes = bytes;
-    stats_cfg.compute = compute;
-    stats_cfg.seed = seed;
     ec_bench::print_smoke_memory_stats(smoke, "ssp-scale", &ssp_scale_program(&stats_cfg));
 
     let mut digest = 0u64;
@@ -74,7 +77,7 @@ fn main() {
         // doubles as the straggler report.
         let mut worst_scale = f64::NAN;
         for slack in slacks.clone() {
-            let r = run_one(workers, slack, iters, bytes, compute, seed);
+            let r = run_one(workers, slack, iters);
             let makespan = r.makespan();
             if slack == 0 {
                 baseline = makespan;
@@ -114,7 +117,7 @@ fn main() {
     if obs.active() {
         let engine = obs.instrument(
             Engine::new(ClusterSpec::homogeneous(max_workers, 1), CostModel::marenostrum4_opa())
-                .with_scenario(fig14_scenario(seed)),
+                .with_scenario(fig14_scenario(stats_cfg.seed)),
         );
         let report = engine.run(&ssp_scale_program(&stats_cfg)).expect("fig14 observability run");
         obs.emit("ssp-scale", &report);

@@ -15,18 +15,13 @@
 //! The output is fully deterministic: the same seed produces byte-identical
 //! tables.  Pass `--smoke` for a CI-sized run (64 ranks only).
 //!
-//! Environment overrides: `FIG15_SEED` (default 42), `FIG15_BLOCK` (32768),
-//! `FIG15_RING_BYTES` (8000000), `FIG15_MAX_P` (1024), `FIG15_RANKS`
-//! (enables the huge-scale alpha–beta section, e.g. 65536),
-//! `FIG15_WINDOW` (32).
+//! Sizes: the `CongestionConfig::new` defaults (seed 42, 32 KiB AlltoAll
+//! blocks, 8 MB ring payload, four ranks per node) at p = 64, 256 and 1024.
 
 use std::fmt::Write as _;
 
-use ec_bench::congestion::{
-    alltoall_window_schedule, ring_rounds_schedule, run_point, run_scale_point, Collective, CongestionConfig,
-    CongestionPoint,
-};
-use ec_bench::{env_usize, Series};
+use ec_bench::congestion::{run_point, Collective, CongestionConfig, CongestionPoint};
+use ec_bench::Series;
 
 const OVERSUBSCRIPTION: [f64; 3] = [1.0, 2.0, 4.0];
 
@@ -63,29 +58,21 @@ fn sweep(
 fn main() {
     ec_bench::check_args();
     let smoke = ec_bench::smoke_flag();
-    let seed = env_usize("FIG15_SEED", 42) as u64;
-    let block = env_usize("FIG15_BLOCK", 32 * 1024) as u64;
-    let ring_bytes = env_usize("FIG15_RING_BYTES", 8_000_000) as u64;
-    let max_p = env_usize("FIG15_MAX_P", 1024);
-    let rank_counts: Vec<usize> =
-        if smoke { vec![64] } else { [64usize, 256, 1024].into_iter().filter(|&p| p <= max_p).collect() };
+    let rank_counts: &[usize] = if smoke { &[64] } else { &[64, 256, 1024] };
+    let stats_cfg = CongestionConfig::new(*rank_counts.last().expect("non-empty rank list"));
 
     println!("# Figure 15 — collectives under fabric contention (simulated 2-level fat-tree)");
     println!(
-        "# seed {seed}, {} KiB alltoall blocks, {:.1} MB ring payload, 4 ranks/node, 8-node leaves, galileo-opa",
-        block / 1024,
-        ring_bytes as f64 / 1e6
+        "# seed {}, {} KiB alltoall blocks, {:.1} MB ring payload, 4 ranks/node, 8-node leaves, galileo-opa",
+        stats_cfg.seed,
+        stats_cfg.alltoall_block / 1024,
+        stats_cfg.ring_bytes as f64 / 1e6
     );
     println!("# scenario: 5% link latency/bandwidth jitter composed on top of the fabric\n");
 
-    let stats_ranks = *rank_counts.last().expect("non-empty rank list");
-    let stats_window = 8.min(stats_ranks - 1);
-    ec_bench::print_smoke_memory_stats(
-        smoke,
-        "alltoall-window",
-        &alltoall_window_schedule(stats_ranks, block, stats_window),
-    );
-    ec_bench::print_smoke_memory_stats(smoke, "ring-rounds", &ring_rounds_schedule(stats_ranks, ring_bytes, 4));
+    for collective in [Collective::Alltoall, Collective::Ring] {
+        ec_bench::print_smoke_memory_stats(smoke, collective.label(), &collective.program(&stats_cfg));
+    }
 
     println!(
         "{:>10} {:>6} {:>8} {:>14} {:>11} {:>12} {:>14} {:>10}",
@@ -94,11 +81,8 @@ fn main() {
 
     let mut makespans = Vec::new();
     let mut summary: Vec<(Collective, Series)> = Vec::new();
-    for &ranks in &rank_counts {
-        let mut cfg = CongestionConfig::new(ranks);
-        cfg.alltoall_block = block;
-        cfg.ring_bytes = ring_bytes;
-        cfg.seed = seed;
+    for &ranks in rank_counts {
+        let cfg = CongestionConfig::new(ranks);
         for collective in [Collective::Alltoall, Collective::Ring] {
             let mut out = String::new();
             let points = sweep(&cfg, collective, &mut out, &mut makespans);
@@ -117,35 +101,6 @@ fn main() {
     }
     println!("(the alltoall pays nearly the taper factor; the ring is topology-oblivious)");
 
-    // Huge-scale section: windowed exchanges at p = FIG15_RANKS (e.g. 65536)
-    // on the alpha-beta model.  The full alltoall is O(p²) messages and the
-    // max-min solver re-resolves over every active flow, so neither survives
-    // p = 65536 — the windowed programs keep the communication styles while
-    // the event core does the heavy lifting.
-    let scale_ranks = env_usize("FIG15_RANKS", 0);
-    if scale_ranks >= 2 {
-        let window = env_usize("FIG15_WINDOW", 32).min(scale_ranks - 1);
-        println!("\n## huge-scale section: p = {scale_ranks}, window {window}, alpha-beta model");
-        let mut digest = 0u64;
-        for (label, program) in [
-            ("alltoall-window", alltoall_window_schedule(scale_ranks, block, window)),
-            ("ring-rounds", ring_rounds_schedule(scale_ranks, ring_bytes / scale_ranks as u64 + 1, window)),
-        ] {
-            let r = run_scale_point(scale_ranks, &program, seed);
-            println!(
-                "{:>16}: makespan {:.6} s, {} puts, {} notifications consumed, report fingerprint {:016x}",
-                label,
-                r.makespan(),
-                r.total_messages(),
-                r.total_notifications_consumed(),
-                r.fingerprint()
-            );
-            digest = ec_netsim::SplitMix64::mix(digest ^ r.fingerprint());
-            makespans.push(r.makespan());
-        }
-        println!("## scale fingerprint: {digest:016x}");
-    }
-
     // Same seed, same fingerprint: determinism regressions are trivially
     // visible in CI logs.
     let fingerprint = makespans.iter().fold(0u64, |acc, m| ec_netsim::SplitMix64::mix(acc ^ m.to_bits()));
@@ -157,10 +112,7 @@ fn main() {
     // exported trace carries saturated-link counter tracks.
     let obs = ec_bench::Observability::from_args();
     if obs.active() {
-        let mut cfg = CongestionConfig::new(rank_counts[0]);
-        cfg.alltoall_block = block;
-        cfg.ring_bytes = ring_bytes;
-        cfg.seed = seed;
+        let cfg = CongestionConfig::new(rank_counts[0]);
         let engine = obs.instrument(ec_bench::congestion::fig15_engine(&cfg, 4.0));
         let report = engine.run(&Collective::Alltoall.program(&cfg)).expect("fig15 observability run");
         obs.emit("alltoall-4to1", &report);

@@ -14,11 +14,10 @@
 //!
 //! The output is fully deterministic: same configuration, byte-identical
 //! table (the worker pool writes into pre-assigned slots, so the thread
-//! count cannot reorder anything).  Pass `--smoke` for a CI-sized grid.
-//!
-//! Environment overrides: `FIG16_MAX_P` (default 1024 full / 64 smoke).
+//! count cannot reorder anything).  Pass `--smoke` for a CI-sized grid
+//! (`SweepConfig::smoke`, p ≤ 64; the full grid is `SweepConfig::full`,
+//! p ≤ 1024).
 
-use ec_bench::env_usize;
 use ec_bench::tuner::{winner_table, CollectiveKind, Row, SweepConfig};
 use ec_collectives::schedule::ring_allreduce_schedule;
 use ec_netsim::SplitMix64;
@@ -64,8 +63,6 @@ fn main() {
     ec_bench::check_args();
     let smoke = ec_bench::smoke_flag();
     let cfg = if smoke { SweepConfig::smoke() } else { SweepConfig::full() };
-    let default_max = *cfg.rank_counts.last().unwrap();
-    let cfg = cfg.capped(env_usize("FIG16_MAX_P", default_max));
 
     println!("# Figure 16 — simulator-driven variant selection (simulated 2-level fat-tree, galileo-opa)");
     println!(

@@ -14,19 +14,19 @@
 //!
 //! Reports are folded online (`ReportDetail::Summary`), so neither the
 //! program nor the report ever materializes per-rank state.  The binary
-//! prints throughput and peak RSS and asserts a hard peak-RSS budget
-//! (default 8 GiB, `FIG17_RSS_BUDGET` bytes).
+//! prints throughput and peak RSS and asserts a hard peak-RSS budget: 8 GiB,
+//! or 320 MiB under `--smoke` (about twice the smoke run's ≈ 150 MiB peak,
+//! so a regression of the queue or the compressed program fails the CI
+//! smoke run long before 8 GiB would notice).
 //!
 //! The output is fully deterministic: same parameters, same fingerprint.
 //! Pass `--smoke` for a CI-sized run (`p = 2^17`).
 //!
-//! Environment overrides: `FIG17_RANKS` (default 2^20; smoke 2^17),
-//! `FIG17_ROUNDS` (8), `FIG17_CHUNK_BYTES` (32768), `FIG17_SSP_ITERS` (2),
-//! `FIG17_SSP_SLACK` (1), `FIG17_RSS_BUDGET` (8 GiB).
+//! Sizes: p = 2^20 (`--smoke`: 2^17), a ring window of 8 rounds x 32 KiB,
+//! SSP 2 iterations at slack 1, seed 42.
 
 use std::time::Instant;
 
-use ec_bench::env_usize;
 use ec_bench::million::{peak_rss_bytes, UniformSspSource, WindowedRingSource};
 use ec_bench::ssp_scale::fig14_scenario;
 use ec_netsim::{ClusterSpec, CompiledProgram, CostModel, Engine, ProgramSource, ReportDetail, RunReport, SplitMix64};
@@ -38,7 +38,18 @@ struct Measured {
     report: RunReport,
 }
 
-fn measure<S: ProgramSource>(source: &S, ranks: usize, seed: u64) -> Measured {
+/// Ring rounds of the windowed ring.
+const ROUNDS: usize = 8;
+/// Chunk bytes of both programs.
+const CHUNK: u64 = 32 * 1024;
+/// Iterations of the SSP hypercube exchange.
+const SSP_ITERS: usize = 2;
+/// Slack of the SSP hypercube exchange.
+const SSP_SLACK: usize = 1;
+/// Seed of the heterogeneity scenario.
+const SEED: u64 = 42;
+
+fn measure<S: ProgramSource>(source: &S, ranks: usize) -> Measured {
     let t = Instant::now();
     let compiled = CompiledProgram::from_source(source).expect("fig17 program must validate");
     let compile_secs = t.elapsed().as_secs_f64();
@@ -47,7 +58,7 @@ fn measure<S: ProgramSource>(source: &S, ranks: usize, seed: u64) -> Measured {
     // so it de-synchronizes the uniform SPMD streams (which keeps the event
     // calendar balanced) without breaking the arena's rank interning.
     let engine = Engine::new(ClusterSpec::homogeneous(ranks, 1), CostModel::marenostrum4_opa())
-        .with_scenario(fig14_scenario(seed))
+        .with_scenario(fig14_scenario(SEED))
         .with_report_detail(ReportDetail::Summary);
     let t = Instant::now();
     let report = engine.run_compiled(&compiled).expect("fig17 program must simulate");
@@ -70,19 +81,14 @@ fn print_row(label: &str, m: &Measured) {
 fn main() {
     ec_bench::check_args();
     let smoke = ec_bench::smoke_flag();
-    let ranks = env_usize("FIG17_RANKS", if smoke { 1 << 17 } else { 1 << 20 });
-    let rounds = env_usize("FIG17_ROUNDS", 8);
-    let chunk = env_usize("FIG17_CHUNK_BYTES", 32 * 1024) as u64;
-    let ssp_iters = env_usize("FIG17_SSP_ITERS", 2);
-    let ssp_slack = env_usize("FIG17_SSP_SLACK", 1);
-    let seed = env_usize("FIG17_SEED", 42) as u64;
-    let rss_budget = env_usize("FIG17_RSS_BUDGET", 8 << 30) as u64;
+    let ranks = if smoke { 1 << 17 } else { 1 << 20 };
+    let rss_budget: u64 = if smoke { 320 << 20 } else { 8 << 30 };
 
     println!("# Figure 17 — million-rank simulations on the compressed program representation");
     println!(
-        "# p = {ranks}, ring window {rounds} rounds x {} KiB, SSP {ssp_iters} iteration(s) slack {ssp_slack}, \
+        "# p = {ranks}, ring window {ROUNDS} rounds x {} KiB, SSP {SSP_ITERS} iteration(s) slack {SSP_SLACK}, \
          RSS budget {:.1} GiB\n",
-        chunk / 1024,
+        CHUNK / 1024,
         rss_budget as f64 / (1u64 << 30) as f64
     );
     println!(
@@ -90,10 +96,10 @@ fn main() {
         "program", "ops", "compile [s]", "run [s]", "ops/s", "makespan [s]", "fingerprint"
     );
 
-    let ring = measure(&WindowedRingSource::new(ranks, rounds, chunk), ranks, seed);
+    let ring = measure(&WindowedRingSource::new(ranks, ROUNDS, CHUNK), ranks);
     print_row("ring", &ring);
 
-    let ssp = measure(&UniformSspSource::new(ranks, ssp_slack, ssp_iters, chunk, 200e-6), ranks, seed);
+    let ssp = measure(&UniformSspSource::new(ranks, SSP_SLACK, SSP_ITERS, CHUNK, 200e-6), ranks);
     print_row("ssp-cube", &ssp);
 
     let mut digest = SplitMix64::mix(ring.report.fingerprint());
@@ -119,11 +125,11 @@ fn main() {
     // to ranks 0..=63 here — override with `--trace-ranks` / `--trace-sample`.
     let obs = ec_bench::Observability::from_args().with_default_window(0, 63);
     if obs.active() {
-        let compiled = CompiledProgram::from_source(&WindowedRingSource::new(ranks, rounds, chunk))
+        let compiled = CompiledProgram::from_source(&WindowedRingSource::new(ranks, ROUNDS, CHUNK))
             .expect("fig17 program must validate");
         let engine = obs.instrument(
             Engine::new(ClusterSpec::homogeneous(ranks, 1), CostModel::marenostrum4_opa())
-                .with_scenario(fig14_scenario(seed))
+                .with_scenario(fig14_scenario(SEED))
                 .with_report_detail(ReportDetail::Summary),
         );
         let report = engine.run_compiled(&compiled).expect("fig17 observability run");

@@ -25,11 +25,9 @@
 //! event simulation and the seeded-loss RNG is fixed.  Pass `--smoke` for
 //! the CI-sized run (p = 64 only).
 //!
-//! Environment overrides: `FIG18_MAX_P` (default 256 full / 64 smoke),
-//! `FIG18_BLOCK` (AlltoAll per-peer bytes, default 32768),
-//! `FIG18_RING_BYTES` (ring payload, default 4000000).
+//! Sizes: the `IncastConfig::new` defaults (32 KiB AlltoAll blocks, 4 MB
+//! ring payload) at p = 64, 128 and 256.
 
-use ec_bench::env_usize;
 use ec_bench::incast::{fig18_engine, run_point, Collective, FabricKind, IncastConfig, IncastPoint};
 use ec_netsim::SplitMix64;
 
@@ -78,8 +76,7 @@ fn winner(points: &[IncastPoint], kind: FabricKind, taper: f64) -> (Collective, 
 fn main() {
     ec_bench::check_args();
     let smoke = ec_bench::smoke_flag();
-    let max_p = env_usize("FIG18_MAX_P", if smoke { 64 } else { 256 });
-    let rank_counts: Vec<usize> = [64usize, 128, 256].into_iter().filter(|&p| p <= max_p).collect();
+    let rank_counts: &[usize] = if smoke { &[64] } else { &[64, 128, 256] };
 
     println!(
         "# Figure 18 — packet-level incast: the winner the flow model cannot see (simulated fat-tree, galileo-opa)"
@@ -89,12 +86,8 @@ fn main() {
     println!("# under PFC drops and retransmits must stay zero (lossless fabric invariant).\n");
 
     let mut points: Vec<IncastPoint> = Vec::new();
-    for &p in &rank_counts {
-        let cfg = IncastConfig {
-            alltoall_block: env_usize("FIG18_BLOCK", 32 * 1024) as u64,
-            ring_bytes: env_usize("FIG18_RING_BYTES", 4_000_000) as u64,
-            ..IncastConfig::new(p)
-        };
+    for &p in rank_counts {
+        let cfg = IncastConfig::new(p);
         for &taper in &TAPERS {
             for kind in FabricKind::all() {
                 for collective in [Collective::Alltoall, Collective::Ring] {
@@ -106,7 +99,7 @@ fn main() {
     print_table(&points);
 
     let max_taper = *TAPERS.last().expect("at least one taper");
-    for &p in &rank_counts {
+    for &p in rank_counts {
         let at_p: Vec<IncastPoint> = points.iter().filter(|pt| pt.ranks == p).cloned().collect();
         println!("## p = {p}, {max_taper:.0}:1 taper — winner per backend:");
         let (flow_win, ..) = winner(&at_p, FabricKind::Flow, max_taper);

@@ -12,7 +12,7 @@
 //! and never saturates an uplink.
 
 use ec_collectives::schedule::{alltoall_direct_schedule, ring_allreduce_schedule};
-use ec_netsim::{ClusterPreset, ClusterSpec, CostModel, Engine, Program, ProgramBuilder, RunReport, Scenario};
+use ec_netsim::{ClusterPreset, Engine, Program, RunReport, Scenario};
 
 /// Parameters of one fig15 sweep point set (payloads, placement, seed).
 /// The fabric geometry (Galileo cost model, 8-node leaves, access links at
@@ -127,61 +127,6 @@ pub fn run_point(cfg: &CongestionConfig, collective: Collective, oversubscriptio
     }
 }
 
-// -- huge-scale section (p = 65536) -----------------------------------------
-
-/// Windowed direct exchange used by the p = 65536 scale runs: every rank
-/// puts one `block` to each of its `window` nearest cyclic shifts and waits
-/// for the `window` puts aimed at it.  The full direct AlltoAll is O(p²)
-/// messages — 4.3 G puts at p = 65536, beyond any single-machine event-count
-/// budget — so the scale section keeps the communication *style* (many
-/// concurrent writers per destination) while capping the message count at
-/// `p * window`.
-pub fn alltoall_window_schedule(ranks: usize, block: u64, window: usize) -> Program {
-    assert!(ranks >= 2 && block > 0 && window >= 1 && window < ranks);
-    let mut b = ProgramBuilder::new(ranks);
-    for r in 0..ranks {
-        for shift in 1..=window {
-            b.put_notify(r, (r + shift) % ranks, block, (shift - 1) as u32);
-        }
-    }
-    let ids: Vec<u32> = (0..window as u32).collect();
-    for r in 0..ranks {
-        b.wait_notify(r, &ids);
-    }
-    b.build()
-}
-
-/// `rounds` nearest-neighbor ring exchanges (the ring allreduce's steady
-/// state, truncated): rank `r` puts to `r + 1` and waits for the round's
-/// notification from `r - 1`.  Single-writer, so the engine's dataflow
-/// burst path executes it without a global event queue.
-pub fn ring_rounds_schedule(ranks: usize, bytes: u64, rounds: usize) -> Program {
-    assert!(ranks >= 2 && bytes > 0 && rounds >= 1);
-    let mut b = ProgramBuilder::new(ranks);
-    for round in 0..rounds {
-        for r in 0..ranks {
-            b.put_notify(r, (r + 1) % ranks, bytes, round as u32);
-        }
-        for r in 0..ranks {
-            b.wait_notify(r, &[round as u32]);
-        }
-    }
-    b.build()
-}
-
-/// Run one huge-scale point on the alpha–beta model (one rank per node,
-/// Galileo cost model) and return the report.
-///
-/// The flow-level fabric is deliberately not used here: max-min re-resolution
-/// over tens of thousands of concurrent flows is the solver's own O(flows ×
-/// links) wall and would dwarf the event-core cost this section measures.
-pub fn run_scale_point(ranks: usize, program: &Program, seed: u64) -> RunReport {
-    Engine::new(ClusterSpec::homogeneous(ranks, 1), CostModel::galileo_opa())
-        .with_scenario(fig15_scenario(seed))
-        .run(program)
-        .expect("fig15 scale program must simulate")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,18 +153,6 @@ mod tests {
         let r = Collective::Ring.program(&cfg);
         assert_eq!(r.num_ranks(), 8);
         assert!(r.total_wire_bytes() > 0);
-    }
-
-    #[test]
-    fn scale_schedules_validate_and_consume_every_notification() {
-        let alltoall = alltoall_window_schedule(64, 1024, 8);
-        let ring = ring_rounds_schedule(64, 4096, 4);
-        for p in [&alltoall, &ring] {
-            assert!(ec_netsim::validate(p, 64).is_ok());
-        }
-        assert_eq!(alltoall.total_wire_bytes(), 64 * 8 * 1024);
-        assert_eq!(run_scale_point(64, &alltoall, 42).total_notifications_consumed(), 64 * 8);
-        assert_eq!(run_scale_point(64, &ring, 42).total_notifications_consumed(), 64 * 4);
     }
 
     #[test]

@@ -7,9 +7,11 @@
 //!
 //! The cluster-scale figures (8–13) are produced with the `ec-netsim` cost
 //! model; the SSP figures (6–7) run the real threaded runtime with injected
-//! latency and stragglers.  Workload sizes can be scaled down (or up to the
-//! paper's exact parameters) through environment variables documented in
-//! each binary's `--help`-style header comment and in `EXPERIMENTS.md`.
+//! latency and stragglers.  Workload sizes are fixed: the defaults are the
+//! paper's (or the experiment's) sizes and `--smoke` selects the CI-sized
+//! ones.  Four environment variables remain, each with a caller:
+//! `FIG06_RANKS` and `FIG07_RANKS` fit the threaded figures to the host's
+//! cores, and `FIG14_WORKERS` / `FIG14_MAX_SLACK` drive CI's p = 65536 run.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -91,17 +93,47 @@ pub fn speedup(base: f64, other: f64) -> f64 {
     }
 }
 
-/// Read an environment variable as `usize` with a default (used to scale the
-/// figure workloads up to paper size or down for quick runs).
+/// Read the override `name` as one `usize`, `default` when it is unset.
+///
+/// A malformed value (empty, not a number, or a list) names the variable
+/// and the value on stderr and exits with status 2.
 pub fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+    env_override(name, false).map_or(default, |values| values[0])
+}
+
+/// Read the override `name` as a comma-separated `usize` list (e.g.
+/// `FIG14_WORKERS=128,65536`), `default` when it is unset.
+///
+/// A malformed value (empty, an empty item, or an item that is not a number)
+/// names the variable and the value on stderr and exits with status 2.
+pub fn env_usize_list(name: &str, default: &[usize]) -> Vec<usize> {
+    env_override(name, true).unwrap_or_else(|| default.to_vec())
+}
+
+/// The values of the override `name`, `None` when it is unset; a malformed
+/// value exits 2, as [`check_args`] does for a malformed flag.
+fn env_override(name: &str, list: bool) -> Option<Vec<usize>> {
+    let value = std::env::var_os(name)?;
+    let value = value.to_string_lossy();
+    parse_override(&value, list).or_else(|| {
+        let expected = if list { "a comma-separated list of non-negative integers" } else { "a non-negative integer" };
+        eprintln!("malformed environment variable `{name}={value}`: expected {expected}");
+        std::process::exit(2)
+    })
+}
+
+/// `value` as one `usize`, or as a comma-separated list of them when `list`;
+/// `None` when it is empty, holds an empty item or an item that is not a
+/// number, or holds several items where one is expected.
+fn parse_override(value: &str, list: bool) -> Option<Vec<usize>> {
+    let values: Vec<usize> = value.split(',').map(|item| item.trim().parse().ok()).collect::<Option<_>>()?;
+    (list || values.len() == 1).then_some(values)
 }
 
 /// Whether the binary was invoked with `--smoke` (CI-sized workloads).
 ///
-/// Every `fig*` binary honours the flag by shrinking its *default* workload
-/// parameters; explicit environment overrides still win, so a smoke run can
-/// be scaled back up selectively.
+/// Every `fig*` binary honours the flag by switching to its CI-sized
+/// workload parameters.
 pub fn smoke_flag() -> bool {
     std::env::args().any(|a| a == "--smoke")
 }
@@ -161,7 +193,7 @@ fn reject_arg(bad: &str) -> ! {
         ACCEPTED_FLAGS.iter().map(|(flag, value)| value.map_or(flag.to_string(), |v| format!("{flag} {v}"))).collect();
     eprintln!("unrecognized, incomplete or malformed argument `{bad}`");
     eprintln!("accepted: {}", accepted.join(" "));
-    eprintln!("(workload sizes are set through the environment variables in the binary's header comment)");
+    eprintln!("(workload sizes are fixed; --smoke selects the CI-sized ones)");
     std::process::exit(2)
 }
 
@@ -290,23 +322,6 @@ pub fn smoke_default(smoke: bool, full: usize, small: usize) -> usize {
     }
 }
 
-/// Read an environment variable as `f64` with a default.
-pub fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-/// Read an environment variable as a comma-separated `usize` list with a
-/// default (used for worker-count sweeps, e.g. `FIG14_WORKERS=128,65536`).
-pub fn env_usize_list(name: &str, default: &[usize]) -> Vec<usize> {
-    let parsed: Vec<usize> =
-        std::env::var(name).map(|v| v.split(',').filter_map(|t| t.trim().parse().ok()).collect()).unwrap_or_default();
-    if parsed.is_empty() {
-        default.to_vec()
-    } else {
-        parsed
-    }
-}
-
 /// Standard node-count sweep used by the "time vs nodes" figures (8, 9, 10, 11).
 pub fn node_sweep() -> Vec<usize> {
     vec![2, 4, 8, 16, 32]
@@ -362,8 +377,27 @@ mod tests {
         assert_eq!(speedup(2.0, 1.0), 2.0);
         assert!(speedup(1.0, 0.0).is_nan());
         assert_eq!(env_usize("EC_BENCH_NOT_SET_VARIABLE", 7), 7);
-        assert_eq!(env_f64("EC_BENCH_NOT_SET_VARIABLE", 1.5), 1.5);
         assert_eq!(env_usize_list("EC_BENCH_NOT_SET_VARIABLE", &[128, 1024]), vec![128, 1024]);
+    }
+
+    #[test]
+    fn parse_override_accepts_numbers_and_refuses_the_rest() {
+        assert_eq!(parse_override("8", false), Some(vec![8]));
+        assert_eq!(parse_override("0", false), Some(vec![0]));
+        assert_eq!(parse_override("65536", true), Some(vec![65536]));
+        assert_eq!(parse_override("128, 65536", true), Some(vec![128, 65536]));
+        for (value, list) in [
+            ("", false),
+            ("", true),
+            ("64k", true),
+            ("128,,x", true),
+            ("128,", true),
+            ("-1", false),
+            ("8.0", false),
+            ("128,256", false),
+        ] {
+            assert_eq!(parse_override(value, list), None, "{value:?} (list: {list})");
+        }
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! notification-conservation invariant must hold.
 
 use ec_bench::ssp_scale::{fig14_scenario, ssp_scale_program, SspScaleConfig};
-use ec_netsim::{ClusterSpec, CostModel, Engine, RunReport, SplitMix64};
+use ec_collectives::schedule::HypercubeAllreduceSource;
+use ec_netsim::{ClusterSpec, CostModel, Engine, Op, Program, ProgramSource, RankProgram, RunReport, SplitMix64};
 
 fn run(workers: usize, slack: usize, seed: u64) -> RunReport {
     let mut cfg = SspScaleConfig::new(workers, slack);
@@ -154,4 +155,54 @@ fn ssp_event_count_follows_the_non_local_ops() {
         .expect("ssp program must simulate");
     assert_eq!(report.metrics.dataflow_burst_ops, 0);
     assert_eq!(report.metrics.events_scheduled, (16 * (1 + puts + waits + puts)) as u64);
+}
+
+/// ROADMAP item 11 (a): how far the hand-written SSP stand-in is from the
+/// paper's Algorithm 1 at slack 0.  The recorded body runs, per iteration,
+/// one compute op and then the `log2 p` dependent hypercube steps (each
+/// forwards the partial reduction folded in the step before); the stand-in
+/// issues all `log2 p` puts of the raw contribution up front, then waits on
+/// each dimension.  Both run jitter- and hiccup-free on the fig14 cost model,
+/// without and with `fig14_scenario(42)`.  Each line is `p`, whether the
+/// scenario is on, and the recorded-over-stand-in makespan ratio (rounded,
+/// then its exact bits).
+#[test]
+fn recorded_algorithm_1_against_the_ssp_stand_in() {
+    let mut got = Vec::new();
+    for p in [16, 64, 256, 1024] {
+        let cfg = SspScaleConfig { jitter: 0.0, hiccup_prob: 0.0, ..SspScaleConfig::new(p, 0) };
+        let body = HypercubeAllreduceSource::new(p, cfg.bytes);
+        let recorded = Program {
+            ranks: (0..p)
+                .map(|rank| {
+                    let mut ops = Vec::new();
+                    for _ in 0..cfg.iterations {
+                        ops.push(Op::Compute { seconds: cfg.compute });
+                        body.rank_ops(rank, &mut ops);
+                    }
+                    RankProgram { ops }
+                })
+                .collect(),
+        };
+        let stand_in = ssp_scale_program(&cfg);
+        for scenario in [false, true] {
+            let mut engine = Engine::new(ClusterSpec::homogeneous(p, 1), CostModel::marenostrum4_opa());
+            if scenario {
+                engine = engine.with_scenario(fig14_scenario(42));
+            }
+            let ratio = engine.makespan(&recorded).unwrap() / engine.makespan(&stand_in).unwrap();
+            got.push(format!("{p} {scenario} {ratio:.4} {:016x}", ratio.to_bits()));
+        }
+    }
+    let pins = [
+        "16 false 1.0617 3ff0fcb3f8fe7ba2",
+        "16 true 1.0360 3ff09369f20e62c8",
+        "64 false 1.0988 3ff194be0067a388",
+        "64 true 1.0014 3ff005d5261d6656",
+        "256 false 1.1331 3ff2215d6abf78a3",
+        "256 true 1.0203 3ff0535333803cff",
+        "1024 false 1.1650 3ff2a3cf7dacfd16",
+        "1024 true 1.0213 3ff05738df4936f9",
+    ];
+    assert_eq!(got, pins, "got:\n{}", got.join("\n"));
 }

@@ -94,11 +94,6 @@ impl Context {
         self.state.register_segment(self.rank, segment, storage)
     }
 
-    /// Delete a segment owned by this rank.
-    pub fn segment_delete(&self, segment: SegmentId) -> Result<()> {
-        self.state.remove_segment(self.rank, segment)
-    }
-
     /// Size in bytes of a local segment.
     pub fn segment_size(&self, segment: SegmentId) -> Result<usize> {
         Ok(self.local_segment(segment)?.size())
@@ -273,12 +268,6 @@ impl Context {
                 return Err(GaspiError::ZeroNotificationValue);
             }
         }
-        if payload_len > 0 {
-            self.state.counters(self.rank).record_write(payload_len as u64);
-        }
-        if notification.is_some() {
-            self.state.counters(self.rank).record_notification();
-        }
 
         let delay = self.delivery_delay(payload_len, dst_rank);
         match (&self.delivery, delay) {
@@ -395,22 +384,5 @@ impl Context {
     /// Full barrier over all ranks of the job (`gaspi_barrier`).
     pub fn barrier(&self) {
         self.state.barrier().wait();
-    }
-
-    // -- statistics ---------------------------------------------------------------
-
-    /// Bytes written into remote segments by this rank so far.
-    pub fn bytes_written(&self) -> u64 {
-        self.state.counters(self.rank).bytes_written.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Number of one-sided writes issued by this rank so far.
-    pub fn writes_issued(&self) -> u64 {
-        self.state.counters(self.rank).writes.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Number of notifications issued by this rank so far.
-    pub fn notifications_issued(&self) -> u64 {
-        self.state.counters(self.rank).notifications.load(std::sync::atomic::Ordering::Relaxed)
     }
 }

@@ -224,24 +224,6 @@ mod tests {
     }
 
     #[test]
-    fn counters_track_traffic() {
-        let out = Job::with_ranks(2)
-            .run(|ctx| {
-                ctx.segment_create(SEG, 64).unwrap();
-                ctx.barrier();
-                if ctx.rank() == 0 {
-                    ctx.write_notify(1, SEG, 0, &[0u8; 48], 0, 1, 0).unwrap();
-                    ctx.notify(1, SEG, 1, 2, 0).unwrap();
-                }
-                ctx.barrier();
-                (ctx.bytes_written(), ctx.writes_issued(), ctx.notifications_issued())
-            })
-            .unwrap();
-        assert_eq!(out[0], (48, 1, 2));
-        assert_eq!(out[1], (0, 0, 0));
-    }
-
-    #[test]
     fn barrier_orders_phases_across_ranks() {
         // Every rank writes into its right neighbour's segment *after* the
         // barrier that guarantees segment creation; a second barrier makes the

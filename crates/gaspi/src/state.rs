@@ -1,8 +1,7 @@
-//! Shared job state: the segment registry, queues, barrier and counters.
+//! Shared job state: the segment registry, queues and barrier.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
@@ -57,68 +56,6 @@ impl QueueSlot {
     }
 }
 
-/// Per-rank communication counters (monotonic, lock-free).
-#[derive(Debug, Default)]
-pub struct RankCounters {
-    /// Bytes written into remote segments by this rank.
-    pub bytes_written: AtomicU64,
-    /// Number of one-sided write operations issued by this rank.
-    pub writes: AtomicU64,
-    /// Number of notifications issued by this rank (including write_notify).
-    pub notifications: AtomicU64,
-}
-
-impl RankCounters {
-    /// Record one write of `bytes` bytes.
-    pub fn record_write(&self, bytes: u64) {
-        self.bytes_written.fetch_add(bytes, Ordering::Relaxed);
-        self.writes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one notification.
-    pub fn record_notification(&self) {
-        self.notifications.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// A reusable sense-reversing barrier for exactly `parties` threads.
-#[derive(Debug)]
-pub struct Barrier {
-    parties: usize,
-    state: Mutex<BarrierState>,
-    cv: Condvar,
-}
-
-#[derive(Debug)]
-struct BarrierState {
-    arrived: usize,
-    generation: u64,
-}
-
-impl Barrier {
-    /// Create a barrier for `parties` participants.
-    pub fn new(parties: usize) -> Self {
-        Self { parties, state: Mutex::new(BarrierState { arrived: 0, generation: 0 }), cv: Condvar::new() }
-    }
-
-    /// Block until all participants arrive.
-    pub fn wait(&self) {
-        let mut st = self.state.lock();
-        let gen = st.generation;
-        st.arrived += 1;
-        if st.arrived == self.parties {
-            st.arrived = 0;
-            st.generation += 1;
-            drop(st);
-            self.cv.notify_all();
-            return;
-        }
-        while st.generation == gen {
-            self.cv.wait(&mut st);
-        }
-    }
-}
-
 /// State shared by all ranks of a job.
 #[derive(Debug)]
 pub struct SharedState {
@@ -127,7 +64,6 @@ pub struct SharedState {
     segments: Mutex<HashMap<(Rank, SegmentId), Arc<SegmentStorage>>>,
     segment_created: Condvar,
     queues: Vec<Vec<Arc<QueueSlot>>>,
-    counters: Vec<RankCounters>,
     barrier: Barrier,
 }
 
@@ -137,13 +73,11 @@ impl SharedState {
         let n = config.num_ranks;
         let q = config.queues as usize;
         let queues = (0..n).map(|_| (0..q).map(|_| Arc::new(QueueSlot::default())).collect()).collect();
-        let counters = (0..n).map(|_| RankCounters::default()).collect();
         Self {
             barrier: Barrier::new(n),
             segments: Mutex::new(HashMap::new()),
             segment_created: Condvar::new(),
             queues,
-            counters,
             config,
         }
     }
@@ -163,14 +97,6 @@ impl SharedState {
         drop(segs);
         self.segment_created.notify_all();
         Ok(())
-    }
-
-    /// Remove a segment owned by `rank`.
-    pub fn remove_segment(&self, rank: Rank, segment: SegmentId) -> Result<()> {
-        match self.segments.lock().remove(&(rank, segment)) {
-            Some(_) => Ok(()),
-            None => Err(GaspiError::SegmentNotFound { rank, segment }),
-        }
     }
 
     /// Look up a segment without waiting.
@@ -220,11 +146,6 @@ impl SharedState {
             .ok_or(GaspiError::InvalidQueue { queue, queues: self.config.queues })
     }
 
-    /// Per-rank counters.
-    pub fn counters(&self, rank: Rank) -> &RankCounters {
-        &self.counters[rank]
-    }
-
     /// The job-wide barrier.
     pub fn barrier(&self) -> &Barrier {
         &self.barrier
@@ -258,23 +179,6 @@ mod tests {
     }
 
     #[test]
-    fn barrier_releases_all_parties() {
-        let b = Arc::new(Barrier::new(3));
-        let mut handles = Vec::new();
-        for _ in 0..3 {
-            let b = Arc::clone(&b);
-            handles.push(thread::spawn(move || {
-                for _ in 0..5 {
-                    b.wait();
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-    }
-
-    #[test]
     fn segment_registration_and_lookup() {
         let st = SharedState::new(GaspiConfig::new(2));
         let seg = Arc::new(SegmentStorage::new(16, 4));
@@ -282,8 +186,6 @@ mod tests {
         assert!(st.find_segment(1, 0).is_some());
         assert!(st.find_segment(0, 0).is_none());
         assert!(matches!(st.register_segment(1, 0, seg), Err(GaspiError::SegmentAlreadyExists { segment: 0 })));
-        st.remove_segment(1, 0).unwrap();
-        assert!(st.find_segment(1, 0).is_none());
     }
 
     #[test]
@@ -311,16 +213,5 @@ mod tests {
         assert!(matches!(st.queue(5, 0), Err(GaspiError::InvalidRank { .. })));
         assert!(st.check_rank(1).is_ok());
         assert!(st.check_rank(2).is_err());
-    }
-
-    #[test]
-    fn counters_accumulate() {
-        let st = SharedState::new(GaspiConfig::new(1));
-        st.counters(0).record_write(100);
-        st.counters(0).record_write(28);
-        st.counters(0).record_notification();
-        assert_eq!(st.counters(0).bytes_written.load(Ordering::Relaxed), 128);
-        assert_eq!(st.counters(0).writes.load(Ordering::Relaxed), 2);
-        assert_eq!(st.counters(0).notifications.load(Ordering::Relaxed), 1);
     }
 }

@@ -12,7 +12,7 @@ use std::fmt::Write as _;
 
 use ec_baseline::{
     mpi_alltoall_pairwise_schedule, mpi_bcast_binomial_schedule, mpi_bcast_default_schedule,
-    mpi_reduce_binomial_schedule, mpi_reduce_default_schedule, MpiAllreduceVariant,
+    mpi_reduce_binomial_schedule, mpi_reduce_default_schedule, variants, MpiAllreduceVariant,
 };
 use ec_collectives::schedule::{
     alltoall_direct_schedule, bcast_bst_schedule, hypercube_allreduce_schedule, reduce_bst_schedule,
@@ -114,6 +114,21 @@ pub(crate) fn lint_schedules() -> (String, bool) {
             outcomes.push(analyzed(
                 format!("ec_baseline::mpi_alltoall_pairwise_schedule(p={p}, block={bytes})"),
                 &mpi_alltoall_pairwise_schedule(p, bytes),
+            ));
+            // The single-source variants the fig16 tuner prices.
+            for (name, program) in [
+                ("rabenseifner_allreduce_schedule", variants::rabenseifner_allreduce_schedule(p, bytes)),
+                ("rsag_allreduce_schedule", variants::rsag_allreduce_schedule(p, bytes)),
+                ("bruck_alltoall_schedule", variants::bruck_alltoall_schedule(p, bytes)),
+                ("pairwise_alltoall_schedule", variants::pairwise_alltoall_schedule(p, bytes)),
+                ("scatter_allgather_bcast_schedule", variants::scatter_allgather_bcast_schedule(p, bytes)),
+                ("rsg_reduce_schedule", variants::rsg_reduce_schedule(p, bytes)),
+            ] {
+                outcomes.push(analyzed(format!("ec_baseline::variants::{name}(p={p}, bytes={bytes})"), &program));
+            }
+            outcomes.push(analyzed(
+                format!("ec_baseline::variants::pipelined_binomial_bcast_schedule(p={p}, bytes={bytes}, seg=16384)"),
+                &variants::pipelined_binomial_bcast_schedule(p, bytes, 16 * 1024),
             ));
 
             for variant in MpiAllreduceVariant::all() {

@@ -70,6 +70,7 @@ pub mod program;
 pub mod report;
 pub mod routing;
 pub mod scenario;
+mod shortest;
 pub mod source;
 pub mod topology;
 pub mod trace;

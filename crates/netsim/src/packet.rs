@@ -997,21 +997,46 @@ mod tests {
 
     #[test]
     fn lone_message_runs_at_wire_speed() {
-        let topo = Topology::single_switch(4, 1e9);
-        let mut f = PacketFabric::new(&topo, PacketConfig::default()).unwrap();
-        let bytes: u32 = 1 << 20;
-        let id = f.add_flow(0.0, 0, 1, f64::from(bytes));
-        let (t, done) = run(&mut f, 1);
-        assert_eq!(done, vec![id]);
-        let ideal = f64::from(bytes) / 1e9;
-        assert!(t > ideal, "store-and-forward adds pipeline fill");
-        assert!(t < ideal * 1.05, "a lone message must run near wire speed: {t} vs {ideal}");
-        let (queue, wire) = f.completion_split(id);
-        assert!((queue + wire - t).abs() < 1e-12);
-        assert!(queue < 0.05 * wire, "an uncontended flow is wire-dominated");
-        assert_eq!(f.totals().drops, 0);
-        assert_eq!(f.totals().retransmits, 0);
-        assert_eq!(f.totals().delivered_packets, u64::from(bytes) / 4096);
+        // One message alone on an H-hop path, store and forward, from
+        // injection to the last byte's arrival.  Its first packet carries
+        // `first = min(MTU, B)` bytes and crosses hop l in
+        // `first / C_l + hop_latency` (serialize, then fly).  The rest,
+        // `B − first`, streams behind it at the slowest hop's rate, so
+        //   T = Σ_l (first / C_l + hop_latency) + (B − first) / C_min.
+        // With one capacity C on every hop this is
+        //   T = B / C + (H − 1) · first / C + H · hop_latency.
+        let cfg = PacketConfig::default();
+        let mtu = f64::from(cfg.mtu);
+        let closed_form = |caps: &[f64], bytes: f64| {
+            let first = bytes.min(mtu);
+            let c_min = caps.iter().copied().fold(f64::INFINITY, f64::min);
+            caps.iter().map(|c| first / c + cfg.hop_latency).sum::<f64>() + (bytes - first) / c_min
+        };
+        let c = 12.5e9;
+        let paths: [(Topology, NodeId, NodeId, &[f64]); 4] = [
+            (Topology::single_switch(4, c), 0, 1, &[c, c]),
+            (Topology::fat_tree(8, 4, 4.0, c), 0, 1, &[c, c]),
+            (Topology::fat_tree(8, 4, 4.0, c), 0, 7, &[c, c, c, c]),
+            // Full bisection: the leaf–core hops run at 4·C.
+            (Topology::fat_tree(8, 4, 1.0, c), 0, 7, &[c, 4.0 * c, 4.0 * c, c]),
+        ];
+        for (topo, src, dst, caps) in &paths {
+            for bytes in [100u32, 4096, 4097, 8192, 1_000_000, 1 << 20] {
+                let mut f = PacketFabric::new(topo, cfg).unwrap();
+                let id = f.add_flow(0.0, *src, *dst, f64::from(bytes));
+                let (t, done) = run(&mut f, 1);
+                assert_eq!(done, vec![id]);
+                let want = closed_form(caps, f64::from(bytes));
+                let case = format!("{} {src}->{dst}, {bytes} B", topo.name());
+                assert!((t - want).abs() <= 1e-12 * want, "{case}: {t} against the closed form {want}");
+                let (queue, wire) = f.completion_split(id);
+                assert!((queue + wire - t).abs() < 1e-12);
+                assert!(queue <= 1e-12 * t, "{case}: an uncontended message queues {queue} s");
+                assert_eq!(f.totals().drops, 0);
+                assert_eq!(f.totals().retransmits, 0);
+                assert_eq!(f.totals().delivered_packets, u64::from(bytes.div_ceil(cfg.mtu)));
+            }
+        }
     }
 
     #[test]

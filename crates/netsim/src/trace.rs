@@ -787,7 +787,9 @@ impl ExactSizeIterator for TraceIter<'_> {}
 ///
 /// Every record is assembled from a static head (everything up to `"ts":`
 /// or `"id":`), the timestamp, the track's cached `,"pid":0,"tid":N`
-/// suffix and its arguments.
+/// suffix and its arguments.  A timestamp is written once per distinct
+/// value, in the same shortest round-trip digits `{}` prints, computed by a
+/// Ryū variant instead of `core::fmt`.
 pub struct ChromeTraceWriter<W: Write + Send> {
     out: W,
     /// Records formatted since the last write to `out`.
@@ -823,7 +825,7 @@ const DIGIT_PAIRS: [u8; 200] = {
 };
 
 /// Append `n` in decimal.
-fn push_int(buf: &mut Vec<u8>, mut n: u64) {
+pub(crate) fn push_int(buf: &mut Vec<u8>, mut n: u64) {
     let mut digits = [0u8; 20];
     let mut at = digits.len();
     while n >= 100 {
@@ -933,7 +935,7 @@ impl<W: Write + Send> ChromeTraceWriter<W> {
         if ts.to_bits() != self.ts_bits {
             self.ts_bits = ts.to_bits();
             self.ts_text.clear();
-            write!(self.ts_text, "{ts}").expect("writing to a Vec cannot fail");
+            crate::shortest::push_f64(&mut self.ts_text, ts);
         }
         self.buf.extend_from_slice(&self.ts_text);
     }

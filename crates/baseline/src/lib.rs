@@ -7,41 +7,41 @@
 //! from scratch so the comparison can be reproduced:
 //!
 //! * a small **threaded two-sided runtime** ([`comm`]) with blocking
-//!   send/receive and tag matching, on which reference implementations of the
-//!   baseline collectives run ([`collectives`]) — used for correctness
-//!   cross-checks against the GASPI collectives;
-//! * **schedule generators** ([`schedule`]) that express every baseline
-//!   algorithm as an `ec-netsim` program with two-sided semantics
+//!   send/receive and tag matching;
+//! * a **single-source variant library** ([`twosided`] + [`variants`]):
+//!   every baseline algorithm — the twelve `MPI_Allreduce` variants of
+//!   Figures 11–12 ([`MpiAllreduceVariant`]), the binomial `MPI_Bcast` and
+//!   `MPI_Reduce`, and the classic vendor variants the `ec_bench` tuner
+//!   auto-selects from (Bruck and pairwise AlltoAll, van de Geijn and
+//!   pipelined-binomial Bcast, reduce-scatter+gather Reduce) — is written
+//!   once against the [`twosided::TwoSided`] trait and executed both on
+//!   the threaded runtime, where its values are checked against the GASPI
+//!   collectives and serial references, and, replayed one rank at a time
+//!   by [`twosided::record`], as a simulator schedule;
+//! * **schedule generators** ([`schedule`]) that express the vendor
+//!   baselines as `ec-netsim` programs with two-sided semantics
 //!   (eager/rendezvous protocol, progress-engine bandwidth penalty,
 //!   per-message matching overhead), which is what the figure-regeneration
-//!   benches simulate; the binomial `MPI_Bcast` and `MPI_Reduce` are the
-//!   [`variants`] bodies recorded, the rest are built op by op;
-//! * a **single-source variant library** ([`twosided`] + [`variants`]):
-//!   the classic vendor algorithm variants (Rabenseifner allreduce, ring
-//!   reduce-scatter+allgather, Bruck and pairwise AlltoAll, van de Geijn and
-//!   pipelined-binomial Bcast, binomial and reduce-scatter+gather Reduce)
-//!   written once against the [`twosided::TwoSided`] trait and executed both
-//!   on the threaded runtime and, replayed one rank at a time by
-//!   [`twosided::record`], as simulator schedules — the candidate pool the
-//!   `ec_bench` tuner auto-selects from.
+//!   benches simulate.
 //!
-//! Every schedule's op stream is produced by exactly one function.  The
-//! hand-built pairwise `MPI_Alltoall` and the single-source
-//! `variants::pairwise_alltoall` are two different schedules (the latter
-//! also prices its self-copy), both kept as separate tuner candidates.
+//! Every schedule's op stream is produced by exactly one function.  Three
+//! vendor generators are still built op by op, because each prices a
+//! schedule its single-source counterpart does not, and converting them
+//! would move Figures 8, 9 or 13: the large-payload branch of
+//! [`mpi_bcast_default_schedule`] (a binomial-subtree scatter with floor
+//! chunks), the large-payload branch of [`mpi_reduce_default_schedule`] (a
+//! power-of-two-only Rabenseifner), and [`mpi_alltoall_pairwise_schedule`]
+//! (no self-copy; `variants::pairwise_alltoall` prices one, and both are
+//! kept as separate tuner candidates).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod collectives;
 pub mod comm;
 pub mod schedule;
 pub mod twosided;
 pub mod variants;
 
-pub use collectives::{
-    allreduce_recursive_doubling, allreduce_ring, alltoall_pairwise, bcast_binomial, reduce_binomial,
-};
 pub use comm::{MpiComm, MpiError, MpiWorld};
 pub use schedule::allreduce::MpiAllreduceVariant;
 pub use schedule::alltoall::mpi_alltoall_pairwise_schedule;
@@ -49,6 +49,6 @@ pub use schedule::bcast::{mpi_bcast_binomial_schedule, mpi_bcast_default_schedul
 pub use schedule::reduce::{mpi_reduce_binomial_schedule, mpi_reduce_default_schedule};
 pub use twosided::{RecordingTwoSided, ThreadedTwoSided, TwoSided};
 pub use variants::{
-    allreduce_rabenseifner, allreduce_reduce_scatter_allgather, alltoall_bruck, bcast_pipelined_binomial,
-    bcast_scatter_allgather, reduce_rsg,
+    allreduce_rabenseifner, allreduce_recursive_doubling, allreduce_ring, alltoall_bruck, alltoall_pairwise,
+    bcast_binomial, bcast_pipelined_binomial, bcast_scatter_allgather, reduce_binomial, reduce_rsg,
 };

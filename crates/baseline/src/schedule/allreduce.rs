@@ -1,5 +1,6 @@
-//! Schedules for the twelve `MPI_Allreduce` algorithm variants the paper
-//! compares against in Figures 11–12.
+//! The twelve `MPI_Allreduce` algorithm variants the paper compares
+//! against in Figures 11–12, each dispatched to its single-source body in
+//! [`crate::variants`].
 //!
 //! The variant numbering and naming follows the caption of Figure 11:
 //! `mpi1` recursive doubling, `mpi2` Rabenseifner, `mpi3` reduce + bcast,
@@ -9,11 +10,15 @@
 //! `mpi11` topology-aware SHM-based knomial, `mpi12` topology-aware
 //! SHM-based knary.
 
-use ec_netsim::{Program, ProgramBuilder};
+use ec_netsim::Program;
 
-use super::bcast::subtree_bytes;
 use super::trees::{binomial, flat, knary, knomial};
-use crate::variants::prev_power_of_two;
+use crate::comm::{MpiComm, Result};
+use crate::twosided::{record, ThreadedTwoSided, TwoSided};
+use crate::variants::{
+    gather_bcast_allreduce, rabenseifner_allreduce, recursive_doubling_allreduce, reduce_scatter_allgather_allreduce,
+    topo_allreduce, tree_allreduce,
+};
 
 /// The twelve Intel-MPI Allreduce algorithm variants of Figures 11–12.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -84,291 +89,47 @@ impl MpiAllreduceVariant {
         }
     }
 
-    /// Build this variant's schedule for `ranks` ranks reducing `total_bytes`
-    /// bytes, with `ranks_per_node` ranks sharing each node (used by the
-    /// topology-aware variants).
-    pub fn schedule(self, ranks: usize, total_bytes: u64, ranks_per_node: usize) -> Program {
+    /// This variant's body over `n` elements, with `ppn` ranks sharing each
+    /// node (used by the topology-aware variants).
+    fn body<T: TwoSided>(self, t: &mut T, n: usize, ppn: usize) -> Result<()> {
         use MpiAllreduceVariant::*;
-        let bytes = total_bytes.max(1);
         match self {
-            RecursiveDoubling => recursive_doubling(ranks, bytes),
-            Rabenseifner => rabenseifner(ranks, bytes),
-            ReduceBcast => tree_reduce_bcast(ranks, bytes, binomial),
-            TopoReduceBcast => hierarchical(ranks, bytes, ranks_per_node, |r, n| tree_reduce_bcast(r, n, binomial)),
-            BinomialGatherScatter => gather_scatter(ranks, bytes),
-            TopoGatherScatter => hierarchical(ranks, bytes, ranks_per_node, gather_scatter),
-            ShumilinRing => ring(ranks, bytes, false),
-            Ring => ring(ranks, bytes, true),
-            Knomial => tree_reduce_bcast(ranks, bytes, |r, n| knomial(r, n, 4)),
-            TopoShmFlat => hierarchical(ranks, bytes, ranks_per_node, |r, n| tree_reduce_bcast(r, n, flat)),
-            TopoShmKnomial => {
-                hierarchical(ranks, bytes, ranks_per_node, |r, n| tree_reduce_bcast(r, n, |a, b| knomial(a, b, 8)))
-            }
-            TopoShmKnary => {
-                hierarchical(ranks, bytes, ranks_per_node, |r, n| tree_reduce_bcast(r, n, |a, b| knary(a, b, 3)))
-            }
+            RecursiveDoubling => recursive_doubling_allreduce(t, n),
+            Rabenseifner => rabenseifner_allreduce(t, n),
+            ReduceBcast => tree_allreduce(t, n, binomial),
+            TopoReduceBcast => topo_allreduce(t, n, ppn, |l| tree_allreduce(l, n, binomial)),
+            BinomialGatherScatter => gather_bcast_allreduce(t, n),
+            TopoGatherScatter => topo_allreduce(t, n, ppn, |l| gather_bcast_allreduce(l, n)),
+            ShumilinRing => reduce_scatter_allgather_allreduce(t, n, false),
+            Ring => reduce_scatter_allgather_allreduce(t, n, true),
+            Knomial => tree_allreduce(t, n, |r, p| knomial(r, p, 4)),
+            TopoShmFlat => topo_allreduce(t, n, ppn, |l| tree_allreduce(l, n, flat)),
+            TopoShmKnomial => topo_allreduce(t, n, ppn, |l| tree_allreduce(l, n, |r, p| knomial(r, p, 8))),
+            TopoShmKnary => topo_allreduce(t, n, ppn, |l| tree_allreduce(l, n, |r, p| knary(r, p, 3))),
         }
     }
-}
 
-// ---------------------------------------------------------------------------
-// building blocks
-// ---------------------------------------------------------------------------
+    /// Record this variant's schedule for `ranks` ranks reducing
+    /// `total_bytes` bytes, with `ranks_per_node` ranks sharing each node
+    /// (used by the topology-aware variants).  A zero-byte allreduce records
+    /// an empty program.
+    pub fn schedule(self, ranks: usize, total_bytes: u64, ranks_per_node: usize) -> Program {
+        record(ranks, 1, |t| self.body(t, total_bytes as usize, ranks_per_node))
+    }
 
-/// Fold ranks beyond the largest power of two into the lower ranks, run
-/// `inner` over the power-of-two sub-world, then unfold the result.
-fn power_of_two_wrapper(ranks: usize, bytes: u64, inner: impl Fn(&mut ProgramBuilder, usize, u64)) -> Program {
-    let mut b = ProgramBuilder::new(ranks);
-    if ranks == 0 {
-        return b.build();
-    }
-    let p2 = prev_power_of_two(ranks);
-    let extras = ranks - p2;
-    // Pre-fold: ranks p2..ranks hand their contribution to ranks 0..extras.
-    for i in 0..extras {
-        let src = p2 + i;
-        b.send(src, i, bytes, 90);
-        b.recv(i, src, bytes, 90);
-        b.reduce(i, bytes);
-    }
-    inner(&mut b, p2, bytes);
-    // Post-fold: the folded ranks receive the final result.
-    for i in 0..extras {
-        let dst = p2 + i;
-        b.send(i, dst, bytes, 91);
-        b.recv(dst, i, bytes, 91);
-    }
-    b.build()
-}
-
-/// `mpi1`: recursive doubling — `log2(P)` full-vector exchanges.
-fn recursive_doubling(ranks: usize, bytes: u64) -> Program {
-    power_of_two_wrapper(ranks, bytes, |b, p2, bytes| {
-        let mut step = 1usize;
-        let mut tag = 0u32;
-        while step < p2 {
-            for rank in 0..p2 {
-                let partner = rank ^ step;
-                b.isend(rank, partner, bytes, tag);
-                b.recv(rank, partner, bytes, tag);
-                b.reduce(rank, bytes);
-            }
-            step <<= 1;
-            tag += 1;
+    /// Run this variant on the threaded runtime, summing `data` across all
+    /// ranks in place.
+    pub fn run(self, comm: &mut MpiComm, data: &mut [f64], ranks_per_node: usize) -> Result<()> {
+        let n = data.len();
+        if !matches!(self, Self::BinomialGatherScatter | Self::TopoGatherScatter) {
+            return self.body(&mut ThreadedTwoSided::new(comm, data), n, ranks_per_node);
         }
-        for rank in 0..p2 {
-            b.wait_all_sends(rank);
-        }
-    })
-}
-
-/// `mpi2`: Rabenseifner — recursive-halving reduce-scatter followed by a
-/// recursive-doubling allgather.
-fn rabenseifner(ranks: usize, bytes: u64) -> Program {
-    power_of_two_wrapper(ranks, bytes, |b, p2, bytes| {
-        if p2 <= 1 {
-            return;
-        }
-        let d = p2.trailing_zeros();
-        // Reduce-scatter by recursive halving.
-        for rank in 0..p2 {
-            let mut window = bytes;
-            for k in 0..d {
-                let distance = p2 >> (k + 1);
-                let partner = rank ^ distance;
-                window = (window / 2).max(1);
-                let tag = 10 + k;
-                b.isend(rank, partner, window, tag);
-                b.recv(rank, partner, window, tag);
-                b.reduce(rank, window);
-            }
-            b.wait_all_sends(rank);
-        }
-        // Allgather by recursive doubling (windows grow back).
-        for rank in 0..p2 {
-            let mut window = (bytes / p2 as u64).max(1);
-            for k in 0..d {
-                let distance = 1usize << k;
-                let partner = rank ^ distance;
-                let tag = 30 + k;
-                b.isend(rank, partner, window, tag);
-                b.recv(rank, partner, window, tag);
-                window *= 2;
-            }
-            b.wait_all_sends(rank);
-        }
-    })
-}
-
-/// Reduce to rank 0 over an arbitrary tree shape, then broadcast the result
-/// back down the same tree (used for `mpi3`, `mpi9` and the SHM variants).
-fn tree_reduce_bcast(ranks: usize, bytes: u64, shape: impl Fn(usize, usize) -> (Option<usize>, Vec<usize>)) -> Program {
-    let mut b = ProgramBuilder::new(ranks);
-    build_tree_reduce_bcast(&mut b, &(0..ranks).collect::<Vec<_>>(), bytes, &shape);
-    b.build()
-}
-
-/// Shared helper: run a reduce + broadcast over the `members` ranks (indexed
-/// positionally by the tree shape).
-fn build_tree_reduce_bcast(
-    b: &mut ProgramBuilder,
-    members: &[usize],
-    bytes: u64,
-    shape: &impl Fn(usize, usize) -> (Option<usize>, Vec<usize>),
-) {
-    let m = members.len();
-    if m <= 1 {
-        return;
-    }
-    // Reduce phase (children -> parent).
-    for (idx, &rank) in members.iter().enumerate() {
-        let (parent, children) = shape(idx, m);
-        for child in children.iter().rev() {
-            b.recv(rank, members[*child], bytes, 60);
-            b.reduce(rank, bytes);
-        }
-        if let Some(parent) = parent {
-            b.send(rank, members[parent], bytes, 60);
-        }
-    }
-    // Broadcast phase (parent -> children).
-    for (idx, &rank) in members.iter().enumerate() {
-        let (parent, children) = shape(idx, m);
-        if let Some(parent) = parent {
-            b.recv(rank, members[parent], bytes, 61);
-        }
-        for child in children {
-            b.send(rank, members[child], bytes, 61);
-        }
-    }
-}
-
-/// `mpi5`: gather every rank's full vector to the root along a binomial tree
-/// (messages grow with the subtree size), reduce at the root, broadcast back.
-fn gather_scatter(ranks: usize, bytes: u64) -> Program {
-    let mut b = ProgramBuilder::new(ranks);
-    if ranks <= 1 {
-        return b.build();
-    }
-    for rank in 0..ranks {
-        let (parent, children) = binomial(rank, ranks);
-        for child in children.iter().rev() {
-            b.recv(rank, *child, subtree_bytes(*child, ranks, bytes), 70);
-        }
-        if let Some(parent) = parent {
-            b.send(rank, parent, subtree_bytes(rank, ranks, bytes), 70);
-        }
-        if rank == 0 {
-            // The root reduces the P-1 gathered vectors.
-            b.reduce(rank, bytes * (ranks as u64 - 1));
-        }
-    }
-    // Broadcast of the result.
-    for rank in 0..ranks {
-        let (parent, children) = binomial(rank, ranks);
-        if let Some(parent) = parent {
-            b.recv(rank, parent, bytes, 71);
-        }
-        for child in children {
-            b.send(rank, child, bytes, 71);
-        }
-    }
-    b.build()
-}
-
-/// `mpi7`/`mpi8`: ring allreduce (reduce-scatter + allgather).  The plain
-/// `Ring` variant adds a barrier after each phase — the global
-/// synchronization the paper's GASPI implementation eliminates.
-fn ring(ranks: usize, bytes: u64, phase_barriers: bool) -> Program {
-    let mut b = ProgramBuilder::new(ranks);
-    if ranks <= 1 {
-        return b.build();
-    }
-    let chunk = (bytes / ranks as u64).max(1);
-    for rank in 0..ranks {
-        let next = (rank + 1) % ranks;
-        let prev = (rank + ranks - 1) % ranks;
-        for step in 0..ranks - 1 {
-            let tag = step as u32;
-            b.isend(rank, next, chunk, tag);
-            b.recv(rank, prev, chunk, tag);
-            b.reduce(rank, chunk);
-        }
-        b.wait_all_sends(rank);
-    }
-    if phase_barriers {
-        b.barrier_all();
-    }
-    for rank in 0..ranks {
-        let next = (rank + 1) % ranks;
-        let prev = (rank + ranks - 1) % ranks;
-        for step in 0..ranks - 1 {
-            let tag = 1000 + step as u32;
-            b.isend(rank, next, chunk, tag);
-            b.recv(rank, prev, chunk, tag);
-        }
-        b.wait_all_sends(rank);
-    }
-    if phase_barriers {
-        b.barrier_all();
-    }
-    b.build()
-}
-
-/// Wrap an allreduce over the node leaders with an intra-node reduce before
-/// and an intra-node broadcast after (the "topology aware" / SHM variants).
-fn hierarchical(
-    ranks: usize,
-    bytes: u64,
-    ranks_per_node: usize,
-    leader_allreduce: impl Fn(usize, u64) -> Program,
-) -> Program {
-    let ppn = ranks_per_node.max(1);
-    if ppn == 1 || !ranks.is_multiple_of(ppn) {
-        // One rank per node (or irregular placement): nothing hierarchical
-        // about it — run the leader algorithm over everyone.
-        return leader_allreduce(ranks, bytes);
-    }
-    let nodes = ranks / ppn;
-    // Phases 1 and 3: intra-node reduce to the node leader (first rank on
-    // the node), and intra-node broadcast of the result.
-    let mut reduce = ProgramBuilder::new(ranks);
-    let mut bcast = ProgramBuilder::new(ranks);
-    for leader in (0..nodes).map(|node| node * ppn) {
-        for rank in leader + 1..leader + ppn {
-            reduce.send(rank, leader, bytes, 80);
-            reduce.recv(leader, rank, bytes, 80);
-            reduce.reduce(leader, bytes);
-            bcast.send(leader, rank, bytes, 81);
-            bcast.recv(rank, leader, bytes, 81);
-        }
-    }
-    // Phase 2: allreduce across the node leaders, its leader-world rank ids
-    // remapped onto the real leader ranks.
-    let mut leaders = Program::empty(ranks);
-    for (node, rank_prog) in leader_allreduce(nodes, bytes).ranks.into_iter().enumerate() {
-        leaders.ranks[node * ppn].ops = rank_prog.ops.into_iter().map(|op| remap_op(op, ppn)).collect();
-    }
-    let mut program = reduce.build();
-    for phase in [leaders, bcast.build()] {
-        for (rank_prog, next) in program.ranks.iter_mut().zip(phase.ranks) {
-            rank_prog.ops.extend(next.ops);
-        }
-    }
-    program
-}
-
-/// Remap rank references inside an op from leader-world ids to real ranks
-/// (leader `n` is rank `n * ppn`).
-fn remap_op(op: ec_netsim::Op, ppn: usize) -> ec_netsim::Op {
-    use ec_netsim::Op::*;
-    match op {
-        PutNotify { dst, bytes, notify } => PutNotify { dst: dst * ppn, bytes, notify },
-        Notify { dst, notify } => Notify { dst: dst * ppn, notify },
-        Send { dst, bytes, tag } => Send { dst: dst * ppn, bytes, tag },
-        Isend { dst, bytes, tag } => Isend { dst: dst * ppn, bytes, tag },
-        Recv { src, bytes, tag } => Recv { src: src * ppn, bytes, tag },
-        other => other,
+        // The gather stages every rank's vector behind the root's own.
+        let mut buf = data.to_vec();
+        buf.resize(comm.size() * n, 0.0);
+        self.body(&mut ThreadedTwoSided::new(comm, &mut buf), n, ranks_per_node)?;
+        data.copy_from_slice(&buf[..n]);
+        Ok(())
     }
 }
 
@@ -441,6 +202,17 @@ mod tests {
         assert_ne!(flat_prog, hier_prog);
         let e = Engine::new(ClusterSpec::homogeneous(p / ppn, ppn), CostModel::skylake_fdr());
         assert!(e.makespan(&hier_prog).unwrap() > 0.0);
+    }
+
+    #[test]
+    fn zero_byte_allreduce_records_an_empty_program() {
+        for v in MpiAllreduceVariant::all() {
+            for ppn in [1, 4] {
+                let prog = v.schedule(8, 0, ppn);
+                assert_eq!(prog.num_ranks(), 8);
+                assert_eq!(prog.total_ops(), 0, "{v:?} at ppn={ppn}: empty ranges are skipped, barriers too");
+            }
+        }
     }
 
     #[test]

@@ -70,7 +70,19 @@ pub trait TwoSided {
     /// Copy `src` to the range starting at `dst` within the working buffer
     /// (pack/unpack staging; ranges may overlap).
     fn local_copy(&mut self, dst: usize, src: Range<usize>) -> Result<()>;
+
+    /// Fold (element-wise sum) every `acc.len()`-element block of `src`
+    /// into `acc`, block by block in order; `src` must not overlap `acc`.
+    fn fold_local(&mut self, acc: Range<usize>, src: Range<usize>) -> Result<()>;
+
+    /// Block until every rank of the world has entered the barrier.
+    fn barrier(&mut self) -> Result<()>;
 }
+
+/// First tag of the threaded barrier's rounds; a dissemination barrier of
+/// up to `2^32` ranks needs 32 rounds, so `BARRIER_TAG..=Tag::MAX` stays
+/// clear of every collective body's tags.
+const BARRIER_TAG: Tag = Tag::MAX - 31;
 
 /// [`TwoSided`] backend over the threaded [`crate::comm`] runtime: real
 /// `f64` data, real blocking receives — the correctness oracle.
@@ -146,6 +158,37 @@ impl TwoSided for ThreadedTwoSided<'_, '_> {
             return Ok(());
         }
         self.buf.copy_within(src, dst);
+        Ok(())
+    }
+
+    fn fold_local(&mut self, acc: Range<usize>, src: Range<usize>) -> Result<()> {
+        if acc.is_empty() || src.is_empty() {
+            return Ok(());
+        }
+        if !src.len().is_multiple_of(acc.len()) {
+            return Err(MpiError::LengthMismatch { expected: acc.len(), got: src.len() });
+        }
+        for block in src.step_by(acc.len()) {
+            for i in 0..acc.len() {
+                self.buf[acc.start + i] += self.buf[block + i];
+            }
+        }
+        Ok(())
+    }
+
+    /// Dissemination barrier: in round `k` every rank signals rank
+    /// `+2^k` and waits for rank `-2^k` with a zero-length message, so a
+    /// missing peer surfaces as the receive guard's [`MpiError::Timeout`].
+    fn barrier(&mut self) -> Result<()> {
+        let (p, rank) = (self.comm.size(), self.comm.rank());
+        let mut distance = 1;
+        let mut tag = BARRIER_TAG;
+        while distance < p {
+            self.comm.send((rank + distance) % p, tag, &[])?;
+            self.comm.recv((rank + p - distance) % p, tag)?;
+            distance <<= 1;
+            tag += 1;
+        }
         Ok(())
     }
 }
@@ -229,6 +272,18 @@ impl TwoSided for RecordingTwoSided {
         if !src.is_empty() && dst != src.start {
             self.ops.push(Op::Copy { bytes: self.bytes(&src) });
         }
+        Ok(())
+    }
+
+    fn fold_local(&mut self, acc: Range<usize>, src: Range<usize>) -> Result<()> {
+        if !acc.is_empty() && !src.is_empty() {
+            self.ops.push(Op::Reduce { bytes: self.bytes(&src) });
+        }
+        Ok(())
+    }
+
+    fn barrier(&mut self) -> Result<()> {
+        self.ops.push(Op::Barrier);
         Ok(())
     }
 }
@@ -332,6 +387,43 @@ mod tests {
             }
         });
         assert_eq!(out[1], Some(MpiError::LengthMismatch { expected: 2, got: 4 }));
+    }
+
+    #[test]
+    fn fold_local_sums_every_block_and_records_one_reduce() {
+        let out = MpiWorld::new(1).run(|comm| {
+            let mut buf = vec![1.0, 2.0, 10.0, 20.0, 100.0, 200.0];
+            let mut t = ThreadedTwoSided::new(comm, &mut buf);
+            t.fold_local(0..2, 2..6).unwrap();
+            let ragged = t.fold_local(0..2, 2..5).unwrap_err();
+            (buf, ragged)
+        });
+        assert_eq!(out[0].0[..2], [111.0, 222.0]);
+        assert_eq!(out[0].1, MpiError::LengthMismatch { expected: 2, got: 3 });
+
+        let prog = record(1, 8, |t| t.fold_local(0..2, 2..6));
+        assert_eq!(prog.ranks[0].ops, vec![Op::Reduce { bytes: 32 }]);
+    }
+
+    #[test]
+    fn threaded_barrier_orders_every_rank_and_records_one_op() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        for p in [1usize, 2, 3, 5, 8] {
+            let arrived = AtomicUsize::new(0);
+            let seen = MpiWorld::new(p).run(|comm| {
+                let mut t = ThreadedTwoSided::new(comm, &mut []);
+                let mut seen = Vec::new();
+                for round in 1..=3 {
+                    arrived.fetch_add(1, Ordering::SeqCst);
+                    t.barrier().unwrap();
+                    seen.push(arrived.load(Ordering::SeqCst) >= round * p);
+                    t.barrier().unwrap();
+                }
+                seen
+            });
+            assert!(seen.iter().flatten().all(|&ok| ok), "p={p}: a rank left the barrier early");
+        }
+        assert_eq!(record(3, 8, TwoSided::barrier).ranks[2].ops, vec![Op::Barrier]);
     }
 
     #[test]

@@ -1,17 +1,21 @@
 //! Single-source baseline algorithm variants: each algorithm below is **one
-//! body** generic over [`TwoSided`], executed both by the threaded
-//! correctness oracle ([`ThreadedTwoSided`]) and by the schedule recorder
-//! ([`crate::twosided::RecordingTwoSided`]) — closing the gap between the
-//! five hand-written threaded baselines and the twelve-variant vendor
-//! frontier the paper's Figures 11–13 compare against.
+//! body** generic over [`TwoSided`], executed both on the threaded runtime
+//! ([`ThreadedTwoSided`], real `f64` data) and by the schedule recorder
+//! ([`crate::twosided::RecordingTwoSided`]) — the baselines the paper's
+//! Figures 8–13 compare against, each written once.
 //!
 //! Variants provided (paper-figure nomenclature in parentheses):
 //!
-//! * **Allreduce** — [`rabenseifner_allreduce`] (recursive-halving
-//!   reduce-scatter + recursive-doubling allgather, `mpi2`, with fold-in /
-//!   fold-out pre/post phases for non-power-of-two rank counts) and
-//!   [`reduce_scatter_allgather_allreduce`] (chunked ring reduce-scatter +
-//!   allgather, native at any rank count, the structure of `mpi7`/`mpi8`);
+//! * **Allreduce** — the twelve `MPI_Allreduce` variants of Figures 11–12,
+//!   dispatched by [`crate::MpiAllreduceVariant`]:
+//!   [`recursive_doubling_allreduce`] (`mpi1`), [`rabenseifner_allreduce`]
+//!   (recursive-halving reduce-scatter + recursive-doubling allgather,
+//!   `mpi2`), [`tree_allreduce`] (reduce + broadcast over a tree shape,
+//!   `mpi3`, `mpi9`), [`gather_bcast_allreduce`] (`mpi5`),
+//!   [`reduce_scatter_allgather_allreduce`] (chunked ring, `mpi7`, and with
+//!   phase barriers `mpi8`) and [`topo_allreduce`] (intra-node reduce, a
+//!   leader body, intra-node broadcast: `mpi4`, `mpi6`, `mpi10`–`mpi12`);
+//!   the power-of-two algorithms fold surplus ranks in before and out after;
 //! * **AlltoAll** — [`bruck_alltoall`] (log-round store-and-forward, the
 //!   classic small-message algorithm) and [`pairwise_alltoall`] (Figure 13's
 //!   `mpi` curves);
@@ -23,16 +27,18 @@
 //!   large-message algorithm, with the same non-power-of-two fold).
 //!
 //! Every body is recorded into an `ec_netsim::Program` by exactly one
-//! generator: a `*_schedule` function below, or — for the two binomial trees
-//! — `mpi_bcast_binomial_schedule` / `mpi_reduce_binomial_schedule` in
-//! [`crate::schedule`].  The `ec_bench` tuner prices those schedules through
-//! both the alpha–beta model and the flow-level network fabric to pick the
-//! best variant per (rank count, message size, topology).
+//! generator: a `*_schedule` function below, `MpiAllreduceVariant::schedule`,
+//! or — for the two binomial trees — `mpi_bcast_binomial_schedule` /
+//! `mpi_reduce_binomial_schedule` in [`crate::schedule`].  The `ec_bench`
+//! tuner prices those schedules through both the alpha–beta model and the
+//! flow-level network fabric to pick the best variant per (rank count,
+//! message size, topology).
 //!
 //! ## Working-buffer layouts
 //!
 //! The rooted collectives and the allreduces operate directly on the payload
-//! (`n` elements at offset 0).  The alltoalls use staged layouts documented
+//! (`n` elements at offset 0); only [`gather_bcast_allreduce`] stages the
+//! gathered vectors after it.  The alltoalls use staged layouts documented
 //! on the respective bodies.  Chunked algorithms split the payload with
 //! `ec_collectives::topology::chunk_ranges`, the same helper the GASPI ring
 //! uses, so chunk boundaries agree across the whole suite.
@@ -42,7 +48,8 @@ use std::ops::Range;
 use ec_collectives::topology::chunk_ranges;
 use ec_netsim::Program;
 
-use crate::comm::{MpiComm, Result, Tag};
+use crate::comm::{MpiComm, MpiError, Result, Tag};
+use crate::schedule::bcast::subtree_size;
 use crate::schedule::trees::binomial;
 use crate::twosided::{record, ThreadedTwoSided, TwoSided};
 
@@ -61,6 +68,14 @@ const TAG_GATHER: Tag = 200;
 const TAG_AG: Tag = 300;
 const TAG_RING: Tag = 400;
 const TAG_BRUCK: Tag = 500;
+const TAG_TREE_REDUCE: Tag = 60;
+const TAG_TREE_BCAST: Tag = 61;
+const TAG_GATHER_UP: Tag = 70;
+const TAG_GATHER_BCAST: Tag = 71;
+const TAG_NODE_REDUCE: Tag = 80;
+const TAG_NODE_BCAST: Tag = 81;
+const TAG_RD_FOLD_IN: Tag = 90;
+const TAG_RD_FOLD_OUT: Tag = 91;
 
 /// Virtual rank of `rank` in a world rooted at `root`.
 fn vrank(rank: usize, root: usize, p: usize) -> usize {
@@ -73,8 +88,8 @@ fn real(v: usize, root: usize, p: usize) -> usize {
 }
 
 /// Largest power of two not exceeding `p` (shared by every fold-in/fold-out
-/// variant, including [`crate::collectives::allreduce_recursive_doubling`]).
-pub(crate) fn prev_power_of_two(p: usize) -> usize {
+/// variant).
+fn prev_power_of_two(p: usize) -> usize {
     assert!(p > 0, "a world has at least one rank");
     1usize << (usize::BITS - 1 - p.leading_zeros())
 }
@@ -191,8 +206,7 @@ pub fn binomial_reduce<T: TwoSided>(t: &mut T, n: usize, root: usize) -> Result<
     }
     let v = vrank(t.rank(), root, p);
     let (parent, children) = binomial(v, p);
-    // Deeper children finish first: fold them in largest-offset-first,
-    // mirroring the reference implementation in `crate::collectives`.
+    // Deeper children finish first: fold them in largest-offset-first.
     for c in children.iter().rev() {
         t.recv_reduce(real(*c, root, p), TAG_TREE, 0..n)?;
     }
@@ -323,8 +337,11 @@ pub fn rabenseifner_allreduce<T: TwoSided>(t: &mut T, n: usize) -> Result<()> {
 /// Chunked reduce-scatter + allgather allreduce over a ring — the
 /// bandwidth-optimal large-message algorithm, native at **any** rank count
 /// (no power-of-two fold needed): the payload is split into `P` chunks and
-/// each phase circulates them once around the ring.
-pub fn reduce_scatter_allgather_allreduce<T: TwoSided>(t: &mut T, n: usize) -> Result<()> {
+/// each phase circulates them once around the ring.  This is Shumilin's
+/// ring (`mpi7`); with `phase_barriers` every rank also enters a barrier
+/// after each phase (`mpi8`) — the global synchronization the paper's GASPI
+/// ring eliminates.
+pub fn reduce_scatter_allgather_allreduce<T: TwoSided>(t: &mut T, n: usize, phase_barriers: bool) -> Result<()> {
     let p = t.num_ranks();
     if p <= 1 || n == 0 {
         return Ok(());
@@ -342,6 +359,9 @@ pub fn reduce_scatter_allgather_allreduce<T: TwoSided>(t: &mut T, n: usize) -> R
         t.recv_reduce(prev, TAG_RS + step as Tag, r_start..r_start + r_len)?;
     }
     t.wait_all_sends()?;
+    if phase_barriers {
+        t.barrier()?;
+    }
     // Allgather: the reduced chunks travel once more around the ring,
     // overwriting the stale partial sums at their final offsets.
     for step in 0..p - 1 {
@@ -350,7 +370,192 @@ pub fn reduce_scatter_allgather_allreduce<T: TwoSided>(t: &mut T, n: usize) -> R
         t.isend(next, TAG_AG + step as Tag, s_start..s_start + s_len)?;
         t.recv_copy(prev, TAG_AG + step as Tag, r_start..r_start + r_len)?;
     }
-    t.wait_all_sends()
+    t.wait_all_sends()?;
+    if phase_barriers {
+        t.barrier()?;
+    }
+    Ok(())
+}
+
+/// Recursive-doubling allreduce (`mpi1`): `log2 P2` full-vector exchanges
+/// over the largest power-of-two sub-world `P2`.  Surplus ranks hand their
+/// vector to rank `rank - P2` before the exchanges (fold-in) and receive
+/// the result after them (fold-out), so the collective is total at any `P`.
+pub fn recursive_doubling_allreduce<T: TwoSided>(t: &mut T, n: usize) -> Result<()> {
+    let p = t.num_ranks();
+    if p <= 1 || n == 0 {
+        return Ok(());
+    }
+    let rank = t.rank();
+    let p2 = prev_power_of_two(p);
+    if rank >= p2 {
+        t.send(rank - p2, TAG_RD_FOLD_IN, 0..n)?;
+        return t.recv_copy(rank - p2, TAG_RD_FOLD_OUT, 0..n);
+    }
+    let extras = p - p2;
+    if rank < extras {
+        t.recv_reduce(rank + p2, TAG_RD_FOLD_IN, 0..n)?;
+    }
+    let (mut distance, mut tag) = (1, 0);
+    while distance < p2 {
+        t.isend(rank ^ distance, tag, 0..n)?;
+        t.recv_reduce(rank ^ distance, tag, 0..n)?;
+        distance <<= 1;
+        tag += 1;
+    }
+    t.wait_all_sends()?;
+    if rank < extras {
+        t.send(rank + p2, TAG_RD_FOLD_OUT, 0..n)?;
+    }
+    Ok(())
+}
+
+/// Reduce towards rank 0 over the tree `shape` (parent and children of a
+/// rank in a world of the given size, see [`crate::schedule::trees`]), then
+/// broadcast the sum back down the same tree (`mpi3`, `mpi9`, and the
+/// leader body of `mpi4`, `mpi10`–`mpi12`).  Children are folded in
+/// reverse order, deepest subtree first.
+pub fn tree_allreduce<T: TwoSided>(
+    t: &mut T,
+    n: usize,
+    shape: impl Fn(usize, usize) -> (Option<usize>, Vec<usize>),
+) -> Result<()> {
+    let p = t.num_ranks();
+    if p <= 1 || n == 0 {
+        return Ok(());
+    }
+    let (parent, children) = shape(t.rank(), p);
+    for &c in children.iter().rev() {
+        t.recv_reduce(c, TAG_TREE_REDUCE, 0..n)?;
+    }
+    if let Some(parent) = parent {
+        t.send(parent, TAG_TREE_REDUCE, 0..n)?;
+        t.recv_copy(parent, TAG_TREE_BCAST, 0..n)?;
+    }
+    for &c in &children {
+        t.send(c, TAG_TREE_BCAST, 0..n)?;
+    }
+    Ok(())
+}
+
+/// Binomial gather + broadcast allreduce (`mpi5`, and the leader body of
+/// `mpi6`): every vector travels up the binomial tree unreduced, so a
+/// message carries a whole subtree's vectors; the root folds the `P - 1`
+/// gathered vectors into its own in one pass and broadcasts the sum back
+/// down the tree.
+///
+/// Working-buffer layout: a rank's own vector at `0..n`, then the gathered
+/// subtree of each child in child order, `subtree_size * n` elements in all
+/// (`P * n` at the root).
+pub fn gather_bcast_allreduce<T: TwoSided>(t: &mut T, n: usize) -> Result<()> {
+    let p = t.num_ranks();
+    if p <= 1 || n == 0 {
+        return Ok(());
+    }
+    let (parent, children) = binomial(t.rank(), p);
+    let mut end = n;
+    let slots: Vec<Range<usize>> = children
+        .iter()
+        .map(|&c| {
+            let start = end;
+            end += subtree_size(c, p) * n;
+            start..end
+        })
+        .collect();
+    for (&c, slot) in children.iter().zip(slots).rev() {
+        t.recv_copy(c, TAG_GATHER_UP, slot)?;
+    }
+    match parent {
+        Some(parent) => {
+            t.send(parent, TAG_GATHER_UP, 0..end)?;
+            t.recv_copy(parent, TAG_GATHER_BCAST, 0..n)?;
+        }
+        None => t.fold_local(0..n, n..end)?,
+    }
+    for &c in &children {
+        t.send(c, TAG_GATHER_BCAST, 0..n)?;
+    }
+    Ok(())
+}
+
+/// Topology-aware allreduce (`mpi4`, `mpi6`, `mpi10`–`mpi12`): the `ppn`
+/// consecutive ranks of each node reduce into the node's first rank, the
+/// node leaders run `leaders` as a world of their own, and each leader
+/// broadcasts the result to its node.  With one rank per node, or ranks
+/// that do not fill whole nodes, every rank is its own leader.
+pub fn topo_allreduce<T: TwoSided>(
+    t: &mut T,
+    n: usize,
+    ppn: usize,
+    leaders: impl FnOnce(&mut NodeLeaders<'_, T>) -> Result<()>,
+) -> Result<()> {
+    let ppn = if ppn > 1 && t.num_ranks().is_multiple_of(ppn) { ppn } else { 1 };
+    let rank = t.rank();
+    let leader = rank - rank % ppn;
+    if rank != leader {
+        t.send(leader, TAG_NODE_REDUCE, 0..n)?;
+        return t.recv_copy(leader, TAG_NODE_BCAST, 0..n);
+    }
+    for member in leader + 1..leader + ppn {
+        t.recv_reduce(member, TAG_NODE_REDUCE, 0..n)?;
+    }
+    leaders(&mut NodeLeaders { inner: t, ppn })?;
+    for member in leader + 1..leader + ppn {
+        t.send(member, TAG_NODE_BCAST, 0..n)?;
+    }
+    Ok(())
+}
+
+/// The node leaders of [`topo_allreduce`] seen as a world of their own:
+/// leader `k` is rank `k * ppn` of the wrapped world.
+#[derive(Debug)]
+pub struct NodeLeaders<'a, T> {
+    inner: &'a mut T,
+    ppn: usize,
+}
+
+impl<T: TwoSided> TwoSided for NodeLeaders<'_, T> {
+    fn rank(&self) -> usize {
+        self.inner.rank() / self.ppn
+    }
+
+    fn num_ranks(&self) -> usize {
+        self.inner.num_ranks() / self.ppn
+    }
+
+    fn send(&mut self, dst: usize, tag: Tag, elems: Range<usize>) -> Result<()> {
+        self.inner.send(dst * self.ppn, tag, elems)
+    }
+
+    fn isend(&mut self, dst: usize, tag: Tag, elems: Range<usize>) -> Result<()> {
+        self.inner.isend(dst * self.ppn, tag, elems)
+    }
+
+    fn wait_all_sends(&mut self) -> Result<()> {
+        self.inner.wait_all_sends()
+    }
+
+    fn recv_copy(&mut self, src: usize, tag: Tag, elems: Range<usize>) -> Result<()> {
+        self.inner.recv_copy(src * self.ppn, tag, elems)
+    }
+
+    fn recv_reduce(&mut self, src: usize, tag: Tag, elems: Range<usize>) -> Result<()> {
+        self.inner.recv_reduce(src * self.ppn, tag, elems)
+    }
+
+    fn local_copy(&mut self, dst: usize, src: Range<usize>) -> Result<()> {
+        self.inner.local_copy(dst, src)
+    }
+
+    fn fold_local(&mut self, acc: Range<usize>, src: Range<usize>) -> Result<()> {
+        self.inner.fold_local(acc, src)
+    }
+
+    /// Not supported: a barrier of the leaders alone is no barrier of the
+    /// wrapped world, and no leader body needs one.
+    fn barrier(&mut self) -> Result<()> {
+        unimplemented!("a topology-aware leader body cannot synchronize the node leaders alone")
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -423,21 +628,28 @@ pub fn bruck_alltoall<T: TwoSided>(t: &mut T, block: usize) -> Result<()> {
 }
 
 // ---------------------------------------------------------------------------
-// threaded wrappers (correctness oracles on the real runtime)
+// threaded runners (the same bodies on the real runtime)
 // ---------------------------------------------------------------------------
 
-/// Recursive-halving/doubling (Rabenseifner) allreduce on the threaded
-/// runtime; works at any rank count.
+/// Recursive-doubling allreduce (`mpi1`) on the threaded runtime; works at
+/// any rank count.
+pub fn allreduce_recursive_doubling(comm: &mut MpiComm, data: &mut [f64]) -> Result<()> {
+    let n = data.len();
+    recursive_doubling_allreduce(&mut ThreadedTwoSided::new(comm, data), n)
+}
+
+/// Recursive-halving/doubling (Rabenseifner) allreduce (`mpi2`) on the
+/// threaded runtime; works at any rank count.
 pub fn allreduce_rabenseifner(comm: &mut MpiComm, data: &mut [f64]) -> Result<()> {
     let n = data.len();
     rabenseifner_allreduce(&mut ThreadedTwoSided::new(comm, data), n)
 }
 
-/// Chunked reduce-scatter + allgather allreduce on the threaded runtime;
-/// native at non-power-of-two rank counts.
-pub fn allreduce_reduce_scatter_allgather(comm: &mut MpiComm, data: &mut [f64]) -> Result<()> {
+/// Ring allreduce (`mpi7`: chunked reduce-scatter + allgather) on the
+/// threaded runtime; native at non-power-of-two rank counts.
+pub fn allreduce_ring(comm: &mut MpiComm, data: &mut [f64]) -> Result<()> {
     let n = data.len();
-    reduce_scatter_allgather_allreduce(&mut ThreadedTwoSided::new(comm, data), n)
+    reduce_scatter_allgather_allreduce(&mut ThreadedTwoSided::new(comm, data), n, false)
 }
 
 /// Van de Geijn scatter + allgather broadcast on the threaded runtime.
@@ -452,6 +664,12 @@ pub fn bcast_pipelined_binomial(comm: &mut MpiComm, data: &mut [f64], root: usiz
     pipelined_binomial_bcast(&mut ThreadedTwoSided::new(comm, data), n, root, seg_elems)
 }
 
+/// Binomial broadcast (`mpi-bin` of Figure 8) on the threaded runtime.
+pub fn bcast_binomial(comm: &mut MpiComm, data: &mut [f64], root: usize) -> Result<()> {
+    let n = data.len();
+    binomial_bcast(&mut ThreadedTwoSided::new(comm, data), n, root)
+}
+
 /// Rabenseifner's reduce-scatter + gather reduce on the threaded runtime.
 /// Returns the reduced vector on the root, `None` elsewhere.
 pub fn reduce_rsg(comm: &mut MpiComm, contribution: &[f64], root: usize) -> Result<Option<Vec<f64>>> {
@@ -461,42 +679,44 @@ pub fn reduce_rsg(comm: &mut MpiComm, contribution: &[f64], root: usize) -> Resu
     Ok(if comm.rank() == root { Some(buf) } else { None })
 }
 
-/// Bruck AlltoAll on the threaded runtime: `send` holds one `block`-element
-/// block per destination; returns the received blocks in source order.
-pub fn alltoall_bruck(comm: &mut MpiComm, send: &[f64], block: usize) -> Result<Vec<f64>> {
-    let p = comm.size();
-    assert_eq!(send.len(), p * block, "send buffer must hold one block per rank");
-    let mut buf = vec![0.0; 5 * p * block];
-    buf[..p * block].copy_from_slice(send);
-    bruck_alltoall(&mut ThreadedTwoSided::new(comm, &mut buf), block)?;
-    Ok(buf[4 * p * block..].to_vec())
-}
-
-/// Pairwise-exchange AlltoAll through the single-source body (the reference
-/// [`crate::collectives::alltoall_pairwise`] is the hand-written oracle it
-/// is cross-checked against).
-pub fn alltoall_pairwise_ss(comm: &mut MpiComm, send: &[f64], block: usize) -> Result<Vec<f64>> {
-    let p = comm.size();
-    assert_eq!(send.len(), p * block, "send buffer must hold one block per rank");
-    let mut buf = vec![0.0; 2 * p * block];
-    buf[..p * block].copy_from_slice(send);
-    pairwise_alltoall(&mut ThreadedTwoSided::new(comm, &mut buf), block)?;
-    Ok(buf[p * block..].to_vec())
-}
-
-/// Binomial broadcast through the single-source body.
-pub fn bcast_binomial_ss(comm: &mut MpiComm, data: &mut [f64], root: usize) -> Result<()> {
-    let n = data.len();
-    binomial_bcast(&mut ThreadedTwoSided::new(comm, data), n, root)
-}
-
-/// Binomial reduce through the single-source body.  Returns the reduced
-/// vector on the root, `None` elsewhere.
-pub fn reduce_binomial_ss(comm: &mut MpiComm, contribution: &[f64], root: usize) -> Result<Option<Vec<f64>>> {
+/// Binomial reduce (`mpi-bin` of Figure 9) on the threaded runtime.
+/// Returns the reduced vector on the root, `None` elsewhere.
+pub fn reduce_binomial(comm: &mut MpiComm, contribution: &[f64], root: usize) -> Result<Option<Vec<f64>>> {
     let n = contribution.len();
     let mut buf = contribution.to_vec();
     binomial_reduce(&mut ThreadedTwoSided::new(comm, &mut buf), n, root)?;
     Ok(if comm.rank() == root { Some(buf) } else { None })
+}
+
+/// Working buffer of an alltoall: `send` (one `block`-element block per
+/// rank) followed by `regions - 1` zeroed regions of the same size, or
+/// [`MpiError::LengthMismatch`] if `send` does not hold `P` blocks.
+fn alltoall_buffer(p: usize, send: &[f64], block: usize, regions: usize) -> Result<Vec<f64>> {
+    if send.len() != p * block {
+        return Err(MpiError::LengthMismatch { expected: p * block, got: send.len() });
+    }
+    let mut buf = vec![0.0; regions * p * block];
+    buf[..p * block].copy_from_slice(send);
+    Ok(buf)
+}
+
+/// Bruck AlltoAll on the threaded runtime: `send` holds one `block`-element
+/// block per destination; returns the received blocks in source order.
+pub fn alltoall_bruck(comm: &mut MpiComm, send: &[f64], block: usize) -> Result<Vec<f64>> {
+    let p = comm.size();
+    let mut buf = alltoall_buffer(p, send, block, 5)?;
+    bruck_alltoall(&mut ThreadedTwoSided::new(comm, &mut buf), block)?;
+    Ok(buf.split_off(4 * p * block))
+}
+
+/// Pairwise-exchange AlltoAll (Figure 13's `mpi` curves) on the threaded
+/// runtime: `send` holds one `block`-element block per destination; returns
+/// the received blocks in source order.
+pub fn alltoall_pairwise(comm: &mut MpiComm, send: &[f64], block: usize) -> Result<Vec<f64>> {
+    let p = comm.size();
+    let mut buf = alltoall_buffer(p, send, block, 2)?;
+    pairwise_alltoall(&mut ThreadedTwoSided::new(comm, &mut buf), block)?;
+    Ok(buf.split_off(p * block))
 }
 
 // ---------------------------------------------------------------------------
@@ -511,7 +731,7 @@ pub fn rabenseifner_allreduce_schedule(ranks: usize, total_bytes: u64) -> Progra
 
 /// Schedule of [`reduce_scatter_allgather_allreduce`].
 pub fn rsag_allreduce_schedule(ranks: usize, total_bytes: u64) -> Program {
-    record(ranks, 1, |t| reduce_scatter_allgather_allreduce(t, total_bytes as usize))
+    record(ranks, 1, |t| reduce_scatter_allgather_allreduce(t, total_bytes as usize, false))
 }
 
 /// Schedule of [`bruck_alltoall`] with `block_bytes`-byte blocks.
@@ -543,7 +763,6 @@ pub fn rsg_reduce_schedule(ranks: usize, total_bytes: u64) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collectives::{allreduce_ring, alltoall_pairwise, reduce_binomial};
     use crate::comm::MpiWorld;
     use crate::schedule::{mpi_bcast_binomial_schedule, mpi_reduce_binomial_schedule};
     use ec_netsim::{validate, ClusterSpec, CostModel, Engine};
@@ -576,26 +795,22 @@ mod tests {
 
     #[test]
     fn rsag_allreduce_matches_the_ring_reference_bit_for_bit() {
-        for (p, n) in [(5usize, 23usize), (8, 64), (12, 7)] {
-            let ss = MpiWorld::new(p).run(|comm| {
-                let mut data = input(comm.rank(), n);
-                allreduce_reduce_scatter_allgather(comm, &mut data).unwrap();
-                data
-            });
-            let reference = MpiWorld::new(p).run(|comm| {
+        for (p, n) in [(3usize, 7usize), (4, 10), (5, 23), (8, 5), (8, 64), (12, 7)] {
+            let out = MpiWorld::new(p).run(|comm| {
                 let mut data = input(comm.rank(), n);
                 allreduce_ring(comm, &mut data).unwrap();
                 data
             });
-            // Same chunking, same fold order: the single-source body must
-            // reproduce the hand-written ring exactly, not just within 1e-9.
-            assert_eq!(ss, reference, "p={p} n={n}");
+            // The inputs are small integers, so every fold order gives the
+            // serial sum exactly.
+            let want = expected_sum(p, n);
+            assert!(out.iter().all(|data| data == &want), "p={p} n={n}");
         }
     }
 
     #[test]
     fn bcast_variants_replicate_the_root_data() {
-        for p in [2usize, 5, 8, 12] {
+        for p in [2usize, 3, 5, 8, 12] {
             for root in [0, p - 1] {
                 let n = 41;
                 let want = input(root, n);
@@ -606,7 +821,7 @@ mod tests {
                         match variant {
                             0 => bcast_scatter_allgather(comm, &mut data, root).unwrap(),
                             1 => bcast_pipelined_binomial(comm, &mut data, root, 16).unwrap(),
-                            _ => bcast_binomial_ss(comm, &mut data, root).unwrap(),
+                            _ => bcast_binomial(comm, &mut data, root).unwrap(),
                         }
                         data
                     });
@@ -620,49 +835,77 @@ mod tests {
 
     #[test]
     fn reduce_variants_agree_with_the_binomial_reference() {
-        for p in [2usize, 6, 8, 12] {
+        for (p, root) in [(2usize, 0usize), (4, 0), (6, 3), (8, 4), (12, 6)] {
             let n = 29;
-            let root = p / 2;
-            let reference = MpiWorld::new(p).run(move |comm| {
-                let contribution = input(comm.rank(), n);
-                reduce_binomial(comm, &contribution, root).unwrap()
-            });
-            let want = reference[root].as_ref().unwrap();
+            let want = expected_sum(p, n);
             for variant in 0..2 {
                 let out = MpiWorld::new(p).run(move |comm| {
                     let contribution = input(comm.rank(), n);
                     match variant {
                         0 => reduce_rsg(comm, &contribution, root).unwrap(),
-                        _ => reduce_binomial_ss(comm, &contribution, root).unwrap(),
+                        _ => reduce_binomial(comm, &contribution, root).unwrap(),
                     }
                 });
-                let got = out[root].as_ref().unwrap();
-                for (a, b) in got.iter().zip(want.iter()) {
-                    assert!((a - b).abs() < 1e-9, "variant {variant} p={p}");
-                }
+                assert_eq!(out[root].as_ref(), Some(&want), "variant {variant} p={p}");
                 assert!(out.iter().enumerate().all(|(r, v)| r == root || v.is_none()));
             }
         }
+    }
+
+    /// The alltoall result by definition: rank `dst` receives block `dst`
+    /// of every source, in source order.
+    fn transpose(p: usize, block: usize, dst: usize) -> Vec<f64> {
+        (0..p * block).map(|i| (i / block * 100 + dst * block + i % block) as f64).collect()
     }
 
     #[test]
     fn alltoall_variants_match_the_pairwise_reference() {
         for p in [2usize, 3, 5, 8, 12] {
             let block = 3;
-            let reference = MpiWorld::new(p).run(move |comm| {
-                let send: Vec<f64> = (0..p * block).map(|i| (comm.rank() * 100 + i) as f64).collect();
-                alltoall_pairwise(comm, &send, block).unwrap()
-            });
             for variant in 0..2 {
                 let out = MpiWorld::new(p).run(move |comm| {
                     let send: Vec<f64> = (0..p * block).map(|i| (comm.rank() * 100 + i) as f64).collect();
                     match variant {
                         0 => alltoall_bruck(comm, &send, block).unwrap(),
-                        _ => alltoall_pairwise_ss(comm, &send, block).unwrap(),
+                        _ => alltoall_pairwise(comm, &send, block).unwrap(),
                     }
                 });
-                assert_eq!(out, reference, "variant {variant} p={p}");
+                for (dst, recv) in out.iter().enumerate() {
+                    assert_eq!(recv, &transpose(p, block, dst), "variant {variant} p={p}");
+                }
             }
+        }
+    }
+
+    /// What `runner` returns on every rank of a 3-rank world when each rank
+    /// passes 5 elements for 2-element blocks.
+    fn short_send_buffer(runner: fn(&mut MpiComm, &[f64], usize) -> Result<Vec<f64>>) -> Vec<Result<Vec<f64>>> {
+        MpiWorld::new(3).run(|comm| runner(comm, &[1.0; 5], 2))
+    }
+
+    #[test]
+    fn alltoall_bruck_rejects_a_send_buffer_without_one_block_per_rank() {
+        let mismatch = Err(MpiError::LengthMismatch { expected: 6, got: 5 });
+        assert!(short_send_buffer(alltoall_bruck).iter().all(|r| r == &mismatch));
+    }
+
+    #[test]
+    fn alltoall_pairwise_rejects_a_send_buffer_without_one_block_per_rank() {
+        let mismatch = Err(MpiError::LengthMismatch { expected: 6, got: 5 });
+        assert!(short_send_buffer(alltoall_pairwise).iter().all(|r| r == &mismatch));
+    }
+
+    #[test]
+    fn recursive_doubling_allreduce_handles_non_power_of_two_worlds() {
+        // p = 12 exercises fold-in/fold-out around the p2 = 8 core.
+        for (p, n) in [(2usize, 6usize), (3, 5), (4, 6), (6, 9), (8, 6), (12, 17)] {
+            let out = MpiWorld::new(p).run(move |comm| {
+                let mut data = input(comm.rank(), n);
+                allreduce_recursive_doubling(comm, &mut data).unwrap();
+                data
+            });
+            let want = expected_sum(p, n);
+            assert!(out.iter().all(|data| data == &want), "p={p} n={n}");
         }
     }
 
@@ -756,7 +999,7 @@ mod tests {
             let want = expected_sum(p, n);
             let out = MpiWorld::new(p).run(|comm| {
                 let mut data = input(comm.rank(), n);
-                allreduce_reduce_scatter_allgather(comm, &mut data).unwrap();
+                allreduce_ring(comm, &mut data).unwrap();
                 data
             });
             for data in &out {

@@ -5,9 +5,9 @@
 use std::time::Duration;
 
 use ec_collectives_suite::baseline::{
-    allreduce_rabenseifner, allreduce_recursive_doubling, allreduce_reduce_scatter_allgather,
-    allreduce_ring as mpi_allreduce_ring, alltoall_bruck, alltoall_pairwise, bcast_binomial, bcast_pipelined_binomial,
-    bcast_scatter_allgather, reduce_binomial, reduce_rsg, MpiWorld,
+    allreduce_rabenseifner, allreduce_recursive_doubling, allreduce_ring as mpi_allreduce_ring, alltoall_bruck,
+    alltoall_pairwise, bcast_binomial, bcast_pipelined_binomial, bcast_scatter_allgather, reduce_binomial, reduce_rsg,
+    MpiAllreduceVariant, MpiWorld,
 };
 use ec_collectives_suite::collectives::{
     AllToAll, BroadcastBst, ReduceBst, ReduceMode, ReduceOp, RingAllreduce, SspAllreduce, Threshold,
@@ -50,6 +50,32 @@ fn ring_allreduce_agrees_with_mpi_baselines() {
 }
 
 #[test]
+fn every_mpi_allreduce_variant_computes_the_exact_sum_on_threads() {
+    // The same bodies Figures 11-12 price, run on real data.  The inputs are
+    // small integers, so every fold order gives the serial sum exactly; n = 5
+    // leaves some ring chunks empty at p > 5.
+    for p in [2usize, 3, 6, 8, 12, 16] {
+        for ppn in [1usize, 2, 4].into_iter().filter(|ppn| p % ppn == 0) {
+            for n in [5usize, 37] {
+                let sum: Vec<f64> = (0..n).map(|i| (0..p).map(|r| input(r, n)[i]).sum()).collect();
+                let out = MpiWorld::new(p).run(|comm| {
+                    MpiAllreduceVariant::all().map(|variant| {
+                        let mut data = input(comm.rank(), n);
+                        variant.run(comm, &mut data, ppn).unwrap();
+                        data
+                    })
+                });
+                for (rank, results) in out.iter().enumerate() {
+                    for (variant, data) in MpiAllreduceVariant::all().iter().zip(results) {
+                        assert_eq!(data, &sum, "{} p={p} ppn={ppn} n={n} rank={rank}", variant.label());
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
 fn single_source_allreduce_variants_agree_with_the_gaspi_ring() {
     // Both the power-of-two world and an awkward one: the Rabenseifner
     // variant folds p = 7 around a p2 = 4 core.
@@ -70,7 +96,7 @@ fn single_source_allreduce_variants_agree_with_the_gaspi_ring() {
         });
         let rsag = MpiWorld::new(p).run(|comm| {
             let mut data = input(comm.rank(), n);
-            allreduce_reduce_scatter_allgather(comm, &mut data).unwrap();
+            mpi_allreduce_ring(comm, &mut data).unwrap();
             data
         });
         for rank in 0..p {

@@ -375,7 +375,7 @@ proptest! {
                 let mut data = inputs[comm.rank()].clone();
                 match variant {
                     0 => variants::allreduce_rabenseifner(comm, &mut data).unwrap(),
-                    _ => variants::allreduce_reduce_scatter_allgather(comm, &mut data).unwrap(),
+                    _ => variants::allreduce_ring(comm, &mut data).unwrap(),
                 }
                 data
             });

@@ -3,9 +3,8 @@
 //! frontier of Figures 11–13, extended to oversubscribed fabrics.
 //!
 //! For every (collective, rank count, message size) cell the candidate pool
-//! (twelve vendor Allreduce variants + the single-source additions, the
-//! pairwise/Bruck AlltoAll, and the paper's one-sided GASPI collectives as
-//! challengers) is priced through both the topology-blind alpha–beta model
+//! (the twelve vendor Allreduce variants, the pairwise/Bruck AlltoAll, and
+//! the paper's one-sided GASPI collectives as challengers) is priced through both the topology-blind alpha–beta model
 //! and the PR 4 flow-level fabric at 1:1, 2:1 and 4:1 leaf→core
 //! oversubscription.  Cells where the 4:1 fabric picks a different vendor
 //! winner than the alpha–beta model are flagged `*` — these are exactly the

@@ -33,18 +33,11 @@ pub enum Pricing {
 }
 
 /// The allreduce candidate pool: the twelve vendor variants of Figures
-/// 11–12, the two single-source additions from `ec_baseline::variants`, and
-/// the paper's one-sided GASPI ring as the challenger.
+/// 11–12 and the paper's one-sided GASPI ring as the challenger.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AllreduceVariant {
-    /// One of the twelve hand-written vendor variants (`mpi1` … `mpi12`).
+    /// One of the twelve vendor variants (`mpi1` … `mpi12`).
     Mpi(MpiAllreduceVariant),
-    /// Single-source recursive-halving/doubling (Rabenseifner) allreduce
-    /// with non-power-of-two fold phases.
-    SsRabenseifner,
-    /// Single-source chunked ring reduce-scatter + allgather, native at any
-    /// rank count.
-    SsRsag,
     /// The paper's one-sided segmented pipelined GASPI ring (not part of
     /// the vendor frontier).
     GaspiRing,
@@ -54,8 +47,6 @@ impl AllreduceVariant {
     /// The full candidate pool, vendor variants first.
     pub fn all() -> Vec<Self> {
         let mut pool: Vec<Self> = MpiAllreduceVariant::all().into_iter().map(Self::Mpi).collect();
-        pool.push(Self::SsRabenseifner);
-        pool.push(Self::SsRsag);
         pool.push(Self::GaspiRing);
         pool
     }
@@ -64,8 +55,6 @@ impl AllreduceVariant {
     pub fn label(self) -> &'static str {
         match self {
             Self::Mpi(v) => v.label(),
-            Self::SsRabenseifner => "ss-rabenseifner",
-            Self::SsRsag => "ss-rsag",
             Self::GaspiRing => "gaspi-ring",
         }
     }
@@ -81,8 +70,6 @@ impl AllreduceVariant {
     pub fn schedule(self, ranks: usize, total_bytes: u64, ranks_per_node: usize) -> Program {
         match self {
             Self::Mpi(v) => v.schedule(ranks, total_bytes, ranks_per_node),
-            Self::SsRabenseifner => variants::rabenseifner_allreduce_schedule(ranks, total_bytes),
-            Self::SsRsag => variants::rsag_allreduce_schedule(ranks, total_bytes),
             Self::GaspiRing => ring_allreduce_schedule(ranks, total_bytes),
         }
     }
@@ -433,7 +420,7 @@ mod tests {
     #[test]
     fn candidate_pools_have_unique_labels() {
         let allreduce: Vec<_> = AllreduceVariant::all().iter().map(|v| v.label()).collect();
-        assert_eq!(allreduce.len(), 15);
+        assert_eq!(allreduce.len(), 13);
         let unique: std::collections::HashSet<_> = allreduce.iter().collect();
         assert_eq!(unique.len(), allreduce.len());
         let alltoall: Vec<_> = AlltoallVariant::all().iter().map(|v| v.label()).collect();
@@ -449,7 +436,7 @@ mod tests {
         // vendor frontier must not be the gather-based variants.
         let large = select_allreduce(&preset, 4_194_304, Pricing::AlphaBeta);
         assert!(
-            large.best_vendor().label.contains("ring") || large.best_vendor().label.contains("rsag"),
+            large.best_vendor().label.contains("ring"),
             "large-message vendor winner was {}",
             large.best_vendor().label
         );

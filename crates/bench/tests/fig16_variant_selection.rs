@@ -59,11 +59,7 @@ fn winners_track_the_latency_bandwidth_tradeoff() {
     // the vendor frontier (Figures 11-12's headline result).
     let red = select_allreduce(&preset, 4_194_304, Pricing::Fabric);
     assert_eq!(red.winner().label, "gaspi-ring");
-    assert!(
-        red.best_vendor().label.contains("ring") || red.best_vendor().label.contains("rsag"),
-        "4 MiB vendor winner was {}",
-        red.best_vendor().label
-    );
+    assert!(red.best_vendor().label.contains("ring"), "4 MiB vendor winner was {}", red.best_vendor().label);
 }
 
 #[test]
@@ -71,7 +67,7 @@ fn every_candidate_prediction_is_positive_and_finite() {
     let preset = fig16_preset(16, 4, 2.0);
     for pricing in [Pricing::AlphaBeta, Pricing::Fabric] {
         let allreduce = select_allreduce(&preset, 4096, pricing);
-        assert_eq!(allreduce.predictions.len(), 15);
+        assert_eq!(allreduce.predictions.len(), 13);
         let alltoall = select_alltoall(&preset, 4096, pricing);
         assert_eq!(alltoall.predictions.len(), 4);
         for p in allreduce.predictions.iter().chain(alltoall.predictions.iter()) {
@@ -94,9 +90,10 @@ fn smoke_rows_cover_both_collectives_and_all_tapers() {
 
 /// Every prediction of the smoke table, bit for bit.  Read on the parent of
 /// the change that compiles each candidate once and fuses local ops in the
-/// strict loop, and re-read when `mpi2`, `mpi7` and `mpi8` became
-/// single-source bodies (their 8 B cells no longer price one-byte windows);
-/// otherwise the table must not move.
+/// strict loop, re-read when `mpi2`, `mpi7` and `mpi8` became single-source
+/// bodies (their 8 B cells no longer price one-byte windows) and again when
+/// the two candidates that duplicated them left the pool; otherwise the
+/// table must not move.
 #[test]
 fn pinned_smoke_winner_table() {
     let rows = winner_table(&SweepConfig::smoke());
@@ -106,7 +103,7 @@ fn pinned_smoke_winner_table() {
             .flat_map(|sel| sel.predictions.iter().map(|p| p.seconds.to_bits()))
     });
     let digest = seconds.fold(0u64, |acc, bits| ec_netsim::SplitMix64::mix(acc ^ bits));
-    assert_eq!(format!("{digest:016x}"), "c3119a3005f8df91");
+    assert_eq!(format!("{digest:016x}"), "bead627f60c61f70");
 }
 
 /// The table prices through `run_compiled` on a program compiled once, the

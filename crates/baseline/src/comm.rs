@@ -3,10 +3,12 @@
 //! Every rank is a thread; point-to-point messages are `f64` vectors matched
 //! by `(source, tag)` in FIFO order, with an unexpected-message queue exactly
 //! like an MPI implementation.  This layer exists so the baseline collective
-//! algorithms have something faithful to run on for correctness tests.
+//! algorithms — the same [`crate::variants`] bodies the simulator prices —
+//! run on real data and their values can be checked.
 //!
 //! The benchmark's `threaded_p2` workload also times [`crate::allreduce_ring`]
-//! on this layer against the GASPI ring (`collectives.vs_mpi_ring_x`).  That
+//! (the `mpi7` ring body) on this layer against the GASPI ring
+//! (`collectives.vs_mpi_ring_x`).  That
 //! ratio compares two in-process runtimes on shared memory: an eager send here
 //! is one copy into an owned message plus a channel hand-off, a GASPI put one
 //! copy into the target segment plus a notification.  It shows whether either

@@ -5,11 +5,12 @@
 //! This module gives the **MPI-like baselines** the same treatment: the
 //! [`TwoSided`] trait captures the two-sided vocabulary (blocking and
 //! non-blocking sends, receives that land in or fold into a working buffer,
-//! local staging copies), and every *new* baseline algorithm variant in
-//! [`crate::variants`] is a single body generic over it.
+//! local staging copies and folds, a barrier), and every baseline algorithm
+//! in [`crate::variants`] is a single body generic over it.
 //!
 //! * [`ThreadedTwoSided`] runs the body on the real [`crate::comm`] runtime,
-//!   moving `f64` payloads between rank threads — the correctness oracle;
+//!   moving `f64` payloads between rank threads, so its values can be
+//!   checked;
 //! * [`RecordingTwoSided`] replays the *same body* for one rank with
 //!   payloads abstracted to element counts and records that rank's
 //!   operations with two-sided semantics; [`record`] replays it once per

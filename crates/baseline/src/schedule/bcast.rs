@@ -1,11 +1,10 @@
 //! Schedules for `MPI_Bcast`: the binomial variant and the "default"
 //! (size-adaptive) variant of a vendor library.
 
-use ec_netsim::{Program, ProgramBuilder};
+use ec_netsim::Program;
 
-use super::trees::binomial;
 use crate::twosided::record;
-use crate::variants::binomial_bcast;
+use crate::variants::{binomial_bcast, scatter_allgather_bcast_schedule};
 
 /// Message size (bytes) above which the default broadcast switches from the
 /// binomial tree to the scatter + ring-allgather (van de Geijn) algorithm,
@@ -21,56 +20,14 @@ pub fn mpi_bcast_binomial_schedule(ranks: usize, total_bytes: u64) -> Program {
 }
 
 /// Size-adaptive "default" `MPI_Bcast` (the `mpi-def` curve of Figure 8):
-/// binomial tree for small payloads, scatter + ring allgather for large ones.
+/// binomial tree for small payloads, the single-source van de Geijn
+/// scatter + ring allgather ([`scatter_allgather_bcast_schedule`]) for large
+/// ones.
 pub fn mpi_bcast_default_schedule(ranks: usize, total_bytes: u64) -> Program {
     if total_bytes <= LARGE_BCAST_THRESHOLD || ranks <= 2 {
         return mpi_bcast_binomial_schedule(ranks, total_bytes);
     }
-    scatter_allgather_bcast(ranks, total_bytes)
-}
-
-/// Van de Geijn broadcast: binomial scatter of 1/P chunks from the root,
-/// followed by a ring allgather.
-fn scatter_allgather_bcast(ranks: usize, total_bytes: u64) -> Program {
-    let mut b = ProgramBuilder::new(ranks);
-    let chunk = (total_bytes / ranks as u64).max(1);
-    // Phase 1: binomial scatter.  A rank forwards to each child the portion
-    // of the payload destined for the child's subtree.
-    for rank in 0..ranks {
-        let (parent, children) = binomial(rank, ranks);
-        if let Some(parent) = parent {
-            // Receives its own chunk plus everything for its subtree.
-            let subtree = subtree_size(rank, ranks);
-            b.recv(rank, parent, chunk * subtree as u64, 1);
-        }
-        for child in children {
-            let subtree = subtree_size(child, ranks);
-            b.send(rank, child, chunk * subtree as u64, 1);
-        }
-    }
-    // Phase 2: ring allgather of the P chunks.
-    for rank in 0..ranks {
-        let next = (rank + 1) % ranks;
-        let prev = (rank + ranks - 1) % ranks;
-        for step in 0..ranks - 1 {
-            b.isend(rank, next, chunk, 100 + step as u32);
-            b.recv(rank, prev, chunk, 100 + step as u32);
-        }
-        b.wait_all_sends(rank);
-    }
-    b.build()
-}
-
-/// Number of ranks in the binomial subtree rooted at `rank`.
-pub(crate) fn subtree_size(rank: usize, ranks: usize) -> usize {
-    let (_, children) = binomial(rank, ranks);
-    1 + children.into_iter().map(|c| subtree_size(c, ranks)).sum::<usize>()
-}
-
-/// Bytes carried by the binomial subtree rooted at `rank` when every rank
-/// contributes `piece` bytes (used by gather-style schedules).
-pub(crate) fn subtree_bytes(rank: usize, ranks: usize, piece: u64) -> u64 {
-    subtree_size(rank, ranks) as u64 * piece
+    scatter_allgather_bcast_schedule(ranks, total_bytes)
 }
 
 #[cfg(test)]
@@ -104,13 +61,6 @@ mod tests {
         // ...large payloads switch to scatter + ring allgather, which issues
         // many more (smaller) messages than the binomial tree.
         assert!(large.total_ops() > mpi_bcast_binomial_schedule(p, 8_000_000).total_ops());
-    }
-
-    #[test]
-    fn subtree_sizes_sum_to_world_size() {
-        for p in [1usize, 2, 7, 8, 16, 23] {
-            assert_eq!(subtree_size(0, p), p);
-        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use ec_netsim::{Program, ProgramBuilder};
 
-use super::trees::binomial;
+use super::trees::{binomial, subtree_size};
 use crate::twosided::record;
 use crate::variants::binomial_reduce;
 
@@ -53,11 +53,11 @@ fn rabenseifner_reduce(ranks: usize, total_bytes: u64) -> Program {
         let piece = (total_bytes / ranks as u64).max(1);
         for child in children {
             // A child forwards its own piece plus its subtree's pieces.
-            let subtree = super::bcast::subtree_bytes(child, ranks, piece);
+            let subtree = subtree_size(child, ranks) as u64 * piece;
             b.recv(rank, child, subtree, 50);
         }
         if let Some(parent) = parent {
-            let subtree = super::bcast::subtree_bytes(rank, ranks, piece);
+            let subtree = subtree_size(rank, ranks) as u64 * piece;
             b.send(rank, parent, subtree, 50);
         }
     }

@@ -22,6 +22,12 @@ pub fn binomial(rank: usize, ranks: usize) -> (Option<usize>, Vec<usize>) {
     (parent, children)
 }
 
+/// Number of ranks in the binomial subtree rooted at `rank`.
+pub(crate) fn subtree_size(rank: usize, ranks: usize) -> usize {
+    let (_, children) = binomial(rank, ranks);
+    1 + children.into_iter().map(|c| subtree_size(c, ranks)).sum::<usize>()
+}
+
 /// Parent and children of `rank` in a k-nomial tree of the given `radix`
 /// rooted at 0 (radix 2 degenerates to the binomial tree).
 pub fn knomial(rank: usize, ranks: usize, radix: usize) -> (Option<usize>, Vec<usize>) {
@@ -122,6 +128,13 @@ mod tests {
     fn binomial_tree_is_consistent() {
         for p in [1usize, 2, 3, 7, 8, 13, 16, 32] {
             check_tree(p, binomial);
+        }
+    }
+
+    #[test]
+    fn subtree_sizes_sum_to_world_size() {
+        for p in [1usize, 2, 7, 8, 16, 23] {
+            assert_eq!(subtree_size(0, p), p);
         }
     }
 

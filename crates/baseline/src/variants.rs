@@ -49,8 +49,7 @@ use ec_collectives::topology::chunk_ranges;
 use ec_netsim::Program;
 
 use crate::comm::{MpiComm, MpiError, Result, Tag};
-use crate::schedule::bcast::subtree_size;
-use crate::schedule::trees::binomial;
+use crate::schedule::trees::{binomial, subtree_size};
 use crate::twosided::{record, ThreadedTwoSided, TwoSided};
 
 /// Default segment size (elements) of the pipelined binomial broadcast:

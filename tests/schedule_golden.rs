@@ -282,12 +282,15 @@ const GASPI_DIGESTS: &[(&str, u64)] = &[
 /// `mpi7` and `mpi8` rows were re-read when those variants became the
 /// single-source Rabenseifner and ring bodies, which no longer price the
 /// one-byte windows and chunks of a payload smaller than the world, nor drop
-/// the remainder of a payload the rank count does not divide.
+/// the remainder of a payload the rank count does not divide.  The
+/// `mpi_bcast_default_schedule` row was re-read when its large-payload
+/// branch became the single-source van de Geijn body, for the same
+/// remainder.
 const MPI_DIGESTS: &[(&str, u64)] = &[
     ("mpi_reduce_binomial_schedule", 0x234d5076d317c8fe),
     ("mpi_reduce_default_schedule", 0x1387037f0a0a5c3e),
     ("mpi_bcast_binomial_schedule", 0xb7b09f8a910d1007),
-    ("mpi_bcast_default_schedule", 0xd3c81232d39e6c24),
+    ("mpi_bcast_default_schedule", 0xed122bb8a76fe7c2),
     ("mpi_alltoall_pairwise_schedule", 0xe768a0521725d3cc),
     ("rabenseifner_allreduce_schedule", 0xa2a270d2c4765b3e),
     ("rsag_allreduce_schedule", 0x9c63adf1acddbe15),

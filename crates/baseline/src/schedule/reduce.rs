@@ -1,10 +1,9 @@
 //! Schedules for `MPI_Reduce`: binomial and size-adaptive default variants.
 
-use ec_netsim::{Program, ProgramBuilder};
+use ec_netsim::Program;
 
-use super::trees::{binomial, subtree_size};
 use crate::twosided::record;
-use crate::variants::binomial_reduce;
+use crate::variants::{binomial_reduce, rsg_reduce_schedule};
 
 /// Message size (bytes) above which the default reduce switches from the
 /// binomial tree to Rabenseifner's reduce-scatter + gather algorithm.
@@ -19,49 +18,14 @@ pub fn mpi_reduce_binomial_schedule(ranks: usize, total_bytes: u64) -> Program {
 }
 
 /// Size-adaptive "default" `MPI_Reduce` (the `mpi-def` curve of Figure 9):
-/// binomial for small payloads, reduce-scatter + binomial gather
-/// (Rabenseifner) for large ones.
+/// binomial for small payloads, the single-source reduce-scatter + binomial
+/// gather (Rabenseifner, [`rsg_reduce_schedule`]) for large ones, at any
+/// rank count.
 pub fn mpi_reduce_default_schedule(ranks: usize, total_bytes: u64) -> Program {
-    if total_bytes <= LARGE_REDUCE_THRESHOLD || !ranks.is_power_of_two() || ranks <= 2 {
+    if total_bytes <= LARGE_REDUCE_THRESHOLD || ranks <= 2 {
         return mpi_reduce_binomial_schedule(ranks, total_bytes);
     }
-    rabenseifner_reduce(ranks, total_bytes)
-}
-
-/// Rabenseifner's reduce: recursive-halving reduce-scatter, then a binomial
-/// gather of the scattered pieces to the root.
-fn rabenseifner_reduce(ranks: usize, total_bytes: u64) -> Program {
-    let mut b = ProgramBuilder::new(ranks);
-    let d = ranks.trailing_zeros();
-    for rank in 0..ranks {
-        // Reduce-scatter by recursive halving: in step k each rank exchanges
-        // half of its current working window with a partner at distance
-        // ranks / 2^(k+1).
-        let mut window = total_bytes;
-        for k in 0..d {
-            let distance = ranks >> (k + 1);
-            let partner = rank ^ distance;
-            window /= 2;
-            let tag = 10 + k;
-            b.isend(rank, partner, window.max(1), tag);
-            b.recv(rank, partner, window.max(1), tag);
-            b.reduce(rank, window.max(1));
-        }
-        b.wait_all_sends(rank);
-        // Binomial gather of the scattered, fully reduced pieces to rank 0.
-        let (parent, children) = binomial(rank, ranks);
-        let piece = (total_bytes / ranks as u64).max(1);
-        for child in children {
-            // A child forwards its own piece plus its subtree's pieces.
-            let subtree = subtree_size(child, ranks) as u64 * piece;
-            b.recv(rank, child, subtree, 50);
-        }
-        if let Some(parent) = parent {
-            let subtree = subtree_size(rank, ranks) as u64 * piece;
-            b.send(rank, parent, subtree, 50);
-        }
-    }
-    b.build()
+    rsg_reduce_schedule(ranks, total_bytes)
 }
 
 #[cfg(test)]
@@ -95,15 +59,26 @@ mod tests {
     }
 
     #[test]
-    fn default_reduce_falls_back_to_binomial_for_small_or_odd_worlds() {
-        assert_eq!(
-            mpi_reduce_default_schedule(6, 1_000_000).total_wire_bytes(),
-            mpi_reduce_binomial_schedule(6, 1_000_000).total_wire_bytes()
-        );
-        assert_eq!(
-            mpi_reduce_default_schedule(8, 100).total_wire_bytes(),
-            mpi_reduce_binomial_schedule(8, 100).total_wire_bytes()
-        );
+    fn default_reduce_falls_back_to_binomial_for_small_payloads_or_two_ranks() {
+        assert_eq!(mpi_reduce_default_schedule(2, 1_000_000), mpi_reduce_binomial_schedule(2, 1_000_000));
+        assert_eq!(mpi_reduce_default_schedule(8, 100), mpi_reduce_binomial_schedule(8, 100));
+    }
+
+    #[test]
+    fn default_reduce_folds_odd_worlds_into_the_reduce_scatter() {
+        // The body folds the surplus ranks in itself, so a non-power-of-two
+        // world runs the large-payload algorithm too, and never slower than
+        // the binomial tree.
+        for p in [3usize, 5, 6, 12, 13, 24, 31] {
+            let e = Engine::new(ClusterSpec::homogeneous(p, 1), CostModel::skylake_fdr());
+            for bytes in [80_000u64, 800_000, 8_000_000] {
+                let default = mpi_reduce_default_schedule(p, bytes);
+                assert_eq!(default, rsg_reduce_schedule(p, bytes), "p={p} bytes={bytes}");
+                let t_def = e.makespan(&default).unwrap();
+                let t_bin = e.makespan(&mpi_reduce_binomial_schedule(p, bytes)).unwrap();
+                assert!(t_def <= t_bin, "p={p} bytes={bytes}: default {t_def} slower than binomial {t_bin}");
+            }
+        }
     }
 
     #[test]

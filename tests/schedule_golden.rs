@@ -285,10 +285,12 @@ const GASPI_DIGESTS: &[(&str, u64)] = &[
 /// the remainder of a payload the rank count does not divide.  The
 /// `mpi_bcast_default_schedule` row was re-read when its large-payload
 /// branch became the single-source van de Geijn body, for the same
-/// remainder.
+/// remainder; the `mpi_reduce_default_schedule` row when its large-payload
+/// branch became the single-source Rabenseifner reduce, which gathers the
+/// smallest pieces first and runs at any rank count.
 const MPI_DIGESTS: &[(&str, u64)] = &[
     ("mpi_reduce_binomial_schedule", 0x234d5076d317c8fe),
-    ("mpi_reduce_default_schedule", 0x1387037f0a0a5c3e),
+    ("mpi_reduce_default_schedule", 0xde1393c22e9185c0),
     ("mpi_bcast_binomial_schedule", 0xb7b09f8a910d1007),
     ("mpi_bcast_default_schedule", 0xed122bb8a76fe7c2),
     ("mpi_alltoall_pairwise_schedule", 0xe768a0521725d3cc),

@@ -1,31 +1,23 @@
 //! Schedule for the vendor `MPI_Alltoall` (pairwise exchange).
 
-use ec_netsim::{Program, ProgramBuilder};
+use ec_netsim::Program;
 
-/// Pairwise-exchange `MPI_Alltoall`: `P - 1` rounds, in round `k` every rank
-/// sends its block to `(rank + k) % P` and receives from `(rank - k) % P`
-/// (Figure 13's `mpi` curves).
+use crate::twosided::record;
+use crate::variants::pairwise_alltoall;
+
+/// Pairwise-exchange `MPI_Alltoall` (Figure 13's `mpi` curves): the
+/// single-source [`pairwise_alltoall`] body with `block_bytes`-byte blocks.
+/// Every rank copies its own block locally, then runs `P - 1` rounds; in
+/// round `k` it sends its block to `(rank + k) % P` and receives from
+/// `(rank - k) % P`.
 pub fn mpi_alltoall_pairwise_schedule(ranks: usize, block_bytes: u64) -> Program {
-    let mut b = ProgramBuilder::new(ranks);
-    if ranks <= 1 {
-        return b.build();
-    }
-    for rank in 0..ranks {
-        for step in 1..ranks {
-            let dst = (rank + step) % ranks;
-            let src = (rank + ranks - step) % ranks;
-            let tag = step as u32;
-            b.isend(rank, dst, block_bytes, tag);
-            b.recv(rank, src, block_bytes, tag);
-        }
-        b.wait_all_sends(rank);
-    }
-    b.build()
+    record(ranks, 1, |t| pairwise_alltoall(t, block_bytes as usize))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ec_collectives::schedule::alltoall_direct_schedule;
     use ec_netsim::{validate, ClusterSpec, CostModel, Engine};
 
     #[test]
@@ -67,23 +59,8 @@ mod tests {
             .makespan(&mpi_alltoall_pairwise_schedule(p, block))
             .unwrap();
         let gaspi = Engine::new(ClusterSpec::homogeneous(4, 4), CostModel::galileo_opa())
-            .makespan(&ec_collectives_alltoall(p, block))
+            .makespan(&alltoall_direct_schedule(p, block))
             .unwrap();
         assert!(mpi > gaspi, "pairwise MPI ({mpi}) must be slower than the direct GASPI alltoall ({gaspi})");
-    }
-
-    // Local re-implementation of the GASPI direct schedule to avoid a cyclic
-    // dev-dependency on ec-collectives.
-    fn ec_collectives_alltoall(ranks: usize, block_bytes: u64) -> Program {
-        let mut b = ProgramBuilder::new(ranks);
-        for rank in 0..ranks {
-            for offset in 1..ranks {
-                let peer = (rank + offset) % ranks;
-                b.put_notify(rank, peer, block_bytes, rank as u32);
-            }
-            let expected: Vec<u32> = (0..ranks).filter(|&r| r != rank).map(|r| r as u32).collect();
-            b.wait_notify(rank, &expected);
-        }
-        b.build()
     }
 }

@@ -92,8 +92,9 @@ fn smoke_rows_cover_both_collectives_and_all_tapers() {
 /// the change that compiles each candidate once and fuses local ops in the
 /// strict loop, re-read when `mpi2`, `mpi7` and `mpi8` became single-source
 /// bodies (their 8 B cells no longer price one-byte windows) and again when
-/// the two candidates that duplicated them left the pool; otherwise the
-/// table must not move.
+/// the two candidates that duplicated them left the pool, and when
+/// `mpi-pairwise` began to price the self-copy of the single-source
+/// pairwise body; otherwise the table must not move.
 #[test]
 fn pinned_smoke_winner_table() {
     let rows = winner_table(&SweepConfig::smoke());
@@ -103,7 +104,7 @@ fn pinned_smoke_winner_table() {
             .flat_map(|sel| sel.predictions.iter().map(|p| p.seconds.to_bits()))
     });
     let digest = seconds.fold(0u64, |acc, bits| ec_netsim::SplitMix64::mix(acc ^ bits));
-    assert_eq!(format!("{digest:016x}"), "bead627f60c61f70");
+    assert_eq!(format!("{digest:016x}"), "a063ed38c32c5630");
 }
 
 /// The table prices through `run_compiled` on a program compiled once, the

@@ -287,13 +287,15 @@ const GASPI_DIGESTS: &[(&str, u64)] = &[
 /// branch became the single-source van de Geijn body, for the same
 /// remainder; the `mpi_reduce_default_schedule` row when its large-payload
 /// branch became the single-source Rabenseifner reduce, which gathers the
-/// smallest pieces first and runs at any rank count.
+/// smallest pieces first and runs at any rank count; the
+/// `mpi_alltoall_pairwise_schedule` row when it became the single-source
+/// pairwise body, whose `pairwise_alltoall_schedule` row it now equals.
 const MPI_DIGESTS: &[(&str, u64)] = &[
     ("mpi_reduce_binomial_schedule", 0x234d5076d317c8fe),
     ("mpi_reduce_default_schedule", 0xde1393c22e9185c0),
     ("mpi_bcast_binomial_schedule", 0xb7b09f8a910d1007),
     ("mpi_bcast_default_schedule", 0xed122bb8a76fe7c2),
-    ("mpi_alltoall_pairwise_schedule", 0xe768a0521725d3cc),
+    ("mpi_alltoall_pairwise_schedule", 0xd8cb84139493f9ba),
     ("rabenseifner_allreduce_schedule", 0xa2a270d2c4765b3e),
     ("rsag_allreduce_schedule", 0x9c63adf1acddbe15),
     ("bruck_alltoall_schedule", 0x3f774df01f914c74),

@@ -10,29 +10,23 @@
 //!   send/receive and tag matching;
 //! * a **single-source variant library** ([`twosided`] + [`variants`]):
 //!   every baseline algorithm — the twelve `MPI_Allreduce` variants of
-//!   Figures 11–12 ([`MpiAllreduceVariant`]), the binomial `MPI_Bcast` and
-//!   `MPI_Reduce`, and the classic vendor variants the `ec_bench` tuner
-//!   auto-selects from (Bruck and pairwise AlltoAll, van de Geijn and
-//!   pipelined-binomial Bcast, reduce-scatter+gather Reduce) — is written
-//!   once against the [`twosided::TwoSided`] trait and executed both on
-//!   the threaded runtime, where its values are checked against the GASPI
-//!   collectives and serial references, and, replayed one rank at a time
-//!   by [`twosided::record`], as a simulator schedule;
-//! * **schedule generators** ([`schedule`]) that express the vendor
-//!   baselines as `ec-netsim` programs with two-sided semantics
-//!   (eager/rendezvous protocol, progress-engine bandwidth penalty,
-//!   per-message matching overhead), which is what the figure-regeneration
-//!   benches simulate.
+//!   Figures 11–12 ([`MpiAllreduceVariant`]), the binomial and default
+//!   `MPI_Bcast` and `MPI_Reduce`, the pairwise `MPI_Alltoall`, and the
+//!   other classic vendor variants the `ec_bench` tuner auto-selects from
+//!   (Bruck AlltoAll, pipelined-binomial Bcast) — is written once against
+//!   the [`twosided::TwoSided`] trait and executed both on the threaded
+//!   runtime, where its values are checked against the GASPI collectives
+//!   and serial references, and, replayed one rank at a time by
+//!   [`twosided::record`], as a simulator schedule;
+//! * **schedule generators** ([`schedule`]) that name the vendor baselines
+//!   the figures plot, each a `record` of one of those bodies: `ec-netsim`
+//!   programs with two-sided semantics (eager/rendezvous protocol,
+//!   progress-engine bandwidth penalty, per-message matching overhead),
+//!   which is what the figure-regeneration benches simulate.
 //!
-//! Every schedule's op stream is produced by exactly one function.  Three
-//! vendor generators are still built op by op, because each prices a
-//! schedule its single-source counterpart does not, and converting them
-//! would move Figures 8, 9 or 13: the large-payload branch of
-//! [`mpi_bcast_default_schedule`] (a binomial-subtree scatter with floor
-//! chunks), the large-payload branch of [`mpi_reduce_default_schedule`] (a
-//! power-of-two-only Rabenseifner), and [`mpi_alltoall_pairwise_schedule`]
-//! (no self-copy; `variants::pairwise_alltoall` prices one, and both are
-//! kept as separate tuner candidates).
+//! Every schedule's op stream is produced by exactly one function, and
+//! every one of them records a body whose values are checked on threads;
+//! no schedule is built op by op.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -6,13 +6,11 @@
 //! — the rendezvous handshake that the one-sided GASPI schedules avoid.
 //! This is what the `mpi*` curves of Figures 8–13 are generated from.
 //!
-//! The twelve allreduce variants and the binomial broadcast and reduce
-//! record [`crate::variants`] bodies with [`crate::twosided::record`].  The
-//! large-payload branches of the default broadcast and reduce and the
-//! pairwise alltoall are still built op by op with `ProgramBuilder`: each
-//! prices a schedule its single-source counterpart does not (see the crate
-//! documentation), so recording the body instead would move Figures 8, 9
-//! or 13.
+//! Every generator records a [`crate::variants`] body with
+//! [`crate::twosided::record`]: the twelve allreduce variants, the binomial
+//! and default broadcast and reduce (the defaults switch to the van de
+//! Geijn broadcast and the Rabenseifner reduce above 64 KiB), and the
+//! pairwise alltoall.
 
 pub mod allreduce;
 pub mod alltoall;

@@ -19,17 +19,22 @@
 //! * **AlltoAll** — [`bruck_alltoall`] (log-round store-and-forward, the
 //!   classic small-message algorithm) and [`pairwise_alltoall`] (Figure 13's
 //!   `mpi` curves);
-//! * **Bcast** — [`scatter_allgather_bcast`] (van de Geijn),
-//!   [`pipelined_binomial_bcast`] (segment-pipelined tree) and
-//!   [`binomial_bcast`] (`mpi-bin` of Figure 8);
+//! * **Bcast** — [`scatter_allgather_bcast`] (van de Geijn, the `mpi-def`
+//!   large-message algorithm of Figure 8), [`pipelined_binomial_bcast`]
+//!   (segment-pipelined tree) and [`binomial_bcast`] (`mpi-bin` of
+//!   Figure 8);
 //! * **Reduce** — [`binomial_reduce`] (`mpi-bin` of Figure 9) and
 //!   [`reduce_scatter_gather_reduce`] (Rabenseifner's reduce, the `mpi-def`
-//!   large-message algorithm, with the same non-power-of-two fold).
+//!   large-message algorithm of Figures 9–10, with the same
+//!   non-power-of-two fold).
 //!
 //! Every body is recorded into an `ec_netsim::Program` by exactly one
 //! generator: a `*_schedule` function below, `MpiAllreduceVariant::schedule`,
-//! or — for the two binomial trees — `mpi_bcast_binomial_schedule` /
-//! `mpi_reduce_binomial_schedule` in [`crate::schedule`].  The `ec_bench`
+//! or — for the binomial trees and the pairwise alltoall —
+//! `mpi_bcast_binomial_schedule`, `mpi_reduce_binomial_schedule` and
+//! `mpi_alltoall_pairwise_schedule` in [`crate::schedule`], whose default
+//! broadcast and reduce call the van de Geijn and Rabenseifner generators
+//! below for large payloads.  The `ec_bench`
 //! tuner prices those schedules through both the alpha–beta model and the
 //! flow-level network fabric to pick the best variant per (rank count,
 //! message size, topology).
@@ -627,7 +632,8 @@ pub fn bruck_alltoall<T: TwoSided>(t: &mut T, block: usize) -> Result<()> {
 }
 
 // ---------------------------------------------------------------------------
-// threaded runners (the same bodies on the real runtime)
+// threaded runners (the same bodies on the real runtime); the rooted ones
+// return `MpiError::InvalidRank` for a root outside the world
 // ---------------------------------------------------------------------------
 
 /// Recursive-doubling allreduce (`mpi1`) on the threaded runtime; works at
@@ -651,40 +657,61 @@ pub fn allreduce_ring(comm: &mut MpiComm, data: &mut [f64]) -> Result<()> {
     reduce_scatter_allgather_allreduce(&mut ThreadedTwoSided::new(comm, data), n, false)
 }
 
+/// Run the rooted collective `body` over `buf` on the threaded runtime
+/// (`body` gets the payload length), or return [`MpiError::InvalidRank`]
+/// if the world has no rank `root`.
+fn run_rooted(
+    comm: &mut MpiComm,
+    buf: &mut [f64],
+    root: usize,
+    body: impl FnOnce(&mut ThreadedTwoSided<'_, '_>, usize) -> Result<()>,
+) -> Result<()> {
+    let size = comm.size();
+    if root >= size {
+        return Err(MpiError::InvalidRank { rank: root, size });
+    }
+    let n = buf.len();
+    body(&mut ThreadedTwoSided::new(comm, buf), n)
+}
+
+/// Run the rooted reduction `body` over a copy of `contribution`: the
+/// reduced vector on the root, `None` elsewhere.
+fn run_reduce(
+    comm: &mut MpiComm,
+    contribution: &[f64],
+    root: usize,
+    body: impl FnOnce(&mut ThreadedTwoSided<'_, '_>, usize) -> Result<()>,
+) -> Result<Option<Vec<f64>>> {
+    let mut buf = contribution.to_vec();
+    run_rooted(comm, &mut buf, root, body)?;
+    Ok((comm.rank() == root).then_some(buf))
+}
+
 /// Van de Geijn scatter + allgather broadcast on the threaded runtime.
 pub fn bcast_scatter_allgather(comm: &mut MpiComm, data: &mut [f64], root: usize) -> Result<()> {
-    let n = data.len();
-    scatter_allgather_bcast(&mut ThreadedTwoSided::new(comm, data), n, root)
+    run_rooted(comm, data, root, |t, n| scatter_allgather_bcast(t, n, root))
 }
 
 /// Segment-pipelined binomial broadcast on the threaded runtime.
 pub fn bcast_pipelined_binomial(comm: &mut MpiComm, data: &mut [f64], root: usize, seg_elems: usize) -> Result<()> {
-    let n = data.len();
-    pipelined_binomial_bcast(&mut ThreadedTwoSided::new(comm, data), n, root, seg_elems)
+    run_rooted(comm, data, root, |t, n| pipelined_binomial_bcast(t, n, root, seg_elems))
 }
 
 /// Binomial broadcast (`mpi-bin` of Figure 8) on the threaded runtime.
 pub fn bcast_binomial(comm: &mut MpiComm, data: &mut [f64], root: usize) -> Result<()> {
-    let n = data.len();
-    binomial_bcast(&mut ThreadedTwoSided::new(comm, data), n, root)
+    run_rooted(comm, data, root, |t, n| binomial_bcast(t, n, root))
 }
 
 /// Rabenseifner's reduce-scatter + gather reduce on the threaded runtime.
 /// Returns the reduced vector on the root, `None` elsewhere.
 pub fn reduce_rsg(comm: &mut MpiComm, contribution: &[f64], root: usize) -> Result<Option<Vec<f64>>> {
-    let n = contribution.len();
-    let mut buf = contribution.to_vec();
-    reduce_scatter_gather_reduce(&mut ThreadedTwoSided::new(comm, &mut buf), n, root)?;
-    Ok(if comm.rank() == root { Some(buf) } else { None })
+    run_reduce(comm, contribution, root, |t, n| reduce_scatter_gather_reduce(t, n, root))
 }
 
 /// Binomial reduce (`mpi-bin` of Figure 9) on the threaded runtime.
 /// Returns the reduced vector on the root, `None` elsewhere.
 pub fn reduce_binomial(comm: &mut MpiComm, contribution: &[f64], root: usize) -> Result<Option<Vec<f64>>> {
-    let n = contribution.len();
-    let mut buf = contribution.to_vec();
-    binomial_reduce(&mut ThreadedTwoSided::new(comm, &mut buf), n, root)?;
-    Ok(if comm.rank() == root { Some(buf) } else { None })
+    run_reduce(comm, contribution, root, |t, n| binomial_reduce(t, n, root))
 }
 
 /// Working buffer of an alltoall: `send` (one `block`-element block per
@@ -722,25 +749,9 @@ pub fn alltoall_pairwise(comm: &mut MpiComm, send: &[f64], block: usize) -> Resu
 // schedule generators (the same bodies, recorded over 1-byte elements)
 // ---------------------------------------------------------------------------
 
-/// Schedule of [`rabenseifner_allreduce`] for `ranks` ranks reducing
-/// `total_bytes` bytes.
-pub fn rabenseifner_allreduce_schedule(ranks: usize, total_bytes: u64) -> Program {
-    record(ranks, 1, |t| rabenseifner_allreduce(t, total_bytes as usize))
-}
-
-/// Schedule of [`reduce_scatter_allgather_allreduce`].
-pub fn rsag_allreduce_schedule(ranks: usize, total_bytes: u64) -> Program {
-    record(ranks, 1, |t| reduce_scatter_allgather_allreduce(t, total_bytes as usize, false))
-}
-
 /// Schedule of [`bruck_alltoall`] with `block_bytes`-byte blocks.
 pub fn bruck_alltoall_schedule(ranks: usize, block_bytes: u64) -> Program {
     record(ranks, 1, |t| bruck_alltoall(t, block_bytes as usize))
-}
-
-/// Schedule of [`pairwise_alltoall`] with `block_bytes`-byte blocks.
-pub fn pairwise_alltoall_schedule(ranks: usize, block_bytes: u64) -> Program {
-    record(ranks, 1, |t| pairwise_alltoall(t, block_bytes as usize))
 }
 
 /// Schedule of [`scatter_allgather_bcast`] from rank 0.
@@ -763,7 +774,9 @@ pub fn rsg_reduce_schedule(ranks: usize, total_bytes: u64) -> Program {
 mod tests {
     use super::*;
     use crate::comm::MpiWorld;
-    use crate::schedule::{mpi_bcast_binomial_schedule, mpi_reduce_binomial_schedule};
+    use crate::schedule::{
+        mpi_alltoall_pairwise_schedule, mpi_bcast_binomial_schedule, mpi_reduce_binomial_schedule, MpiAllreduceVariant,
+    };
     use ec_netsim::{validate, ClusterSpec, CostModel, Engine};
 
     fn input(rank: usize, n: usize) -> Vec<f64> {
@@ -852,6 +865,27 @@ mod tests {
         }
     }
 
+    #[test]
+    fn rooted_runners_reject_a_root_outside_the_world() {
+        let p = 3;
+        for root in [p, p + 1, usize::MAX] {
+            let want = MpiError::InvalidRank { rank: root, size: p };
+            let out = MpiWorld::new(p).run(move |comm| {
+                let mut data = vec![1.0; 4];
+                [
+                    bcast_binomial(comm, &mut data, root),
+                    bcast_scatter_allgather(comm, &mut data, root),
+                    bcast_pipelined_binomial(comm, &mut data, root, 2),
+                    reduce_binomial(comm, &data, root).map(drop),
+                    reduce_rsg(comm, &data, root).map(drop),
+                ]
+            });
+            for results in out {
+                assert!(results.iter().all(|r| r == &Err(want.clone())), "root={root}: {results:?}");
+            }
+        }
+    }
+
     /// The alltoall result by definition: rank `dst` receives block `dst`
     /// of every source, in source order.
     fn transpose(p: usize, block: usize, dst: usize) -> Vec<f64> {
@@ -900,10 +934,10 @@ mod tests {
         let bytes = 100_000;
         for p in [2usize, 6, 12, 16] {
             let programs = [
-                rabenseifner_allreduce_schedule(p, bytes),
-                rsag_allreduce_schedule(p, bytes),
+                MpiAllreduceVariant::Rabenseifner.schedule(p, bytes, 1),
+                MpiAllreduceVariant::ShumilinRing.schedule(p, bytes, 1),
                 bruck_alltoall_schedule(p, 4096),
-                pairwise_alltoall_schedule(p, 4096),
+                mpi_alltoall_pairwise_schedule(p, 4096),
                 scatter_allgather_bcast_schedule(p, bytes),
                 pipelined_binomial_bcast_schedule(p, bytes, 16 * 1024),
                 mpi_bcast_binomial_schedule(p, bytes),
@@ -927,7 +961,7 @@ mod tests {
         let p = 32;
         let block = 1024;
         let bruck = bruck_alltoall_schedule(p, block);
-        let pairwise = pairwise_alltoall_schedule(p, block);
+        let pairwise = mpi_alltoall_pairwise_schedule(p, block);
         // Bruck: one aggregated message per rank per log-round.
         let count_sends = |prog: &Program| {
             prog.ranks
@@ -943,10 +977,10 @@ mod tests {
         // large ones.
         let e = Engine::new(ClusterSpec::homogeneous(p, 1), CostModel::skylake_fdr());
         let tiny_bruck = e.makespan(&bruck_alltoall_schedule(p, 8)).unwrap();
-        let tiny_pairwise = e.makespan(&pairwise_alltoall_schedule(p, 8)).unwrap();
+        let tiny_pairwise = e.makespan(&mpi_alltoall_pairwise_schedule(p, 8)).unwrap();
         assert!(tiny_bruck < tiny_pairwise, "Bruck ({tiny_bruck}) must win at 8-byte blocks ({tiny_pairwise})");
         let big_bruck = e.makespan(&bruck_alltoall_schedule(p, 256 * 1024)).unwrap();
-        let big_pairwise = e.makespan(&pairwise_alltoall_schedule(p, 256 * 1024)).unwrap();
+        let big_pairwise = e.makespan(&mpi_alltoall_pairwise_schedule(p, 256 * 1024)).unwrap();
         assert!(big_pairwise < big_bruck, "pairwise ({big_pairwise}) must win at 256 KiB blocks ({big_bruck})");
     }
 
@@ -993,7 +1027,7 @@ mod tests {
                     assert!((a - b).abs() < 1e-9, "p={p}");
                 }
             }
-            let prog = rsag_allreduce_schedule(p, n as u64);
+            let prog = MpiAllreduceVariant::ShumilinRing.schedule(p, n as u64, 1);
             validate(&prog, p).unwrap();
         }
     }

@@ -78,10 +78,8 @@ impl AllreduceVariant {
 /// The alltoall candidate pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AlltoallVariant {
-    /// Hand-written pairwise-exchange schedule (Figure 13's `mpi` curves).
+    /// Pairwise exchange (Figure 13's `mpi` curves).
     MpiPairwise,
-    /// Single-source pairwise exchange from `ec_baseline::variants`.
-    SsPairwise,
     /// Single-source Bruck log-round store-and-forward.
     SsBruck,
     /// The paper's direct one-sided GASPI alltoall (not vendor).
@@ -91,14 +89,13 @@ pub enum AlltoallVariant {
 impl AlltoallVariant {
     /// The full candidate pool, vendor variants first.
     pub fn all() -> Vec<Self> {
-        vec![Self::MpiPairwise, Self::SsPairwise, Self::SsBruck, Self::GaspiDirect]
+        vec![Self::MpiPairwise, Self::SsBruck, Self::GaspiDirect]
     }
 
     /// Legend label.
     pub fn label(self) -> &'static str {
         match self {
             Self::MpiPairwise => "mpi-pairwise",
-            Self::SsPairwise => "ss-pairwise",
             Self::SsBruck => "ss-bruck",
             Self::GaspiDirect => "gaspi-direct",
         }
@@ -114,7 +111,6 @@ impl AlltoallVariant {
     pub fn schedule(self, ranks: usize, block_bytes: u64) -> Program {
         match self {
             Self::MpiPairwise => ec_baseline::mpi_alltoall_pairwise_schedule(ranks, block_bytes),
-            Self::SsPairwise => variants::pairwise_alltoall_schedule(ranks, block_bytes),
             Self::SsBruck => variants::bruck_alltoall_schedule(ranks, block_bytes),
             Self::GaspiDirect => alltoall_direct_schedule(ranks, block_bytes),
         }
@@ -424,7 +420,7 @@ mod tests {
         let unique: std::collections::HashSet<_> = allreduce.iter().collect();
         assert_eq!(unique.len(), allreduce.len());
         let alltoall: Vec<_> = AlltoallVariant::all().iter().map(|v| v.label()).collect();
-        assert_eq!(alltoall.len(), 4);
+        assert_eq!(alltoall.len(), 3);
         assert!(AllreduceVariant::GaspiRing.label() == "gaspi-ring" && !AllreduceVariant::GaspiRing.is_vendor());
         assert!(AlltoallVariant::SsBruck.is_vendor());
     }

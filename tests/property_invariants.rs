@@ -3,7 +3,8 @@
 //! must respond monotonically to workload parameters.
 
 use ec_collectives_suite::baseline::{
-    mpi_bcast_binomial_schedule, mpi_reduce_binomial_schedule, MpiAllreduceVariant, MpiWorld,
+    mpi_alltoall_pairwise_schedule, mpi_bcast_binomial_schedule, mpi_reduce_binomial_schedule, MpiAllreduceVariant,
+    MpiWorld,
 };
 use ec_collectives_suite::collectives::schedule::{
     alltoall_direct_schedule, bcast_bst_schedule, reduce_bst_schedule, ring_allreduce_schedule,
@@ -431,10 +432,10 @@ proptest! {
         let bytes = (n * 8) as u64;
         let block_bytes = (block * 8) as u64;
         let schedules = [
-            variants::rabenseifner_allreduce_schedule(p, bytes),
-            variants::rsag_allreduce_schedule(p, bytes),
+            MpiAllreduceVariant::Rabenseifner.schedule(p, bytes, 1),
+            MpiAllreduceVariant::ShumilinRing.schedule(p, bytes, 1),
             variants::bruck_alltoall_schedule(p, block_bytes),
-            variants::pairwise_alltoall_schedule(p, block_bytes),
+            mpi_alltoall_pairwise_schedule(p, block_bytes),
             variants::scatter_allgather_bcast_schedule(p, bytes),
             variants::pipelined_binomial_bcast_schedule(p, bytes, 56),
             mpi_bcast_binomial_schedule(p, bytes),

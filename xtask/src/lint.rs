@@ -117,10 +117,7 @@ pub(crate) fn lint_schedules() -> (String, bool) {
             ));
             // The single-source variants the fig16 tuner prices.
             for (name, program) in [
-                ("rabenseifner_allreduce_schedule", variants::rabenseifner_allreduce_schedule(p, bytes)),
-                ("rsag_allreduce_schedule", variants::rsag_allreduce_schedule(p, bytes)),
                 ("bruck_alltoall_schedule", variants::bruck_alltoall_schedule(p, bytes)),
-                ("pairwise_alltoall_schedule", variants::pairwise_alltoall_schedule(p, bytes)),
                 ("scatter_allgather_bcast_schedule", variants::scatter_allgather_bcast_schedule(p, bytes)),
                 ("rsg_reduce_schedule", variants::rsg_reduce_schedule(p, bytes)),
             ] {

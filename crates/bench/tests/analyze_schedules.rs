@@ -16,6 +16,7 @@
 
 use ec_baseline::MpiAllreduceVariant;
 use ec_bench::million::{peak_rss_bytes, WindowedRingSource};
+use ec_bench::ssp_scale::{ssp_scale_program, SspScaleConfig};
 use ec_collectives::schedule::{
     alltoall_direct_schedule, bcast_bst_schedule, reduce_bst_schedule, ring_allreduce_schedule,
 };
@@ -469,4 +470,16 @@ fn million_rank_ring_analyzes_clean_within_budget() {
     if let Some(rss) = peak_rss_bytes() {
         assert!(rss < 4 << 30, "peak RSS {rss} bytes is not 'well under' 8 GiB");
     }
+}
+
+/// Per-rank straggler noise lives in the compute durations, which the arena
+/// keeps out of its records: the noisy SSP cube is one class, like its
+/// noise-free twin.
+#[test]
+fn noisy_ssp_cube_analyzes_as_one_class() {
+    let cfg = SspScaleConfig::new(64, 2);
+    assert!(cfg.jitter > 0.0 && cfg.hiccup_prob > 0.0, "default noise is on");
+    let report = analyze(&ssp_scale_program(&cfg)).unwrap();
+    assert_eq!(report.classes, 1);
+    assert!(report.is_deadlock_free(), "got {:?}", report.errors);
 }

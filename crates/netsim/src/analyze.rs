@@ -55,9 +55,12 @@
 //!
 //! That bound is per *segment*, so it buys nothing where ranks do not
 //! share one.  Whether they do depends on the op streams, not on the
-//! program form: a ring allreduce whose payload does not split evenly over
-//! `p` gives every rank its own chunk sizes and interns one segment per
-//! rank, compiled from a [`Program`] or from a
+//! program form.  Compute time never splits a segment: the arena keeps
+//! durations out of its records, so the fig14 SSP cube, whose every rank
+//! computes for its own noisy time, is one class.  Payload bytes do split
+//! one: a ring allreduce whose payload does not split evenly over `p` gives
+//! every rank its own chunk sizes and interns one segment per rank,
+//! compiled from a [`Program`] or from a
 //! [`ProgramSource`](crate::ProgramSource) alike — at p = 1024 that is 1024
 //! classes, 1024 pieces and 5.24 M segment ops, and every per-piece check
 //! runs once per rank.  The exact fallback below is per rank by design; it

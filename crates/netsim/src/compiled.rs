@@ -20,7 +20,16 @@
 //!   or a hypercube mask `dst ⊕ rank` — so the op streams of an SPMD collective
 //!   become byte-identical across ranks and dedup to a single shared arena
 //!   segment.  A per-rank `RankEntry` is then just a range plus the decode
-//!   mode: a symmetric p = 2^20 ring compiles to two segments total.
+//!   mode: a symmetric p = 2^20 ring compiles to two segments total;
+//! * compute seconds stay out of the records: a `Compute` record holds only
+//!   its ordinal among its segment's compute ops, and each rank's durations
+//!   form one list of `f64` bits in a shared pool, interned by bit pattern
+//!   (so `-0.0` and `0.0` stay apart).  Ranks that differ only in compute
+//!   time — per-rank straggler noise — share one segment, because hashing,
+//!   dedup and the bounds check never see a duration.  A per-rank offset
+//!   table (4 B per rank) exists only when ranks' lists differ; a program
+//!   with one shared list stores it once, and one without a `Compute` op
+//!   stores nothing.
 //!
 //! Compilation validates as it encodes (same checks, same order, same errors
 //! as [`mod@crate::validate`]), and a `CompiledProgram` has private fields and
@@ -33,6 +42,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::Hash;
 
 use crate::cluster::RankId;
 use crate::program::{CommProfile, NotifyId, Op, Program};
@@ -75,7 +85,9 @@ pub(crate) enum TargetMode {
 /// kind uses is `encode_rank`'s business).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Rec {
-    /// A payload: byte count, compute seconds as bits, or a wait-any count.
+    /// A payload: a byte count, a wait-any count, or a compute op's ordinal
+    /// among its segment's compute ops (its seconds live in the rank's
+    /// duration list, never in the record).
     c: u64,
     /// A target code, a single wait id, or a wait-id pool offset.
     a: u32,
@@ -397,6 +409,12 @@ pub struct CompiledProgram {
     recs: Vec<Rec>,
     pool: Vec<NotifyId>,
     entries: Vec<RankEntry>,
+    /// Every rank's compute durations as `f64` bits, lists interned by bit
+    /// pattern.
+    durations: Vec<u64>,
+    /// Each rank's list offset in `durations`; empty when every rank's list
+    /// starts at 0 (one shared list, or no compute op at all).
+    duration_offsets: Vec<u32>,
     segments: usize,
     profile: CommProfile,
     total_ops: u64,
@@ -463,12 +481,15 @@ fn xor_encodable(rank: RankId, ops: &[Op]) -> bool {
 struct Seg {
     k: Vec<OpKind>,
     r: Vec<Rec>,
+    /// The rank's compute durations as `f64` bits, outside the records.
+    d: Vec<u64>,
 }
 
 impl Seg {
     fn clear(&mut self) {
         self.k.clear();
         self.r.clear();
+        self.d.clear();
     }
 
     fn push(&mut self, k: OpKind, a: u32, b: u32, c: u64) {
@@ -492,21 +513,24 @@ impl Seg {
     }
 }
 
-fn intern_ids(
-    pool: &mut Vec<NotifyId>,
-    map: &mut HashMap<Vec<NotifyId>, u32>,
-    ids: &[NotifyId],
+/// Intern `list` into `pool` by content and return its offset; `what` names
+/// the pool in the error when it outgrows the `u32` offset range.
+fn intern<T: Copy + Eq + Hash>(
+    pool: &mut Vec<T>,
+    map: &mut HashMap<Vec<T>, u32>,
+    list: &[T],
+    what: &'static str,
 ) -> Result<u32, ValidationError> {
-    if let Some(&off) = map.get(ids) {
+    if let Some(&off) = map.get(list) {
         return Ok(off);
     }
-    let pooled = pool.len() + ids.len();
+    let pooled = pool.len() + list.len();
     if pooled > u32::MAX as usize {
-        return Err(ValidationError::CodeRangeExceeded { what: "wait-id pool size", value: pooled });
+        return Err(ValidationError::CodeRangeExceeded { what, value: pooled });
     }
     let off = pool.len() as u32;
-    pool.extend_from_slice(ids);
-    map.insert(ids.to_vec(), off);
+    pool.extend_from_slice(list);
+    map.insert(list.to_vec(), off);
     Ok(off)
 }
 
@@ -522,7 +546,10 @@ fn encode_rank(
     out.clear();
     for op in ops {
         match op {
-            Op::Compute { seconds } => out.push(OpKind::Compute, 0, 0, seconds.to_bits()),
+            Op::Compute { seconds } => {
+                out.push(OpKind::Compute, 0, 0, out.d.len() as u64);
+                out.d.push(seconds.to_bits());
+            }
             Op::Reduce { bytes } => out.push(OpKind::Reduce, 0, 0, *bytes),
             Op::Copy { bytes } => out.push(OpKind::Copy, 0, 0, *bytes),
             Op::PutNotify { dst, bytes, notify } => {
@@ -531,11 +558,11 @@ fn encode_rank(
             Op::Notify { dst, notify } => out.push(OpKind::Notify, encode_target(rank, *dst, mode, n), *notify, 0),
             Op::WaitNotify { ids } if ids.len() == 1 => out.push(OpKind::WaitOne, ids[0], 0, 0),
             Op::WaitNotify { ids } => {
-                let off = intern_ids(pool, pool_map, ids)?;
+                let off = intern(pool, pool_map, ids, "wait-id pool size")?;
                 out.push(OpKind::WaitMany, off, ids.len() as u32, 0);
             }
             Op::WaitNotifyAny { ids, count } => {
-                let off = intern_ids(pool, pool_map, ids)?;
+                let off = intern(pool, pool_map, ids, "wait-id pool size")?;
                 out.push(OpKind::WaitAny, off, ids.len() as u32, *count as u64);
             }
             Op::Send { dst, bytes, tag } => out.push(OpKind::Send, encode_target(rank, *dst, mode, n), *tag, *bytes),
@@ -559,6 +586,11 @@ struct Compiler {
     pool_map: HashMap<Vec<NotifyId>, u32>,
     seg_map: HashMap<u64, Vec<SegCand>>,
     entries: Vec<RankEntry>,
+    durations: Vec<u64>,
+    duration_map: HashMap<Vec<u64>, u32>,
+    duration_offsets: Vec<u32>,
+    /// The last non-empty duration list interned, as `(offset, len)`.
+    last_durations: (usize, usize),
     delta: Seg,
     xor: Seg,
     sends: ChannelCounts,
@@ -588,6 +620,10 @@ impl Compiler {
             pool_map: HashMap::new(),
             seg_map: HashMap::new(),
             entries: Vec::with_capacity(n),
+            durations: Vec::new(),
+            duration_map: HashMap::new(),
+            duration_offsets: Vec::new(),
+            last_durations: (0, 0),
             delta: Seg::default(),
             xor: Seg::default(),
             sends: ChannelCounts::new(),
@@ -655,11 +691,35 @@ impl Compiler {
         None
     }
 
+    /// Intern rank `rank`'s compute durations, split off by its delta
+    /// encoding, by bit pattern, so `-0.0` and `0.0` stay apart.  An empty
+    /// list, or one equal to the last list interned, reuses that list's
+    /// offset without touching the map; the per-rank offset table is
+    /// materialized only at the first rank whose offset is not 0.
+    fn push_durations(&mut self, rank: RankId) -> Result<(), ValidationError> {
+        let list = &self.delta.d;
+        let (last, last_len) = self.last_durations;
+        if !list.is_empty() && self.durations[last..last + last_len] != list[..] {
+            let off = intern(&mut self.durations, &mut self.duration_map, list, "compute duration pool size")?;
+            self.last_durations = (off as usize, list.len());
+        }
+        let off = self.last_durations.0 as u32;
+        if off != 0 && self.duration_offsets.is_empty() {
+            self.duration_offsets = Vec::with_capacity(self.n);
+            self.duration_offsets.resize(rank, 0);
+        }
+        if !self.duration_offsets.is_empty() {
+            self.duration_offsets.push(off);
+        }
+        Ok(())
+    }
+
     fn push_rank(&mut self, rank: RankId, ops: &[Op]) -> Result<(), ValidationError> {
         check_rank_ops(rank, ops, self.n, &mut self.sends, &mut self.recvs, &mut self.total_wire_bytes)?;
         self.update_profile(rank, ops);
 
         encode_rank(rank, self.n, ops, TargetMode::Delta, &mut self.pool, &mut self.pool_map, &mut self.delta)?;
+        self.push_durations(rank)?;
         let delta_hash = self.delta.content_hash();
         if let Some((start, len)) = self.lookup(delta_hash, TargetMode::Delta, &self.delta) {
             self.entries.push(RankEntry { start, len, mode: TargetMode::Delta });
@@ -710,6 +770,8 @@ impl Compiler {
             recs: self.recs,
             pool: self.pool,
             entries: self.entries,
+            durations: self.durations,
+            duration_offsets: self.duration_offsets,
             segments,
             profile: CommProfile {
                 notify_bounds: self.notify_bounds,
@@ -786,7 +848,9 @@ impl CompiledProgram {
         let stored_ops = self.kinds.len();
         let arena_bytes = stored_ops * (size_of::<OpKind>() + size_of::<Rec>())
             + self.pool.len() * size_of::<NotifyId>()
-            + self.entries.len() * size_of::<RankEntry>();
+            + self.entries.len() * size_of::<RankEntry>()
+            + self.durations.len() * size_of::<u64>()
+            + self.duration_offsets.len() * size_of::<u32>();
         MemoryStats {
             num_ranks: self.num_ranks,
             total_ops: self.total_ops,
@@ -808,7 +872,8 @@ impl CompiledProgram {
     }
 
     /// Raw record at arena index `idx`: `(kind, a, b, c)` with target codes
-    /// still rank-relative (undecoded).
+    /// still rank-relative (undecoded) and a compute op's `c` its ordinal,
+    /// not its seconds.
     pub(crate) fn raw_op(&self, idx: usize) -> (OpKind, u32, u32, u64) {
         let Rec { c, a, b } = self.recs[idx];
         (self.kinds[idx], a, b, c)
@@ -820,12 +885,20 @@ impl CompiledProgram {
         &self.pool[off as usize..(off + len) as usize]
     }
 
+    /// Offset of rank `rank`'s duration list in `durations`.
+    #[inline]
+    fn duration_base(&self, rank: RankId) -> usize {
+        self.duration_offsets.get(rank).map_or(0, |&off| off as usize)
+    }
+
     #[inline]
     fn decode(&self, idx: usize, rank: RankId, mode: TargetMode) -> OpView<'_> {
         let Rec { c, a, b } = self.recs[idx];
         let n = self.num_ranks;
         match self.kinds[idx] {
-            OpKind::Compute => OpView::Compute { seconds: f64::from_bits(c) },
+            OpKind::Compute => {
+                OpView::Compute { seconds: f64::from_bits(self.durations[self.duration_base(rank) + c as usize]) }
+            }
             OpKind::Reduce => OpView::Reduce { bytes: c },
             OpKind::Copy => OpView::Copy { bytes: c },
             OpKind::PutNotify => OpView::PutNotify { dst: decode_target(rank, a, mode, n), bytes: c, notify: b },
@@ -844,8 +917,9 @@ impl CompiledProgram {
     }
 
     /// The arena invariant: every rank entry lies inside the arena, every
-    /// pool slice inside the pool, and every stored target code decodes to a
-    /// valid peer for every rank sharing the segment.  A `CompiledProgram` is
+    /// pool slice inside the pool, every stored target code decodes to a
+    /// valid peer for every rank sharing the segment, and every compute
+    /// ordinal indexes its rank's duration list.  A `CompiledProgram` is
     /// valid by construction (private fields, one constructor), so this runs
     /// only as a debug assertion at the end of compilation; a run checks the
     /// rank count alone.
@@ -858,18 +932,35 @@ impl CompiledProgram {
         if self.entries.len() != n {
             return Err(format!("{} rank entries for {n} ranks", self.entries.len()));
         }
+        if !self.duration_offsets.is_empty() && self.duration_offsets.len() != n {
+            return Err(format!("{} duration offsets for {n} ranks", self.duration_offsets.len()));
+        }
         let n_pow2 = n.is_power_of_two();
-        let mut seen: std::collections::HashSet<(u32, u32, TargetMode)> = std::collections::HashSet::new();
+        // Compute ops per shared segment, keyed like the analyzer's classes.
+        let mut computes: HashMap<(u32, u32, TargetMode), usize> = HashMap::new();
         for (rank, e) in self.entries.iter().enumerate() {
             let s = e.start as usize;
             let len = e.len as usize;
             let Some(end) = s.checked_add(len).filter(|&end| end <= stored) else {
                 return Err(format!("rank {rank} ops [{s}, {s}+{len}) exceed arena length {stored}"));
             };
-            if seen.insert((e.start, e.len, e.mode)) {
+            let key = (e.start, e.len, e.mode);
+            let segment_computes = if let Some(&k) = computes.get(&key) {
+                k
+            } else {
                 // Rank-independent checks, once per shared segment.
+                let mut ordinal = 0;
                 for i in s..end {
                     match self.kinds[i] {
+                        OpKind::Compute => {
+                            if self.recs[i].c != ordinal {
+                                return Err(format!(
+                                    "op {i}: compute ordinal {} where {ordinal} is due",
+                                    self.recs[i].c
+                                ));
+                            }
+                            ordinal += 1;
+                        }
                         OpKind::WaitMany | OpKind::WaitAny => {
                             let off = self.recs[i].a as usize;
                             let cnt = self.recs[i].b as usize;
@@ -907,6 +998,16 @@ impl CompiledProgram {
                         _ => {}
                     }
                 }
+                computes.insert(key, ordinal as usize);
+                ordinal as usize
+            };
+            let base = self.duration_base(rank);
+            let needed = base + segment_computes;
+            if needed > self.durations.len() {
+                return Err(format!(
+                    "rank {rank} durations [{base}, {needed}) exceed duration list length {}",
+                    self.durations.len()
+                ));
             }
             if e.mode == TargetMode::Xor && !n_pow2 {
                 // Xor decoding is rank-dependent when n is not a power of
@@ -1005,6 +1106,34 @@ mod tests {
         b.build()
     }
 
+    /// [`hypercube_program`] with a compute op before each dimension's put,
+    /// lasting `seconds(rank, dim)`.
+    fn noisy_hypercube(p: usize, seconds: impl Fn(RankId, u32) -> f64) -> Program {
+        let mut b = ProgramBuilder::new(p);
+        for d in 0..p.trailing_zeros() {
+            for rank in 0..p {
+                b.compute(rank, seconds(rank, d));
+                b.put_notify(rank, rank ^ (1 << d), 1024, d);
+            }
+            for rank in 0..p {
+                b.wait_notify(rank, &[d]);
+                b.reduce(rank, 1024);
+            }
+        }
+        b.build()
+    }
+
+    /// Compute durations of `rank` as bits, in program order.
+    fn duration_bits(c: &CompiledProgram, rank: RankId) -> Vec<u64> {
+        c.rank_ops(rank)
+            .iter()
+            .filter_map(|op| match op {
+                OpView::Compute { seconds } => Some(seconds.to_bits()),
+                _ => None,
+            })
+            .collect()
+    }
+
     fn decoded(c: &CompiledProgram, rank: RankId) -> Vec<Op> {
         c.rank_ops(rank).iter().map(|v| v.to_op()).collect()
     }
@@ -1045,6 +1174,44 @@ mod tests {
         for rank in 0..32 {
             assert_eq!(decoded(&c, rank), p.ranks[rank].ops, "rank {rank}");
         }
+    }
+
+    #[test]
+    fn noisy_compute_streams_share_one_segment() {
+        let extremes = [-0.0, 0.0, f64::from_bits(1), f64::MAX];
+        let noisy = noisy_hypercube(32, |rank, d| match rank {
+            // Whole lists of one extreme value each.
+            0..4 => extremes[rank],
+            // Each extreme once, per rank in another position.
+            4..8 => extremes[(rank + d as usize) % 4],
+            // Pairs of equal neighbours; ranks 24.. repeat ranks 8..16.
+            _ => 1e-6 * ((rank % 16) / 2 + d as usize) as f64,
+        });
+        let quiet = noisy_hypercube(32, |_, _| 1e-6);
+        let (c, twin) = (noisy.compile().unwrap(), quiet.compile().unwrap());
+        assert_eq!(c.memory_stats().segments, twin.memory_stats().segments);
+        assert_eq!(c.memory_stats().segments, 1);
+        for rank in 0..32 {
+            let expected: Vec<u64> = noisy.ranks[rank]
+                .ops
+                .iter()
+                .filter_map(|op| match op {
+                    Op::Compute { seconds } => Some(seconds.to_bits()),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(duration_bits(&c, rank), expected, "rank {rank}");
+            assert_eq!(decoded(&c, rank), noisy.ranks[rank].ops, "rank {rank}");
+        }
+        // `==` on f64 would equate the zeros; the pool keys on bits.
+        assert_ne!(c.duration_base(0), c.duration_base(1));
+        // 4 + 4 + 8 distinct lists of 5 durations: the repeats are interned.
+        assert_eq!(c.durations.len(), 16 * 5);
+        assert_eq!(c.duration_offsets.len(), 32);
+        // The quiet twin stores its one list once and no offset table.
+        assert_eq!((twin.durations.len(), twin.duration_offsets.len()), (5, 0));
+        let growth = c.memory_stats().arena_bytes - twin.memory_stats().arena_bytes;
+        assert_eq!(growth, (16 - 1) * 5 * 8 + 32 * 4);
     }
 
     #[test]
@@ -1195,6 +1362,25 @@ mod tests {
     }
 
     #[test]
+    fn check_bounds_rejects_a_short_duration_list() {
+        // One shared list: its last duration is read by every rank.
+        let mut uniform = noisy_hypercube(4, |_, _| 1e-6).compile().unwrap();
+        assert_eq!(uniform.check_bounds(), Ok(()));
+        uniform.durations.pop();
+        assert!(uniform.check_bounds().is_err());
+        // Per-rank lists: the last rank's list ends the pool.
+        let mut noisy = noisy_hypercube(4, |rank, d| (rank + d as usize) as f64).compile().unwrap();
+        assert_eq!(noisy.check_bounds(), Ok(()));
+        noisy.duration_offsets[3] += 1;
+        assert!(noisy.check_bounds().is_err());
+        // An ordinal past its segment's count reads another rank's list.
+        let mut skewed = noisy_hypercube(4, |_, _| 1e-6).compile().unwrap();
+        let idx = skewed.kinds.iter().position(|&k| k == OpKind::Compute).unwrap();
+        skewed.recs[idx].c = 1;
+        assert!(skewed.check_bounds().is_err());
+    }
+
+    #[test]
     fn arena_records_round_trip_extreme_values() {
         let mut b = ProgramBuilder::new(3);
         for seconds in [-0.0, f64::from_bits(1), f64::MAX] {
@@ -1218,9 +1404,12 @@ mod tests {
         };
         assert_eq!([0, 1, 2].map(|i| seconds(c.op_view(0, i))), [(-0.0f64).to_bits(), 1, f64::MAX.to_bits()]);
         assert_eq!(c.op_view(1, 1).to_op(), Op::WaitNotifyAny { ids: vec![9, 5, NotifyId::MAX], count: 2 });
-        // 19 stored ops at 17 B, 5 pooled ids at 4 B and 3 rank entries at 12 B.
+        // 19 stored ops at 17 B, 5 pooled ids at 4 B, 3 rank entries at 12 B
+        // and rank 0's 3 durations at 8 B: 323 + 20 + 36 + 24 = 403.  Ranks 1
+        // and 2 have no compute op, so every list starts at 0 and no offset
+        // table is stored.
         let stats = c.memory_stats();
-        assert_eq!((stats.stored_ops, stats.pool_ids, stats.arena_bytes), (19, 5, 379));
+        assert_eq!((stats.stored_ops, stats.pool_ids, stats.arena_bytes), (19, 5, 403));
         // The largest target code a program can hold: rank 1 to rank 0 at the
         // largest rank count.
         let n = u32::MAX as usize;
@@ -1228,6 +1417,25 @@ mod tests {
         assert_eq!(decode_target(1, u32::MAX - 1, TargetMode::Delta, n), 0);
         assert_eq!(decode_target(n - 1, u32::MAX - 1, TargetMode::Delta, n), n - 2);
         assert_eq!(decode_target(0, 1 << 31, TargetMode::Xor, n), 1 << 31);
+    }
+
+    #[test]
+    fn compute_free_programs_keep_their_footprint() {
+        // Two segments of 12 ops at 17 B plus 64 rank entries at 12 B: a
+        // program without a Compute op stores no duration and no offset.
+        let stats = ring_program(64, 4).compile().unwrap().memory_stats();
+        assert_eq!(
+            stats,
+            MemoryStats {
+                num_ranks: 64,
+                total_ops: 768,
+                stored_ops: 24,
+                segments: 2,
+                pool_ids: 0,
+                arena_bytes: 1176,
+                dedup_ratio: 32.0,
+            }
+        );
     }
 
     #[test]

@@ -1123,17 +1123,6 @@ mod tests {
         b.build()
     }
 
-    /// Compute durations of `rank` as bits, in program order.
-    fn duration_bits(c: &CompiledProgram, rank: RankId) -> Vec<u64> {
-        c.rank_ops(rank)
-            .iter()
-            .filter_map(|op| match op {
-                OpView::Compute { seconds } => Some(seconds.to_bits()),
-                _ => None,
-            })
-            .collect()
-    }
-
     fn decoded(c: &CompiledProgram, rank: RankId) -> Vec<Op> {
         c.rank_ops(rank).iter().map(|v| v.to_op()).collect()
     }
@@ -1179,28 +1168,29 @@ mod tests {
     #[test]
     fn noisy_compute_streams_share_one_segment() {
         let extremes = [-0.0, 0.0, f64::from_bits(1), f64::MAX];
-        let noisy = noisy_hypercube(32, |rank, d| match rank {
+        let seconds = |rank: RankId, d: u32| match rank {
             // Whole lists of one extreme value each.
             0..4 => extremes[rank],
             // Each extreme once, per rank in another position.
             4..8 => extremes[(rank + d as usize) % 4],
             // Pairs of equal neighbours; ranks 24.. repeat ranks 8..16.
             _ => 1e-6 * ((rank % 16) / 2 + d as usize) as f64,
-        });
+        };
+        let noisy = noisy_hypercube(32, seconds);
         let quiet = noisy_hypercube(32, |_, _| 1e-6);
         let (c, twin) = (noisy.compile().unwrap(), quiet.compile().unwrap());
         assert_eq!(c.memory_stats().segments, twin.memory_stats().segments);
         assert_eq!(c.memory_stats().segments, 1);
         for rank in 0..32 {
-            let expected: Vec<u64> = noisy.ranks[rank]
-                .ops
+            let bits: Vec<u64> = c
+                .rank_ops(rank)
                 .iter()
                 .filter_map(|op| match op {
-                    Op::Compute { seconds } => Some(seconds.to_bits()),
+                    OpView::Compute { seconds } => Some(seconds.to_bits()),
                     _ => None,
                 })
                 .collect();
-            assert_eq!(duration_bits(&c, rank), expected, "rank {rank}");
+            assert_eq!(bits, (0..5).map(|d| seconds(rank, d).to_bits()).collect::<Vec<_>>(), "rank {rank}");
             assert_eq!(decoded(&c, rank), noisy.ranks[rank].ops, "rank {rank}");
         }
         // `==` on f64 would equate the zeros; the pool keys on bits.

@@ -20,7 +20,7 @@
 //!   so it exercises the strict event-loop engine at scale.
 
 use crate::ssp_scale::{push_rank_ops, SspScaleConfig};
-use ec_netsim::{Op, ProgramSource};
+use ec_netsim::{Op, ProgramSource, WaitIds};
 
 /// A fixed window of pipelined ring-allreduce steps: `rounds` scatter-reduce
 /// rounds (put one chunk to the right neighbor, wait for the left neighbor's
@@ -60,13 +60,13 @@ impl ProgramSource for WindowedRingSource {
         for round in 0..self.rounds {
             let id = round as u32;
             out.push(Op::PutNotify { dst: next, bytes: self.chunk_bytes, notify: id });
-            out.push(Op::WaitNotify { ids: vec![id] });
+            out.push(Op::WaitNotify { ids: WaitIds::One(id) });
             out.push(Op::Reduce { bytes: self.chunk_bytes });
         }
         for round in 0..self.rounds {
             let id = (self.rounds + round) as u32;
             out.push(Op::PutNotify { dst: next, bytes: self.chunk_bytes, notify: id });
-            out.push(Op::WaitNotify { ids: vec![id] });
+            out.push(Op::WaitNotify { ids: WaitIds::One(id) });
             out.push(Op::Copy { bytes: self.chunk_bytes });
         }
     }

@@ -28,7 +28,7 @@
 //! * **persistent heterogeneity** injected by the engine's
 //!   [`Scenario`] layer: per-node speed factors, slow nodes, link jitter.
 
-use ec_netsim::{Op, Program, RankProgram, Scenario, SplitMix64};
+use ec_netsim::{Op, Program, RankProgram, Scenario, SplitMix64, WaitIds};
 
 /// Parameters of one simulated SSP run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -120,7 +120,7 @@ pub(crate) fn push_rank_ops(cfg: &SspScaleConfig, rank: usize, out: &mut Vec<Op>
             for d in 0..dims {
                 // Consumes the oldest unconsumed arrival of dimension d:
                 // the partner's put from iteration `iter - slack`.
-                out.push(Op::WaitNotify { ids: vec![d as u32] });
+                out.push(Op::WaitNotify { ids: WaitIds::One(d as u32) });
                 out.push(Op::Reduce { bytes: cfg.bytes });
             }
         }
@@ -160,6 +160,28 @@ mod tests {
         let dims = 3u64;
         let surplus = r.total_notifications_received() - r.total_notifications_consumed();
         assert_eq!(surplus, 8 * dims * slack as u64, "each rank leaves slack arrivals per dimension");
+    }
+
+    #[test]
+    fn recorded_waits_hold_their_id_inline() {
+        use ec_collectives::schedule::ring_allreduce_schedule;
+        // The ring is recorded through `ec_comm::RankRecorder`, the SSP cube
+        // by `push_rank_ops`: neither may put a single-id wait on the heap.
+        let ring = ring_allreduce_schedule(16, 1 << 16);
+        let ssp = ssp_scale_program(&SspScaleConfig::new(16, 2));
+        for (name, program) in [("ring", &ring), ("ssp", &ssp)] {
+            let waits: Vec<&Op> = program
+                .ranks
+                .iter()
+                .flat_map(|rp| &rp.ops)
+                .filter(|op| matches!(op, Op::WaitNotify { .. } | Op::WaitNotifyAny { .. }))
+                .collect();
+            assert!(!waits.is_empty(), "{name} records waits");
+            for op in waits {
+                assert!(matches!(op, Op::WaitNotify { ids: WaitIds::One(_) }), "{name}: {op:?} is not inline");
+            }
+            assert_eq!(program.memory_stats().pool_ids, 0, "{name} holds no boxed id list");
+        }
     }
 
     #[test]

@@ -91,7 +91,11 @@ fn shrunken_wait_is_reported_as_an_unsynced_payload_read() {
     let dropped = ops
         .iter_mut()
         .find_map(|op| match op {
-            Op::WaitNotify { ids } if ids.len() > 1 => ids.pop(),
+            Op::WaitNotify { ids } if ids.len() > 1 => {
+                let (&last, kept) = ids.split_last()?;
+                *ids = kept.into();
+                Some(last)
+            }
             _ => None,
         })
         .expect("rank 0 waits for all three peers at once");
@@ -207,19 +211,19 @@ fn chain_program(p: usize, stages: usize, reversed: bool, seeded: bool) -> Progr
         if seeded {
             program.ranks[first].ops.push(Op::PutNotify { dst: next(first), bytes: 64, notify: s });
         } else {
-            program.ranks[first].ops.push(Op::WaitNotify { ids: vec![s] });
+            program.ranks[first].ops.push(Op::WaitNotify { ids: vec![s].into() });
         }
     }
     let mut r = next(first);
     while r != last {
         for s in 0..stages as u32 {
-            program.ranks[r].ops.push(Op::WaitNotify { ids: vec![s] });
+            program.ranks[r].ops.push(Op::WaitNotify { ids: vec![s].into() });
             program.ranks[r].ops.push(Op::PutNotify { dst: next(r), bytes: 64, notify: s });
         }
         r = next(r);
     }
     for s in 0..stages as u32 {
-        program.ranks[last].ops.push(Op::WaitNotify { ids: vec![s] });
+        program.ranks[last].ops.push(Op::WaitNotify { ids: vec![s].into() });
     }
     program
 }
@@ -242,7 +246,7 @@ fn pipelined_chain_is_certified_and_runs() {
     let p = 8;
     let mut ring = Program::empty(p);
     for r in 0..p {
-        ring.ranks[r].ops.push(Op::WaitNotify { ids: vec![0] });
+        ring.ranks[r].ops.push(Op::WaitNotify { ids: vec![0].into() });
         ring.ranks[r].ops.push(Op::PutNotify { dst: (r + 1) % p, bytes: 64, notify: 0 });
     }
     let report = analyze(&ring).unwrap();
@@ -268,8 +272,8 @@ fn random_relative_stream(rng: &mut SplitMix64, p: usize) -> Vec<Op> {
             match rng.next_below(3) {
                 0 => Op::PutNotify { dst: delta, bytes: 64, notify: id },
                 1 => Op::Notify { dst: delta, notify: id },
-                _ if rng.next_below(3) == 0 => Op::WaitNotify { ids: vec![id, (id + 1) % 3] },
-                _ => Op::WaitNotify { ids: vec![id] },
+                _ if rng.next_below(3) == 0 => Op::WaitNotify { ids: vec![id, (id + 1) % 3].into() },
+                _ => Op::WaitNotify { ids: vec![id].into() },
             }
         })
         .collect()
@@ -360,7 +364,7 @@ fn random_one_sided_program(seed: u64) -> Program {
                     let dst = (rank + 1 + rng.next_below(p - 1)) % p;
                     Op::Notify { dst, notify: id }
                 }
-                _ => Op::WaitNotify { ids: vec![id] },
+                _ => Op::WaitNotify { ids: vec![id].into() },
             };
             program.ranks[rank].ops.push(op);
         }

@@ -5,7 +5,7 @@
 use std::collections::HashMap;
 use std::ops::Range;
 
-use ec_netsim::{Op, Program, RankProgram};
+use ec_netsim::{Op, Program, RankProgram, WaitIds};
 use ec_ssp::{Clock, SspPolicy};
 
 use crate::error::Result;
@@ -123,13 +123,13 @@ impl Transport for RankRecorder {
     }
 
     fn wait_notify(&mut self, id: NotifyId) -> Result<()> {
-        self.ops.push(Op::WaitNotify { ids: vec![id] });
+        self.ops.push(Op::WaitNotify { ids: WaitIds::One(id) });
         Ok(())
     }
 
     fn wait_all(&mut self, ids: &[NotifyId]) -> Result<()> {
         if !ids.is_empty() {
-            self.ops.push(Op::WaitNotify { ids: ids.to_vec() });
+            self.ops.push(Op::WaitNotify { ids: ids.into() });
         }
         Ok(())
     }
@@ -143,7 +143,11 @@ impl Transport for RankRecorder {
         // root the deeper subtrees, so this lets the simulated rank overlap
         // the early (shallow) contributions with the wait for the deep ones —
         // the same heuristic the hand-written seed schedules used.
-        let served = self.any_progress.entry(ids.to_vec()).or_insert(0);
+        // Only the first wait of a round allocates the set's key.
+        let served = match self.any_progress.get_mut(ids) {
+            Some(served) => served,
+            None => self.any_progress.entry(ids.to_vec()).or_insert(0),
+        };
         let id = ids[ids.len() - 1 - *served];
         *served += 1;
         // A completed round clears its progress so a later collective in the
@@ -151,7 +155,7 @@ impl Transport for RankRecorder {
         if *served == ids.len() {
             self.any_progress.remove(ids);
         }
-        self.ops.push(Op::WaitNotify { ids: vec![id] });
+        self.ops.push(Op::WaitNotify { ids: WaitIds::One(id) });
         Ok(id)
     }
 
@@ -180,7 +184,7 @@ impl Transport for RankRecorder {
     ) -> Result<SlotUse> {
         // Recorded schedules render the fully synchronous hypercube: every
         // step blocks for a fresh contribution and reduces it.
-        self.ops.push(Op::WaitNotify { ids: vec![id] });
+        self.ops.push(Op::WaitNotify { ids: WaitIds::One(id) });
         self.ops.push(Op::Reduce { bytes: self.bytes_of(len) });
         Ok(SlotUse { clock: now, waits: Vec::new() })
     }
@@ -249,7 +253,7 @@ mod tests {
         // last listed id.
         let prog = record(2, 1, |t| t.wait_any(&[0, 1]));
         for rank in &prog.ranks {
-            assert_eq!(rank.ops, vec![Op::WaitNotify { ids: vec![1] }]);
+            assert_eq!(rank.ops, vec![Op::WaitNotify { ids: vec![1].into() }]);
         }
     }
 
@@ -272,7 +276,7 @@ mod tests {
         assert_eq!(rec.wait_any(&[1, 2, 3]).unwrap(), 3);
         assert!(matches!(rec.wait_any(&[1, 3, 3]), Err(CommError::InvalidWaitSet { .. })));
         assert_eq!(rec.wait_any(&[1, 2, 3]).unwrap(), 2);
-        assert_eq!(rec.finish(), vec![Op::WaitNotify { ids: vec![3] }, Op::WaitNotify { ids: vec![2] }]);
+        assert_eq!(rec.finish(), vec![Op::WaitNotify { ids: vec![3].into() }, Op::WaitNotify { ids: vec![2].into() }]);
     }
 
     #[test]
@@ -294,7 +298,7 @@ mod tests {
         let u = rec.slot_reduce(0, 16, 7, Clock::from(3), SspPolicy::new(2), ReduceOp::Sum, 0..16).unwrap();
         assert_eq!(u.clock, Clock::from(3));
         assert!(u.waits.is_empty());
-        assert_eq!(rec.finish(), vec![Op::WaitNotify { ids: vec![7] }, Op::Reduce { bytes: 128 }]);
+        assert_eq!(rec.finish(), vec![Op::WaitNotify { ids: vec![7].into() }, Op::Reduce { bytes: 128 }]);
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //! engine executes.
 //!
 //! A recorded [`Program`] is a convenient builder API, but it materializes one
-//! `Vec<Op>` per rank with every wait carrying its own heap-allocated id list —
-//! at p = 2^20 that is millions of tiny allocations holding rank-rotated copies
-//! of the *same* algorithm.  [`CompiledProgram`] stores all ops once, in a flat
-//! arena:
+//! `Vec<Op>` per rank at 24 B per op (a single-id wait holds its id inline;
+//! only a multi-id wait boxes its list, see [`WaitIds`]) — at p = 2^20 that
+//! is millions of records holding rank-rotated copies of the *same*
+//! algorithm.  [`CompiledProgram`] stores all ops once, in a flat arena:
 //!
 //! * one fixed-width record per op, 17 B and no per-op allocation: a 1-byte
 //!   kind column beside one 16-byte argument record (`c: u64`, `a: u32`,
@@ -45,7 +45,7 @@ use std::fmt;
 use std::hash::Hash;
 
 use crate::cluster::RankId;
-use crate::program::{CommProfile, NotifyId, Op, Program};
+use crate::program::{CommProfile, NotifyId, Op, Program, WaitIds};
 use crate::scenario::SplitMix64;
 use crate::source::ProgramSource;
 use crate::validate::{check_channels, check_rank_ops, ChannelCounts, ValidationError};
@@ -117,7 +117,7 @@ struct SegCand {
 ///
 /// Single-id waits are stored inline in the op record ([`IdsRef::One`]);
 /// multi-id waits borrow a slice of the shared id pool ([`IdsRef::Many`]).
-/// Debug-formats exactly like the `Vec<NotifyId>` it replaces (`[3, 4]`), so
+/// Debug-formats exactly like the owned [`WaitIds`] it decodes (`[3, 4]`), so
 /// traces and deadlock reports are byte-identical to the materialized path.
 #[derive(Clone, Copy)]
 pub enum IdsRef<'a> {
@@ -287,14 +287,19 @@ impl OpView<'_> {
     /// Materialize this view as an owned [`Op`] (tests and tooling; the
     /// engine never needs it).
     pub fn to_op(&self) -> Op {
+        let owned = |ids| match ids {
+            IdsRef::One(id) => WaitIds::One(id),
+            IdsRef::Many(ids) => WaitIds::from(ids),
+        };
         match *self {
             OpView::Compute { seconds } => Op::Compute { seconds },
             OpView::Reduce { bytes } => Op::Reduce { bytes },
             OpView::Copy { bytes } => Op::Copy { bytes },
             OpView::PutNotify { dst, bytes, notify } => Op::PutNotify { dst, bytes, notify },
             OpView::Notify { dst, notify } => Op::Notify { dst, notify },
-            OpView::WaitNotify { ids } => Op::WaitNotify { ids: ids.to_vec() },
-            OpView::WaitNotifyAny { ids, count } => Op::WaitNotifyAny { ids: ids.to_vec(), count },
+            OpView::WaitNotify { ids } => Op::WaitNotify { ids: owned(ids) },
+            // The count was compiled from the op's `u32`, so it fits.
+            OpView::WaitNotifyAny { ids, count } => Op::WaitNotifyAny { ids: owned(ids), count: count as u32 },
             OpView::Send { dst, bytes, tag } => Op::Send { dst, bytes, tag },
             OpView::Isend { dst, bytes, tag } => Op::Isend { dst, bytes, tag },
             OpView::Recv { src, bytes, tag } => Op::Recv { src, bytes, tag },
@@ -372,7 +377,8 @@ pub struct MemoryStats {
     /// Distinct shared segments (equals `num_ranks` for a materialized
     /// program).
     pub segments: usize,
-    /// Ids held in wait-id storage.
+    /// Ids held in wait-id storage: the shared pool of a compiled program,
+    /// the boxed lists of multi-id waits in a materialized one.
     pub pool_ids: usize,
     /// Approximate heap bytes of the op storage itself.
     pub arena_bytes: usize,
@@ -1042,7 +1048,8 @@ impl Program {
     }
 
     /// Footprint of the materialized representation (heap estimate: op
-    /// records plus owned wait-id lists).
+    /// records plus the boxed id lists of multi-id waits; a single-id wait
+    /// holds its id inline in the op record, see [`WaitIds`]).
     pub fn memory_stats(&self) -> MemoryStats {
         let total_ops: u64 = self.ranks.iter().map(|rp| rp.ops.len() as u64).sum();
         let pool_ids: usize = self
@@ -1050,7 +1057,9 @@ impl Program {
             .iter()
             .flat_map(|rp| rp.ops.iter())
             .map(|op| match op {
-                Op::WaitNotify { ids } | Op::WaitNotifyAny { ids, .. } => ids.len(),
+                Op::WaitNotify { ids: WaitIds::Many(ids) } | Op::WaitNotifyAny { ids: WaitIds::Many(ids), .. } => {
+                    ids.len()
+                }
                 _ => 0,
             })
             .sum();
@@ -1393,7 +1402,7 @@ mod tests {
             other => panic!("not a compute: {other:?}"),
         };
         assert_eq!([0, 1, 2].map(|i| seconds(c.op_view(0, i))), [(-0.0f64).to_bits(), 1, f64::MAX.to_bits()]);
-        assert_eq!(c.op_view(1, 1).to_op(), Op::WaitNotifyAny { ids: vec![9, 5, NotifyId::MAX], count: 2 });
+        assert_eq!(c.op_view(1, 1).to_op(), Op::WaitNotifyAny { ids: vec![9, 5, NotifyId::MAX].into(), count: 2 });
         // 19 stored ops at 17 B, 5 pooled ids at 4 B, 3 rank entries at 12 B
         // and rank 0's 3 durations at 8 B: 323 + 20 + 36 + 24 = 403.  Ranks 1
         // and 2 have no compute op, so every list starts at 0 and no offset

@@ -87,7 +87,7 @@ pub use fabric::{Fabric, FlowId, LinkUsage};
 pub use metrics::EngineMetrics;
 pub use packet::{LossConfig, PacketConfig, PacketFabric, PacketLinkUsage, PacketTotals, PfcConfig};
 pub use presets::ClusterPreset;
-pub use program::{CommProfile, NotifyId, Op, Program, ProgramBuilder, RankProgram, Tag};
+pub use program::{CommProfile, NotifyId, Op, Program, ProgramBuilder, RankProgram, Tag, WaitIds};
 pub use report::{LinkStats, RankStats, ReportDetail, ReportSummary, RunReport};
 pub use routing::RoutingTable;
 pub use scenario::{Scenario, ScenarioInstance, SplitMix64};

@@ -6,6 +6,9 @@
 //! overlap of an individual rank's outstanding one-sided puts with its later
 //! operations) is what the simulator models.
 
+use std::fmt;
+use std::ops::Deref;
+
 use crate::cluster::RankId;
 
 /// Identifier of a GASPI-style notification slot on the *target* rank.
@@ -13,6 +16,80 @@ pub type NotifyId = u32;
 
 /// Message tag used to match two-sided sends and receives.
 pub type Tag = u32;
+
+/// The notification ids a wait lists, in listed order.
+///
+/// A single id — what every ring and hypercube step waits on — is stored
+/// inline ([`WaitIds::One`]), so recording such a wait allocates nothing;
+/// any other list is boxed ([`WaitIds::Many`]).  It derefs to
+/// `[NotifyId]`, compares by content (`One(3) == Many([3])`) and
+/// Debug-formats like a `Vec` (`[3]`, `[3, 4]`), so traces and deadlock
+/// reports read the same whichever form holds the ids.
+#[derive(Clone)]
+pub enum WaitIds {
+    /// A single id, stored inline.
+    One(NotifyId),
+    /// Any other list, on the heap.
+    Many(Box<[NotifyId]>),
+}
+
+const _: () = assert!(size_of::<WaitIds>() == 16);
+
+impl Deref for WaitIds {
+    type Target = [NotifyId];
+
+    fn deref(&self) -> &[NotifyId] {
+        match self {
+            WaitIds::One(id) => std::slice::from_ref(id),
+            WaitIds::Many(ids) => ids,
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a WaitIds {
+    type Item = &'a NotifyId;
+    type IntoIter = std::slice::Iter<'a, NotifyId>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl PartialEq for WaitIds {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl<const N: usize> PartialEq<[NotifyId; N]> for WaitIds {
+    fn eq(&self, other: &[NotifyId; N]) -> bool {
+        **self == *other
+    }
+}
+
+impl fmt::Debug for WaitIds {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl From<&[NotifyId]> for WaitIds {
+    fn from(ids: &[NotifyId]) -> Self {
+        match *ids {
+            [id] => WaitIds::One(id),
+            _ => WaitIds::Many(ids.into()),
+        }
+    }
+}
+
+impl From<Vec<NotifyId>> for WaitIds {
+    fn from(ids: Vec<NotifyId>) -> Self {
+        match *ids {
+            [id] => WaitIds::One(id),
+            _ => WaitIds::Many(ids.into_boxed_slice()),
+        }
+    }
+}
 
 /// One operation executed by a rank.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,15 +131,15 @@ pub enum Op {
     /// once; consume (reset) them.
     WaitNotify {
         /// Notification slots to wait for.
-        ids: Vec<NotifyId>,
+        ids: WaitIds,
     },
     /// Block until at least `count` of the listed notifications have been
     /// received; consume the ones that arrived.
     WaitNotifyAny {
         /// Notification slots to wait for.
-        ids: Vec<NotifyId>,
+        ids: WaitIds,
         /// How many of them must have arrived before execution continues.
-        count: usize,
+        count: u32,
     },
     /// Two-sided blocking send: the rank continues once the message has been
     /// handed to the network (eager) or fully transferred (rendezvous).
@@ -99,6 +176,8 @@ pub enum Op {
     /// Full synchronization of all ranks in the program.
     Barrier,
 }
+
+const _: () = assert!(size_of::<Op>() == 24);
 
 impl Op {
     /// Bytes this operation moves over the network (0 for local operations).
@@ -315,12 +394,12 @@ impl ProgramBuilder {
 
     /// Append a [`Op::WaitNotify`] on `rank`.
     pub fn wait_notify(&mut self, rank: RankId, ids: &[NotifyId]) -> &mut Self {
-        self.push(rank, Op::WaitNotify { ids: ids.to_vec() })
+        self.push(rank, Op::WaitNotify { ids: ids.into() })
     }
 
     /// Append a [`Op::WaitNotifyAny`] on `rank`.
-    pub fn wait_notify_any(&mut self, rank: RankId, ids: &[NotifyId], count: usize) -> &mut Self {
-        self.push(rank, Op::WaitNotifyAny { ids: ids.to_vec(), count })
+    pub fn wait_notify_any(&mut self, rank: RankId, ids: &[NotifyId], count: u32) -> &mut Self {
+        self.push(rank, Op::WaitNotifyAny { ids: ids.into(), count })
     }
 
     /// Append a blocking [`Op::Send`] on `rank`.
@@ -420,6 +499,24 @@ mod tests {
         b.wait_notify_any(1, &[3, 17], 1);
         assert_eq!(b.build().notify_id_bound(), 18);
         assert_eq!(Program::empty(2).notify_id_bound(), 0);
+    }
+
+    #[test]
+    fn wait_ids_hold_one_id_inline_and_compare_by_content() {
+        assert!(matches!(WaitIds::from(&[3][..]), WaitIds::One(3)));
+        assert!(matches!(WaitIds::from(vec![3]), WaitIds::One(3)));
+        assert!(matches!(WaitIds::from(vec![3, 4]), WaitIds::Many(_)));
+        assert!(matches!(WaitIds::from(Vec::new()), WaitIds::Many(_)));
+        let boxed_one = WaitIds::Many(Box::new([3]));
+        assert_eq!(WaitIds::One(3), boxed_one);
+        assert_eq!(boxed_one, WaitIds::One(3));
+        assert_ne!(WaitIds::One(3), WaitIds::One(4));
+        assert_ne!(WaitIds::One(3), WaitIds::from(vec![3, 4]));
+        // Debug reads like the `Vec` a wait used to own, in both forms.
+        assert_eq!(format!("{:?}", WaitIds::One(3)), "[3]");
+        assert_eq!(format!("{boxed_one:?}"), "[3]");
+        assert_eq!(format!("{:?}", WaitIds::from(vec![3, 4])), "[3, 4]");
+        assert_eq!(format!("{:?}", Op::WaitNotify { ids: WaitIds::One(3) }), "WaitNotify { ids: [3] }");
     }
 
     #[test]

@@ -209,7 +209,7 @@ pub(crate) fn check_rank_ops(
                 recvs.push((*src, rank, *tag));
             }
             Op::WaitNotifyAny { ids, count } => {
-                if *count == 0 || *count > ids.len() {
+                if *count == 0 || *count as usize > ids.len() {
                     return Err(ValidationError::BadNotifyCount { rank, op_index });
                 }
                 check_distinct_wait_ids(ids, rank, op_index)?;

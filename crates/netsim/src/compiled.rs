@@ -117,8 +117,8 @@ struct SegCand {
 ///
 /// Single-id waits are stored inline in the op record ([`IdsRef::One`]);
 /// multi-id waits borrow a slice of the shared id pool ([`IdsRef::Many`]).
-/// Debug-formats exactly like the owned [`WaitIds`] it decodes (`[3, 4]`), so
-/// traces and deadlock reports are byte-identical to the materialized path.
+/// Debug-formats exactly like the owned [`WaitIds`] (`[3, 4]`), so traces
+/// and deadlock reports are byte-identical to the materialized path.
 #[derive(Clone, Copy)]
 pub enum IdsRef<'a> {
     /// A single id inlined in the op record.

@@ -177,6 +177,8 @@ pub enum Op {
     Barrier,
 }
 
+// A materialized `Program` holds `O(p · ops)` of these; a wait's ids stay
+// inline or boxed (see `WaitIds`) so that no variant outgrows 24 bytes.
 const _: () = assert!(size_of::<Op>() == 24);
 
 impl Op {

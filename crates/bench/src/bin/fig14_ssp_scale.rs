@@ -62,7 +62,10 @@ fn main() {
     );
     println!("# scenario: 10% node speed spread, 2% slow nodes (1.5x), 10% link jitter, 5% hiccup iterations (6x)\n");
 
-    ec_bench::print_smoke_memory_stats(smoke, "ssp-scale", &ssp_scale_program(&stats_cfg));
+    // A rank waits only from iteration `slack` on, so the memory lines
+    // describe a slack below the iteration count: a program that waits.
+    let memory_cfg = config(max_workers, max_slack.min(iters - 1), iters);
+    ec_bench::print_smoke_memory_stats(smoke, "ssp-scale", &ssp_scale_program(&memory_cfg));
 
     let mut digest = 0u64;
     for &workers in &worker_counts {

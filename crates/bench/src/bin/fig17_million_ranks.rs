@@ -15,9 +15,10 @@
 //! Reports are folded online (`ReportDetail::Summary`), so neither the
 //! program nor the report ever materializes per-rank state.  The binary
 //! prints throughput and peak RSS and asserts a hard peak-RSS budget: 8 GiB,
-//! or 320 MiB under `--smoke` (about twice the smoke run's ≈ 150 MiB peak,
-//! so a regression of the queue or the compressed program fails the CI
-//! smoke run long before 8 GiB would notice).
+//! or 200 MiB under `--smoke` (about twice the smoke run's ≈ 100 MiB peak,
+//! so a regression of the queue, the strict loop's 24-byte events or the
+//! compressed program fails the CI smoke run long before 8 GiB would
+//! notice).
 //!
 //! The output is fully deterministic: same parameters, same fingerprint.
 //! Pass `--smoke` for a CI-sized run (`p = 2^17`).
@@ -82,7 +83,7 @@ fn main() {
     ec_bench::check_args();
     let smoke = ec_bench::smoke_flag();
     let ranks = if smoke { 1 << 17 } else { 1 << 20 };
-    let rss_budget: u64 = if smoke { 320 << 20 } else { 8 << 30 };
+    let rss_budget: u64 = if smoke { 200 << 20 } else { 8 << 30 };
 
     println!("# Figure 17 — million-rank simulations on the compressed program representation");
     println!(

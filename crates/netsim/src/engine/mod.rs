@@ -88,6 +88,40 @@ pub enum SimError {
         /// what it was waiting for.
         blocked: Vec<(RankId, usize, String)>,
     },
+    /// The run outgrew one of the strict event loop's fixed-width fields;
+    /// the loop stops there instead of wrapping the field.
+    LimitExceeded(StrictLimit),
+}
+
+/// A fixed-width field of the strict event loop (see `engine/sim.rs`) and
+/// the bound a run must stay below.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StrictLimit {
+    /// 2^24 ranks: a rank id fills the top 24 bits of an event key.
+    Ranks,
+    /// 2^40 events: the per-run event sequence number fills the low 40 bits.
+    Events,
+    /// 2^32 message ids: a `TxDone` event carries its message id as a `u32`.
+    MessageIds,
+}
+
+impl StrictLimit {
+    /// How many a run may have: their ids run from 0 to `bound() - 1`.
+    pub const fn bound(self) -> u64 {
+        match self {
+            StrictLimit::Ranks => 1 << 24,
+            StrictLimit::Events => 1 << 40,
+            StrictLimit::MessageIds => 1 << 32,
+        }
+    }
+
+    fn what(self) -> &'static str {
+        match self {
+            StrictLimit::Ranks => "ranks",
+            StrictLimit::Events => "events",
+            StrictLimit::MessageIds => "message ids",
+        }
+    }
 }
 
 impl std::fmt::Display for SimError {
@@ -103,6 +137,9 @@ impl std::fmt::Display for SimError {
                     write!(f, "[rank {r} at op {pc}: {what}] ")?;
                 }
                 Ok(())
+            }
+            SimError::LimitExceeded(l) => {
+                write!(f, "the run exceeds the strict event loop's limit of {} {}", l.bound(), l.what())
             }
         }
     }
@@ -452,7 +489,7 @@ impl Engine {
         let mut report = if eligible {
             dataflow::run(&self.cluster, &self.cost, program, instance.as_ref(), self.tracing, self.filter)?
         } else {
-            let sim = Sim::new(&self.cluster, &self.cost, program, self.tracing, self.filter, instance, fabric);
+            let sim = Sim::new(&self.cluster, &self.cost, program, self.tracing, self.filter, instance, fabric)?;
             #[cfg(test)]
             let sim = sim.with_scheduler(self.scheduler);
             sim.run()?

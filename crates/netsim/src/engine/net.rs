@@ -4,7 +4,7 @@
 
 use std::collections::VecDeque;
 
-use super::sim::{EventKind, FlowKind, Sim, Transfer, Word};
+use super::sim::{EventKind, FlowKind, Sim, Transfer};
 use super::{NetworkModel, SimError};
 use crate::cluster::{ClusterSpec, NodeId, RankId};
 use crate::cost::CostModel;
@@ -96,8 +96,8 @@ pub(crate) fn wire_timing(
 ///   at a bit-equal time, so a synchronized wave costs one solve.  A backend
 ///   must not assume a `resolve` per admission.
 /// * **Ticks.**  `resolve(now)` returns when the backend next needs the
-///   engine's attention and moves `epoch()`; the engine pushes one
-///   `FabricTick` for that time and ignores ticks of older epochs.
+///   engine's attention; the engine pushes one `FabricTick` for that time
+///   and ignores every tick an earlier `resolve` pushed.
 /// * **Completion.**  `take_completed(t, horizon, ..)` yields the flows that
 ///   have drained by `t`.  A backend whose tick can be due with nothing
 ///   completed (the packet fabric asks for one per packet *event*) keeps
@@ -143,13 +143,6 @@ impl NetSim {
             Some(config) => NetSim::Packet(Box::new(PacketFabric::new(topology, *config)?)),
             None => NetSim::Flow(Box::new(Fabric::new(topology.clone()).map_err(SimError::BadTopology)?)),
         }))
-    }
-
-    fn epoch(&self) -> u64 {
-        match self {
-            NetSim::Flow(f) => f.epoch(),
-            NetSim::Packet(p) => p.epoch(),
-        }
     }
 
     fn add_flow(&mut self, now: f64, src: NodeId, dst: NodeId, bytes: f64) -> FlowId {
@@ -309,7 +302,7 @@ impl Sim<'_> {
         queue.fifo.push_back(QueuedTransfer { transfer: x, wire_bytes, alpha });
         if !queue.busy {
             queue.busy = true;
-            self.push_event(x.inject, x.src, EventKind::FlowLaunch);
+            self.push_event(x.inject, x.src, EventKind::FlowLaunch, 0);
         }
     }
 
@@ -324,7 +317,7 @@ impl Sim<'_> {
         debug_assert!(launched, "a FlowLaunch event always finds a due transfer at the queue head");
         let next_is_same_time_launch = matches!(
             self.events.peek(),
-            Some(ev) if ev.time == t && matches!(ev.kind, EventKind::FlowLaunch)
+            Some(ev) if ev.time == t && ev.kind == EventKind::FlowLaunch
         );
         if !next_is_same_time_launch {
             self.resolve_fabric(t);
@@ -342,7 +335,7 @@ impl Sim<'_> {
             Some(qt) if qt.transfer.inject > t => {
                 // Head-of-line transfer not ready yet (rendezvous handshake):
                 // the pipeline stays reserved until its launch time.
-                self.push_event(qt.transfer.inject, rank, EventKind::FlowLaunch);
+                self.push_event(qt.transfer.inject, rank, EventKind::FlowLaunch, 0);
                 false
             }
             Some(qt) => {
@@ -361,23 +354,17 @@ impl Sim<'_> {
     }
 
     /// Re-solve the fabric rates at `t` and schedule the next completion
-    /// tick under the fresh epoch.
+    /// tick, which makes every earlier tick stale.
     fn resolve_fabric(&mut self, t: f64) {
         let fabric = self.fabric.as_mut().expect("resolve_fabric requires a fabric");
-        if let Some(next) = fabric.resolve(t) {
-            let epoch = fabric.epoch();
-            self.push_event(next, 0, EventKind::FabricTick { epoch: Word(epoch) });
-        }
+        self.tick_key = fabric.resolve(t).map(|next| self.push_event(next, 0, EventKind::FabricTick, 0));
     }
 
-    /// A fabric completion estimate came due.  Stale epochs are ignored; a
-    /// current tick completes every flow that has drained, delivers their
-    /// payloads, admits the senders' next queued transfers and re-solves.
-    pub(super) fn on_fabric_tick(&mut self, epoch: u64, t: f64) {
+    /// The current fabric completion estimate came due (the loop drops stale
+    /// ticks): complete every flow that has drained, deliver their payloads,
+    /// admit the senders' next queued transfers and re-solve.
+    pub(super) fn on_fabric_tick(&mut self, t: f64) {
         let Some(fabric) = self.fabric.as_mut() else { return };
-        if fabric.epoch() != epoch {
-            return;
-        }
         let mut done = std::mem::take(&mut self.completed_buf);
         let events = &mut self.events;
         let t = fabric.take_completed(t, || events.peek().map_or(f64::INFINITY, |ev| ev.time), &mut done);

@@ -4,7 +4,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use super::net::{wire_timing, FlowMeta, InjectQueue, NetSim, Nics};
-use super::{describe_wait, finish_run, local_op_time, time_backstep_tolerance, NotifyTable, SimError};
+use super::{describe_wait, finish_run, local_op_time, time_backstep_tolerance, NotifyTable, SimError, StrictLimit};
 #[cfg(not(test))]
 use crate::calendar::CalendarQueue;
 use crate::calendar::Timed;
@@ -18,45 +18,77 @@ use crate::report::{RankStats, RunReport};
 use crate::scenario::ScenarioInstance;
 use crate::trace::{BlockReason, MsgLabel, Recorder, TraceDetail, TraceFilter, TraceKind};
 
-pub(super) type MsgId = u64;
+/// A message id: `TxDone` events carry it in their `u32` argument.
+pub(super) type MsgId = u32;
 
-/// A `u64` event payload aligned like a `u32`, so that [`EventKind`] packs
-/// behind [`Event::rank`] without padding.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[repr(Rust, packed(4))]
-pub(super) struct Word(pub(super) u64);
-
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// What an [`Event`] tells its rank; the payload, if any, is [`Event::arg`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub(super) enum EventKind {
     /// The rank should try to execute its next operation.
     Resume,
-    /// A two-sided message from rank `src` was fully delivered into the
-    /// rank's memory.
-    Delivered { src: u32, tag: Tag, bytes: Word },
-    /// A one-sided notification became visible at the rank.
-    NotifyVisible { notify: NotifyId },
-    /// A transfer injected by the rank finished leaving its NIC.
-    TxDone { msg: Word },
+    /// A two-sided message was fully delivered into the rank's memory; `arg`
+    /// indexes its [`Delivery`] in `Sim::deliveries`.
+    Delivered,
+    /// A one-sided notification became visible at the rank; `arg` is its id.
+    NotifyVisible,
+    /// A transfer injected by the rank finished leaving its NIC; `arg` is
+    /// its [`MsgId`].
+    TxDone,
     /// The head of the rank's fabric injection queue is ready to launch.
     FlowLaunch,
-    /// Re-estimate fabric flows: the earliest completion (as of `epoch`) is
-    /// due.  Ticks from older epochs are stale and ignored — rates changed
-    /// since, and a fresher tick is already in the queue.
-    FabricTick { epoch: Word },
+    /// Re-estimate fabric flows: the earliest completion is due.  Only the
+    /// tick the latest resolve pushed is current (`Sim::tick_key`); older
+    /// ones are stale and ignored — rates changed since.
+    FabricTick,
 }
 
-/// Ranks travel as `u32` (compilation caps the rank count there).
+/// Bits of an event key below the rank: the per-run sequence number.
+const SEQ_BITS: u32 = 40;
+
+/// `rank << 40 | seq`: ordering events by `(time, key)` is ordering them by
+/// `(time, rank, seq)`, as long as neither field overflows its bits.
+pub(super) fn event_key(rank: RankId, seq: u64) -> Result<u64, StrictLimit> {
+    debug_assert!((rank as u64) < StrictLimit::Ranks.bound(), "Sim::new checks the rank count");
+    if seq >= StrictLimit::Events.bound() {
+        return Err(StrictLimit::Events);
+    }
+    Ok((rank as u64) << SEQ_BITS | seq)
+}
+
+/// The strict loop's rank-count limit, checked before anything per rank is
+/// allocated.
+pub(super) fn check_rank_count(n: usize) -> Result<(), StrictLimit> {
+    if n as u64 > StrictLimit::Ranks.bound() {
+        return Err(StrictLimit::Ranks);
+    }
+    Ok(())
+}
+
+/// Message number `next` as a [`MsgId`], or the limit if it does not fit.
+pub(super) fn message_id(next: u64) -> Result<MsgId, StrictLimit> {
+    MsgId::try_from(next).map_err(|_| StrictLimit::MessageIds)
+}
+
+/// One pending strict-loop event: 24 bytes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(super) struct Event {
     pub(super) time: f64,
-    seq: u64,
-    rank: u32,
+    /// [`event_key`]`(rank, seq)`: the tie-break after `time`.
+    pub(super) key: u64,
+    pub(super) arg: u32,
     pub(super) kind: EventKind,
 }
 
 // Every strict-loop event is copied into a bucket, sorted there and copied
-// out again: its size is the loop's memory traffic.
-const _: () = assert!(size_of::<Event>() == 40);
+// out again, and the pending ones are most of a large run's memory.
+const _: () = assert!(size_of::<Event>() == 24);
+
+impl Event {
+    pub(super) fn rank(&self) -> RankId {
+        (self.key >> SEQ_BITS) as RankId
+    }
+}
 
 impl Eq for Event {}
 impl PartialOrd for Event {
@@ -66,16 +98,25 @@ impl PartialOrd for Event {
 }
 impl Ord for Event {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Time ties break by `(rank, seq)`, not by `seq` alone: the global
-        // sequence number is an *insertion* order, which depends on the
-        // order the loop happens to produce events in.  The rank id does
-        // not, so equal-time events of different ranks order identically no
-        // matter where they were produced (every pinned makespan rests on
-        // this key); `seq` only disambiguates same-rank same-time events,
-        // whose relative insertion order is defined by the rank's own
-        // (deterministic) execution.
-        self.time.total_cmp(&other.time).then_with(|| self.rank.cmp(&other.rank)).then_with(|| self.seq.cmp(&other.seq))
+        // Time ties break by `(rank, seq)` — the key — not by `seq` alone:
+        // the global sequence number is an *insertion* order, which depends
+        // on the order the loop happens to produce events in.  The rank id
+        // does not, so equal-time events of different ranks order
+        // identically no matter where they were produced (every pinned
+        // makespan rests on this key); `seq` only disambiguates same-rank
+        // same-time events, whose relative insertion order is defined by the
+        // rank's own (deterministic) execution.
+        self.time.total_cmp(&other.time).then_with(|| self.key.cmp(&other.key))
     }
+}
+
+/// A delivered two-sided message, parked in `Sim::deliveries` while its
+/// `Delivered` event is pending.
+#[derive(Debug, Clone, Copy)]
+struct Delivery {
+    src: u32,
+    tag: Tag,
+    bytes: u64,
 }
 
 impl Timed for Event {
@@ -147,26 +188,38 @@ pub(super) struct Transfer {
     pub(super) flow: u64,
 }
 
+/// A rank's two-sided matching state.  Only programs with two-sided
+/// operations or barriers have it (`Sim::matching`): a one-sided program's
+/// ranks never touch it.
+#[derive(Debug, Default)]
+struct Matching {
+    /// Fully arrived two-sided messages without a matching posted receive.
+    unexpected: HashMap<(RankId, Tag), VecDeque<(f64, u64)>>,
+    /// Rendezvous senders waiting for this rank to post a matching receive.
+    pending_rndv: HashMap<(RankId, Tag), VecDeque<PendingRendezvous>>,
+}
+
 #[derive(Debug)]
 pub(super) struct RankSim<'a> {
     pc: usize,
     done: bool,
     blocked: Option<Blocked<'a>>,
     blocked_since: f64,
-    /// Fully arrived two-sided messages without a matching posted receive.
-    unexpected: HashMap<(RankId, Tag), VecDeque<(f64, u64)>>,
-    /// Rendezvous senders waiting for this rank to post a matching receive.
-    pending_rndv: HashMap<(RankId, Tag), VecDeque<PendingRendezvous>>,
     /// Number of this rank's transfers still in flight (for WaitAllSends).
     outstanding_sends: usize,
     /// This rank's rendezvous sends still parked in a receiver's
-    /// `pending_rndv`: the receiver's `Recv` will record their `MsgInjected`
-    /// on this rank's trace channel (see `Sim::resume_after_local_ops`).
+    /// `Matching::pending_rndv`: the receiver's `Recv` will record their
+    /// `MsgInjected` on this rank's trace channel (see
+    /// `Sim::resume_after_local_ops`).
     pub(super) parked_sends: u32,
     /// Earliest time this rank's injection path is free again.
     tx_free: f64,
     stats: RankStats,
 }
+
+// Every rank of a strict-loop run holds one; the two-sided matching maps
+// live apart in `Sim::matching` (96 bytes a rank, two-sided programs only).
+const _: () = assert!(size_of::<RankSim<'_>>() <= 152);
 
 impl RankSim<'_> {
     fn new(compute_scale: f64) -> Self {
@@ -175,8 +228,6 @@ impl RankSim<'_> {
             done: false,
             blocked: None,
             blocked_since: 0.0,
-            unexpected: HashMap::new(),
-            pending_rndv: HashMap::new(),
             outstanding_sends: 0,
             parked_sends: 0,
             tx_free: 0.0,
@@ -192,9 +243,20 @@ pub(super) struct Sim<'a> {
     pub(super) scenario: Option<ScenarioInstance>,
     pub(super) now: f64,
     seq: u64,
-    next_msg: MsgId,
+    next_msg: u64,
+    /// The limit a push or a message id hit; the loop stops at the next pop.
+    overflow: Option<StrictLimit>,
     pub(super) events: EventQueue,
     pub(super) ranks: Vec<RankSim<'a>>,
+    /// Per-rank two-sided matching state, indexed by rank; empty for a
+    /// one-sided program.
+    matching: Vec<Matching>,
+    /// Payloads of the pending `Delivered` events, and the free slots.
+    deliveries: Vec<Delivery>,
+    free_deliveries: Vec<u32>,
+    /// Key of the one current `FabricTick`: the tick the latest fabric
+    /// resolve pushed (`None` if it pushed none).
+    pub(super) tick_key: Option<u64>,
     notes: NotifyTable,
     /// Ranks that execute `WaitAllSends` and therefore need `TxDone` events
     /// for their one-sided puts (borrowed from the compiled program's
@@ -247,16 +309,17 @@ impl<'a> Sim<'a> {
         filter: TraceFilter,
         scenario: Option<ScenarioInstance>,
         fabric: Option<NetSim>,
-    ) -> Self {
+    ) -> Result<Self, SimError> {
         let profile = program.profile();
         let n = program.num_ranks();
+        check_rank_count(n).map_err(SimError::LimitExceeded)?;
         let ranks = (0..n)
             .map(|r| {
                 let scale = scenario.as_ref().map_or(1.0, |s| s.compute_scale(cluster.node_of(r)));
                 RankSim::new(scale)
             })
             .collect();
-        Self {
+        Ok(Self {
             cluster,
             cost,
             program,
@@ -264,11 +327,16 @@ impl<'a> Sim<'a> {
             now: 0.0,
             seq: 0,
             next_msg: 0,
+            overflow: None,
             // The calendar bucket width is the smallest link latency — the
             // natural spacing between a transfer's injection and its
             // delivery, so a bucket holds about one wave of events.
             events: EventQueue::new(cost.alpha_intra.min(cost.alpha_inter)),
             ranks,
+            matching: if profile.one_sided_only { Vec::new() } else { (0..n).map(|_| Matching::default()).collect() },
+            deliveries: Vec::new(),
+            free_deliveries: Vec::new(),
+            tick_key: None,
             notes: NotifyTable::new(profile),
             tracks_put_tx: &profile.waits_sends,
             node_tx_free: vec![0.0; cluster.nodes],
@@ -282,14 +350,34 @@ impl<'a> Sim<'a> {
             meta_buf: Vec::new(),
             rec: Recorder::new(tracing, filter, n),
             metrics: EngineMetrics::default(),
-        }
+        })
     }
 
-    pub(super) fn push_event(&mut self, time: f64, rank: RankId, kind: EventKind) {
+    /// Start the event sequence and the message ids at `seq` and `next_msg`,
+    /// so a test reaches their limits without scheduling 2^40 events.
+    #[cfg(test)]
+    pub(super) fn with_counters(mut self, seq: u64, next_msg: u64) -> Self {
+        (self.seq, self.next_msg) = (seq, next_msg);
+        self
+    }
+
+    /// Schedule `kind` with payload `arg` for `rank` at `time` and return
+    /// the event's key.  Past the event limit nothing is pushed and the loop
+    /// stops at its next pop.
+    pub(super) fn push_event(&mut self, time: f64, rank: RankId, kind: EventKind, arg: u32) -> u64 {
         let seq = self.seq;
         self.seq += 1;
         self.metrics.events_scheduled += 1;
-        self.events.push(Event { time, seq, rank: rank as u32, kind });
+        match event_key(rank, seq) {
+            Ok(key) => {
+                self.events.push(Event { time, key, arg, kind });
+                key
+            }
+            Err(limit) => {
+                self.overflow = Some(limit);
+                u64::MAX
+            }
+        }
     }
 
     pub(super) fn run(mut self) -> Result<RunReport, SimError> {
@@ -297,6 +385,9 @@ impl<'a> Sim<'a> {
             self.resume_after_local_ops(r, 0.0);
         }
         while let Some(ev) = self.events.pop() {
+            if self.overflow.is_some() {
+                break;
+            }
             // Relative tolerance: an absolute epsilon (1e-15 historically)
             // is below one ulp once the makespan passes ~5 ms, so legitimate
             // rounding ties tripped the guard on long runs.
@@ -307,17 +398,26 @@ impl<'a> Sim<'a> {
                 self.now
             );
             self.now = self.now.max(ev.time);
-            let rank = ev.rank as RankId;
+            let rank = ev.rank();
             match ev.kind {
                 EventKind::Resume => self.step_rank(rank, ev.time),
-                EventKind::Delivered { src, tag, bytes } => {
-                    self.on_delivered(rank, src as RankId, tag, bytes.0, ev.time);
+                EventKind::Delivered => {
+                    let d = self.deliveries[ev.arg as usize];
+                    self.free_deliveries.push(ev.arg);
+                    self.on_delivered(rank, d.src as RankId, d.tag, d.bytes, ev.time);
                 }
-                EventKind::NotifyVisible { notify } => self.on_notify(rank, notify, ev.time),
-                EventKind::TxDone { msg } => self.on_tx_done(rank, msg.0, ev.time),
+                EventKind::NotifyVisible => self.on_notify(rank, ev.arg, ev.time),
+                EventKind::TxDone => self.on_tx_done(rank, ev.arg, ev.time),
                 EventKind::FlowLaunch => self.on_flow_launch(rank, ev.time),
-                EventKind::FabricTick { epoch } => self.on_fabric_tick(epoch.0, ev.time),
+                EventKind::FabricTick => {
+                    if self.tick_key == Some(ev.key) {
+                        self.on_fabric_tick(ev.time);
+                    }
+                }
             }
+        }
+        if let Some(limit) = self.overflow {
+            return Err(SimError::LimitExceeded(limit));
         }
         let stuck = (self.ranks.iter().enumerate().filter(|(_, r)| !r.done))
             .map(|(i, r)| (i, r.pc, r.blocked.as_ref().map_or_else(|| "not scheduled".to_owned(), Blocked::describe)))
@@ -460,7 +560,7 @@ impl<'a> Sim<'a> {
             #[cfg(test)]
             FUSED_OPS.set(FUSED_OPS.get() + 1);
         }
-        self.push_event(t, rank, EventKind::Resume);
+        self.push_event(t, rank, EventKind::Resume, 0);
     }
 
     /// Advance the program counter past a non-local op that completes at
@@ -476,8 +576,13 @@ impl<'a> Sim<'a> {
 
     // -- transfers ----------------------------------------------------------
 
+    /// A fresh message id.  Past the limit it returns 0 and the loop stops
+    /// at its next pop, before any event can carry the id.
     fn alloc_msg(&mut self) -> MsgId {
-        let id = self.next_msg;
+        let id = message_id(self.next_msg).unwrap_or_else(|limit| {
+            self.overflow = Some(limit);
+            0
+        });
         self.next_msg += 1;
         id
     }
@@ -541,21 +646,32 @@ impl<'a> Sim<'a> {
         let (at, kind, label) = match x.kind {
             FlowKind::Put { notify, msg } => {
                 if let Some(msg) = msg {
-                    self.push_event(tx_done, x.src, EventKind::TxDone { msg: Word(msg) });
+                    self.push_event(tx_done, x.src, EventKind::TxDone, msg);
                 }
                 let visible = landed + self.cost.notify_overhead;
-                self.push_event(visible, x.dst, EventKind::NotifyVisible { notify });
+                self.push_event(visible, x.dst, EventKind::NotifyVisible, notify);
                 (visible, TraceKind::NotifyVisible, MsgLabel::Notify(notify))
             }
             FlowKind::TwoSided { tag, msg } => {
-                self.push_event(tx_done, x.src, EventKind::TxDone { msg: Word(msg) });
-                let delivered = EventKind::Delivered { src: x.src as u32, tag, bytes: Word(x.bytes) };
-                self.push_event(landed, x.dst, delivered);
+                self.push_event(tx_done, x.src, EventKind::TxDone, msg);
+                let slot = self.park_delivery(Delivery { src: x.src as u32, tag, bytes: x.bytes });
+                self.push_event(landed, x.dst, EventKind::Delivered, slot);
                 (landed, TraceKind::MsgDelivered, MsgLabel::Tag(tag))
             }
         };
         let Transfer { src, bytes, flow, inject, .. } = x;
         self.rec.arrival(at, x.dst, kind, TraceDetail::Arrival { src, bytes, label, flow, inject, queue, wire });
+    }
+
+    /// Park `d` in a free slot of `deliveries` and return its index.  Every
+    /// parked delivery took a message id first, so the index fits a `u32`.
+    fn park_delivery(&mut self, d: Delivery) -> u32 {
+        if let Some(slot) = self.free_deliveries.pop() {
+            self.deliveries[slot as usize] = d;
+            return slot;
+        }
+        self.deliveries.push(d);
+        (self.deliveries.len() - 1) as u32
     }
 
     // -- two-sided send / receive -------------------------------------------
@@ -585,7 +701,7 @@ impl<'a> Sim<'a> {
                     let earliest = send_time.max(recv_post + self.cost.o_recv) + self.cost.rendezvous_latency;
                     self.schedule_transfer(rank, dst, bytes, kind, earliest);
                 } else {
-                    self.ranks[dst].pending_rndv.entry((rank, tag)).or_default().push_back(PendingRendezvous {
+                    self.matching[dst].pending_rndv.entry((rank, tag)).or_default().push_back(PendingRendezvous {
                         msg,
                         bytes,
                         send_time,
@@ -605,10 +721,11 @@ impl<'a> Sim<'a> {
     fn exec_recv(&mut self, rank: RankId, src: RankId, tag: Tag, t: f64) {
         let post_done = t + self.cost.o_recv;
         // 1. Already-arrived (unexpected) eager message?
-        if let Some(q) = self.ranks[rank].unexpected.get_mut(&(src, tag)) {
+        let m = &mut self.matching[rank];
+        if let Some(q) = m.unexpected.get_mut(&(src, tag)) {
             if let Some((delivered, msg_bytes)) = q.pop_front() {
                 if q.is_empty() {
-                    self.ranks[rank].unexpected.remove(&(src, tag));
+                    m.unexpected.remove(&(src, tag));
                 }
                 // Copy out of the unexpected-message buffer.
                 let done = post_done.max(delivered) + self.cost.copy_time(msg_bytes);
@@ -619,10 +736,11 @@ impl<'a> Sim<'a> {
             }
         }
         // 2. A rendezvous sender already waiting for this receive?
-        if let Some(q) = self.ranks[rank].pending_rndv.get_mut(&(src, tag)) {
+        let m = &mut self.matching[rank];
+        if let Some(q) = m.pending_rndv.get_mut(&(src, tag)) {
             if let Some(p) = q.pop_front() {
                 if q.is_empty() {
-                    self.ranks[rank].pending_rndv.remove(&(src, tag));
+                    m.pending_rndv.remove(&(src, tag));
                 }
                 let earliest = p.send_time.max(post_done) + self.cost.rendezvous_latency;
                 self.ranks[src].parked_sends -= 1;
@@ -645,7 +763,7 @@ impl<'a> Sim<'a> {
         if matches_block {
             self.unblock(dst, t);
         } else {
-            self.ranks[dst].unexpected.entry((src, tag)).or_default().push_back((t, bytes));
+            self.matching[dst].unexpected.entry((src, tag)).or_default().push_back((t, bytes));
         }
     }
 

@@ -5,7 +5,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use super::net::NetSim;
-use super::sim::{Event, Sim, FUSED_OPS};
+use super::sim::{check_rank_count, event_key, message_id, Event, EventKind, Sim, FUSED_OPS};
 use super::*;
 use crate::calendar::{CalendarQueue, COUNTED_BUCKETS};
 use crate::fabric::Fabric;
@@ -1005,6 +1005,7 @@ fn strict_run(
     let instance = engine.scenario.as_ref().map(|s| s.materialize(&engine.cluster));
     let fabric = topology.map(|t| NetSim::Flow(Box::new(Fabric::new(t.clone()).unwrap())));
     let mut sim = Sim::new(&engine.cluster, &engine.cost, program, engine.tracing, engine.filter, instance, fabric)
+        .unwrap()
         .with_scheduler(engine.scheduler);
     if unfused {
         // The reference stepping, a `Resume` per op: with a send parked
@@ -1210,4 +1211,77 @@ proptest! {
             prop_assert_eq!(saved, fused_ops);
         }
     }
+}
+
+// -- the strict loop's event layout and its limits ------------------------
+
+const MAX_RANK: RankId = (1 << 24) - 1;
+const MAX_SEQ: u64 = (1 << 40) - 1;
+
+fn event(time: f64, rank: RankId, seq: u64) -> Event {
+    Event { time, key: event_key(rank, seq).unwrap(), arg: 0, kind: EventKind::Resume }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Ordering events by `(time, key)` is ordering them by the
+    /// `(time, rank, seq)` tuple: on random triples, on time ties and on the
+    /// largest rank and sequence number the key holds.
+    #[test]
+    fn packed_key_orders_like_the_time_rank_seq_tuple(seed in 0u64..u64::MAX) {
+        let mut rng = TestRng::seed_from_u64(seed);
+        let mut pick = |bound: u64, edges: [u64; 2]| match rng.next_u64() % 4 {
+            0 => edges[0],
+            1 => edges[1],
+            _ => rng.next_u64() % bound,
+        };
+        let triples: Vec<(f64, RankId, u64)> = (0..48)
+            .map(|_| {
+                // Few distinct times, so most pairs tie on time.
+                let time = [0.0, 1e-6, 1.5e-6, 2.0][pick(4, [0, 3]) as usize];
+                (time, pick(1 << 24, [0, MAX_RANK as u64]) as RankId, pick(1 << 40, [0, MAX_SEQ]))
+            })
+            .collect();
+        for &(ta, ra, sa) in &triples {
+            let a = event(ta, ra, sa);
+            prop_assert_eq!(a.rank(), ra);
+            for &(tb, rb, sb) in &triples {
+                let tuple = ta.total_cmp(&tb).then(ra.cmp(&rb)).then(sa.cmp(&sb));
+                prop_assert_eq!(a.cmp(&event(tb, rb, sb)), tuple);
+            }
+        }
+    }
+}
+
+#[test]
+fn event_limits_are_typed_errors_not_wraps() {
+    assert!(event_key(MAX_RANK, MAX_SEQ).is_ok());
+    assert_eq!(event_key(0, MAX_SEQ + 1), Err(StrictLimit::Events));
+    assert_eq!(event_key(MAX_RANK, u64::MAX), Err(StrictLimit::Events));
+    assert_eq!(check_rank_count(1 << 24), Ok(()));
+    assert_eq!(check_rank_count((1 << 24) + 1), Err(StrictLimit::Ranks));
+    assert_eq!(message_id(u32::MAX as u64), Ok(u32::MAX));
+    assert_eq!(message_id(1 << 32), Err(StrictLimit::MessageIds));
+    let err = SimError::LimitExceeded(StrictLimit::MessageIds);
+    assert_eq!(err.to_string(), "the run exceeds the strict event loop's limit of 4294967296 message ids");
+}
+
+/// A run that reaches a limit stops with its typed error.
+#[test]
+fn a_run_past_a_limit_stops_with_the_typed_error() {
+    let e = engine(2, 1);
+    let mut b = ProgramBuilder::new(2);
+    b.send(0, 1, 64, 0);
+    b.recv(1, 0, 64, 0);
+    let program = b.build().compile().unwrap();
+    let run = |seq, next_msg| {
+        Sim::new(&e.cluster, &e.cost, &program, false, TraceFilter::all(), None, None)
+            .unwrap()
+            .with_counters(seq, next_msg)
+            .run()
+    };
+    assert!(run(MAX_SEQ - 16, u32::MAX as u64).is_ok(), "the last sequence number and message id are usable");
+    assert_eq!(run(MAX_SEQ - 1, 0).unwrap_err(), SimError::LimitExceeded(StrictLimit::Events));
+    assert_eq!(run(0, 1 << 32).unwrap_err(), SimError::LimitExceeded(StrictLimit::MessageIds));
 }

@@ -7,8 +7,8 @@
 //! until some link saturates, the flows crossing it freeze at that fair
 //! share, and the remaining flows keep ramping on the residual capacities.
 //! The allocation is recomputed whenever a flow arrives or departs, so
-//! completion times are dynamic — the engine re-estimates its event-heap
-//! entries through an epoch counter every time the rate set changes.
+//! completion times are dynamic — every resolve gives the engine a fresh
+//! completion estimate, and the engine drops the ticks of older ones.
 //!
 //! Two invariants of max-min fairness are load-bearing (and property-tested):
 //!
@@ -52,9 +52,8 @@ use crate::engine::time_backstep_tolerance;
 use crate::routing::RoutingTable;
 use crate::topology::{LinkId, Topology, TopologyError};
 
-/// Identifier of an in-flight flow (slab index; ids are reused after
-/// completion — the engine pairs them with [`Fabric::epoch`] to discard
-/// stale events).
+/// Identifier of an in-flight flow (slab index; ids are reused after the
+/// [`Fabric::resolve`] that follows their completion).
 pub type FlowId = usize;
 
 /// Residual payload below which a flow counts as complete (bytes).  Far
@@ -134,9 +133,6 @@ pub struct Fabric {
     hops: Vec<u32>,
     route: Vec<Hop>,
     stride: usize,
-    /// Bumped by every [`Fabric::resolve`]; events scheduled under an older
-    /// epoch are stale.
-    epoch: u64,
     /// Earliest estimated completion among active flows (set by `resolve`).
     next_completion: Option<f64>,
     /// Virtual time the flow remainders and link usage are rebased to.
@@ -225,7 +221,6 @@ impl Fabric {
             bound: Vec::new(),
             hops: Vec::new(),
             route: Vec::new(),
-            epoch: 0,
             next_completion: None,
             now: 0.0,
             allocated: vec![0.0; links],
@@ -251,12 +246,6 @@ impl Fabric {
     /// The static routes flows follow.
     pub fn routing(&self) -> &RoutingTable {
         &self.routing
-    }
-
-    /// Epoch of the current rate allocation; bumped by every
-    /// [`Fabric::resolve`].
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// Number of flows currently in flight.
@@ -364,7 +353,7 @@ impl Fabric {
     pub fn advance_to(&mut self, now: f64) {
         let dt = now - self.now;
         // Relative tolerance: completion estimates are re-derived along
-        // different float paths between epochs, so at large makespans a
+        // different float paths between resolves, so at large makespans a
         // legitimate tie can sit several ulps below `now` — far outside any
         // absolute epsilon (an ulp of 1e6 s is ~1.2e-10).
         let tolerance = time_backstep_tolerance(self.now);
@@ -458,8 +447,8 @@ impl Fabric {
         id
     }
 
-    /// Recompute the max-min fair rate of every active flow at `now` and bump
-    /// the allocation epoch.  Returns the new earliest completion estimate.
+    /// Recompute the max-min fair rate of every active flow at `now`.
+    /// Returns the new earliest completion estimate.
     pub fn resolve(&mut self, now: f64) -> Option<f64> {
         self.resolve_inner(now, false)
     }
@@ -476,7 +465,6 @@ impl Fabric {
         #[cfg(test)]
         self.check_invariants();
         self.advance_to(now);
-        self.epoch += 1;
         // A balanced exchange — every completion since the last resolve was
         // matched by an admission crossing the exact same links — leaves the
         // per-link occupancy, and hence every max-min rate, unchanged: the
@@ -656,7 +644,6 @@ mod tests {
             flows: Vec<FlowState>,
             free: Vec<usize>,
             active: Vec<usize>,
-            pub(super) epoch: u64,
             pub(super) next_completion: Option<f64>,
             now: f64,
             pub(super) allocated: Vec<f64>,
@@ -682,7 +669,6 @@ mod tests {
                     flows: Vec::new(),
                     free: Vec::new(),
                     active: Vec::new(),
-                    epoch: 0,
                     next_completion: None,
                     now: 0.0,
                     allocated: vec![0.0; links],
@@ -802,7 +788,6 @@ mod tests {
 
             pub(super) fn resolve(&mut self, now: f64, force_solve: bool) -> Option<f64> {
                 self.advance_to(now);
-                self.epoch += 1;
                 let balanced = !force_solve && self.unmatched_completions == 0 && self.unmatched_additions == 0;
                 for (id, _) in self.just_completed.drain(..) {
                     self.free.push(id);
@@ -971,7 +956,6 @@ mod tests {
         fn check(&self) {
             let (new, old) = (&self.new, &self.old);
             new.check_invariants();
-            assert_eq!(new.epoch(), old.epoch);
             assert_eq!(new.active_flows(), old.active_flows());
             assert_eq!(new.next_completion().map(f64::to_bits), old.next_completion.map(f64::to_bits));
             assert_eq!((new.solver_passes(), new.balanced_swap_hits()), (old.solves, old.balanced_swaps));
@@ -1097,7 +1081,6 @@ mod tests {
         let a = f.add_flow(0.0, 0, 2, 1e6);
         let _b = f.add_flow(0.0, 1, 2, 2e6);
         f.resolve(0.0);
-        let e0 = f.epoch();
         // Flow a completes at 2 ms (1 MB at 500 MB/s); b then speeds up.
         let t = f.next_completion().unwrap();
         assert!((t - 2e-3).abs() < 1e-12);
@@ -1105,7 +1088,6 @@ mod tests {
         f.take_completed(t, &mut done);
         assert_eq!(done, vec![a]);
         f.resolve(t);
-        assert!(f.epoch() > e0, "every resolve bumps the epoch");
         let b = f.active[0];
         assert!((f.rate(b) - 1e9).abs() < 1.0, "the survivor takes the full downlink");
         // 2 MB total, 1 MB served in the shared phase, 1 MB at full rate.

@@ -82,7 +82,7 @@ pub use compiled::{CompiledProgram, IdsRef, MemoryStats, OpView, RankOps};
 pub use congcontrol::{CongControl, Dcqcn, FixedWindow};
 pub use cost::{CostModel, Protocol};
 pub use critpath::{Category, CategoryBreakdown, CriticalPath, PathSegment, SegmentKind};
-pub use engine::{Engine, SimError};
+pub use engine::{Engine, SimError, StrictLimit};
 pub use fabric::{Fabric, FlowId, LinkUsage};
 pub use metrics::EngineMetrics;
 pub use packet::{LossConfig, PacketConfig, PacketFabric, PacketLinkUsage, PacketTotals, PfcConfig};

@@ -363,8 +363,8 @@ struct Msg {
 ///
 /// The engine-facing contract mirrors [`Fabric`](crate::Fabric):
 /// [`add_flow`](Self::add_flow) injects a message,
-/// [`resolve`](Self::resolve) advances internal events, bumps the epoch and
-/// returns the next event time for a `FabricTick`, and
+/// [`resolve`](Self::resolve) advances internal events and returns the
+/// next event time for a `FabricTick`, and
 /// [`take_completed`](Self::take_completed) drains finished messages.
 /// Between two of the engine's own events the engine additionally lets the
 /// fabric run through the event times at which nothing completes, so it
@@ -391,7 +391,6 @@ pub struct PacketFabric {
     events: CalendarQueue<PEvent>,
     seq: u64,
     now: f64,
-    epoch: u64,
     completed: Vec<FlowId>,
     usage: Vec<LinkUsage>,
     pstats: Vec<PacketLinkUsage>,
@@ -472,18 +471,11 @@ impl PacketFabric {
             active: 0,
             seq: 0,
             now: 0.0,
-            epoch: 0,
             completed: Vec::new(),
             usage: vec![LinkUsage::default(); n],
             pstats: vec![PacketLinkUsage::default(); n],
             totals: PacketTotals::default(),
         })
-    }
-
-    /// Current epoch; bumped by every [`resolve`](Self::resolve) so the
-    /// engine can discard stale `FabricTick` events.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// Number of messages currently in flight.
@@ -623,14 +615,13 @@ impl PacketFabric {
         out.append(&mut self.completed);
     }
 
-    /// Advance to `now`, bump the epoch, recycle completed slots and return
+    /// Advance to `now`, recycle completed slots and return
     /// the time of the next internal event (`None` when idle).
     ///
     /// The returned time is when the fabric next has *anything* to do, not
     /// when a message next completes: most such times complete nothing.
     pub fn resolve(&mut self, now: f64) -> Option<f64> {
         self.advance_to(now);
-        self.epoch += 1;
         while let Some(id) = self.pending_free.pop() {
             self.msgs[id as usize].gen = self.msgs[id as usize].gen.wrapping_add(1);
             self.free.push(id);
@@ -1178,14 +1169,12 @@ mod tests {
     }
 
     #[test]
-    fn epochs_and_slots_recycle() {
+    fn completed_slots_recycle_after_resolve() {
         let topo = Topology::single_switch(4, 1e9);
         let mut f = PacketFabric::new(&topo, PacketConfig::default()).unwrap();
-        let e0 = f.epoch();
         let a = f.add_flow(0.0, 0, 1, 4096.0);
         let (t, done) = run(&mut f, 1);
         assert_eq!(done, vec![a]);
-        assert!(f.epoch() > e0, "every resolve bumps the epoch");
         assert_eq!(f.active_flows(), 0);
         f.resolve(t); // the engine always resolves after draining completions
         let b = f.add_flow(t, 2, 3, 4096.0);
